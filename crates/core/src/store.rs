@@ -4,8 +4,8 @@
 //! so a run's result is a pure function of its [`RunSpec`]. PR 4 gave
 //! every spec a stable FNV digest ([`RunSpec::spec_hash`]); this module
 //! turns that digest into a durable cache key: a [`ResultStore`] is a
-//! directory (`.rrb-cache/` by default) holding one JSON entry per
-//! executed run, so re-running a campaign — after a crash, in the next
+//! directory (`.rrb-cache/` by default) holding one compact binary entry
+//! per executed run, so re-running a campaign — after a crash, in the next
 //! CI job, with one more grid axis — only simulates what changed.
 //!
 //! Safety properties, in the order they are enforced on a lookup:
@@ -16,14 +16,15 @@
 //!    plus the entry-format version. Entries written by a build with
 //!    different simulator semantics are purged wholesale at open.
 //! 2. **Integrity**: every entry carries `payload_hash`, the
-//!    [`fnv1a_64`] of its canonical payload rendering. Truncated,
-//!    bit-flipped, or half-written files fail the check and are
-//!    reported as a warning, never reused.
+//!    [`fnv1a_64`] of its payload bytes exactly as stored, and the
+//!    payload length. Truncated, bit-flipped, or half-written files fail
+//!    the check and are reported as a warning, never reused.
 //! 3. **Structural confirmation**: the entry stores the *complete*
-//!    canonical serialisation of its spec (machine, scua, contenders —
+//!    canonical encoding of its spec (machine, scua, contenders —
 //!    labels excluded, exactly like campaign dedup). A hash hit is only
-//!    a hit if the stored spec equals the queried one byte for byte, so
-//!    an FNV collision costs one re-execution, never a wrong result.
+//!    a hit if the stored spec bytes equal the queried spec's encoding
+//!    byte for byte, so an FNV collision costs one re-execution, never a
+//!    wrong result.
 //!
 //! Writes are atomic (unique temp file in the same directory, then
 //! `rename`), so concurrent campaigns sharing a store can only observe
@@ -52,7 +53,7 @@ use crate::json::{fnv1a_64, Json};
 use crate::spec::MachineSpec;
 use rrb_analysis::Histogram;
 use rrb_kernels::{rsk, rsk_nop, AccessKind};
-use rrb_sim::{BusOpKind, CoreId, Machine, MachineConfig, Program, TraceEvent};
+use rrb_sim::{BusOpKind, CoreId, Instr, Machine, MachineConfig, Program, TraceEvent};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +62,7 @@ use std::time::SystemTime;
 
 /// The on-disk entry/manifest format version. Bump on any layout change
 /// so older stores are purged instead of misread.
-pub const STORE_FORMAT_VERSION: u64 = 1;
+pub const STORE_FORMAT_VERSION: u64 = 2;
 
 /// Environment variable overriding the default store directory.
 pub const CACHE_DIR_ENV: &str = "RRB_CACHE_DIR";
@@ -292,7 +293,7 @@ impl ResultStore {
                 // A manifest from another build: its entries are stale.
                 store.purge_entries();
             }
-            store.write_atomic_in_dir(&manifest_path, &manifest)?;
+            store.write_atomic_in_dir(&manifest_path, manifest.as_bytes())?;
         }
         Ok(store)
     }
@@ -315,7 +316,7 @@ impl ResultStore {
     }
 
     fn entry_path(&self, spec_hash: u64) -> PathBuf {
-        self.entries.join(format!("{spec_hash:016x}.json"))
+        self.entries.join(format!("{spec_hash:016x}.bin"))
     }
 
     fn purge_entries(&self) {
@@ -329,7 +330,7 @@ impl ResultStore {
     /// Writes `contents` to `path` atomically: a uniquely named temp
     /// file in the same directory, flushed, then renamed over the
     /// destination. Readers only ever observe complete files.
-    fn write_atomic_in_dir(&self, path: &Path, contents: &str) -> Result<(), StoreError> {
+    fn write_atomic_in_dir(&self, path: &Path, contents: &[u8]) -> Result<(), StoreError> {
         let tmp = path.with_extension(format!(
             "tmp-{}-{}",
             std::process::id(),
@@ -344,12 +345,12 @@ impl ResultStore {
     pub fn lookup(&self, spec: &RunSpec) -> StoreLookup {
         let spec_hash = spec.spec_hash();
         let path = self.entry_path(spec_hash);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return StoreLookup::Miss,
             Err(e) => return StoreLookup::Rejected(format!("unreadable entry: {e}")),
         };
-        match self.decode_entry(&text, Some(spec_hash), Some(spec)) {
+        match self.decode_entry(&bytes, Some(spec_hash), Some(spec)) {
             Ok(measurement) => StoreLookup::Hit(measurement),
             Err(reason) => StoreLookup::Rejected(format!("{}: {reason}", file_name(&path))),
         }
@@ -359,7 +360,8 @@ impl ResultStore {
     /// validates the entry stored under `spec_hash` (format version,
     /// simulator fingerprint, content address, integrity hash) and
     /// returns its payload — the canonical spec plus the measurement —
-    /// as JSON. This is the `rrb serve` `GET /v1/runs/{hash}` backend.
+    /// as JSON. This is the `rrb serve` `GET /v1/runs/{hash}` backend;
+    /// the JSON is the same whatever the on-disk entry format.
     ///
     /// Returns `Ok(None)` when no entry exists under that address.
     ///
@@ -370,27 +372,22 @@ impl ResultStore {
     /// mis-addressed).
     pub fn entry_payload(&self, spec_hash: u64) -> Result<Option<Json>, String> {
         let path = self.entry_path(spec_hash);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(format!("unreadable entry: {e}")),
         };
-        self.decode_entry(&text, Some(spec_hash), None)
-            .map_err(|reason| format!("{}: {reason}", file_name(&path)))?;
-        match Json::parse(&text) {
-            Ok(v) => match v.get("payload") {
-                Some(payload) => Ok(Some(payload.clone())),
-                None => Err(String::from("corrupt entry: no `payload`")),
-            },
-            Err(e) => Err(format!("corrupt entry (not valid JSON): {e}")),
-        }
+        decode_payload_json(&bytes, self.fingerprint, spec_hash)
+            .map(Some)
+            .map_err(|reason| format!("{}: {reason}", file_name(&path)))
     }
 
     /// Records a successful run. Failed runs are never inserted.
     ///
     /// Returns `false` (without writing) when the measurement contains a
-    /// non-finite float, which the JSON round trip cannot preserve
-    /// bit-exactly — such runs simply stay uncached.
+    /// non-finite float: the point-query JSON renders it as `null`, and a
+    /// NaN never compares equal to itself, so such runs simply stay
+    /// uncached.
     ///
     /// # Errors
     ///
@@ -402,7 +399,7 @@ impl ResultStore {
             return Ok(false);
         }
         let entry = encode_entry(self.fingerprint, spec, m);
-        self.write_atomic_in_dir(&self.entry_path(spec.spec_hash()), &entry.render_pretty())?;
+        self.write_atomic_in_dir(&self.entry_path(spec.spec_hash()), &entry)?;
         Ok(true)
     }
 
@@ -410,11 +407,11 @@ impl ResultStore {
     /// fingerprint (see the free [`decode_entry`] for the pure logic).
     fn decode_entry(
         &self,
-        text: &str,
+        bytes: &[u8],
         expect_hash: Option<u64>,
         confirm: Option<&RunSpec>,
     ) -> Result<RunMeasurement, String> {
-        decode_entry(text, self.fingerprint, expect_hash, confirm)
+        decode_entry(bytes, self.fingerprint, expect_hash, confirm)
     }
 
     /// Facts for `rrb cache stats`.
@@ -452,10 +449,10 @@ impl ResultStore {
                 .file_stem()
                 .and_then(|s| s.to_str())
                 .and_then(|s| u64::from_str_radix(s, 16).ok());
-            let result = match (std::fs::read_to_string(&path), named_hash) {
+            let result = match (std::fs::read(&path), named_hash) {
                 (Err(e), _) => Err(format!("unreadable: {e}")),
                 (_, None) => Err(String::from("file name is not a 64-bit content address")),
-                (Ok(text), Some(hash)) => self.decode_entry(&text, Some(hash), None).map(|_| ()),
+                (Ok(bytes), Some(hash)) => self.decode_entry(&bytes, Some(hash), None).map(|_| ()),
             };
             match result {
                 Ok(()) => report.ok += 1,
@@ -476,8 +473,8 @@ impl ResultStore {
         for (path, len, modified) in self.entry_files() {
             report.examined += 1;
             let invalid = is_temp(&path)
-                || match std::fs::read_to_string(&path) {
-                    Ok(text) => self.decode_entry(&text, None, None).is_err(),
+                || match std::fs::read(&path) {
+                    Ok(bytes) => self.decode_entry(&bytes, None, None).is_err(),
                     Err(_) => true,
                 };
             let expired = max_age_secs.is_some_and(|max| {
@@ -543,7 +540,7 @@ fn file_name(path: &Path) -> String {
 
 /// Writes `contents` to `path` via `tmp` (same directory) and an atomic
 /// rename, cleaning the temp file up on failure.
-fn write_atomic_via(tmp: &Path, path: &Path, contents: &str) -> Result<(), StoreError> {
+fn write_atomic_via(tmp: &Path, path: &Path, contents: &[u8]) -> Result<(), StoreError> {
     std::fs::write(tmp, contents).map_err(|e| {
         // A partial temp (disk full, kill mid-write) is garbage: best-
         // effort removal so it cannot linger as a verify/gc problem.
@@ -568,53 +565,76 @@ fn write_atomic_via(tmp: &Path, path: &Path, contents: &str) -> Result<(), Store
 pub fn write_file_atomic(path: impl AsRef<Path>, contents: &str) -> Result<(), StoreError> {
     let path = path.as_ref();
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    write_atomic_via(&tmp, path, contents)
+    write_atomic_via(&tmp, path, contents.as_bytes())
 }
 
 // ---------------------------------------------------------------------
 // Entry codec: pure functions (no filesystem), unit-testable under Miri
 // ---------------------------------------------------------------------
 
-/// Encodes one complete entry document: format version, simulator
-/// fingerprint, content address, integrity hash, and the full payload.
-fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> Json {
-    let payload =
-        Json::obj(vec![("spec", spec_to_json(spec)), ("measurement", measurement_to_json(m))]);
-    let payload_hash = fnv1a_64(payload.render_compact().as_bytes());
-    Json::obj(vec![
-        ("format", Json::U64(STORE_FORMAT_VERSION)),
-        ("fingerprint", Json::U64(fingerprint)),
-        ("spec_hash", Json::U64(spec.spec_hash())),
-        ("payload_hash", Json::U64(payload_hash)),
-        ("payload", payload),
-    ])
+/// First bytes of every entry file.
+const ENTRY_MAGIC: &[u8; 4] = b"RRBE";
+
+/// Magic plus five little-endian `u64` header words.
+const ENTRY_HEADER_LEN: usize = ENTRY_MAGIC.len() + 5 * 8;
+
+/// Encodes one complete entry: the fixed header (magic, format version,
+/// simulator fingerprint, content address, integrity hash, payload
+/// length; integers little-endian) followed by the payload, which is the
+/// length-prefixed canonical spec encoding ([`encode_spec`]) and then the
+/// measurement.
+fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> Vec<u8> {
+    let mut spec_bytes = Vec::with_capacity(1024);
+    encode_spec(spec, &mut spec_bytes);
+    let mut payload = Vec::with_capacity(spec_bytes.len() + 128);
+    put_varint(&mut payload, spec_bytes.len() as u64);
+    payload.extend_from_slice(&spec_bytes);
+    encode_measurement(m, &mut payload);
+    let mut out = Vec::with_capacity(ENTRY_HEADER_LEN + payload.len());
+    out.extend_from_slice(ENTRY_MAGIC);
+    for word in [
+        STORE_FORMAT_VERSION,
+        fingerprint,
+        spec.spec_hash(),
+        fnv1a_64(&payload),
+        payload.len() as u64,
+    ] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&payload);
+    out
 }
 
-/// Decodes and fully validates one entry. `fingerprint` is the current
-/// build's simulator fingerprint; `expect_hash` pins the content address
-/// (from the file name or the querying spec); `confirm` is the queried
-/// spec for structural confirmation.
-fn decode_entry(
-    text: &str,
+/// An entry whose header checked out and whose payload passed the
+/// integrity hash, split into its two payload sections.
+struct CheckedEntry<'a> {
+    spec: &'a [u8],
+    measurement: &'a [u8],
+}
+
+/// Validates the header and the payload integrity. `fingerprint` is the
+/// current build's simulator fingerprint; `expect_hash` pins the content
+/// address (from the file name or the querying spec).
+fn check_entry(
+    bytes: &[u8],
     fingerprint: u64,
     expect_hash: Option<u64>,
-    confirm: Option<&RunSpec>,
-) -> Result<RunMeasurement, String> {
-    let v = Json::parse(text).map_err(|e| format!("corrupt entry (not valid JSON): {e}"))?;
-    let field = |key: &str| {
-        v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("corrupt entry: no `{key}`"))
-    };
-    let format = field("format")?;
+) -> Result<CheckedEntry<'_>, String> {
+    let mut r = Reader(bytes);
+    if r.take(ENTRY_MAGIC.len())? != ENTRY_MAGIC {
+        return Err(String::from("corrupt entry: not a binary store entry (bad magic)"));
+    }
+    let format = r.u64_le()?;
     if format != STORE_FORMAT_VERSION {
         return Err(format!("entry format {format} but this build writes {STORE_FORMAT_VERSION}"));
     }
-    let entry_fingerprint = field("fingerprint")?;
+    let entry_fingerprint = r.u64_le()?;
     if entry_fingerprint != fingerprint {
         return Err(format!(
             "stale simulator fingerprint {entry_fingerprint:016x} (current {fingerprint:016x})"
         ));
     }
-    let spec_hash = field("spec_hash")?;
+    let spec_hash = r.u64_le()?;
     if let Some(expected) = expect_hash {
         if spec_hash != expected {
             return Err(format!(
@@ -623,36 +643,292 @@ fn decode_entry(
             ));
         }
     }
-    let payload = v.get("payload").ok_or("corrupt entry: no `payload`")?;
-    if fnv1a_64(payload.render_compact().as_bytes()) != field("payload_hash")? {
+    let payload_hash = r.u64_le()?;
+    let payload_len = r.u64_le()?;
+    let payload = r.0;
+    if payload.len() as u64 != payload_len {
+        return Err(format!(
+            "truncated or torn entry: {} payload bytes where the header says {payload_len}",
+            payload.len()
+        ));
+    }
+    if fnv1a_64(payload) != payload_hash {
         return Err(String::from("integrity hash mismatch (truncated or bit-flipped entry)"));
     }
+    let mut p = Reader(payload);
+    let spec = p.bytes()?;
+    Ok(CheckedEntry { spec, measurement: p.0 })
+}
+
+/// Decodes and fully validates one entry: header and integrity
+/// ([`check_entry`]), then — when `confirm` is the queried spec —
+/// structural confirmation by byte comparison of the stored spec
+/// encoding against the query's, then the measurement in one pass.
+fn decode_entry(
+    bytes: &[u8],
+    fingerprint: u64,
+    expect_hash: Option<u64>,
+    confirm: Option<&RunSpec>,
+) -> Result<RunMeasurement, String> {
+    let entry = check_entry(bytes, fingerprint, expect_hash)?;
     if let Some(spec) = confirm {
-        let stored = payload.get("spec").ok_or("corrupt entry: no `payload.spec`")?;
-        if stored.render_compact() != spec_to_json(spec).render_compact() {
+        let mut queried = Vec::with_capacity(entry.spec.len());
+        encode_spec(spec, &mut queried);
+        if queried != entry.spec {
             return Err(String::from(
                 "spec-hash collision: stored spec differs structurally from the queried one",
             ));
         }
     }
-    let m = payload.get("measurement").ok_or("corrupt entry: no `payload.measurement`")?;
-    measurement_from_json(m)
+    decode_measurement(entry.measurement)
+}
+
+/// Validates one entry and renders its payload as the point-query JSON:
+/// `{"spec": {"machine", "scua", "contenders"}, "measurement"}`.
+fn decode_payload_json(bytes: &[u8], fingerprint: u64, spec_hash: u64) -> Result<Json, String> {
+    let entry = check_entry(bytes, fingerprint, Some(spec_hash))?;
+    let mut r = Reader(entry.spec);
+    let machine = std::str::from_utf8(r.bytes()?)
+        .ok()
+        .and_then(|text| Json::parse(text).ok())
+        .ok_or("corrupt entry: the stored machine is not JSON text")?;
+    let scua = program_to_json(&decode_program(&mut r)?);
+    let contenders = (0..r.len()?)
+        .map(|_| decode_program(&mut r).map(|p| program_to_json(&p)))
+        .collect::<Result<Vec<_>, _>>()?;
+    r.finish()?;
+    let spec = Json::obj(vec![
+        ("machine", machine),
+        ("scua", scua),
+        ("contenders", Json::Arr(contenders)),
+    ]);
+    let m = decode_measurement(entry.measurement)?;
+    Ok(Json::obj(vec![("spec", spec), ("measurement", measurement_to_json(&m))]))
 }
 
 // ---------------------------------------------------------------------
-// Canonical serialisation: RunSpec (confirmation) and RunMeasurement
+// Canonical binary encodings: RunSpec (confirmation) and RunMeasurement
 // ---------------------------------------------------------------------
 
-/// The canonical, label-free serialisation of a spec: machine (via the
-/// lossless [`MachineSpec`] mapping) plus every program, instruction by
-/// instruction. Injective by construction, so byte equality of the
-/// rendering is structural equality of the measurement-relevant spec.
-fn spec_to_json(spec: &RunSpec) -> Json {
-    Json::obj(vec![
-        ("machine", MachineSpec(spec.cfg.clone()).to_json()),
-        ("scua", program_to_json(&spec.scua)),
-        ("contenders", Json::Arr(spec.contenders.iter().map(program_to_json).collect())),
-    ])
+/// Appends the canonical, label-free encoding of a spec: the machine as
+/// its compact [`MachineSpec`] JSON text (a lossless mapping), then every
+/// program as tagged instruction records. Injective by construction, so
+/// byte equality of two encodings is structural equality of the
+/// measurement-relevant spec.
+fn encode_spec(spec: &RunSpec, out: &mut Vec<u8>) {
+    put_bytes(out, MachineSpec(spec.cfg.clone()).to_json().render_compact().as_bytes());
+    encode_program(&spec.scua, out);
+    put_varint(out, spec.contenders.len() as u64);
+    for p in &spec.contenders {
+        encode_program(p, out);
+    }
+}
+
+// Instruction record tags: the tag byte, then the operand as a varint
+// for the three instructions that carry one.
+const TAG_LOAD: u8 = 0;
+const TAG_STORE: u8 = 1;
+const TAG_NOP: u8 = 2;
+const TAG_ALU: u8 = 3;
+const TAG_BRANCH: u8 = 4;
+
+/// Iterations (`0` endless, `1` then the count), body length, records.
+fn encode_program(p: &Program, out: &mut Vec<u8>) {
+    match p.iterations().finite() {
+        None => out.push(0),
+        Some(n) => {
+            out.push(1);
+            put_varint(out, n);
+        }
+    }
+    put_varint(out, p.body().len() as u64);
+    for instr in p.body() {
+        match *instr {
+            Instr::Load(addr) => {
+                out.push(TAG_LOAD);
+                put_varint(out, addr);
+            }
+            Instr::Store(addr) => {
+                out.push(TAG_STORE);
+                put_varint(out, addr);
+            }
+            Instr::Nop => out.push(TAG_NOP),
+            Instr::Alu { latency } => {
+                out.push(TAG_ALU);
+                put_varint(out, latency);
+            }
+            Instr::Branch => out.push(TAG_BRANCH),
+        }
+    }
+}
+
+fn decode_program(r: &mut Reader<'_>) -> Result<Program, String> {
+    let iterations = match r.u8()? {
+        0 => None,
+        1 => Some(r.varint()?),
+        other => return Err(format!("corrupt entry: iteration tag {other}")),
+    };
+    let len = r.len()?;
+    let mut body = Vec::with_capacity(len);
+    for _ in 0..len {
+        body.push(match r.u8()? {
+            TAG_LOAD => Instr::Load(r.varint()?),
+            TAG_STORE => Instr::Store(r.varint()?),
+            TAG_NOP => Instr::Nop,
+            TAG_ALU => Instr::Alu { latency: r.varint()? },
+            TAG_BRANCH => Instr::Branch,
+            other => return Err(format!("corrupt entry: instruction tag {other}")),
+        });
+    }
+    Ok(match iterations {
+        None => Program::endless(body),
+        Some(n) => Program::from_body(body, n),
+    })
+}
+
+/// Counters as varints, each histogram as a bin count and `(value,
+/// count)` varint pairs, utilisations as raw `f64` bits (`0`/`1` tag for
+/// the optional one).
+fn encode_measurement(m: &RunMeasurement, out: &mut Vec<u8>) {
+    for v in [m.execution_time, m.bus_requests, m.instructions] {
+        put_varint(out, v);
+    }
+    for h in [&m.gamma_histogram, &m.mc_gamma_histogram, &m.contender_histogram] {
+        put_varint(out, h.iter().count() as u64);
+        for (value, count) in h.iter() {
+            put_varint(out, value);
+            put_varint(out, count);
+        }
+    }
+    out.extend_from_slice(&m.bus_utilization.to_bits().to_le_bytes());
+    match m.mc_utilization {
+        None => out.push(0),
+        Some(u) => {
+            out.push(1);
+            out.extend_from_slice(&u.to_bits().to_le_bytes());
+        }
+    }
+}
+
+fn decode_measurement(bytes: &[u8]) -> Result<RunMeasurement, String> {
+    let mut r = Reader(bytes);
+    let (execution_time, bus_requests, instructions) = (r.varint()?, r.varint()?, r.varint()?);
+    let mut histograms = [Histogram::new(), Histogram::new(), Histogram::new()];
+    for h in &mut histograms {
+        let n = r.len()?;
+        let mut bins = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (value, count) = (r.varint()?, r.varint()?);
+            // Canonical bins only: ascending values, non-zero counts —
+            // anything else would not survive the `Histogram` round trip.
+            if count == 0 || bins.last().is_some_and(|&(last, _)| value <= last) {
+                return Err(String::from("corrupt entry: non-canonical histogram bins"));
+            }
+            bins.push((value, count));
+        }
+        *h = Histogram::from_bins(bins);
+    }
+    let bus_utilization = f64::from_bits(r.u64_le()?);
+    let mc_utilization = match r.u8()? {
+        0 => None,
+        1 => Some(f64::from_bits(r.u64_le()?)),
+        other => return Err(format!("corrupt entry: mc utilisation tag {other}")),
+    };
+    r.finish()?;
+    let [gamma_histogram, mc_gamma_histogram, contender_histogram] = histograms;
+    Ok(RunMeasurement {
+        execution_time,
+        bus_requests,
+        instructions,
+        gamma_histogram,
+        mc_gamma_histogram,
+        contender_histogram,
+        bus_utilization,
+        mc_utilization,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Byte-level primitives
+// ---------------------------------------------------------------------
+
+/// Appends `v` as an unsigned LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Appends a varint length, then the bytes.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_varint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// A bounds-checked cursor over entry bytes; every read that runs past
+/// the end is an error, never a panic.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.0.len() {
+            return Err(String::from("truncated entry: a field runs past the end"));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u64_le(&mut self) -> Result<u64, String> {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(self.take(8)?);
+        Ok(u64::from_le_bytes(word))
+    }
+
+    fn varint(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                break;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(String::from("corrupt entry: varint overflows 64 bits"))
+    }
+
+    /// A length or count: a varint no larger than the bytes left, since
+    /// every counted item takes at least one byte. Bounds allocations.
+    fn len(&mut self) -> Result<usize, String> {
+        match usize::try_from(self.varint()?) {
+            Ok(n) if n <= self.0.len() => Ok(n),
+            _ => Err(String::from("truncated entry: a length runs past the end")),
+        }
+    }
+
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> Result<&'a [u8], String> {
+        let n = self.len()?;
+        self.take(n)
+    }
+
+    fn finish(&self) -> Result<(), String> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("corrupt entry: {} trailing bytes", self.0.len()))
+        }
+    }
 }
 
 fn program_to_json(p: &Program) -> Json {
@@ -668,21 +944,6 @@ fn histogram_to_json(h: &Histogram) -> Json {
     Json::Arr(h.iter().map(|(v, n)| Json::Arr(vec![Json::U64(v), Json::U64(n)])).collect())
 }
 
-fn histogram_from_json(v: &Json, what: &str) -> Result<Histogram, String> {
-    let items = v.as_array().ok_or_else(|| format!("corrupt entry: `{what}` is not an array"))?;
-    let mut bins = Vec::with_capacity(items.len());
-    for item in items {
-        match item.as_array() {
-            Some([value, count]) => match (value.as_u64(), count.as_u64()) {
-                (Some(v), Some(n)) => bins.push((v, n)),
-                _ => return Err(format!("corrupt entry: non-integer bin in `{what}`")),
-            },
-            _ => return Err(format!("corrupt entry: malformed bin in `{what}`")),
-        }
-    }
-    Ok(Histogram::from_bins(bins))
-}
-
 fn measurement_to_json(m: &RunMeasurement) -> Json {
     Json::obj(vec![
         ("execution_time", Json::U64(m.execution_time)),
@@ -696,43 +957,11 @@ fn measurement_to_json(m: &RunMeasurement) -> Json {
     ])
 }
 
-fn measurement_from_json(v: &Json) -> Result<RunMeasurement, String> {
-    let u64_field = |key: &str| {
-        v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("corrupt entry: no `{key}`"))
-    };
-    Ok(RunMeasurement {
-        execution_time: u64_field("execution_time")?,
-        bus_requests: u64_field("bus_requests")?,
-        instructions: u64_field("instructions")?,
-        gamma_histogram: histogram_from_json(
-            v.get("gamma_histogram").ok_or("corrupt entry: no `gamma_histogram`")?,
-            "gamma_histogram",
-        )?,
-        mc_gamma_histogram: histogram_from_json(
-            v.get("mc_gamma_histogram").ok_or("corrupt entry: no `mc_gamma_histogram`")?,
-            "mc_gamma_histogram",
-        )?,
-        contender_histogram: histogram_from_json(
-            v.get("contender_histogram").ok_or("corrupt entry: no `contender_histogram`")?,
-            "contender_histogram",
-        )?,
-        bus_utilization: v
-            .get("bus_utilization")
-            .and_then(Json::as_f64)
-            .ok_or("corrupt entry: no `bus_utilization`")?,
-        mc_utilization: match v.get("mc_utilization") {
-            Some(Json::Null) => None,
-            Some(other) => Some(other.as_f64().ok_or("corrupt entry: bad `mc_utilization`")?),
-            None => return Err(String::from("corrupt entry: no `mc_utilization`")),
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::Executor;
-    use rrb_kernels::rsk_nop;
+    use rrb_kernels::{rsk_nop, KernelRng};
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -761,28 +990,69 @@ mod tests {
         }
     }
 
+    /// A spec on the two-level preset whose contender uses every
+    /// instruction kind, paired with a measurement that fills every field.
+    fn rich_spec_and_measurement() -> (RunSpec, RunMeasurement) {
+        let cfg = MachineConfig::ngmp_two_level();
+        let scua = rsk_nop(AccessKind::Load, 3, &cfg, CoreId::new(0), 30);
+        let mixed = rrb_sim::ProgramBuilder::new()
+            .load(0x40)
+            .store(u64::MAX)
+            .nop()
+            .alu(300)
+            .branch()
+            .endless()
+            .build();
+        let spec = RunSpec::contended("rich", cfg, scua, vec![mixed, Program::empty()]);
+        let m = RunMeasurement {
+            mc_gamma_histogram: [0u64, 0, 5, 200].into_iter().collect(),
+            mc_utilization: Some(0.1 + 0.2),
+            execution_time: u64::MAX,
+            ..toy_measurement()
+        };
+        (spec, m)
+    }
+
+    // Header offsets of the two words the damage tests forge.
+    const FORMAT_AT: usize = 4;
+    const SPEC_HASH_AT: usize = 20;
+
+    fn set_word(bytes: &mut [u8], at: usize, word: u64) {
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    }
+
     // The `entry_*` tests exercise the pure encode/decode codec with no
     // filesystem or simulation — CI runs them (plus the `json` module)
     // under Miri, where a full machine run would be prohibitively slow.
 
     #[test]
     fn entry_codec_round_trips_without_touching_disk() {
-        let spec = toy_spec(1);
-        let m = toy_measurement();
-        let text = encode_entry(0xfeed, &spec, &m).render_pretty();
-        let back =
-            decode_entry(&text, 0xfeed, Some(spec.spec_hash()), Some(&spec)).expect("valid entry");
-        assert_eq!(back, m);
-        assert_eq!(back.bus_utilization.to_bits(), m.bus_utilization.to_bits());
+        for (spec, m) in [(toy_spec(1), toy_measurement()), rich_spec_and_measurement()] {
+            let bytes = encode_entry(0xfeed, &spec, &m);
+            let back = decode_entry(&bytes, 0xfeed, Some(spec.spec_hash()), Some(&spec))
+                .expect("valid entry");
+            assert_eq!(back, m);
+            assert_eq!(back.bus_utilization.to_bits(), m.bus_utilization.to_bits());
+            assert_eq!(back.mc_utilization.map(f64::to_bits), m.mc_utilization.map(f64::to_bits));
+            // The point-query payload is the JSON document of the spec
+            // and the measurement.
+            let payload = decode_payload_json(&bytes, 0xfeed, spec.spec_hash()).expect("payload");
+            let spec_json = payload.get("spec").expect("spec");
+            assert_eq!(spec_json.get("machine"), Some(&MachineSpec(spec.cfg.clone()).to_json()));
+            assert_eq!(spec_json.get("scua"), Some(&program_to_json(&spec.scua)));
+            let contenders: Vec<Json> = spec.contenders.iter().map(program_to_json).collect();
+            assert_eq!(spec_json.get("contenders"), Some(&Json::Arr(contenders)));
+            assert_eq!(payload.get("measurement"), Some(&measurement_to_json(&m)));
+        }
     }
 
     #[test]
     fn entry_decode_rejects_stale_fingerprint_and_wrong_address() {
         let spec = toy_spec(1);
-        let text = encode_entry(0xfeed, &spec, &toy_measurement()).render_pretty();
-        let e = decode_entry(&text, 0xbeef, None, None).expect_err("stale fingerprint");
+        let bytes = encode_entry(0xfeed, &spec, &toy_measurement());
+        let e = decode_entry(&bytes, 0xbeef, None, None).expect_err("stale fingerprint");
         assert!(e.contains("fingerprint"), "{e}");
-        let e = decode_entry(&text, 0xfeed, Some(spec.spec_hash() ^ 1), None)
+        let e = decode_entry(&bytes, 0xfeed, Some(spec.spec_hash() ^ 1), None)
             .expect_err("wrong content address");
         assert!(e.contains("content address"), "{e}");
     }
@@ -790,18 +1060,77 @@ mod tests {
     #[test]
     fn entry_decode_rejects_corruption_and_collisions() {
         let spec = toy_spec(1);
-        let text = encode_entry(0xfeed, &spec, &toy_measurement()).render_pretty();
-        // Bit-flip inside the payload: integrity hash must catch it.
-        let flipped = text.replacen("1234", "1235", 1);
+        let bytes = encode_entry(0xfeed, &spec, &toy_measurement());
+        // Bit flip inside the payload: the integrity hash must catch it.
+        let mut flipped = bytes.clone();
+        *flipped.last_mut().expect("non-empty") ^= 0x10;
         let e = decode_entry(&flipped, 0xfeed, None, None).expect_err("bit flip");
         assert!(e.contains("integrity"), "{e}");
         // Structural confirmation against a different queried spec.
         let other = toy_spec(2);
-        let e = decode_entry(&text, 0xfeed, None, Some(&other)).expect_err("collision");
+        let e = decode_entry(&bytes, 0xfeed, None, Some(&other)).expect_err("collision");
         assert!(e.contains("collision"), "{e}");
-        // Truncation is not even valid JSON.
-        let e = decode_entry(&text[..text.len() / 2], 0xfeed, None, None).expect_err("truncated");
-        assert!(e.contains("JSON"), "{e}");
+        // Truncation, inside the payload and inside the header.
+        let e = decode_entry(&bytes[..bytes.len() / 2], 0xfeed, None, None).expect_err("cut");
+        assert!(e.contains("truncated"), "{e}");
+        let e = decode_entry(&bytes[..10], 0xfeed, None, None).expect_err("cut header");
+        assert!(e.contains("truncated"), "{e}");
+        // A wrong format version, and a file that is not an entry at all.
+        let mut old = bytes.clone();
+        set_word(&mut old, FORMAT_AT, 1);
+        let e = decode_entry(&old, 0xfeed, None, None).expect_err("format 1");
+        assert!(e.contains("entry format 1 but this build writes 2"), "{e}");
+        let e = decode_entry(b"{\"format\": 1}", 0xfeed, None, None).expect_err("v1 JSON");
+        assert!(e.contains("magic"), "{e}");
+    }
+
+    #[test]
+    fn entry_decode_survives_byte_mutations() {
+        // Deterministic byte-mutation fuzzing: truncation at every length,
+        // single bit flips across the entry, and random span overwrites.
+        // Decoding must never panic and never return `Ok` with anything
+        // but the encoded measurement (or payload document).
+        let (bit_stride, spans) = if cfg!(miri) { (97, 24) } else { (1, 3000) };
+        let mut rng = KernelRng::seed_from_u64(0x5eed_0e17);
+        for (spec, m) in [(toy_spec(1), toy_measurement()), rich_spec_and_measurement()] {
+            let hash = spec.spec_hash();
+            let bytes = encode_entry(0xfeed, &spec, &m);
+            let payload = decode_payload_json(&bytes, 0xfeed, hash).expect("intact payload");
+            // Returns whether the mutated entry was accepted.
+            let check = |mutated: &[u8]| {
+                let confirmed = decode_entry(mutated, 0xfeed, Some(hash), Some(&spec));
+                if let Ok(back) = &confirmed {
+                    assert_eq!(back, &m, "accepted a mutated entry with a different measurement");
+                }
+                if let Ok(back) = decode_entry(mutated, 0xfeed, None, None) {
+                    assert_eq!(back, m, "accepted a mutated entry with a different measurement");
+                }
+                if let Ok(back) = decode_payload_json(mutated, 0xfeed, hash) {
+                    assert_eq!(back, payload, "accepted a mutated entry with a different payload");
+                }
+                confirmed.is_ok()
+            };
+            let truncation_stride = if cfg!(miri) { 53 } else { 1 };
+            for len in (0..bytes.len()).step_by(truncation_stride) {
+                assert!(!check(&bytes[..len]), "accepted a truncation to {len} bytes");
+            }
+            for bit in (0..bytes.len() * 8).step_by(bit_stride) {
+                let mut mutated = bytes.clone();
+                mutated[bit / 8] ^= 1 << (bit % 8);
+                // With the address pinned, every header field is checked and
+                // any one-byte payload change moves the FNV digest.
+                assert!(!check(&mutated), "accepted a flip of bit {bit}");
+            }
+            for _ in 0..spans {
+                let mut mutated = bytes.clone();
+                let start = rng.gen_below(bytes.len() as u64) as usize;
+                let len = 1 + rng.gen_below(24) as usize;
+                for b in mutated.iter_mut().skip(start).take(len) {
+                    *b = rng.next_u64() as u8;
+                }
+                check(&mutated);
+            }
+        }
     }
 
     #[test]
@@ -847,18 +1176,15 @@ mod tests {
         let m = Executor::new().run(&stored).expect("run");
         store.insert(&stored, &m).expect("insert");
         let queried = toy_spec(4);
-        let text = std::fs::read_to_string(store.entry_path(stored.spec_hash())).expect("read");
-        let forged = text.replace(
-            &format!("\"spec_hash\": {}", stored.spec_hash()),
-            &format!("\"spec_hash\": {}", queried.spec_hash()),
-        );
+        let mut forged = std::fs::read(store.entry_path(stored.spec_hash())).expect("read");
+        set_word(&mut forged, SPEC_HASH_AT, queried.spec_hash());
         std::fs::write(store.entry_path(queried.spec_hash()), forged).expect("write");
         match store.lookup(&queried) {
             StoreLookup::Rejected(reason) => {
-                // The forged spec_hash changes the entry bytes outside
-                // the payload, so either the integrity check or the
-                // structural confirmation must refuse it.
-                assert!(reason.contains("collision") || reason.contains("integrity"), "{reason}");
+                // The content address sits outside the payload, so the
+                // integrity hash still holds: structural confirmation is
+                // what refuses the forged entry.
+                assert!(reason.contains("collision"), "{reason}");
             }
             other => panic!("forged entry must be rejected, got {other:?}"),
         }
@@ -953,28 +1279,36 @@ mod tests {
         let dir = scratch("verify");
         let store = ResultStore::open(&dir).expect("open");
         let mut damage = Vec::new();
-        for k in 1..=4 {
+        for k in 1..=5 {
             let spec = toy_spec(k);
             let m = Executor::new().run(&spec).expect("run");
             store.insert(&spec, &m).expect("insert");
             damage.push(store.entry_path(spec.spec_hash()));
         }
-        let rewrite = |path: &Path, f: &dyn Fn(String) -> String| {
-            let text = std::fs::read_to_string(path).expect("read");
-            std::fs::write(path, f(text)).expect("write");
+        let rewrite = |path: &Path, f: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = std::fs::read(path).expect("read");
+            f(&mut bytes);
+            std::fs::write(path, bytes).expect("write");
         };
-        // Entry 1 stays intact; the others take one kind of damage each,
+        // Entry 0 stays intact; the others take one kind of damage each,
         // in place, so the content address still matches.
-        rewrite(&damage[1], &|t| t[..t.len() / 2].to_string()); // truncated
-        rewrite(&damage[2], &|t| t.replace("\"execution_time\": ", "\"execution_time\": 1")); // bit flip
-        rewrite(&damage[3], &|t| t.replace("\"format\": 1", "\"format\": 99")); // wrong version
+        // Truncation, a payload bit flip, a wrong version, and a torn
+        // write: the full length on disk, but only the first half of the
+        // payload made it (the rest never left the page cache).
+        rewrite(&damage[1], &|b| b.truncate(b.len() / 2));
+        rewrite(&damage[2], &|b| b[ENTRY_HEADER_LEN + 7] ^= 0x04);
+        rewrite(&damage[3], &|b| set_word(b, FORMAT_AT, 99));
+        rewrite(&damage[4], &|b| {
+            let half = ENTRY_HEADER_LEN + (b.len() - ENTRY_HEADER_LEN) / 2;
+            b[half..].fill(0);
+        });
 
         let report = store.verify();
         assert_eq!(report.ok, 1, "{report:?}");
         let reasons: Vec<&str> = report.problems.iter().map(|(_, p)| p.as_str()).collect();
-        assert_eq!(reasons.len(), 3, "{report:?}");
-        assert!(reasons.iter().any(|r| r.contains("not valid JSON")), "{reasons:?}");
-        assert!(reasons.iter().any(|r| r.contains("integrity hash")), "{reasons:?}");
+        assert_eq!(reasons.len(), 4, "{report:?}");
+        assert!(reasons.iter().any(|r| r.contains("truncated")), "{reasons:?}");
+        assert_eq!(reasons.iter().filter(|r| r.contains("integrity hash")).count(), 2);
         assert!(reasons.iter().any(|r| r.contains("format 99")), "{reasons:?}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

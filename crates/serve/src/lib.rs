@@ -2,10 +2,11 @@
 //!
 //! The paper's methodology is embarrassingly memoizable: every grid
 //! cell is a pure function of its `RunSpec`, and the content-addressed
-//! [`ResultStore`] already answers warm queries ~30× faster than the
-//! cold simulation path. This crate turns that store into a *service*:
-//! a long-running daemon where the store is a shared, ever-growing memo
-//! table and derivation is a thin scheduler over it.
+//! [`ResultStore`] answers warm queries about 11× faster than the cold
+//! simulation path (`BENCH_cache.json` on a 2-vCPU host). This crate
+//! turns that store into a *service*: a long-running daemon where the
+//! store is a shared, ever-growing memo table and derivation is a thin
+//! scheduler over it.
 //!
 //! The daemon is std-only, like the rest of the workspace: a hand-rolled
 //! HTTP/1.1 subset ([`http`]), a fixed worker pool draining one
@@ -54,12 +55,20 @@ pub mod router;
 use pool::WorkerPool;
 use rrb::campaign::clamped_jobs;
 use rrb::store::ResultStore;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How often the signal watcher looks at the SIGTERM/SIGINT flag. It
+/// bounds how long a trapped signal waits before the drain starts; it
+/// adds nothing to request latency.
+const SIGNAL_CHECK_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Upper bound on the self-connect that wakes a blocked `accept()`.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Daemon configuration. [`ServeConfig::default`] matches the CLI
 /// defaults (`rrb serve` with no flags).
@@ -109,7 +118,10 @@ pub(crate) struct ServerState {
     pub(crate) workers: usize,
     pub(crate) limits: http::Limits,
     pub(crate) read_timeout: Duration,
-    pub(crate) shutdown: AtomicBool,
+    shutdown: AtomicBool,
+    /// Where [`ServerState::begin_drain`] connects to wake the accept
+    /// loop: the bound address, with loopback for an unspecified IP.
+    wake_addr: SocketAddr,
     pub(crate) campaigns: AtomicU64,
     pub(crate) point_queries: AtomicU64,
     pub(crate) runs_streamed: AtomicU64,
@@ -118,7 +130,17 @@ pub(crate) struct ServerState {
 
 impl ServerState {
     pub(crate) fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed) || signal::terminated()
+        self.shutdown.load(Ordering::SeqCst) || signal::terminated()
+    }
+
+    /// Starts the graceful drain. [`Server::run`] blocks in `accept()`,
+    /// so setting the flag is not enough: a connection to the listener
+    /// wakes it, and it stops on seeing the flag. The flag is stored
+    /// before the connect, so the loop observes it on the wake-up
+    /// connection. A failed connect means the listener is already gone.
+    pub(crate) fn begin_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
     }
 }
 
@@ -135,7 +157,7 @@ impl ServerHandle {
     /// in-flight requests, drain queued runs, then return from
     /// [`Server::run`].
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.begin_drain();
     }
 }
 
@@ -154,6 +176,13 @@ impl Server {
     /// Propagates the bind failure (address in use, permission, ...).
     pub fn bind(config: ServeConfig, store: Arc<ResultStore>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let requested = if config.workers == 0 { None } else { Some(config.workers) };
         let (workers, _) = clamped_jobs(requested);
         let state = Arc::new(ServerState {
@@ -162,6 +191,7 @@ impl Server {
             limits: http::Limits { max_body_bytes: config.max_body_bytes },
             read_timeout: config.read_timeout,
             shutdown: AtomicBool::new(false),
+            wake_addr,
             campaigns: AtomicU64::new(0),
             point_queries: AtomicU64::new(0),
             runs_streamed: AtomicU64::new(0),
@@ -190,38 +220,27 @@ impl Server {
     }
 
     /// Accepts connections until a graceful-shutdown request arrives
-    /// (SIGTERM/SIGINT via [`trap_termination_signals`], or
-    /// `POST /v1/shutdown`), then drains: every in-flight connection is
-    /// joined — streaming campaigns run to completion — and the worker
-    /// pool finishes everything already queued before this returns.
+    /// (SIGTERM/SIGINT via [`trap_termination_signals`],
+    /// `POST /v1/shutdown`, or [`ServerHandle::shutdown`]), then drains:
+    /// every in-flight connection is joined — streaming campaigns run to
+    /// completion — and the worker pool finishes everything already
+    /// queued before this returns.
+    ///
+    /// The loop blocks in `accept()`; each drain trigger wakes it with a
+    /// connection to the listener.
     ///
     /// # Errors
     ///
     /// Propagates listener failures; per-connection errors only drop
     /// that connection.
     pub fn run(self) -> std::io::Result<ServeStats> {
-        self.listener.set_nonblocking(true)?;
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        while !self.state.draining() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    let submit = self.pool.handle();
-                    connections.push(std::thread::spawn(move || {
-                        router::handle_connection(stream, &state, &submit);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // Short enough to keep connection pickup (and thus
-                    // point-query latency) in the low milliseconds.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            connections.retain(|c| !c.is_finished());
-        }
-        for connection in connections {
+        let (stop_watcher, stopped) = mpsc::channel::<()>();
+        let state = Arc::clone(&self.state);
+        let watcher = std::thread::spawn(move || watch_signals(&state, &stopped));
+        let accepted = self.accept_until_drain();
+        drop(stop_watcher);
+        let _ = watcher.join();
+        for connection in accepted? {
             let _ = connection.join();
         }
         self.pool.shutdown();
@@ -231,6 +250,37 @@ impl Server {
             runs_streamed: self.state.runs_streamed.load(Ordering::Relaxed),
             runs_executed: self.state.runs_executed.load(Ordering::Relaxed),
         })
+    }
+
+    /// The accept loop: one thread per connection until the drain flag
+    /// is seen. Returns the connection threads still running.
+    fn accept_until_drain(&self) -> std::io::Result<Vec<JoinHandle<()>>> {
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
+        loop {
+            let (stream, _) = self.listener.accept()?;
+            if self.state.draining() {
+                // The wake-up connection, or a client racing the drain.
+                return Ok(connections);
+            }
+            connections.retain(|c| !c.is_finished());
+            let state = Arc::clone(&self.state);
+            let submit = self.pool.handle();
+            connections.push(std::thread::spawn(move || {
+                router::handle_connection(stream, &state, &submit);
+            }));
+        }
+    }
+}
+
+/// Turns a trapped SIGTERM/SIGINT into a drain. The handler may only set
+/// a flag, and `accept()` resumes after a signal, so this thread checks
+/// the flag and wakes the loop. It exits when `stop` disconnects.
+fn watch_signals(state: &ServerState, stop: &Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(SIGNAL_CHECK_INTERVAL) {
+        if signal::terminated() {
+            state.begin_drain();
+            return;
+        }
     }
 }
 

@@ -33,7 +33,6 @@ fn serve_connection(
     state: &Arc<ServerState>,
     pool: &PoolHandle,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(state.read_timeout))?;
     loop {
         match http::read_request(&mut stream, state.limits) {
@@ -72,7 +71,7 @@ fn route(
         ("POST", "/v1/campaigns") => campaigns(stream, state, pool, &request.body),
         ("POST", "/v1/analyze") => analyze(stream, &request.body),
         ("POST", "/v1/shutdown") => {
-            state.shutdown.store(true, Ordering::Relaxed);
+            state.begin_drain();
             let body = Json::obj(vec![("status", Json::str("draining"))]).render_compact();
             http::respond_json(stream, 200, &body)
         }

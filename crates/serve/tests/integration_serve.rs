@@ -3,16 +3,19 @@
 //! check the streaming protocol, the store-backed endpoints, error
 //! containment, concurrent clients, and graceful shutdown.
 
-use rrb::campaign::{CampaignGrid, GridScenario};
+use rrb::campaign::{CampaignGrid, GridScenario, RunSpec};
+use rrb::executor::Executor;
 use rrb::json::Json;
 use rrb::spec::ExperimentSpec;
 use rrb::store::ResultStore;
-use rrb_serve::{client, ServeConfig, ServeStats, Server};
-use rrb_sim::MachineConfig;
+use rrb_kernels::{rsk_nop, AccessKind};
+use rrb_serve::{client, ServeConfig, ServeStats, Server, ServerHandle};
+use rrb_sim::{CoreId, MachineConfig};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 struct TempDir(PathBuf);
 
@@ -34,6 +37,7 @@ impl Drop for TempDir {
 struct Daemon {
     addr: SocketAddr,
     store: Arc<ResultStore>,
+    handle: ServerHandle,
     thread: JoinHandle<std::io::Result<ServeStats>>,
     _dir: TempDir,
 }
@@ -46,8 +50,9 @@ impl Daemon {
             ServeConfig { addr: String::from("127.0.0.1:0"), workers, ..ServeConfig::default() };
         let server = Server::bind(config, Arc::clone(&store)).unwrap();
         let addr = server.local_addr().unwrap();
+        let handle = server.handle();
         let thread = std::thread::spawn(move || server.run());
-        Daemon { addr, store, thread, _dir: dir }
+        Daemon { addr, store, handle, thread, _dir: dir }
     }
 
     /// Graceful shutdown via the endpoint, returning the final stats.
@@ -180,6 +185,64 @@ fn spec_hash_of(v: &Json) -> Option<String> {
     v.get("spec_hash").and_then(Json::as_str).map(str::to_owned)
 }
 
+/// The runs whose point-query bodies are pinned under `tests/golden/`:
+/// a contended rsk-nop run on the toy single-bus machine and one on the
+/// two-level NGMP preset (so the body carries an mc histogram and an mc
+/// utilisation).
+fn golden_runs() -> Vec<(&'static str, RunSpec)> {
+    [("toy", MachineConfig::toy(4, 2)), ("ngmp_two_level", MachineConfig::ngmp_two_level())]
+        .into_iter()
+        .map(|(name, cfg)| {
+            let scua = rsk_nop(AccessKind::Load, 3, &cfg, CoreId::new(0), 12);
+            (name, RunSpec::contended_rsk(name, cfg, scua, AccessKind::Load))
+        })
+        .collect()
+}
+
+fn golden_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/point_{name}.json"))
+}
+
+/// Stores each golden run and fetches its `GET /v1/runs/{hash}` body.
+fn golden_bodies(tag: &str) -> Vec<(&'static str, String)> {
+    let daemon = Daemon::boot(tag, 1);
+    let bodies = golden_runs()
+        .into_iter()
+        .map(|(name, spec)| {
+            let m = Executor::new().run(&spec).unwrap();
+            assert!(daemon.store.insert(&spec, &m).unwrap());
+            let resp =
+                client::get(daemon.addr, &format!("/v1/runs/{:016x}", spec.spec_hash())).unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            (name, resp.body)
+        })
+        .collect();
+    daemon.shutdown();
+    bodies
+}
+
+#[test]
+fn point_query_bodies_are_byte_identical_to_the_golden_files() {
+    // The bodies were captured from the original JSON entry codec; the
+    // store's on-disk format may change, the point-query contract not.
+    for (name, body) in golden_bodies("golden") {
+        let expected = std::fs::read_to_string(golden_path(name)).unwrap();
+        assert_eq!(body, expected, "point-query body for the {name} run drifted");
+    }
+}
+
+/// Rewrites the golden files from the running build. Only for an
+/// *intended* change to the point-query body:
+/// `cargo test -p rrb-serve --test integration_serve -- --ignored`.
+#[test]
+#[ignore]
+fn capture_golden_point_bodies() {
+    for (name, body) in golden_bodies("golden-capture") {
+        std::fs::create_dir_all(golden_path(name).parent().unwrap()).unwrap();
+        std::fs::write(golden_path(name), body).unwrap();
+    }
+}
+
 #[test]
 fn concurrent_clients_agree_and_the_store_verifies_clean() {
     let daemon = Daemon::boot("concurrent", 2);
@@ -230,6 +293,35 @@ fn concurrent_clients_agree_and_the_store_verifies_clean() {
     );
 
     daemon.shutdown();
+}
+
+/// Joins the daemon thread, failing if `Server::run` has not returned
+/// within `limit` (the accept loop blocks, so a missed wake-up hangs).
+fn join_within(daemon: Daemon, limit: Duration) -> ServeStats {
+    let deadline = Instant::now() + limit;
+    while !daemon.thread.is_finished() {
+        assert!(Instant::now() < deadline, "Server::run still blocked {limit:?} after the drain");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    daemon.thread.join().unwrap().unwrap()
+}
+
+#[test]
+fn idle_daemon_wakes_on_handle_shutdown() {
+    let daemon = Daemon::boot("wake-handle", 1);
+    // A served request shows the loop is up; it is now idle in accept().
+    assert_eq!(client::get(daemon.addr, "/healthz").unwrap().status, 200);
+    daemon.handle.shutdown();
+    join_within(daemon, Duration::from_secs(1));
+}
+
+#[test]
+fn idle_daemon_wakes_on_the_shutdown_endpoint() {
+    let daemon = Daemon::boot("wake-endpoint", 1);
+    assert_eq!(client::get(daemon.addr, "/healthz").unwrap().status, 200);
+    let resp = client::post(daemon.addr, "/v1/shutdown", "").unwrap();
+    assert_eq!(resp.status, 200);
+    join_within(daemon, Duration::from_secs(1));
 }
 
 #[test]

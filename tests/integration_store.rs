@@ -117,25 +117,39 @@ fn damaged_entries_reexecute_with_a_warning_and_heal() {
     let cold = run_with(&store, 1);
     let files = entry_files(&dir);
     assert_eq!(files.len(), cold.stats.store_writes, "one entry per recorded run");
-    assert!(files.len() >= 4, "need at least four entries to damage");
+    assert!(files.len() >= 5, "need four entries to damage and one to splice from");
 
-    // Four kinds of damage, one entry each: truncation, a bit flip in
-    // the payload, a wrong format version, and a half-written torn file
-    // (what a concurrent writer without atomic rename would leave).
-    let rewrite = |path: &Path, f: &dyn Fn(String) -> String| {
-        let text = std::fs::read_to_string(path).expect("read entry");
-        std::fs::write(path, f(text)).expect("write damage");
+    // Four kinds of damage, one entry each, as byte edits of the binary
+    // entry (a 4-byte magic, then little-endian u64 words: format,
+    // fingerprint, content address, payload hash, payload length, and
+    // the payload from byte 44): truncation, a bit flip in the payload,
+    // a wrong format version, and a torn file — the head of this entry
+    // spliced onto the tail of another, what a concurrent writer without
+    // atomic rename would leave.
+    let rewrite = |path: &Path, f: &dyn Fn(Vec<u8>) -> Vec<u8>| {
+        let bytes = std::fs::read(path).expect("read entry");
+        std::fs::write(path, f(bytes)).expect("write damage");
     };
-    rewrite(&files[0], &|t| t[..t.len() / 3].to_string());
-    rewrite(&files[1], &|t| t.replace("\"execution_time\": ", "\"execution_time\": 4"));
-    rewrite(&files[2], &|t| t.replace("\"format\": 1", "\"format\": 77"));
-    rewrite(&files[3], &|t| format!("{{\"format\": 1, \"torn\": true{}", &t[..40]));
+    let other = std::fs::read(&files[4]).expect("read entry");
+    rewrite(&files[0], &|b| b[..b.len() / 3].to_vec());
+    rewrite(&files[1], &|mut b| {
+        b[44 + 5] ^= 0x01;
+        b
+    });
+    rewrite(&files[2], &|mut b| {
+        b[4..12].copy_from_slice(&77u64.to_le_bytes());
+        b
+    });
+    rewrite(&files[3], &|b| [&b[..60], &other[60..]].concat());
 
     let healed = run_with(&store, 4);
     assert_eq!(healed.stats.executed_runs, 4, "all four damaged runs re-execute");
     assert_eq!(healed.warnings.len(), 4, "one warning per rejected entry: {:?}", healed.warnings);
     for warning in &healed.warnings {
         assert!(warning.contains("re-executing"), "{warning}");
+    }
+    for reason in ["truncated", "integrity hash", "entry format 77"] {
+        assert!(healed.warnings.iter().any(|w| w.contains(reason)), "{:?}", healed.warnings);
     }
     assert_eq!(healed.to_json(), cold.to_json(), "damage never changes results");
     assert_eq!(healed.to_csv(), cold.to_csv());
@@ -146,6 +160,42 @@ fn damaged_entries_reexecute_with_a_warning_and_heal() {
     assert_eq!(warm.stats.executed_runs, 0, "{:?}", warm.stats);
     assert!(warm.warnings.is_empty(), "{:?}", warm.warnings);
     assert_eq!(warm.to_json(), cold.to_json());
+}
+
+#[test]
+fn a_store_written_by_the_json_codec_is_purged_and_re_executes_cleanly() {
+    // A format-1 store as the JSON entry codec left it: a manifest with
+    // this build's fingerprint but the old format, and pretty-JSON
+    // entries named by content address.
+    let dir = ScratchDir::new("v1-store");
+    let fingerprint = rrb::store::sim_fingerprint();
+    let entries = dir.0.join("entries");
+    std::fs::create_dir_all(&entries).expect("create entries dir");
+    std::fs::write(
+        dir.0.join("manifest.json"),
+        format!("{{\n  \"format\": 1,\n  \"fingerprint\": {fingerprint}\n}}\n"),
+    )
+    .expect("write v1 manifest");
+    let campaign = Campaign::builder().grid(&small_grid()).build();
+    let plan = campaign.plan();
+    for spec in plan.unique_specs() {
+        let hash = spec.spec_hash();
+        let entry = format!(
+            "{{\n  \"format\": 1,\n  \"fingerprint\": {fingerprint},\n  \"spec_hash\": {hash},\n  \
+             \"payload_hash\": 0,\n  \"payload\": {{}}\n}}\n"
+        );
+        std::fs::write(entries.join(format!("{hash:016x}.json")), entry).expect("write v1 entry");
+    }
+
+    let store = open(&dir);
+    assert_eq!(store.stats().entries, 0, "opening purges every format-1 entry");
+    let cold = run_with(&store, 2);
+    assert_eq!(cold.stats.executed_runs, plan.unique_specs().len(), "{:?}", cold.stats);
+    assert!(cold.warnings.is_empty(), "purged entries are misses, not damage: {:?}", cold.warnings);
+    let warm = run_with(&store, 1);
+    assert_eq!(warm.stats.executed_runs, 0, "{:?}", warm.stats);
+    assert_eq!(warm.to_json(), cold.to_json());
+    assert!(store.verify().problems.is_empty());
 }
 
 #[test]
