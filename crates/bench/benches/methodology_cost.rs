@@ -2,7 +2,7 @@
 //! derivation costs, per platform size — serial vs campaign-parallel
 //! (std-only harness; `harness = false`).
 
-use rrb::methodology::{derive_ubd, derive_ubd_repeated_jobs, MethodologyConfig};
+use rrb::methodology::{derive_ubd, derive_ubd_repeated, MethodologyConfig};
 use rrb_bench::bench;
 use rrb_sim::MachineConfig;
 
@@ -21,10 +21,10 @@ fn main() {
     let mcfg = MethodologyConfig::fast();
     let jobs = rrb_bench::default_jobs();
     bench("derive_ubd_repeated/3x_serial", 1, 5, || {
-        std::hint::black_box(derive_ubd_repeated_jobs(&cfg, &mcfg, 3, 1).expect("runs"));
+        std::hint::black_box(derive_ubd_repeated(&cfg, &mcfg, 3, 1).expect("runs"));
     });
     bench(&format!("derive_ubd_repeated/3x_jobs{jobs}"), 1, 5, || {
-        std::hint::black_box(derive_ubd_repeated_jobs(&cfg, &mcfg, 3, jobs).expect("runs"));
+        std::hint::black_box(derive_ubd_repeated(&cfg, &mcfg, 3, jobs).expect("runs"));
     });
 
     bench("calibrate_delta_nop", 1, 10, || {

@@ -2,8 +2,10 @@
 //! for the workload shapes the experiments rely on (std-only harness;
 //! `harness = false`).
 
+use rrb::executor::Executor;
+use rrb::scenario::{Scenario, SweepScenario};
 use rrb_bench::bench;
-use rrb_kernels::{random_eembc_workload, rsk, rsk_nop, AccessKind};
+use rrb_kernels::{random_eembc_workload, rsk, AccessKind};
 use rrb_sim::{CoreId, Machine, MachineConfig};
 
 fn main() {
@@ -21,15 +23,12 @@ fn main() {
         println!("    -> {cps:.0} simulated cycles/s");
     }
 
-    // One (isolated, contended) measurement pair — the methodology's
-    // inner loop.
-    bench("measure_slowdown_k2", 2, 10, || {
-        let cfg = MachineConfig::ngmp_ref();
-        let scua = rsk_nop(AccessKind::Load, 2, &cfg, CoreId::new(0), 100);
-        std::hint::black_box(
-            rrb::experiment::measure_slowdown(&cfg, scua, |core| rsk(AccessKind::Load, &cfg, core))
-                .expect("measurement"),
-        );
+    // (isolated, contended) measurement pairs for k = 0..=2 — the
+    // methodology's inner loop.
+    bench("slowdown_sweep_k0_2", 2, 10, || {
+        let sweep = SweepScenario::new(MachineConfig::ngmp_ref(), 2, 100);
+        let outcomes = sweep.outcomes(&Executor::new()).expect("valid machine");
+        std::hint::black_box(sweep.slowdowns(&outcomes).expect("measurement"));
     });
 
     bench("eembc_workload_100_iters", 2, 10, || {

@@ -37,8 +37,8 @@ fn grid() -> CampaignGrid {
         .max_k(18)
 }
 
-fn timed_run(jobs: usize, arena: bool) -> (f64, rrb::campaign::CampaignResult) {
-    let campaign = Campaign::builder().grid(&grid()).jobs(jobs).arena(arena).build();
+fn timed_run(jobs: usize) -> (f64, rrb::campaign::CampaignResult) {
+    let campaign = Campaign::builder().grid(&grid()).jobs(jobs).build();
     let start = Instant::now();
     let result = campaign.run();
     (start.elapsed().as_secs_f64(), result)
@@ -53,14 +53,11 @@ fn main() {
     }
 
     // Warm-up (page in code and allocator state), then timed runs.
-    let _ = timed_run(1, true);
-    let (serial_s, serial) = timed_run(1, true);
-    let (arena_off_s, arena_off) = timed_run(1, false);
-    let parallel = (parallel_jobs > 1).then(|| timed_run(parallel_jobs, true));
+    let _ = timed_run(1);
+    let (serial_s, serial) = timed_run(1);
+    let parallel = (parallel_jobs > 1).then(|| timed_run(parallel_jobs));
 
-    let arena_identical = serial.to_json() == arena_off.to_json();
-    let byte_identical =
-        arena_identical && parallel.as_ref().is_none_or(|(_, p)| p.to_json() == serial.to_json());
+    let byte_identical = parallel.as_ref().is_none_or(|(_, p)| p.to_json() == serial.to_json());
     let total_runs = serial.stats.planned_runs;
     let executed_runs = serial.stats.executed_runs;
     let runs_per_second_serial = executed_runs as f64 / serial_s;
@@ -71,11 +68,7 @@ fn main() {
         grid().cell_count()
     );
     println!(
-        "  serial    (jobs=1, arena on)   : {serial_s:.3} s ({runs_per_second_serial:.1} runs/s)"
-    );
-    println!(
-        "  arena off (jobs=1)             : {arena_off_s:.3} s ({:.1} runs/s)",
-        executed_runs as f64 / arena_off_s
+        "  serial    (jobs=1)             : {serial_s:.3} s ({runs_per_second_serial:.1} runs/s)"
     );
     if let Some((parallel_s, _)) = &parallel {
         println!(
@@ -86,7 +79,6 @@ fn main() {
     } else {
         println!("  parallel                       : skipped (1 CPU available)");
     }
-    println!("  arena on == arena off          : {arena_identical}");
     println!("  byte-identical output          : {byte_identical}");
     println!("  all cells derived ubd_m = 6    : {all_derived}");
 
@@ -97,11 +89,9 @@ fn main() {
         ("executed_runs", Json::U64(executed_runs as u64)),
         ("cache_hits", Json::U64(serial.stats.cache_hits as u64)),
         ("serial_seconds", Json::F64(serial_s)),
-        ("arena_off_seconds", Json::F64(arena_off_s)),
         ("parallel_jobs", Json::U64(parallel_jobs as u64)),
         ("available_parallelism", Json::U64(rrb_bench::default_jobs() as u64)),
         ("runs_per_second_serial", Json::F64(runs_per_second_serial)),
-        ("arena_identical_output", Json::Bool(arena_identical)),
         ("byte_identical_output", Json::Bool(byte_identical)),
         ("all_cells_correct", Json::Bool(all_derived)),
     ];
@@ -117,7 +107,6 @@ fn main() {
         Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 
-    assert!(arena_identical, "arena reuse must not change campaign output");
     assert!(byte_identical, "parallel output must be byte-identical to serial");
     assert!(all_derived, "every cell must recover ubd = 6");
 }

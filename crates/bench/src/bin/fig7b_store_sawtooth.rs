@@ -11,23 +11,22 @@
 //! to buffer depth and processing time) and is (near) zero afterwards —
 //! the buffer then always has a free slot and hides the bus latency.
 
-use rrb::experiment::measure_slowdown;
+use rrb::executor::Executor;
 use rrb::report::render_sawtooth;
-use rrb_kernels::{rsk, rsk_nop, AccessKind};
-use rrb_sim::{CoreId, MachineConfig};
+use rrb::scenario::{Scenario, SweepScenario};
+use rrb_kernels::AccessKind;
+use rrb_sim::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::ngmp_ref();
     let max_k = 80usize;
     let iterations = 400u64;
 
-    let mut slowdowns = Vec::with_capacity(max_k + 1);
-    for k in 0..=max_k {
-        let scua = rsk_nop(AccessKind::Store, k, &cfg, CoreId::new(0), iterations);
-        let m =
-            measure_slowdown(&cfg, scua, |c| rsk(AccessKind::Load, &cfg, c)).expect("measurement");
-        slowdowns.push(m.det());
-    }
+    let sweep = SweepScenario::new(cfg.clone(), max_k, iterations)
+        .access(AccessKind::Store)
+        .contenders(AccessKind::Load);
+    let outcomes = sweep.outcomes(&Executor::new()).expect("valid machine");
+    let slowdowns = sweep.slowdowns(&outcomes).expect("measurement");
 
     println!("d_bus(store, k) for k = 0..={max_k} (true ubd = {}):", cfg.ubd());
     println!("{}", render_sawtooth(&slowdowns, 10));

@@ -199,8 +199,8 @@ fn cmd_derive(parsed: &Parsed) -> Result<String, CliError> {
             ));
         }
     } else {
-        let r =
-            derive_ubd_repeated(&cfg, &mcfg, repeats).map_err(|e| CliError::Tool(Box::new(e)))?;
+        let r = derive_ubd_repeated(&cfg, &mcfg, repeats, 1)
+            .map_err(|e| CliError::Tool(Box::new(e)))?;
         out.push_str(&format!("consensus: {}\n", r.consensus));
         match r.ubd_m() {
             Some(u) => out.push_str(&format!("ubd_m    : {u} cycles\n")),

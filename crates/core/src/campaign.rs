@@ -23,7 +23,7 @@
 //! assert_eq!(serial.reports[0].metric_u64("ubd_m"), Some(6));
 //! ```
 
-use crate::executor::{Executor, MachineArena};
+use crate::executor::Executor;
 use crate::json::{csv_field, Fnv64Hasher, Json};
 use crate::methodology::{MethodologyConfig, UbdScenario};
 use crate::naive::NaiveScenario;
@@ -172,20 +172,19 @@ impl RunSpec {
     }
 }
 
-/// The deduplication table behind campaign planning and
-/// [`Executor::dedup`](crate::executor::Executor::dedup): specs keyed by
+/// The deduplication table behind [`Campaign::plan`]: specs keyed by
 /// [`RunSpec::spec_hash`], with a structural [`RunSpec::same_measurement`]
 /// check on every hash hit so an FNV collision can only cost an extra
 /// comparison, never alias two different runs onto one measurement.
 #[derive(Default)]
-pub(crate) struct DedupTable {
+struct DedupTable {
     by_hash: HashMap<u64, Vec<usize>>,
 }
 
 impl DedupTable {
     /// Returns the index of `spec` in `unique`, appending it if no
     /// equal-measurement spec is present yet.
-    pub(crate) fn intern(&mut self, spec: &RunSpec, unique: &mut Vec<RunSpec>) -> usize {
+    fn intern(&mut self, spec: &RunSpec, unique: &mut Vec<RunSpec>) -> usize {
         let candidates = self.by_hash.entry(spec.spec_hash()).or_default();
         if let Some(&idx) = candidates.iter().find(|&&idx| unique[idx].same_measurement(spec)) {
             return idx;
@@ -286,20 +285,6 @@ impl From<SimError> for RunError {
     }
 }
 
-/// Executes one spec on a fresh machine.
-///
-/// # Errors
-///
-/// Returns [`RunError`] when the configuration is invalid, the workload
-/// does not fit the machine, the cycle budget is exhausted, or the scua
-/// never terminates.
-#[deprecated(
-    note = "use `Executor::new().run(spec)` — see the migration table in crates/README.md"
-)]
-pub fn execute_run(spec: &RunSpec) -> Result<RunMeasurement, RunError> {
-    Executor::new().run(spec)
-}
-
 /// Where one run's measurement came from, when executing against an
 /// optional persistent [`ResultStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,60 +312,6 @@ pub struct StoreUsage {
     /// re-execution or a skipped write — never a wrong or missing
     /// result — so campaign output is identical with or without them.
     pub warnings: Vec<String>,
-}
-
-/// [`execute_run`] behind an optional persistent store: a valid,
-/// structurally confirmed entry skips simulation entirely; a missing,
-/// corrupt, stale, or colliding entry simulates (recording a warning
-/// when the entry existed but could not be trusted) and persists the
-/// fresh measurement on success.
-#[deprecated(
-    note = "use `Executor::run_in` with a caller-owned `MachineArena` — see crates/README.md"
-)]
-pub fn execute_run_stored(
-    spec: &RunSpec,
-    store: Option<&ResultStore>,
-) -> (Result<RunMeasurement, RunError>, RunSource, Vec<String>) {
-    Executor::new().run_in(&mut MachineArena::new(), spec, store)
-}
-
-/// Executes a plan, spreading runs over `jobs` scoped worker threads.
-///
-/// Results come back **indexed by plan position**, so the output is
-/// independent of scheduling: `execute_plan(specs, 8)` returns exactly
-/// what `execute_plan(specs, 1)` returns. Workers pull the next index
-/// from a shared atomic counter, each reusing one warm machine.
-#[deprecated(note = "use `Executor::new().jobs(jobs).execute(specs)` — see crates/README.md")]
-pub fn execute_plan(specs: &[RunSpec], jobs: usize) -> Vec<Result<RunMeasurement, RunError>> {
-    Executor::new().jobs(jobs).execute_with(specs, None).0
-}
-
-/// [`execute_plan`] against an optional persistent store: the returned
-/// [`StoreUsage`] aggregates hits, writes, and warnings **in plan
-/// order** (independent of worker scheduling).
-#[deprecated(
-    note = "use `Executor::new().jobs(jobs).store(store).execute(specs)` — see crates/README.md"
-)]
-pub fn execute_plan_stored(
-    specs: &[RunSpec],
-    jobs: usize,
-    store: Option<&ResultStore>,
-) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
-    Executor::new().jobs(jobs).execute_with(specs, store)
-}
-
-/// [`execute_plan`] with identical specs deduplicated first: each
-/// distinct (configuration, workload) executes once and its result is
-/// scattered back to every plan position that asked for it. Labels are
-/// ignored for deduplication, exactly as in a [`Campaign`].
-#[deprecated(
-    note = "use `Executor::new().jobs(jobs).dedup(true).execute(specs)` — see crates/README.md"
-)]
-pub fn execute_plan_deduped(
-    specs: &[RunSpec],
-    jobs: usize,
-) -> Vec<Result<RunMeasurement, RunError>> {
-    Executor::new().jobs(jobs).dedup(true).execute_with(specs, None).0
 }
 
 // ---------------------------------------------------------------------
@@ -581,8 +512,6 @@ impl CampaignResult {
 pub struct CampaignBuilder {
     scenarios: Vec<Box<dyn Scenario + Send + Sync>>,
     jobs: usize,
-    dedup: bool,
-    arena: bool,
     store: Option<Arc<ResultStore>>,
 }
 
@@ -593,10 +522,9 @@ impl Default for CampaignBuilder {
 }
 
 impl CampaignBuilder {
-    /// An empty builder (serial execution, deduplication on, machine
-    /// reuse on, no persistent store).
+    /// An empty builder (serial execution, no persistent store).
     pub fn new() -> Self {
-        CampaignBuilder { scenarios: Vec::new(), jobs: 1, dedup: true, arena: true, store: None }
+        CampaignBuilder { scenarios: Vec::new(), jobs: 1, store: None }
     }
 
     /// Adds one scenario.
@@ -628,24 +556,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Enables or disables run deduplication (the shared-baseline
-    /// cache). On by default; turning it off re-executes every planned
-    /// run and must produce identical output.
-    #[must_use]
-    pub fn dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Enables (default) or disables worker machine reuse
-    /// ([`Executor::arena`]). Off builds a fresh machine per run;
-    /// output is byte-identical either way.
-    #[must_use]
-    pub fn arena(mut self, arena: bool) -> Self {
-        self.arena = arena;
-        self
-    }
-
     /// Attaches a persistent [`ResultStore`]: warm entries skip
     /// simulation entirely, fresh results are recorded for the next
     /// campaign. Output is byte-identical with or without a store.
@@ -657,13 +567,7 @@ impl CampaignBuilder {
 
     /// Finalises the campaign.
     pub fn build(self) -> Campaign {
-        Campaign {
-            scenarios: self.scenarios,
-            jobs: self.jobs,
-            dedup: self.dedup,
-            arena: self.arena,
-            store: self.store,
-        }
+        Campaign { scenarios: self.scenarios, jobs: self.jobs, store: self.store }
     }
 }
 
@@ -671,8 +575,6 @@ impl CampaignBuilder {
 pub struct Campaign {
     scenarios: Vec<Box<dyn Scenario + Send + Sync>>,
     jobs: usize,
-    dedup: bool,
-    arena: bool,
     store: Option<Arc<ResultStore>>,
 }
 
@@ -700,8 +602,11 @@ impl Campaign {
     /// campaign itself always completes.
     pub fn run(&self) -> CampaignResult {
         let plan = self.plan();
-        let executor = Executor::new().jobs(self.jobs).arena(self.arena);
-        let (results, usage) = executor.execute_with(plan.unique_specs(), self.store.as_deref());
+        let mut executor = Executor::new().jobs(self.jobs);
+        if let Some(store) = &self.store {
+            executor = executor.store(Arc::clone(store));
+        }
+        let (results, usage) = executor.execute(plan.unique_specs());
         plan.finish(&results, usage, self.jobs)
     }
 
@@ -727,16 +632,7 @@ impl Campaign {
             let mut indices = Vec::new();
             if let Ok(specs) = &runs {
                 planned_runs += specs.len();
-                for spec in specs {
-                    let idx = if self.dedup {
-                        seen.intern(spec, &mut unique)
-                    } else {
-                        let idx = unique.len();
-                        unique.push(spec.clone());
-                        idx
-                    };
-                    indices.push(idx);
-                }
+                indices.extend(specs.iter().map(|spec| seen.intern(spec, &mut unique)));
             }
             scenarios.push(PlannedScenario { name: scenario.name(), runs, indices });
         }
@@ -1220,9 +1116,6 @@ impl CampaignGrid {
 }
 
 #[cfg(test)]
-// The deprecated free functions are exercised on purpose: they are kept
-// as working wrappers, and these tests pin their contracts.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use rrb_kernels::{rsk, rsk_nop};
@@ -1232,15 +1125,15 @@ mod tests {
     }
 
     #[test]
-    fn execute_run_matches_direct_machine_run() {
+    fn executor_run_measures_contention() {
         let cfg = toy();
         let scua = rsk_nop(AccessKind::Load, 1, &cfg, CoreId::new(0), 60);
         let spec = RunSpec::contended_rsk("r", cfg.clone(), scua.clone(), AccessKind::Load);
-        let m = execute_run(&spec).expect("run");
+        let m = Executor::new().run(&spec).expect("run");
         assert!(m.execution_time > 0);
         assert!(m.bus_requests >= 300);
         assert!(m.bus_utilization > 0.9);
-        let iso = execute_run(&RunSpec::isolated("i", cfg, scua)).expect("run");
+        let iso = Executor::new().run(&RunSpec::isolated("i", cfg, scua)).expect("run");
         assert!(iso.execution_time < m.execution_time);
         assert_eq!(iso.max_gamma(), Some(0));
     }
@@ -1251,7 +1144,7 @@ mod tests {
         cfg.topology.bus.arbiter = ArbiterKind::Tdma { slot_cycles: 1 };
         let scua = rsk_nop(AccessKind::Load, 0, &toy(), CoreId::new(0), 10);
         let spec = RunSpec::isolated("bad", cfg, scua);
-        assert!(matches!(execute_run(&spec), Err(RunError::Sim(SimError::Config(_)))));
+        assert!(matches!(Executor::new().run(&spec), Err(RunError::Sim(SimError::Config(_)))));
     }
 
     #[test]
@@ -1259,20 +1152,21 @@ mod tests {
         let cfg = toy();
         let scua = rsk(AccessKind::Load, &cfg, CoreId::new(0));
         let spec = RunSpec::isolated("endless", cfg, scua);
-        assert!(matches!(execute_run(&spec), Err(RunError::NonTerminatingScua)));
+        assert!(matches!(Executor::new().run(&spec), Err(RunError::NonTerminatingScua)));
     }
 
     #[test]
     fn deduped_plan_matches_plain_execution() {
-        let cfg = toy();
-        let scua = rsk_nop(AccessKind::Load, 1, &cfg, CoreId::new(0), 40);
-        let spec = RunSpec::isolated("a", cfg.clone(), scua.clone());
-        let specs =
-            vec![spec.clone(), RunSpec::isolated("b", cfg, scua), spec.clone(), spec.clone()];
-        let deduped = execute_plan_deduped(&specs, 2);
-        let plain = execute_plan(&specs, 1);
-        assert_eq!(deduped, plain);
-        assert_eq!(deduped.len(), 4);
+        let scenario = SweepScenario::new(toy(), 2, 40);
+        let campaign = Campaign::builder().scenario(scenario.clone()).scenario(scenario).build();
+        let plan = campaign.plan();
+        assert_eq!(plan.planned_runs(), 12);
+        assert_eq!(plan.unique_specs().len(), 6, "the second copy is fully deduplicated");
+        let results = Executor::new().jobs(2).execute(plan.unique_specs()).0;
+        let plain = campaign.scenarios[0].outcomes(&Executor::new()).expect("plan");
+        assert_eq!(plan.outcomes(0, &results), plain);
+        assert_eq!(plan.outcomes(1, &results), plain);
+        assert!(plain.iter().all(|o| o.result.is_ok()));
     }
 
     #[test]
@@ -1288,8 +1182,8 @@ mod tests {
                 )
             })
             .collect();
-        let serial = execute_plan(&specs, 1);
-        let parallel = execute_plan(&specs, 4);
+        let serial = Executor::new().execute(&specs);
+        let parallel = Executor::new().jobs(4).execute(&specs);
         assert_eq!(serial, parallel);
     }
 

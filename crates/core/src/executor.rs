@@ -2,11 +2,11 @@
 //! behind one [`Executor`].
 //!
 //! Every measurement in this crate is a [`RunSpec`] — one machine, one
-//! workload — and until the `Executor` redesign five free functions
-//! (`execute_run`, `execute_run_stored`, `execute_plan`,
-//! `execute_plan_stored`, `execute_plan_deduped`) each re-implemented a
-//! slice of the same pipeline. They survive as deprecated wrappers; the
-//! single execution path now lives here:
+//! workload — and every run reaches the simulator the same way:
+//! [`Scenario::plan`](crate::scenario::Scenario::plan) (or a
+//! [`Campaign`](crate::campaign::Campaign) plan, which deduplicates
+//! across scenarios) → [`Executor`] (worker threads and an optional
+//! store) → one [`MachineArena`] per worker:
 //!
 //! ```
 //! use rrb::campaign::RunSpec;
@@ -33,9 +33,7 @@
 //! in `tests/prop_arena_reset.rs` pins cycle-for-cycle equality of the
 //! two paths over randomized configurations and workloads — so batched
 //! runs reuse one warm machine per worker instead of paying an
-//! allocator round trip per run. [`Executor::arena`] turns the reuse
-//! off (every run then builds a fresh machine); output is byte-identical
-//! either way.
+//! allocator round trip per run.
 //!
 //! ## What the executor strips
 //!
@@ -50,7 +48,7 @@
 //!
 //! [`RequestRecord`]: rrb_sim::RequestRecord
 
-use crate::campaign::{DedupTable, RunError, RunMeasurement, RunSource, RunSpec, StoreUsage};
+use crate::campaign::{RunError, RunMeasurement, RunSource, RunSpec, StoreUsage};
 use crate::store::{ResultStore, StoreLookup};
 use rrb_analysis::Histogram;
 use rrb_sim::{CoreId, Machine, MachineConfig};
@@ -178,18 +176,16 @@ fn execution_config(cfg: &MachineConfig) -> MachineConfig {
 
 /// The unified batch executor: plans in, plan-ordered results out.
 ///
-/// Builder options select the worker-thread count ([`Executor::jobs`]),
-/// structural run deduplication ([`Executor::dedup`]), machine reuse
-/// ([`Executor::arena`]) and a persistent result store
-/// ([`Executor::store`]). Whatever the options, the returned results
-/// are **indexed by plan position** and byte-identical: scheduling,
-/// caching and reuse can change how fast the answer arrives, never what
-/// it is.
+/// Builder options select the worker-thread count ([`Executor::jobs`])
+/// and a persistent result store ([`Executor::store`]). Whatever the
+/// options, the returned results are **indexed by plan position** and
+/// byte-identical: scheduling and caching can change how fast the answer
+/// arrives, never what it is. Deduplication is the caller's plan's job:
+/// a [`Campaign`](crate::campaign::Campaign) hands the executor its
+/// unique runs only.
 #[derive(Clone)]
 pub struct Executor {
     jobs: usize,
-    dedup: bool,
-    arena: bool,
     store: Option<Arc<ResultStore>>,
 }
 
@@ -200,10 +196,9 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// A serial executor: one job, no deduplication, arena reuse on, no
-    /// persistent store.
+    /// A serial executor with no persistent store.
     pub fn new() -> Self {
-        Executor { jobs: 1, dedup: false, arena: true, store: None }
+        Executor { jobs: 1, store: None }
     }
 
     /// Sets the worker-thread count (1 = serial; clamped to the plan
@@ -211,26 +206,6 @@ impl Executor {
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Enables structural deduplication: each distinct (configuration,
-    /// workload) pair executes once, its result scattered back to every
-    /// plan position that asked for it. Labels are ignored, exactly as
-    /// in a [`Campaign`](crate::campaign::Campaign).
-    #[must_use]
-    pub fn dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Enables (default) or disables machine reuse. With reuse off,
-    /// every run builds a fresh [`Machine`]; output is byte-identical
-    /// either way — `campaign_throughput` asserts it, and the arena
-    /// property test pins the underlying reset equivalence.
-    #[must_use]
-    pub fn arena(mut self, arena: bool) -> Self {
-        self.arena = arena;
         self
     }
 
@@ -250,75 +225,22 @@ impl Executor {
     ///
     /// Returns [`RunError`] as [`MachineArena::execute`] does.
     pub fn run(&self, spec: &RunSpec) -> Result<RunMeasurement, RunError> {
-        self.run_in(&mut MachineArena::new(), spec, self.store.as_deref()).0
+        MachineArena::new().execute_stored(spec, self.store.as_deref()).0
     }
 
-    /// Executes one spec in a caller-owned arena against a per-call
-    /// store — the entry point for external schedulers that keep their
-    /// own long-lived arenas (the `rrb-serve` worker pool keeps one per
-    /// worker thread across jobs). Honours [`Executor::arena`]: with
-    /// reuse disabled the arena is cleared first, so the run builds
-    /// fresh.
-    pub fn run_in(
-        &self,
-        arena: &mut MachineArena,
-        spec: &RunSpec,
-        store: Option<&ResultStore>,
-    ) -> StoredOutcome {
-        if !self.arena {
-            arena.clear();
-        }
-        arena.execute_stored(spec, store)
-    }
-
-    /// Executes a plan under this executor's options and the configured
-    /// store. Results come back **indexed by plan position** with the
-    /// plan-ordered [`StoreUsage`] aggregate.
+    /// Executes a plan under this executor's options: spreads `specs`
+    /// over the worker threads, one arena per worker, and returns the
+    /// results **indexed by plan position** with the [`StoreUsage`]
+    /// aggregated in plan order (independent of worker scheduling).
     pub fn execute(
         &self,
         specs: &[RunSpec],
     ) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
-        self.execute_with(specs, self.store.as_deref())
-    }
-
-    /// [`Executor::execute`] with the store supplied per call instead of
-    /// owned — for callers holding only a reference (the deprecated
-    /// free functions route through this).
-    pub fn execute_with(
-        &self,
-        specs: &[RunSpec],
-        store: Option<&ResultStore>,
-    ) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
-        if !self.dedup {
-            return self.execute_unique(specs, store);
-        }
-        let mut unique: Vec<RunSpec> = Vec::new();
-        let mut seen = DedupTable::default();
-        let indices: Vec<usize> = specs.iter().map(|spec| seen.intern(spec, &mut unique)).collect();
-        let (results, usage) = self.execute_unique(&unique, store);
-        let scattered = indices
-            .into_iter()
-            .map(|idx| {
-                results.get(idx).cloned().unwrap_or_else(|| {
-                    Err(RunError::Analysis(String::from("deduplicated result missing")))
-                })
-            })
-            .collect();
-        (scattered, usage)
-    }
-
-    /// The execution core: spreads `specs` over the worker threads, one
-    /// arena per worker, and aggregates store usage in plan order
-    /// (independent of worker scheduling).
-    fn execute_unique(
-        &self,
-        specs: &[RunSpec],
-        store: Option<&ResultStore>,
-    ) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
+        let store = self.store.as_deref();
         let jobs = self.jobs.min(specs.len().max(1));
         let outcomes: Vec<StoredOutcome> = if jobs == 1 {
             let mut arena = MachineArena::new();
-            specs.iter().map(|spec| self.run_in(&mut arena, spec, store)).collect()
+            specs.iter().map(|spec| arena.execute_stored(spec, store)).collect()
         } else {
             let slots: Vec<Mutex<Option<StoredOutcome>>> =
                 specs.iter().map(|_| Mutex::new(None)).collect();
@@ -330,7 +252,7 @@ impl Executor {
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(spec) = specs.get(i) else { break };
-                            let outcome = self.run_in(&mut arena, spec, store);
+                            let outcome = arena.execute_stored(spec, store);
                             *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
                                 Some(outcome);
                         }
@@ -423,9 +345,10 @@ mod tests {
 
     #[test]
     fn arena_off_is_byte_identical_to_arena_on() {
+        // "Off" is a fresh arena (so a freshly built machine) per run.
         let specs = plan(6);
         let on = Executor::new().execute(&specs).0;
-        let off = Executor::new().arena(false).execute(&specs).0;
+        let off: Vec<_> = specs.iter().map(|spec| MachineArena::new().execute(spec)).collect();
         assert_eq!(on, off);
     }
 
@@ -439,15 +362,45 @@ mod tests {
 
     #[test]
     fn dedup_scatters_shared_results() {
+        // Deduplication lives in the campaign plan: the executor runs the
+        // unique specs and the plan scatters them back per scenario.
+        use crate::campaign::Campaign;
+        use crate::naive::NaiveScenario;
+        use crate::scenario::Scenario;
         let cfg = toy();
         let scua = rsk_nop(AccessKind::Load, 1, &cfg, CoreId::new(0), 40);
-        let a = RunSpec::isolated("a", cfg.clone(), scua.clone());
-        let b = RunSpec::isolated("b", cfg, scua);
-        let specs = vec![a.clone(), b, a.clone(), a];
-        let deduped = Executor::new().dedup(true).execute(&specs).0;
-        let plain = Executor::new().execute(&specs).0;
-        assert_eq!(deduped, plain);
-        assert_eq!(deduped.len(), 4);
+        let a = NaiveScenario::new(cfg.clone(), scua.clone(), AccessKind::Load).named("a");
+        let b = NaiveScenario::new(cfg, scua, AccessKind::Store).named("b");
+        let campaign = Campaign::builder().scenario(a.clone()).scenario(b.clone()).build();
+        let plan = campaign.plan();
+        assert_eq!(plan.unique_specs().len(), 3, "one shared isolated baseline");
+        let results = Executor::new().jobs(2).execute(plan.unique_specs()).0;
+        for (index, scenario) in [a, b].iter().enumerate() {
+            let plain = scenario.outcomes(&Executor::new()).expect("plan");
+            assert_eq!(plan.outcomes(index, &results), plain);
+        }
+    }
+
+    #[test]
+    fn isolated_run_reports_requests() {
+        let cfg = MachineConfig::ngmp_ref();
+        let p = rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 100);
+        let r = Executor::new().run(&RunSpec::isolated("isolated", cfg, p)).expect("run");
+        assert!(r.execution_time > 0);
+        // 5 loads x 100 iterations plus a few cold ifetch/refill requests.
+        assert!(r.bus_requests >= 500);
+        assert_eq!(r.instructions, 500);
+    }
+
+    #[test]
+    fn det_is_zero_without_contenders() {
+        let cfg = MachineConfig::ngmp_ref();
+        let p = rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 50);
+        let idle = vec![rrb_sim::Program::empty(); cfg.num_cores - 1];
+        let executor = Executor::new();
+        let iso = executor.run(&RunSpec::isolated("isolated", cfg.clone(), p.clone()));
+        let contended = executor.run(&RunSpec::contended("contended", cfg, p, idle));
+        assert_eq!(contended.expect("run").execution_time, iso.expect("run").execution_time);
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //!   grids, deduplicates shared runs, executes across a scoped thread
 //!   pool, and serialises structured records as JSON/CSV ([`json`]) —
 //!   with output bit-identical between serial and parallel execution;
-//! * the shared single-run harness ([`experiment`]) behind the
-//!   scenarios, and plain-text reporting ([`report`]) used by the figure
-//!   regenerators;
+//! * one **run path** ([`executor`]): a scenario's or campaign's plan
+//!   goes to an [`Executor`] (worker threads, optional store), whose
+//!   workers each reuse one warm [`MachineArena`] — a single run is
+//!   `Executor::new().run(&RunSpec::isolated(..))` — plus plain-text
+//!   reporting ([`report`]) used by the figure regenerators;
 //! * **experiments as data** ([`spec`]): an [`ExperimentSpec`] is a
 //!   fully declarative, JSON-serialisable description of a campaign —
 //!   machine, grid axes, per-core kernels — that round-trips losslessly
@@ -96,7 +98,6 @@
 pub mod analyze;
 pub mod campaign;
 pub mod executor;
-pub mod experiment;
 pub mod json;
 pub mod lint;
 pub mod mbta;
@@ -122,22 +123,18 @@ pub use analyze::{
     analyze_grid, analyze_grid_cell, analyze_spec, analyze_workload, check_measured,
     measured_tightness, CellStaticBound, CellTightness,
 };
-#[allow(deprecated)]
 pub use campaign::{
-    clamped_jobs, execute_plan, execute_plan_stored, execute_run, execute_run_stored, Campaign,
-    CampaignBuilder, CampaignGrid, CampaignPlan, CampaignResult, CampaignStats, GridCell,
-    GridScenario, ParseGridScenarioError, PlannedScenario, RunError, RunMeasurement, RunRecord,
-    RunSource, RunSpec, StoreUsage,
+    clamped_jobs, Campaign, CampaignBuilder, CampaignGrid, CampaignPlan, CampaignResult,
+    CampaignStats, GridCell, GridScenario, ParseGridScenarioError, PlannedScenario, RunError,
+    RunMeasurement, RunRecord, RunSource, RunSpec, StoreUsage,
 };
 pub use executor::{Executor, MachineArena, StoredOutcome};
-pub use experiment::{ContendedRun, IsolatedRun, SlowdownMeasurement};
 pub use json::{fnv1a_64, Fnv64Hasher, Json, JsonParseError};
 pub use lint::{has_errors, lint_spec, LintFinding, LintSeverity};
 pub use mbta::{BoundValidation, MbtaAnalysis, TaskBound, TaskSpec};
 pub use methodology::{
-    derive_ubd, derive_ubd_repeated, derive_ubd_repeated_jobs, store_tooth_check,
-    MethodologyConfig, MethodologyError, RepeatedDerivation, ResourceContribution, StoreToothCheck,
-    UbdDerivation, UbdScenario,
+    derive_ubd, derive_ubd_repeated, store_tooth_check, MethodologyConfig, MethodologyError,
+    RepeatedDerivation, ResourceContribution, StoreToothCheck, UbdDerivation, UbdScenario,
 };
 pub use naive::{naive_rsk_vs_rsk, naive_scua_vs_rsk, NaiveEstimate, NaiveScenario};
 pub use scenario::{

@@ -15,11 +15,11 @@
 //! time exceeds its ETB — the regression a certification campaign would
 //! automate.
 
-use crate::campaign::RunError;
-use crate::experiment::{run_contended, run_isolated};
+use crate::campaign::{RunError, RunSpec};
+use crate::executor::Executor;
 use crate::methodology::{derive_ubd, MethodologyConfig, MethodologyError, UbdDerivation};
 use rrb_analysis::EtbPadding;
-use rrb_kernels::{rsk, AccessKind};
+use rrb_kernels::AccessKind;
 use rrb_sim::{MachineConfig, Program};
 use std::fmt;
 
@@ -159,7 +159,11 @@ impl MbtaAnalysis {
     ///
     /// Returns [`RunError`] if the isolation run fails.
     pub fn bound_task(&self, task: &TaskSpec) -> Result<TaskBound, RunError> {
-        let isolated = run_isolated(&self.cfg, task.program.clone())?;
+        let isolated = Executor::new().run(&RunSpec::isolated(
+            &task.name,
+            self.cfg.clone(),
+            task.program.clone(),
+        ))?;
         let padding = EtbPadding::new(isolated.bus_requests, self.pad_per_request());
         Ok(TaskBound {
             name: task.name.clone(),
@@ -196,8 +200,12 @@ impl MbtaAnalysis {
             // Alternate contender access types across trials to explore
             // both the load and the store contention shapes.
             let access = if trial % 2 == 0 { AccessKind::Load } else { AccessKind::Store };
-            let contended =
-                run_contended(&self.cfg, task.program.clone(), |c| rsk(access, &self.cfg, c))?;
+            let contended = Executor::new().run(&RunSpec::contended_rsk(
+                &task.name,
+                self.cfg.clone(),
+                task.program.clone(),
+                access,
+            ))?;
             worst = worst.max(contended.execution_time);
         }
         Ok(BoundValidation {

@@ -17,11 +17,11 @@
 //! The whole procedure is packaged as [`UbdScenario`], a
 //! [`Scenario`]: the measurement plan
 //! (calibration + one isolated/contended pair per `k`) is pure data, so
-//! a [`Campaign`](crate::campaign::Campaign) can run many derivations in
-//! parallel and deduplicate shared runs. [`derive_ubd`] is the
-//! single-scenario convenience wrapper over the same code path.
+//! a [`Campaign`] can run many derivations in parallel and deduplicate
+//! shared runs. [`derive_ubd`] is the single-scenario convenience
+//! wrapper over the same code path.
 
-use crate::campaign::{RunError, RunSpec};
+use crate::campaign::{Campaign, RunError, RunSpec};
 use crate::executor::Executor;
 use crate::scenario::{MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport};
 use rrb_analysis::sawtooth::{detect_period, ubd_candidates, PeriodEstimate};
@@ -219,10 +219,7 @@ impl From<SimError> for MethodologyError {
 
 impl From<ScenarioError> for MethodologyError {
     fn from(e: ScenarioError) -> Self {
-        match e {
-            ScenarioError::Config(e) => MethodologyError::Run(RunError::Sim(e)),
-            ScenarioError::Analysis(msg) => MethodologyError::Run(RunError::Analysis(msg)),
-        }
+        MethodologyError::Run(e.into())
     }
 }
 
@@ -234,7 +231,7 @@ impl From<ScenarioError> for MethodologyError {
 pub fn calibrate_delta_nop(cfg: &MachineConfig, iterations: u64) -> Result<u64, MethodologyError> {
     let kernel = nop_kernel(cfg, iterations);
     let nops = kernel.dynamic_instruction_count().expect("calibration kernel is finite");
-    let run = crate::experiment::run_isolated(cfg, kernel)?;
+    let run = Executor::new().run(&RunSpec::isolated("calibration", cfg.clone(), kernel))?;
     Ok(estimate_delta_nop(run.execution_time, nops))
 }
 
@@ -449,8 +446,7 @@ impl Scenario for UbdScenario {
 /// user would.
 ///
 /// This is the serial convenience wrapper over [`UbdScenario`]; a
-/// [`Campaign`](crate::campaign::Campaign) runs the same plan in
-/// parallel.
+/// [`Campaign`] runs the same plan in parallel.
 ///
 /// # Errors
 ///
@@ -460,14 +456,7 @@ pub fn derive_ubd(
     mcfg: &MethodologyConfig,
 ) -> Result<UbdDerivation, MethodologyError> {
     let scenario = UbdScenario::new(cfg.clone(), mcfg.clone());
-    let specs = scenario.plan()?;
-    let results = Executor::new().execute(&specs).0;
-    let outcomes: Vec<RunOutcome> = specs
-        .into_iter()
-        .zip(results)
-        .map(|(spec, result)| RunOutcome { label: spec.label, result })
-        .collect();
-    scenario.derivation(&outcomes)
+    scenario.derivation(&scenario.outcomes(&Executor::new())?)
 }
 
 /// The store-tooth cross-check of Fig. 7(b).
@@ -512,14 +501,7 @@ pub fn store_tooth_check(
         .access(AccessKind::Store)
         .contenders(AccessKind::Load)
         .named("store-tooth");
-    let specs = scenario.plan()?;
-    let results = Executor::new().execute(&specs).0;
-    let outcomes: Vec<RunOutcome> = specs
-        .into_iter()
-        .zip(results)
-        .map(|(spec, result)| RunOutcome { label: spec.label, result })
-        .collect();
-    let slowdowns = scenario.slowdowns(&outcomes)?;
+    let slowdowns = scenario.slowdowns(&scenario.outcomes(&Executor::new())?)?;
     match rrb_analysis::first_tooth_length(&slowdowns, 0.10) {
         Some(tooth_length) => Ok(StoreToothCheck { tooth_length, ubd_m }),
         None => Err(MethodologyError::NoPeriod { slowdowns }),
@@ -555,26 +537,14 @@ impl RepeatedDerivation {
 /// sweep: a lone estimate can be corrupted by an unlucky alignment, while
 /// agreement across perturbed runs is strong evidence the saw-tooth is
 /// real (§1's "increasing confidence"). The repeats are independent
-/// [`UbdScenario`]s batched through one deduplicated, parallel
-/// [`Campaign`](crate::campaign::Campaign) plan.
+/// [`UbdScenario`]s batched through one deduplicated
+/// [`Campaign`] plan (the calibration run, for instance, executes once)
+/// over `jobs` worker threads; the result is identical for any `jobs`.
 ///
 /// # Errors
 ///
-/// Propagates the first failing run's [`MethodologyError`].
+/// Propagates the first failing repeat's [`MethodologyError`].
 pub fn derive_ubd_repeated(
-    cfg: &MachineConfig,
-    mcfg: &MethodologyConfig,
-    repeats: u32,
-) -> Result<RepeatedDerivation, MethodologyError> {
-    derive_ubd_repeated_jobs(cfg, mcfg, repeats, 1)
-}
-
-/// [`derive_ubd_repeated`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Propagates the first failing run's [`MethodologyError`].
-pub fn derive_ubd_repeated_jobs(
     cfg: &MachineConfig,
     mcfg: &MethodologyConfig,
     repeats: u32,
@@ -588,27 +558,19 @@ pub fn derive_ubd_repeated_jobs(
             UbdScenario::new(cfg.clone(), varied).named(format!("repeat-{r}"))
         })
         .collect();
-
-    // One flat plan across all repeats, deduplicated before execution
-    // (the calibration run is identical in every repeat, for instance).
-    let mut specs = Vec::new();
-    let mut spans = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        let plan = scenario.plan()?;
-        spans.push((specs.len(), plan.len()));
-        specs.extend(plan);
+    let campaign = scenarios.iter().fold(Campaign::builder(), |b, s| b.scenario(s.clone())).build();
+    let plan = campaign.plan();
+    for planned in plan.scenarios() {
+        if let Err(e) = &planned.runs {
+            return Err(e.clone().into());
+        }
     }
-    let results = Executor::new().jobs(jobs).dedup(true).execute(&specs).0;
-
-    let mut runs = Vec::with_capacity(scenarios.len());
-    for (scenario, &(start, len)) in scenarios.iter().zip(&spans) {
-        let outcomes: Vec<RunOutcome> = specs[start..start + len]
-            .iter()
-            .zip(&results[start..start + len])
-            .map(|(spec, result)| RunOutcome { label: spec.label.clone(), result: result.clone() })
-            .collect();
-        runs.push(scenario.derivation(&outcomes)?);
-    }
+    let results = Executor::new().jobs(jobs).execute(plan.unique_specs()).0;
+    let runs = scenarios
+        .iter()
+        .enumerate()
+        .map(|(index, scenario)| scenario.derivation(&plan.outcomes(index, &results)))
+        .collect::<Result<Vec<_>, _>>()?;
     let estimates: Vec<_> = runs.iter().map(|r| r.period_estimate).collect();
     let consensus = rrb_analysis::period_consensus(&estimates);
     Ok(RepeatedDerivation { runs, consensus })
@@ -691,7 +653,7 @@ mod tests {
     #[test]
     fn repeated_derivation_is_unanimous_on_toy_bus() {
         let cfg = MachineConfig::toy(4, 2);
-        let r = derive_ubd_repeated(&cfg, &MethodologyConfig::fast(), 3).expect("runs");
+        let r = derive_ubd_repeated(&cfg, &MethodologyConfig::fast(), 3, 1).expect("runs");
         assert_eq!(r.runs.len(), 3);
         assert!(matches!(r.consensus, rrb_analysis::Consensus::Unanimous { period: 6, votes: 3 }));
         assert_eq!(r.ubd_m(), Some(6));
@@ -703,8 +665,8 @@ mod tests {
         let mut m = MethodologyConfig::fast();
         m.max_k = 14;
         m.iterations = 60;
-        let serial = derive_ubd_repeated_jobs(&cfg, &m, 2, 1).expect("serial");
-        let parallel = derive_ubd_repeated_jobs(&cfg, &m, 2, 4).expect("parallel");
+        let serial = derive_ubd_repeated(&cfg, &m, 2, 1).expect("serial");
+        let parallel = derive_ubd_repeated(&cfg, &m, 2, 4).expect("parallel");
         assert_eq!(serial.runs, parallel.runs);
         assert_eq!(serial.consensus, parallel.consensus);
     }
@@ -713,13 +675,7 @@ mod tests {
     fn scenario_analyze_reports_ubd_metric() {
         let cfg = MachineConfig::toy(4, 2);
         let scenario = UbdScenario::new(cfg, MethodologyConfig::fast()).named("toy");
-        let specs = scenario.plan().expect("plan");
-        let results = Executor::new().jobs(2).execute(&specs).0;
-        let outcomes: Vec<RunOutcome> = specs
-            .into_iter()
-            .zip(results)
-            .map(|(s, result)| RunOutcome { label: s.label, result })
-            .collect();
+        let outcomes = scenario.outcomes(&Executor::new().jobs(2)).expect("plan");
         let report = scenario.analyze(&outcomes);
         assert!(report.is_ok(), "{report:?}");
         assert_eq!(report.metric_u64("ubd_m"), Some(6));

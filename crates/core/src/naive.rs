@@ -14,38 +14,56 @@
 //! pair); [`naive_scua_vs_rsk`] and [`naive_rsk_vs_rsk`] are the serial
 //! wrappers.
 
-use crate::campaign::{RunError, RunSpec};
+use crate::campaign::{RunError, RunMeasurement, RunSpec};
 use crate::executor::Executor;
-use crate::experiment::{ContendedRun, IsolatedRun, SlowdownMeasurement};
 use crate::scenario::{MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport};
 use rrb_kernels::{rsk_nop, AccessKind};
 use rrb_sim::{CoreId, MachineConfig, Program, SimError};
 
-/// A naive `ubd_m` estimate and the measurements behind it.
+/// A naive `ubd_m` estimate and the paired measurement behind it: the
+/// scua's execution time in isolation (`ExecTime_isol`) and against
+/// contenders (`ExecTime_rsk`), whose difference `det` is the total
+/// contention the bus inflicted (§1, §4.2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveEstimate {
-    /// `det / nr`, the slowdown-per-request reading.
+    /// `det / nr` rounded up (the conservative reading), the
+    /// slowdown-per-request estimate.
     pub ubd_m_det_over_nr: u64,
     /// The largest per-request delay visible on the performance counters
     /// (what an analyst with PMC access would report instead).
     pub ubd_m_max_gamma: u64,
-    /// The underlying paired measurement.
-    pub measurement: SlowdownMeasurement,
+    /// The scua run alone.
+    pub isolated: RunMeasurement,
+    /// The scua run against the stressing contenders.
+    pub contended: RunMeasurement,
 }
 
 impl NaiveEstimate {
+    /// Builds the estimate from a paired measurement, declining with
+    /// [`RunError::NoBusRequests`] when the isolated scua made no bus
+    /// requests (`nr = 0`, so `det / nr` is undefined).
+    fn new(isolated: RunMeasurement, contended: RunMeasurement) -> Result<Self, RunError> {
+        if isolated.bus_requests == 0 {
+            return Err(RunError::NoBusRequests);
+        }
+        let det = contended.execution_time.saturating_sub(isolated.execution_time);
+        Ok(NaiveEstimate {
+            ubd_m_det_over_nr: det.div_ceil(isolated.bus_requests),
+            ubd_m_max_gamma: contended.max_gamma().unwrap_or(0),
+            isolated,
+            contended,
+        })
+    }
+
+    /// `det = ExecTime_contended − ExecTime_isol`, the total contention.
+    pub fn det(&self) -> u64 {
+        self.contended.execution_time.saturating_sub(self.isolated.execution_time)
+    }
+
     /// The estimate an analyst would quote: the larger of the two
     /// readings (conservative practice).
     pub fn ubd_m(&self) -> u64 {
         self.ubd_m_det_over_nr.max(self.ubd_m_max_gamma)
-    }
-
-    fn from_measurement(measurement: SlowdownMeasurement) -> Result<Self, RunError> {
-        Ok(NaiveEstimate {
-            ubd_m_det_over_nr: measurement.naive_ubd_m().ok_or(RunError::NoBusRequests)?,
-            ubd_m_max_gamma: measurement.contended.gamma_histogram.max().unwrap_or(0),
-            measurement,
-        })
     }
 }
 
@@ -85,9 +103,7 @@ impl NaiveScenario {
     /// [`RunError::NoBusRequests`] when the scua never touched the bus.
     pub fn estimate(&self, outcomes: &[RunOutcome]) -> Result<NaiveEstimate, RunError> {
         assert_eq!(outcomes.len(), 2, "outcome count must match the plan");
-        let isolated = IsolatedRun::from(outcomes[0].measurement()?.clone());
-        let contended = ContendedRun::from(outcomes[1].measurement()?.clone());
-        NaiveEstimate::from_measurement(SlowdownMeasurement { isolated, contended })
+        NaiveEstimate::new(outcomes[0].measurement()?.clone(), outcomes[1].measurement()?.clone())
     }
 }
 
@@ -129,17 +145,7 @@ impl Scenario for NaiveScenario {
 }
 
 fn run_scenario(scenario: &NaiveScenario) -> Result<NaiveEstimate, RunError> {
-    let specs = scenario.plan().map_err(|e| match e {
-        ScenarioError::Config(e) => RunError::Sim(e),
-        ScenarioError::Analysis(msg) => RunError::Analysis(msg),
-    })?;
-    let results = Executor::new().execute(&specs).0;
-    let outcomes: Vec<RunOutcome> = specs
-        .into_iter()
-        .zip(results)
-        .map(|(spec, result)| RunOutcome { label: spec.label, result })
-        .collect();
-    scenario.estimate(&outcomes)
+    scenario.estimate(&scenario.outcomes(&Executor::new())?)
 }
 
 /// The "scua against rsk" estimator (§3.1): run an arbitrary software
@@ -227,18 +233,51 @@ mod tests {
     }
 
     #[test]
+    fn contention_slows_the_scua_down() {
+        let cfg = MachineConfig::ngmp_ref();
+        let e = naive_rsk_vs_rsk(&cfg, AccessKind::Load, 200).expect("run");
+        assert!(e.det() > 0, "contenders must slow the scua down");
+        // Each request suffers γ = 26 on the ref architecture.
+        let per_request = e.det() as f64 / e.isolated.bus_requests as f64;
+        assert!(
+            (20.0..=27.0).contains(&per_request),
+            "per-request contention {per_request} out of range"
+        );
+        assert!(e.contended.bus_utilization > 0.95);
+    }
+
+    #[test]
+    fn gamma_histogram_shows_synchrony_mode() {
+        let cfg = MachineConfig::ngmp_ref();
+        let e = naive_rsk_vs_rsk(&cfg, AccessKind::Load, 300).expect("run");
+        assert_eq!(e.contended.gamma_histogram.mode(), Some(26));
+        assert!(e.contended.gamma_histogram.fraction(26) > 0.9);
+    }
+
+    #[test]
+    fn naive_ubd_m_is_none_without_bus_requests() {
+        // A pure-compute scua has nr = 0; the estimator must decline
+        // rather than panic so batch campaigns can record it as a
+        // per-run error.
+        let run = |execution_time| RunMeasurement {
+            execution_time,
+            bus_requests: 0,
+            instructions: 50,
+            gamma_histogram: rrb_analysis::Histogram::new(),
+            mc_gamma_histogram: rrb_analysis::Histogram::new(),
+            contender_histogram: rrb_analysis::Histogram::new(),
+            bus_utilization: 0.99,
+            mc_utilization: None,
+        };
+        assert_eq!(NaiveEstimate::new(run(100), run(100)), Err(RunError::NoBusRequests));
+    }
+
+    #[test]
     fn naive_scenario_reports_metrics() {
         let cfg = MachineConfig::toy(4, 2);
         let scua = rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 120);
         let scenario = NaiveScenario::new(cfg, scua, AccessKind::Load).named("toy-naive");
-        let specs = scenario.plan().expect("plan");
-        let results = Executor::new().execute(&specs).0;
-        let outcomes: Vec<RunOutcome> = specs
-            .into_iter()
-            .zip(results)
-            .map(|(s, result)| RunOutcome { label: s.label, result })
-            .collect();
-        let report = scenario.analyze(&outcomes);
+        let report = scenario.analyze(&scenario.outcomes(&Executor::new()).expect("plan"));
         assert!(report.is_ok());
         assert_eq!(report.metric_u64("ubd_m_max_gamma"), Some(5));
     }

@@ -11,7 +11,8 @@
 //!   data, no execution;
 //! * the [`Campaign`](crate::campaign::Campaign) runner executes the
 //!   specs (serially or across a scoped thread pool, with shared runs
-//!   deduplicated);
+//!   deduplicated) — or, for one scenario on its own,
+//!   [`Scenario::outcomes`] executes its plan on an [`Executor`];
 //! * [`Scenario::analyze`] folds the measurements into a
 //!   [`ScenarioReport`] of named metrics.
 //!
@@ -21,6 +22,7 @@
 //! plan order no matter how execution was scheduled.
 
 use crate::campaign::{RunError, RunMeasurement, RunSpec};
+use crate::executor::Executor;
 use crate::json::Json;
 use rrb_analysis::sawtooth::detect_period;
 use rrb_kernels::{AccessKind, KernelSpec};
@@ -80,6 +82,15 @@ impl Error for ScenarioError {
 impl From<SimError> for ScenarioError {
     fn from(e: SimError) -> Self {
         ScenarioError::Config(e)
+    }
+}
+
+impl From<ScenarioError> for RunError {
+    fn from(e: ScenarioError) -> Self {
+        match e {
+            ScenarioError::Config(e) => RunError::Sim(e),
+            ScenarioError::Analysis(msg) => RunError::Analysis(msg),
+        }
     }
 }
 
@@ -234,6 +245,25 @@ pub trait Scenario {
     /// Reduces the outcomes (in plan order) to a report. Must tolerate
     /// per-run errors: failed runs arrive as `Err` outcomes.
     fn analyze(&self, outcomes: &[RunOutcome]) -> ScenarioReport;
+
+    /// Plans this scenario alone and executes the plan on `executor`,
+    /// returning the outcomes in plan order — what a one-scenario
+    /// [`Campaign`](crate::campaign::Campaign) would hand
+    /// [`Scenario::analyze`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ScenarioError`] of a plan that could not be built;
+    /// failed runs are `Err` outcomes, not errors.
+    fn outcomes(&self, executor: &Executor) -> Result<Vec<RunOutcome>, ScenarioError> {
+        let specs = self.plan()?;
+        let (results, _) = executor.execute(&specs);
+        Ok(specs
+            .into_iter()
+            .zip(results)
+            .map(|(spec, result)| RunOutcome { label: spec.label, result })
+            .collect())
+    }
 }
 
 /// A raw slowdown sweep: `d_bus(t, k)` for `k = 0..=max_k` — the series
@@ -365,7 +395,6 @@ impl Scenario for SweepScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Executor;
 
     #[test]
     fn report_builder_round_trips() {
@@ -389,13 +418,8 @@ mod tests {
     #[test]
     fn sweep_scenario_recovers_toy_period() {
         let s = SweepScenario::new(MachineConfig::toy(4, 2), 14, 80).named("toy-sweep");
-        let specs = s.plan().expect("plan");
-        assert_eq!(specs.len(), 30, "an isolated/contended pair per k");
-        let outcomes: Vec<RunOutcome> = specs
-            .iter()
-            .zip(Executor::new().execute(&specs).0)
-            .map(|(spec, result)| RunOutcome { label: spec.label.clone(), result })
-            .collect();
+        let outcomes = s.outcomes(&Executor::new()).expect("plan");
+        assert_eq!(outcomes.len(), 30, "an isolated/contended pair per k");
         let report = s.analyze(&outcomes);
         assert!(report.is_ok(), "{report:?}");
         assert_eq!(report.metric_u64("period"), Some(6));

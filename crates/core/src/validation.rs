@@ -210,17 +210,7 @@ pub fn validate_gamma_model(
     iterations: u64,
 ) -> Result<ValidationReport, RunError> {
     let scenario = GammaValidationScenario::new(cfg.clone(), max_k, iterations);
-    let specs = scenario.plan().map_err(|e| match e {
-        ScenarioError::Config(e) => RunError::Sim(e),
-        ScenarioError::Analysis(msg) => RunError::Analysis(msg),
-    })?;
-    let results = Executor::new().execute(&specs).0;
-    let outcomes: Vec<RunOutcome> = specs
-        .into_iter()
-        .zip(results)
-        .map(|(spec, result)| RunOutcome { label: spec.label, result })
-        .collect();
-    scenario.report(&outcomes)
+    scenario.report(&scenario.outcomes(&Executor::new())?)
 }
 
 #[cfg(test)]
@@ -267,14 +257,7 @@ mod tests {
     fn scenario_analyze_reports_agreement() {
         let cfg = MachineConfig::toy(4, 2);
         let scenario = GammaValidationScenario::new(cfg, 6, 120).named("toy-validate");
-        let specs = scenario.plan().expect("plan");
-        let results = Executor::new().jobs(2).execute(&specs).0;
-        let outcomes: Vec<RunOutcome> = specs
-            .into_iter()
-            .zip(results)
-            .map(|(s, result)| RunOutcome { label: s.label, result })
-            .collect();
-        let report = scenario.analyze(&outcomes);
+        let report = scenario.analyze(&scenario.outcomes(&Executor::new().jobs(2)).expect("plan"));
         assert!(report.is_ok());
         assert_eq!(report.metric_u64("disagreements"), Some(0));
         assert_eq!(report.metric_u64("points"), Some(7));

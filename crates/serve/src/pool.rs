@@ -1,6 +1,7 @@
 //! The daemon's worker pool: long-lived threads executing [`RunSpec`]s
-//! through the `rrb` [`Executor`] against one shared [`ResultStore`].
-//! Each worker keeps one warm [`MachineArena`] across jobs, so
+//! against one shared [`ResultStore`]. Each worker keeps one warm
+//! [`MachineArena`] across jobs (the same per-worker arena the `rrb`
+//! `Executor` uses for a batch), so
 //! back-to-back runs reset an existing machine instead of rebuilding
 //! one — the daemon's steady-state fast path.
 //!
@@ -19,7 +20,7 @@
 //! This module is on the lint-enforced no-panic path (`lint_sources`).
 
 use rrb::campaign::{RunError, RunMeasurement, RunSource, RunSpec};
-use rrb::executor::{Executor, MachineArena};
+use rrb::executor::MachineArena;
 use rrb::store::ResultStore;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -116,7 +117,6 @@ impl WorkerPool {
 }
 
 fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
-    let executor = Executor::new();
     let mut arena = MachineArena::new();
     loop {
         // Recover the receiver even if a previous holder panicked while
@@ -129,7 +129,7 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
         drop(guard); // release the queue while simulating
         let Ok(job) = job else { return }; // queue closed: shutdown
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            executor.run_in(&mut arena, &job.spec, job.store.as_deref())
+            arena.execute_stored(&job.spec, job.store.as_deref())
         }));
         let (result, source, warnings) = match outcome {
             Ok(outcome) => outcome,

@@ -133,7 +133,7 @@ impl RunSummary {
 /// The simulated multicore.
 ///
 /// Fields are crate-visible so the fast-forward module
-/// ([`crate::fastforward`]) can fingerprint and shift the whole machine
+/// (`fastforward`) can fingerprint and shift the whole machine
 /// state without a wide accessor surface.
 #[derive(Debug)]
 pub struct Machine {

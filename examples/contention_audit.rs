@@ -11,10 +11,11 @@
 //! 3. Pad the execution-time bound: `ETB = ExecTime_isol + nr × ubd_m`.
 //! 4. Sanity-check the bound against actual contended runs.
 
-use rrb::experiment::{run_contended, run_isolated};
+use rrb::campaign::RunSpec;
+use rrb::executor::Executor;
 use rrb::methodology::{derive_ubd, MethodologyConfig};
 use rrb_analysis::EtbPadding;
-use rrb_kernels::{rsk, AccessKind, AutobenchKernel};
+use rrb_kernels::{AccessKind, AutobenchKernel};
 use rrb_sim::{CoreId, MachineConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The software component under analysis: an automotive kernel.
     let kernel = AutobenchKernel::Canrdr;
     let scua = kernel.profile().program(&cfg, CoreId::new(0), 1234, Some(400));
-    let isolated = run_isolated(&cfg, scua.clone())?;
+    let isolated =
+        Executor::new().run(&RunSpec::isolated(kernel.to_string(), cfg.clone(), scua.clone()))?;
     println!(
         "{kernel}: isolation time {} cycles, {} bus requests",
         isolated.execution_time, isolated.bus_requests
@@ -43,7 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Validation: no contended run may exceed the bound.
     for trial in 0..3 {
-        let contended = run_contended(&cfg, scua.clone(), |c| rsk(AccessKind::Load, &cfg, c))?;
+        let spec = RunSpec::contended_rsk(
+            format!("trial {trial}"),
+            cfg.clone(),
+            scua.clone(),
+            AccessKind::Load,
+        );
+        let contended = Executor::new().run(&spec)?;
         let slack = etb as i64 - contended.execution_time as i64;
         println!(
             "trial {trial}: contended time {} cycles (ETB slack {slack} cycles, max gamma {})",

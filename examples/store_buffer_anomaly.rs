@@ -12,10 +12,11 @@
 //! has a free slot before the next store arrives and hides the bus
 //! latency entirely.
 
-use rrb::experiment::measure_slowdown;
+use rrb::executor::Executor;
 use rrb::report;
-use rrb_kernels::{rsk, rsk_nop, AccessKind};
-use rrb_sim::{CoreId, MachineConfig};
+use rrb::scenario::{Scenario, SweepScenario};
+use rrb_kernels::AccessKind;
+use rrb_sim::MachineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = MachineConfig::ngmp_ref();
@@ -23,12 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let max_k = 70;
 
     println!("store rsk-nop(k) against 3 load rsk — slowdown vs k\n");
-    let mut slowdowns = Vec::new();
-    for k in 0..=max_k {
-        let scua = rsk_nop(AccessKind::Store, k, &cfg, CoreId::new(0), iterations);
-        let m = measure_slowdown(&cfg, scua, |c| rsk(AccessKind::Load, &cfg, c))?;
-        slowdowns.push(m.det());
-    }
+    let sweep = SweepScenario::new(cfg.clone(), max_k, iterations)
+        .access(AccessKind::Store)
+        .contenders(AccessKind::Load);
+    let slowdowns = sweep.slowdowns(&sweep.outcomes(&Executor::new())?)?;
 
     println!("{}", report::render_sawtooth(&slowdowns, 10));
 

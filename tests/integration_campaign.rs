@@ -4,8 +4,9 @@
 //! future scenarios) relies on.
 
 use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
+use rrb::executor::Executor;
 use rrb::methodology::{derive_ubd, MethodologyConfig, UbdScenario};
-use rrb::scenario::{RunOutcome, Scenario};
+use rrb::scenario::Scenario;
 use rrb_kernels::AccessKind;
 use rrb_sim::{ArbiterKind, MachineConfig};
 
@@ -45,17 +46,19 @@ fn parallel_campaign_output_is_byte_identical_to_serial() {
 #[test]
 fn baseline_cache_returns_the_same_numbers_as_uncached_runs() {
     let grid = four_way_grid();
-    let cached = Campaign::builder().grid(&grid).dedup(true).build().run();
-    let uncached = Campaign::builder().grid(&grid).dedup(false).build().run();
+    let cached = Campaign::builder().grid(&grid).build().run();
 
-    // The cache must be invisible in the results...
-    assert_eq!(cached.to_json(), uncached.to_json());
-    assert_eq!(cached.to_csv(), uncached.to_csv());
+    // The cache must be invisible in the results: every scenario,
+    // planned and executed on its own, reports exactly what the
+    // deduplicated campaign reported...
+    assert_eq!(cached.reports.len(), grid.cell_count());
+    for (scenario, report) in grid.scenarios().iter().zip(&cached.reports) {
+        let outcomes = scenario.outcomes(&Executor::new()).expect("plan");
+        assert_eq!(&scenario.analyze(&outcomes), report);
+    }
 
     // ...and it must actually be working: the two contender accesses
     // share every isolated baseline and the calibration run.
-    assert_eq!(uncached.stats.cache_hits, 0);
-    assert_eq!(uncached.stats.executed_runs, uncached.stats.planned_runs);
     assert!(
         cached.stats.cache_hits > 0,
         "grid with shared baselines must hit the cache: {:?}",
@@ -132,12 +135,7 @@ fn campaign_derivation_matches_direct_derive_ubd() {
     let direct = derive_ubd(&cfg, &mcfg).expect("direct derivation");
 
     let scenario = UbdScenario::new(cfg, mcfg).named("via-campaign");
-    let specs = scenario.plan().expect("plan");
-    let outcomes: Vec<RunOutcome> = specs
-        .iter()
-        .zip(rrb::executor::Executor::new().jobs(8).execute(&specs).0)
-        .map(|(spec, result)| RunOutcome { label: spec.label.clone(), result })
-        .collect();
+    let outcomes = scenario.outcomes(&Executor::new().jobs(8)).expect("plan");
     let via_campaign = scenario.derivation(&outcomes).expect("campaign derivation");
 
     assert_eq!(direct, via_campaign);

@@ -101,17 +101,21 @@ fn methodology_handles_slow_nops_coprime_to_ubd() {
 #[test]
 fn etb_padding_from_derivation_is_sound() {
     // §4.3: pad = nr x ubd_m bounds any contended run.
-    use rrb::experiment::{run_contended, run_isolated};
-    use rrb_kernels::{rsk, rsk_nop};
+    use rrb::campaign::RunSpec;
+    use rrb::executor::Executor;
+    use rrb_kernels::rsk_nop;
     use rrb_sim::CoreId;
 
     let cfg = MachineConfig::ngmp_ref();
     let d = derive_ubd(&cfg, &sweep()).expect("derivation");
     let scua = rsk_nop(AccessKind::Load, 2, &cfg, CoreId::new(0), 300);
-    let isolated = run_isolated(&cfg, scua.clone()).expect("isolated");
+    let isolated = Executor::new()
+        .run(&RunSpec::isolated("isolated", cfg.clone(), scua.clone()))
+        .expect("isolated");
     let etb = EtbPadding::new(isolated.bus_requests, d.ubd_m).etb(isolated.execution_time);
-    let contended =
-        run_contended(&cfg, scua, |c| rsk(AccessKind::Load, &cfg, c)).expect("contended");
+    let contended = Executor::new()
+        .run(&RunSpec::contended_rsk("contended", cfg, scua, AccessKind::Load))
+        .expect("contended");
     assert!(
         contended.execution_time <= etb,
         "contended {} must fit under ETB {etb}",

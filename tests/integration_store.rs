@@ -260,11 +260,7 @@ fn store_lookup_respects_label_independence_like_dedup() {
     let cfg = MachineConfig::toy(4, 2);
     let scua = rrb_kernels::rsk_nop(AccessKind::Load, 1, &cfg, rrb_sim::CoreId::new(0), 40);
     let spec = rrb::campaign::RunSpec::isolated("original", cfg, scua);
-    let (result, _, _) = rrb::executor::Executor::new().run_in(
-        &mut rrb::executor::MachineArena::new(),
-        &spec,
-        Some(&store),
-    );
+    let (result, _, _) = rrb::executor::MachineArena::new().execute_stored(&spec, Some(&store));
     let measurement = result.expect("run succeeds");
     let mut renamed = spec.clone();
     renamed.label = String::from("renamed");

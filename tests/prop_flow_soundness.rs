@@ -14,87 +14,11 @@
 //! Cases are drawn from the workspace's deterministic [`KernelRng`], so
 //! a failure reproduces exactly.
 
+mod common;
+
+use common::{for_cases, random_machine, random_workload};
 use rrb::statics::{classified_profile, compose_flow, profile_program, CoreProfile, StaticBound};
-use rrb_kernels::{rsk, AccessKind, KernelRng, RskBuilder};
-use rrb_sim::{ArbiterKind, CoreId, Machine, MachineConfig, McQueueConfig, Program, ResourceId};
-
-/// Runs `body` for `cases` pseudo-random cases drawn from a fixed seed.
-fn for_cases(seed: u64, cases: usize, mut body: impl FnMut(&mut KernelRng)) {
-    let mut rng = KernelRng::seed_from_u64(seed);
-    for _ in 0..cases {
-        body(&mut rng);
-    }
-}
-
-/// A random bus arbiter that cannot starve by construction (TDMA slots
-/// always fit the worst occupancy).
-fn random_arbiter(rng: &mut KernelRng, num_cores: usize, worst_occ: u64) -> ArbiterKind {
-    match rng.gen_below(5) {
-        0 => ArbiterKind::RoundRobin,
-        1 => ArbiterKind::Fifo,
-        2 => ArbiterKind::FixedPriority,
-        3 => ArbiterKind::Tdma { slot_cycles: worst_occ + rng.gen_below(4) },
-        _ => ArbiterKind::GroupedRoundRobin {
-            group_size: rng.gen_range(1, num_cores as u64 + 1) as usize,
-        },
-    }
-}
-
-/// A random machine: 2-4 cores, bus latency 1-4, one of the five bus
-/// arbiters, and (most of the time, since the flow layer is what is
-/// under test) a chained memory-controller queue. Service occupancies
-/// both below and above the bus transfer phase are drawn, so the mc
-/// term exercises the serialised-to-zero path *and* the queueing
-/// fallback.
-fn random_machine(rng: &mut KernelRng) -> MachineConfig {
-    let num_cores = rng.gen_range(2, 5) as usize;
-    let l_bus = rng.gen_range(1, 5);
-    let mut cfg = MachineConfig::toy(num_cores, l_bus);
-    cfg.topology.bus.arbiter = random_arbiter(rng, num_cores, l_bus);
-    if rng.gen_below(4) != 0 {
-        cfg.topology.mc = Some(McQueueConfig {
-            service_occupancy: rng.gen_range(1, 7),
-            arbiter: if rng.gen_below(2) == 0 {
-                ArbiterKind::RoundRobin
-            } else {
-                ArbiterKind::Fifo
-            },
-        });
-    }
-    cfg
-}
-
-/// The workload under test: a finite rsk-nop on core 0 (the paper's
-/// software-under-analysis shape) and a random contender per other core.
-fn random_workload(rng: &mut KernelRng, cfg: &MachineConfig) -> Vec<Program> {
-    let access = |rng: &mut KernelRng| {
-        if rng.gen_below(2) == 0 {
-            AccessKind::Load
-        } else {
-            AccessKind::Store
-        }
-    };
-    let fp = cfg.topology.bus.arbiter == ArbiterKind::FixedPriority;
-    let scua = RskBuilder::new(access(rng))
-        .nops(rng.gen_below(8) as usize)
-        .iterations(rng.gen_range(10, 50))
-        .build(cfg, CoreId::new(0));
-    let mut programs = vec![scua];
-    for core in 1..cfg.num_cores {
-        let core = CoreId::new(core);
-        if !fp && rng.gen_below(3) == 0 {
-            programs.push(
-                RskBuilder::new(access(rng))
-                    .nops(rng.gen_below(4) as usize)
-                    .iterations(rng.gen_range(10, 40))
-                    .build(cfg, core),
-            );
-        } else {
-            programs.push(rsk(access(rng), cfg, core));
-        }
-    }
-    programs
-}
+use rrb_sim::{ArbiterKind, CoreId, Machine, McQueueConfig, ResourceId};
 
 /// The core property chain: `measured composed γ (core 0) ≤ flow
 /// composed ≤ classified saturating sum`, and the flow bound also never
@@ -102,7 +26,7 @@ fn random_workload(rng: &mut KernelRng, cfg: &MachineConfig) -> Vec<Program> {
 #[test]
 fn flow_composed_bound_dominates_measured_composed_gamma() {
     for_cases(0x46, 24, |rng| {
-        let cfg = random_machine(rng);
+        let cfg = random_machine(rng, |r| r.gen_below(4) != 0, 6);
         let programs = random_workload(rng, &cfg);
         let profiles: Vec<CoreProfile> = programs
             .iter()
@@ -163,7 +87,7 @@ fn flow_composed_bound_dominates_measured_composed_gamma() {
 #[test]
 fn serialised_work_conserving_controller_never_queues() {
     for_cases(0x47, 24, |rng| {
-        let mut cfg = random_machine(rng);
+        let mut cfg = random_machine(rng, |r| r.gen_below(4) != 0, 6);
         let transfer = cfg.topology.bus.transfer_occupancy;
         cfg.topology.mc = Some(McQueueConfig {
             service_occupancy: rng.gen_range(1, transfer + 1),

@@ -8,19 +8,15 @@
 //! The case generator is the workspace's own deterministic
 //! [`KernelRng`] (std-only, fixed seeds), so failures reproduce exactly.
 
+mod common;
+
 use rrb_analysis::gamma::{ubd_from_parameters, GammaModel};
 use rrb_analysis::sawtooth::{detect_period, exact_period, ubd_candidates};
 use rrb_analysis::{EtbPadding, Histogram};
 use rrb_kernels::{rsk, KernelRng, RskBuilder};
 use rrb_sim::{CoreId, Instr, Machine, MachineConfig, Program};
 
-/// Runs `body` for `cases` pseudo-random cases drawn from a fixed seed.
-fn for_cases(seed: u64, cases: usize, mut body: impl FnMut(&mut KernelRng)) {
-    let mut rng = KernelRng::seed_from_u64(seed);
-    for _ in 0..cases {
-        body(&mut rng);
-    }
-}
+use common::for_cases;
 
 // ---------- Eq. 2 algebra ----------
 

@@ -11,95 +11,20 @@
 //! exceed. Cases are drawn from the workspace's deterministic
 //! [`KernelRng`], so a failure reproduces exactly.
 
+mod common;
+
+use common::{for_cases, random_machine, random_workload};
 use rrb::statics::{profile_program, CoreProfile, StaticBound};
-use rrb_kernels::{rsk, AccessKind, KernelRng, RskBuilder};
 use rrb_sim::{
-    ArbiterKind, CoreId, Machine, MachineConfig, McQueueConfig, Program, ResourceId, ResourceKind,
+    ArbiterKind, CoreId, Machine, MachineConfig, McQueueConfig, ResourceId, ResourceKind,
 };
-
-/// Runs `body` for `cases` pseudo-random cases drawn from a fixed seed.
-fn for_cases(seed: u64, cases: usize, mut body: impl FnMut(&mut KernelRng)) {
-    let mut rng = KernelRng::seed_from_u64(seed);
-    for _ in 0..cases {
-        body(&mut rng);
-    }
-}
-
-/// A random bus arbiter that cannot starve by construction (TDMA slots
-/// always fit the worst occupancy — a too-short slot is *meant* to be
-/// unbounded and is lint's job to reject, not this property's).
-fn random_arbiter(rng: &mut KernelRng, num_cores: usize, worst_occ: u64) -> ArbiterKind {
-    match rng.gen_below(5) {
-        0 => ArbiterKind::RoundRobin,
-        1 => ArbiterKind::Fifo,
-        2 => ArbiterKind::FixedPriority,
-        3 => ArbiterKind::Tdma { slot_cycles: worst_occ + rng.gen_below(4) },
-        _ => ArbiterKind::GroupedRoundRobin {
-            group_size: rng.gen_range(1, num_cores as u64 + 1) as usize,
-        },
-    }
-}
-
-/// A random machine: 2-4 cores, bus latency 1-4, one of the five bus
-/// arbiters, and (half the time) a chained memory-controller queue.
-fn random_machine(rng: &mut KernelRng) -> MachineConfig {
-    let num_cores = rng.gen_range(2, 5) as usize;
-    let l_bus = rng.gen_range(1, 5);
-    let mut cfg = MachineConfig::toy(num_cores, l_bus);
-    cfg.topology.bus.arbiter = random_arbiter(rng, num_cores, l_bus);
-    if rng.gen_below(2) == 0 {
-        cfg.topology.mc = Some(McQueueConfig {
-            service_occupancy: rng.gen_range(1, 4),
-            arbiter: if rng.gen_below(2) == 0 {
-                ArbiterKind::RoundRobin
-            } else {
-                ArbiterKind::Fifo
-            },
-        });
-    }
-    cfg
-}
-
-/// The workload under test: a finite rsk-nop on core 0 (the paper's
-/// software-under-analysis shape) and a random contender per other core.
-/// Under fixed priority every contender is endless, so the whole-run
-/// window is anchored by core 0 alone and the analysis stays finite.
-fn random_workload(rng: &mut KernelRng, cfg: &MachineConfig) -> Vec<Program> {
-    let access = |rng: &mut KernelRng| {
-        if rng.gen_below(2) == 0 {
-            AccessKind::Load
-        } else {
-            AccessKind::Store
-        }
-    };
-    let fp = cfg.topology.bus.arbiter == ArbiterKind::FixedPriority;
-    let scua = RskBuilder::new(access(rng))
-        .nops(rng.gen_below(8) as usize)
-        .iterations(rng.gen_range(10, 50))
-        .build(cfg, CoreId::new(0));
-    let mut programs = vec![scua];
-    for core in 1..cfg.num_cores {
-        let core = CoreId::new(core);
-        if !fp && rng.gen_below(3) == 0 {
-            programs.push(
-                RskBuilder::new(access(rng))
-                    .nops(rng.gen_below(4) as usize)
-                    .iterations(rng.gen_range(10, 40))
-                    .build(cfg, core),
-            );
-        } else {
-            programs.push(rsk(access(rng), cfg, core));
-        }
-    }
-    programs
-}
 
 /// The core property: a finite static per-resource bound dominates every
 /// observed per-request delay at that resource, on every core.
 #[test]
 fn static_bound_dominates_observed_gamma() {
     for_cases(0x30, 24, |rng| {
-        let cfg = random_machine(rng);
+        let cfg = random_machine(rng, |r| r.gen_below(2) == 0, 3);
         let programs = random_workload(rng, &cfg);
         let profiles: Vec<CoreProfile> =
             programs.iter().map(|p| profile_program(p, &cfg)).collect();
@@ -166,7 +91,7 @@ fn saturating_round_robin_bound_is_exactly_eq1() {
 #[test]
 fn grid_shaped_workloads_always_get_finite_bounds() {
     for_cases(0x32, 24, |rng| {
-        let cfg = random_machine(rng);
+        let cfg = random_machine(rng, |r| r.gen_below(2) == 0, 3);
         let programs = random_workload(rng, &cfg);
         let profiles: Vec<CoreProfile> =
             programs.iter().map(|p| profile_program(p, &cfg)).collect();

@@ -12,93 +12,20 @@
 //! Cases are drawn from the workspace's deterministic [`KernelRng`], so
 //! a failure reproduces exactly.
 
+mod common;
+
+use common::{for_cases, random_arbiter, random_machine, random_workload};
 use rrb::campaign::{CampaignGrid, GridScenario};
 use rrb::statics::{exact_bounds, profile_program, CoreProfile, StaticBound, VerifyOptions};
 use rrb::verify::{replay_cell_witnesses, verify_grid};
-use rrb_kernels::{rsk, AccessKind, KernelRng, RskBuilder};
-use rrb_sim::{ArbiterKind, CoreId, MachineConfig, McQueueConfig, Program};
-
-/// Runs `body` for `cases` pseudo-random cases drawn from a fixed seed.
-fn for_cases(seed: u64, cases: usize, mut body: impl FnMut(&mut KernelRng)) {
-    let mut rng = KernelRng::seed_from_u64(seed);
-    for _ in 0..cases {
-        body(&mut rng);
-    }
-}
-
-/// A random bus arbiter that cannot starve by construction (TDMA slots
-/// always fit the worst occupancy).
-fn random_arbiter(rng: &mut KernelRng, num_cores: usize, worst_occ: u64) -> ArbiterKind {
-    match rng.gen_below(5) {
-        0 => ArbiterKind::RoundRobin,
-        1 => ArbiterKind::Fifo,
-        2 => ArbiterKind::FixedPriority,
-        3 => ArbiterKind::Tdma { slot_cycles: worst_occ + rng.gen_below(4) },
-        _ => ArbiterKind::GroupedRoundRobin {
-            group_size: rng.gen_range(1, num_cores as u64 + 1) as usize,
-        },
-    }
-}
-
-/// A random machine: 2-4 cores, bus latency 1-4, one of the five bus
-/// arbiters, and (half the time) a chained memory-controller queue.
-fn random_machine(rng: &mut KernelRng) -> MachineConfig {
-    let num_cores = rng.gen_range(2, 5) as usize;
-    let l_bus = rng.gen_range(1, 5);
-    let mut cfg = MachineConfig::toy(num_cores, l_bus);
-    cfg.topology.bus.arbiter = random_arbiter(rng, num_cores, l_bus);
-    if rng.gen_below(2) == 0 {
-        cfg.topology.mc = Some(McQueueConfig {
-            service_occupancy: rng.gen_range(1, 4),
-            arbiter: if rng.gen_below(2) == 0 {
-                ArbiterKind::RoundRobin
-            } else {
-                ArbiterKind::Fifo
-            },
-        });
-    }
-    cfg
-}
-
-/// A grid-shaped workload: a finite rsk-nop on core 0 and a random
-/// contender per other core (endless under fixed priority, so the
-/// whole-run window stays anchored by core 0 alone).
-fn random_workload(rng: &mut KernelRng, cfg: &MachineConfig) -> Vec<Program> {
-    let access = |rng: &mut KernelRng| {
-        if rng.gen_below(2) == 0 {
-            AccessKind::Load
-        } else {
-            AccessKind::Store
-        }
-    };
-    let fp = cfg.topology.bus.arbiter == ArbiterKind::FixedPriority;
-    let scua = RskBuilder::new(access(rng))
-        .nops(rng.gen_below(8) as usize)
-        .iterations(rng.gen_range(10, 50))
-        .build(cfg, CoreId::new(0));
-    let mut programs = vec![scua];
-    for core in 1..cfg.num_cores {
-        let core = CoreId::new(core);
-        if !fp && rng.gen_below(3) == 0 {
-            programs.push(
-                RskBuilder::new(access(rng))
-                    .nops(rng.gen_below(4) as usize)
-                    .iterations(rng.gen_range(10, 40))
-                    .build(cfg, core),
-            );
-        } else {
-            programs.push(rsk(access(rng), cfg, core));
-        }
-    }
-    programs
-}
+use rrb_sim::{ArbiterKind, MachineConfig, McQueueConfig};
 
 /// Property 1: where the static analyzer claims a finite per-resource
 /// bound, the exhaustive exact worst case exists and never exceeds it.
 #[test]
 fn exact_never_exceeds_a_finite_static_bound() {
     for_cases(0x40, 20, |rng| {
-        let cfg = random_machine(rng);
+        let cfg = random_machine(rng, |r| r.gen_below(2) == 0, 3);
         let programs = random_workload(rng, &cfg);
         let profiles: Vec<CoreProfile> =
             programs.iter().map(|p| profile_program(p, &cfg)).collect();
@@ -134,7 +61,7 @@ fn exact_never_exceeds_a_finite_static_bound() {
 #[test]
 fn witnesses_replay_to_their_claimed_delay() {
     for_cases(0x41, 20, |rng| {
-        let cfg = random_machine(rng);
+        let cfg = random_machine(rng, |r| r.gen_below(2) == 0, 3);
         let programs = random_workload(rng, &cfg);
         let profiles: Vec<CoreProfile> =
             programs.iter().map(|p| profile_program(p, &cfg)).collect();
