@@ -1,0 +1,50 @@
+//! Benchmark of the bound-analysis layer on one cell — the `ngmp_ref`
+//! four-core bus+mc round-robin derive cell: must/may cache
+//! classification of the cell's kernels, then the static analysis,
+//! the model check and the spec lint built on it (std-only harness;
+//! `harness = false`).
+//!
+//! ```sh
+//! cargo bench -p rrb-bench --bench analysis_cost
+//! ```
+
+use rrb::analyze::analyze_grid_cell;
+use rrb::campaign::{CampaignGrid, GridScenario};
+use rrb::kernels::{rsk, rsk_nop};
+use rrb::lint::lint_spec;
+use rrb::spec::ExperimentSpec;
+use rrb::statics::{classify_accesses, VerifyOptions};
+use rrb::verify::verify_grid_cell;
+use rrb_bench::bench;
+use rrb_sim::{ArbiterKind, CoreId, MachineConfig};
+use std::hint::black_box;
+
+fn main() {
+    let grid = CampaignGrid::new(GridScenario::Derive, MachineConfig::ngmp_two_level())
+        .arbiters(vec![ArbiterKind::RoundRobin])
+        .cores(vec![4]);
+    let spec = ExperimentSpec::from_grid("ngmp_ref_bus_mc_rr_c4", &grid);
+    let cell = grid.cells().remove(0);
+    let cfg = &cell.cfg;
+    let scua = CoreId::new(0);
+    let stressor = rsk(cell.access, cfg, scua);
+    let swept = rsk_nop(cell.access, cell.max_k, cfg, scua, cell.iterations);
+    let opts = VerifyOptions::default();
+
+    println!("analysis cost: {}", cell.name);
+    bench("classify_accesses/rsk", 5, 50, || {
+        black_box(classify_accesses(&stressor, cfg, scua));
+    });
+    bench(&format!("classify_accesses/rsk-nop({})", cell.max_k), 5, 50, || {
+        black_box(classify_accesses(&swept, cfg, scua));
+    });
+    bench("analyze_grid_cell", 5, 50, || {
+        black_box(analyze_grid_cell(&cell));
+    });
+    bench("verify_grid_cell", 2, 20, || {
+        black_box(verify_grid_cell(&cell, &opts));
+    });
+    bench("lint_spec", 5, 50, || {
+        black_box(lint_spec(&spec));
+    });
+}

@@ -364,8 +364,9 @@ pub fn lint_spec(spec: &ExperimentSpec) -> Vec<LintFinding> {
                 );
             }
             lint_kernel(&mut lint, &cpath, contender, machine);
-            if let Ok(program) = contender.try_build(machine, CoreId::new(j + 1)) {
-                if steady_state_silent(&program, machine) {
+            let core = CoreId::new(j + 1);
+            if let Ok(program) = contender.try_build(machine, core) {
+                if steady_state_silent(&program, machine, core) {
                     lint.warning(
                         &cpath,
                         "contender never posts a bus or memory-controller request; \

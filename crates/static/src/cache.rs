@@ -25,7 +25,14 @@
 //! Replay over a loop body is run iteration by iteration until the
 //! (replacement-normalised) cache state repeats, which proves the per-
 //! iteration outcome vector periodic: the classification then covers
-//! *every* future iteration, not just the replayed prefix. Programs that
+//! *every* future iteration, not just the replayed prefix. Each model
+//! stores its lines flat and remembers which sets it has touched, and
+//! the state fingerprint covers only those sets. That is exact: the
+//! model never invalidates, so a touched set keeps a valid line and can
+//! never return to the all-invalid untouched state, and two states have
+//! equal touched-set fingerprints exactly when every set agrees. A loop
+//! that touches a few dozen sets pays for those, not for every set of
+//! the IL1, the DL1 and the L2 partition. Programs that
 //! do not converge within the iteration cap — or that use random
 //! replacement, whose victim choice depends on the absolute access count —
 //! fall back to the classic worst-case envelope.
@@ -138,8 +145,11 @@ pub struct AccessClasses {
 }
 
 /// Replacement-normalised state of one cache (see
-/// [`ModelCache::fingerprint`]).
-type Fingerprint = Vec<Vec<(u64, bool, usize)>>;
+/// [`ModelCache::fingerprint`]): one `(set, tag, valid, rank)` entry per
+/// way of every *touched* set, in set-index order. Untouched sets are
+/// left out; that is exact because a touched set never returns to the
+/// all-invalid untouched state (see [`ModelCache::fingerprint`]).
+type Fingerprint = Vec<(usize, u64, bool, usize)>;
 
 /// A tag-only cache that mirrors [`rrb_sim::Cache`]'s replacement
 /// behaviour exactly (LRU stamp refresh on hit, invalid-first victim
@@ -147,7 +157,12 @@ type Fingerprint = Vec<Vec<(u64, bool, usize)>>;
 #[derive(Debug, Clone)]
 struct ModelCache {
     line_bytes: u64,
-    sets: Vec<Vec<ModelLine>>,
+    sets: u64,
+    ways: usize,
+    /// Every line, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<ModelLine>,
+    /// Indices of the sets accessed so far, ascending.
+    touched: Vec<usize>,
     replacement: Replacement,
     clock: u64,
     hits: u64,
@@ -163,12 +178,14 @@ struct ModelLine {
 
 impl ModelCache {
     fn new(cfg: &CacheConfig) -> ModelCache {
-        let sets = (0..cfg.sets())
-            .map(|_| (0..cfg.ways).map(|_| ModelLine { tag: 0, valid: false, stamp: 0 }).collect())
-            .collect();
+        let sets = cfg.sets();
+        let ways = cfg.ways as usize;
         ModelCache {
             line_bytes: cfg.line_bytes.max(1),
             sets,
+            ways,
+            lines: vec![ModelLine { tag: 0, valid: false, stamp: 0 }; sets as usize * ways],
+            touched: Vec::new(),
             replacement: cfg.replacement,
             clock: 0,
             hits: 0,
@@ -177,16 +194,20 @@ impl ModelCache {
     }
 
     fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) % self.sets.len() as u64) as usize
+        ((addr / self.line_bytes) % self.sets) as usize
     }
 
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets.len() as u64
+        addr / self.line_bytes / self.sets
+    }
+
+    fn set(&self, idx: usize) -> &[ModelLine] {
+        &self.lines[idx * self.ways..(idx + 1) * self.ways]
     }
 
     fn probe(&self, addr: u64) -> bool {
         let tag = self.tag(addr);
-        self.sets[self.set_index(addr)].iter().any(|l| l.valid && l.tag == tag)
+        self.set(self.set_index(addr)).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Mirrors `Cache::touch`: returns whether the access hit.
@@ -196,13 +217,20 @@ impl ModelCache {
         let tag = self.tag(addr);
         let idx = self.set_index(addr);
         let replacement = self.replacement;
-        let set = &mut self.sets[idx];
+        let set = &mut self.lines[idx * self.ways..(idx + 1) * self.ways];
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             if replacement == Replacement::Lru {
                 line.stamp = clock;
             }
             self.hits += 1;
             return true;
+        }
+        if !set[0].valid {
+            // First access to this set: invalid-first selection fills way
+            // 0 below, and no line is ever invalidated, so the set stays
+            // touched from here on.
+            let pos = self.touched.binary_search(&idx).unwrap_or_else(|p| p);
+            self.touched.insert(pos, idx);
         }
         let victim = if let Some(pos) = set.iter().position(|l| !l.valid) {
             pos
@@ -232,19 +260,23 @@ impl ModelCache {
     /// fingerprint at an iteration boundary proves the outcome vector
     /// periodic. Random replacement keys off the absolute access count
     /// and is excluded from cycle detection by the caller.
+    ///
+    /// Only touched sets are covered. That is exact, not a shortcut: an
+    /// untouched set is all-invalid with zero stamps in every state, and
+    /// since the model never invalidates, a touched set always holds a
+    /// valid line. So two states have equal touched-set fingerprints
+    /// exactly when their all-sets fingerprints are equal.
     fn fingerprint(&self) -> Fingerprint {
-        self.sets
-            .iter()
-            .map(|set| {
-                let mut order: Vec<usize> = (0..set.len()).collect();
-                order.sort_by_key(|&i| (set[i].stamp, i));
-                let mut rank = vec![0usize; set.len()];
-                for (r, &i) in order.iter().enumerate() {
-                    rank[i] = r;
-                }
-                set.iter().enumerate().map(|(i, l)| (l.tag, l.valid, rank[i])).collect()
-            })
-            .collect()
+        let mut fp = Vec::with_capacity(self.touched.len() * self.ways);
+        for &idx in &self.touched {
+            let set = self.set(idx);
+            for (i, l) in set.iter().enumerate() {
+                let rank =
+                    set.iter().enumerate().filter(|&(j, m)| (m.stamp, j) < (l.stamp, i)).count();
+                fp.push((idx, l.tag, l.valid, rank));
+            }
+        }
+        fp
     }
 }
 
@@ -299,6 +331,17 @@ fn sites(program: &Program, core: CoreId) -> Vec<Site> {
 /// Classifies every access of `program` on `core` against `cfg`'s cache
 /// hierarchy. See the module docs for the replay semantics.
 pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -> AccessClasses {
+    classify_with(program, cfg, core, ModelCache::fingerprint)
+}
+
+/// [`classify_accesses`] with the state fingerprint used for cycle
+/// detection passed in, so tests can replay against a reference.
+fn classify_with(
+    program: &Program,
+    cfg: &MachineConfig,
+    core: CoreId,
+    fingerprint: impl Fn(&ModelCache) -> Fingerprint,
+) -> AccessClasses {
     let body = program.body();
     let stream = sites(program, core);
     if body.is_empty() || stream.is_empty() {
@@ -372,7 +415,7 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
         outcomes.push(iter_outcomes);
         replayed += 1;
         if cyclable && !fully_replayed {
-            let fp = (il1.fingerprint(), dl1.fingerprint(), l2.fingerprint());
+            let fp = (fingerprint(&il1), fingerprint(&dl1), fingerprint(&l2));
             if let Some(j) = fingerprints.iter().position(|f| *f == fp) {
                 cycle = Some(j);
                 break;
@@ -642,10 +685,100 @@ pub fn classified_profile(program: &Program, cfg: &MachineConfig, core: CoreId) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrb_kernels::KernelRng;
     use rrb_sim::{Machine, ProgramBuilder};
 
     fn toy() -> MachineConfig {
         MachineConfig::toy(4, 2)
+    }
+
+    impl ModelCache {
+        /// The reference fingerprint: every set, touched or not, with
+        /// ranks from a full stamp sort.
+        fn dense_fingerprint(&self) -> Fingerprint {
+            let mut fp = Vec::with_capacity(self.lines.len());
+            for idx in 0..self.sets as usize {
+                let set = self.set(idx);
+                let mut order: Vec<usize> = (0..set.len()).collect();
+                order.sort_by_key(|&i| (set[i].stamp, i));
+                let mut rank = vec![0usize; set.len()];
+                for (r, &i) in order.iter().enumerate() {
+                    rank[i] = r;
+                }
+                fp.extend(set.iter().enumerate().map(|(i, l)| (idx, l.tag, l.valid, rank[i])));
+            }
+            fp
+        }
+    }
+
+    /// A random loop body of loads, stores, nops and branches over a few
+    /// lines spaced to collide in the DL1 and the L2 partition.
+    fn random_program(rng: &mut KernelRng, cfg: &MachineConfig) -> Program {
+        let strides = [
+            cfg.dl1.line_bytes,
+            cfg.dl1.sets() * cfg.dl1.line_bytes,
+            cfg.l2.partition(cfg.num_cores).sets() * cfg.l2.line_bytes,
+        ];
+        let mut b = ProgramBuilder::new();
+        for _ in 0..rng.gen_range(1, 40) {
+            let addr = 0x1000
+                + strides[rng.gen_below(3) as usize] * rng.gen_below(6)
+                + 4 * rng.gen_below(8);
+            b = match rng.gen_below(6) {
+                0..=2 => b.load(addr),
+                3 => b.store(addr),
+                4 => b.nop(),
+                _ => b.branch(),
+            };
+        }
+        if rng.gen_below(2) == 0 {
+            b.endless().build()
+        } else {
+            b.iterations(rng.gen_range(1, 100)).build()
+        }
+    }
+
+    #[test]
+    fn touched_set_fingerprint_classifies_like_the_dense_reference() {
+        let mut rng = KernelRng::seed_from_u64(0x5e7_c0de);
+        for case in 0..200 {
+            let cores = rng.gen_range(1, 5) as usize;
+            let mut cfg = if rng.gen_below(2) == 0 {
+                MachineConfig::toy(cores, 2)
+            } else {
+                MachineConfig::ngmp_ref()
+            };
+            cfg.num_cores = cores;
+            let replacement =
+                if rng.gen_below(2) == 0 { Replacement::Lru } else { Replacement::Fifo };
+            cfg.il1.replacement = replacement;
+            cfg.dl1.replacement = replacement;
+            cfg.l2.replacement = replacement;
+            let prog = random_program(&mut rng, &cfg);
+            let core = CoreId::new(rng.gen_below(cores as u64) as usize);
+            let sparse = classify_accesses(&prog, &cfg, core);
+            let dense = classify_with(&prog, &cfg, core, ModelCache::dense_fingerprint);
+            assert_eq!(sparse, dense, "case {case}: {cores} cores, {replacement:?}, {prog:?}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_covers_only_touched_sets() {
+        // ngmp_ref on four cores: a 1-way, 2048-set L2 partition.
+        let cfg = MachineConfig::ngmp_ref().l2.partition(4);
+        assert_eq!((cfg.sets(), cfg.ways), (2048, 1));
+        let mut l2 = ModelCache::new(&cfg);
+        assert!(l2.fingerprint().is_empty());
+        let touched = [3u64, 17, 17, 2047, 3, 1000];
+        for set in touched {
+            l2.touch(set * cfg.line_bytes);
+        }
+        let k = 4; // sets 3, 17, 1000, 2047
+        let fp = l2.fingerprint();
+        assert_eq!(fp.len(), k * cfg.ways as usize);
+        let sets: Vec<usize> = fp.iter().map(|e| e.0).collect();
+        assert_eq!(sets, [3, 17, 1000, 2047], "set-index order");
+        assert_eq!(l2.dense_fingerprint().len(), 2048);
     }
 
     #[test]

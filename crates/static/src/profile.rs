@@ -16,7 +16,7 @@
 //! core-side cycles between consecutive requests), so that request-rate
 //! curves built from it over-count arrivals.
 
-use rrb_sim::{Instr, Iterations, MachineConfig, Program};
+use rrb_sim::{CoreId, Instr, Iterations, MachineConfig, Program};
 
 /// Static demand profile of one core's program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,8 +143,8 @@ pub fn profile_program(program: &Program, cfg: &MachineConfig) -> CoreProfile {
     CoreProfile { bus_requests, mc_requests, min_gap, isolated_cycles }
 }
 
-/// Whether `program` posts no shared-resource requests in steady state.
-/// Decided by the must/may cache classification ([`crate::cache`]): when
+/// Whether `program`, running on `core`, posts no shared-resource
+/// requests in steady state. Decided by the must/may cache classification ([`crate::cache`]): when
 /// the replay converges on a per-iteration fixpoint, the program is
 /// silent iff the steady-state iteration provably posts zero bus and
 /// zero memory-controller requests — which also recognises data accesses
@@ -152,8 +152,8 @@ pub fn profile_program(program: &Program, cfg: &MachineConfig) -> CoreProfile {
 /// access-free bodies. When the replay does not converge, falls back to
 /// the conservative syntactic check (no data accesses, body fits the
 /// IL1).
-pub fn steady_state_silent(program: &Program, cfg: &MachineConfig) -> bool {
-    let classes = crate::cache::classify_accesses(program, cfg, rrb_sim::CoreId::new(0));
+pub fn steady_state_silent(program: &Program, cfg: &MachineConfig, core: CoreId) -> bool {
+    let classes = crate::cache::classify_accesses(program, cfg, core);
     if classes.converged {
         return classes.steady_bus_per_iter == 0 && classes.steady_mc_per_iter == 0;
     }
@@ -335,7 +335,7 @@ mod tests {
         // cold fill, so the classification proves silence where the old
         // accesses-memory heuristic had to refuse.
         let prog = ProgramBuilder::new().load(0x100).nops(2).branch().endless().build();
-        assert!(steady_state_silent(&prog, &cfg), "always-hit loads are silent");
+        assert!(steady_state_silent(&prog, &cfg, CoreId::new(0)), "always-hit loads are silent");
         // A DL1-thrashing loop keeps posting in steady state.
         let ways = u64::from(cfg.dl1.ways);
         let stride = cfg.dl1.size_bytes / u64::from(cfg.dl1.ways);
@@ -344,10 +344,10 @@ mod tests {
             thrash = thrash.load(0x100 + i * stride);
         }
         let thrash = thrash.branch().endless().build();
-        assert!(!steady_state_silent(&thrash, &cfg), "set-thrashing loads are not");
+        assert!(!steady_state_silent(&thrash, &cfg, CoreId::new(1)), "set-thrashing loads are not");
         // Pure compute stays silent, as under the old heuristic.
         let nops = ProgramBuilder::new().nops(4).branch().endless().build();
-        assert!(steady_state_silent(&nops, &cfg));
+        assert!(steady_state_silent(&nops, &cfg, CoreId::new(3)));
     }
 
     #[test]
