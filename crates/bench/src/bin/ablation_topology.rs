@@ -37,7 +37,7 @@
 //! cargo run --release -p rrb-bench --bin ablation_topology
 //! ```
 
-use rrb::analyze::{analyze_grid, CellStaticBound};
+use rrb::analyze::{tightness_ratio, CellStaticBound};
 use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
 use rrb::json::Json;
 use rrb::statics::VerifyOptions;
@@ -53,19 +53,6 @@ fn base(two_level: bool) -> MachineConfig {
             Some(McQueueConfig { service_occupancy: MC_OCCUPANCY, arbiter: ArbiterKind::Fifo });
     }
     cfg
-}
-
-/// Per-resource truth of a cell's machine, as (bus, mc).
-fn truth_terms(cfg: &MachineConfig) -> (u64, u64) {
-    let mut bus = 0;
-    let mut mc = 0;
-    for term in cfg.ubd_breakdown() {
-        match term.resource {
-            ResourceKind::Bus => bus = term.ubd,
-            ResourceKind::MemoryController => mc = term.ubd,
-        }
-    }
-    (bus, mc)
 }
 
 fn main() {
@@ -87,20 +74,13 @@ fn main() {
             .arbiters(arbiters.clone())
             .iterations(vec![80])
             .max_k(16);
-        let statics = analyze_grid(&grid);
         let verified = verify_grid(&grid, &VerifyOptions::default());
         let result = Campaign::builder().grid(&grid).jobs(rrb_bench::default_jobs()).build().run();
-        let (truth_bus, truth_mc) = truth_terms(&base(two_level));
-        let truth = truth_bus + truth_mc;
-        for report in &result.reports {
-            let cell = statics
-                .iter()
-                .find(|c| c.cell == report.scenario)
-                .unwrap_or_else(|| panic!("no static row for `{}`", report.scenario));
-            let exact = verified
-                .iter()
-                .find(|v| v.statics.cell == report.scenario)
-                .unwrap_or_else(|| panic!("no verified row for `{}`", report.scenario));
+        // One report per grid cell, in the grid's enumeration order.
+        for (report, exact) in result.reports.iter().zip(&verified) {
+            let cell = &exact.statics;
+            assert_eq!(report.scenario, cell.cell, "reports follow the grid's cell order");
+            let (truth_bus, truth_mc, truth) = (cell.truth_bus, cell.truth_mc, cell.truth_total());
             let measured = report.metric_u64("ubd_total");
             let tightness = measured.map(|d| d as f64 / truth as f64);
             let static_tightness = cell.static_total().map(|s| s as f64 / truth as f64);
@@ -115,18 +95,11 @@ fn main() {
             // Bus-only ratio: mc witnesses arrive bus-serialised on the
             // real machine, so their measured γ_mc sits near the queue's
             // structural floor and would understate the certificate.
-            let witness_tightness = match (witness_bus, exact.exact_bus()) {
-                (Some(m), Some(e)) if e > 0 => Some(m as f64 / e as f64),
-                (Some(_), Some(_)) => Some(1.0),
-                _ => None,
-            };
+            let witness_tightness =
+                witness_bus.zip(exact.exact_bus()).map(|(m, e)| tightness_ratio(m, e));
             let refused = report.error.is_some() && witness_bus.is_none();
-            if measured.is_some() || witness_bus.is_some() {
-                derived += 1;
-            }
-            if refused {
-                refused_measurement += 1;
-            }
+            derived += usize::from(measured.is_some() || witness_bus.is_some());
+            refused_measurement += usize::from(refused);
             println!(
                 "{:<36} measured = {:<8} witness = {:<8} exact = {:<8} static = {:<8} truth = {truth}",
                 report.scenario,
@@ -170,25 +143,11 @@ fn main() {
                 // pessimism the flow composition removes.
                 let witness_composed = witness_bus.unwrap_or(0) + witness_mc.unwrap_or(0);
                 let flow_total = cell.flow_total();
-                let two_level_tightness =
-                    flow_total.map(
-                        |f| {
-                            if f == 0 {
-                                1.0
-                            } else {
-                                witness_composed as f64 / f as f64
-                            }
-                        },
-                    );
+                let two_level_tightness = flow_total.map(|f| tightness_ratio(witness_composed, f));
                 let sound_vs_measured = flow_total.is_some_and(|f| f >= witness_composed);
-                let sound_vs_exact_bus = match (cell.flow_bus(), exact.exact_bus()) {
-                    (Some(f), Some(e)) => f >= e,
-                    _ => false,
-                };
-                let sound_vs_sum = match (flow_total, cell.static_total()) {
-                    (Some(f), Some(s)) => f <= s,
-                    _ => false,
-                };
+                let sound_vs_exact_bus =
+                    cell.flow_bus().zip(exact.exact_bus()).is_some_and(|(f, e)| f >= e);
+                let sound_vs_sum = flow_total.zip(cell.static_total()).is_some_and(|(f, s)| f <= s);
                 flow_rows.push(Json::obj(vec![
                     ("scenario", Json::str(report.scenario.clone())),
                     ("sum_total", Json::option(cell.static_total(), Json::U64)),
@@ -205,7 +164,7 @@ fn main() {
                 ]));
             }
         }
-        static_rows.extend(statics);
+        static_rows.extend(verified.into_iter().map(|v| v.statics));
     }
     println!(
         "\nexpected: only round-robin derives a *saw-tooth* bound (the methodology\n\
@@ -228,11 +187,8 @@ fn main() {
         ("refused_measurement", Json::U64(refused_measurement as u64)),
         ("rows", Json::Arr(rows)),
     ]);
-    let path = "BENCH_topology.json";
-    match std::fs::write(path, artifact.render_pretty()) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    println!();
+    write_artifact("BENCH_topology.json", &artifact);
 
     let static_artifact = Json::obj(vec![
         ("bench", Json::str("ablation_topology_static")),
@@ -243,11 +199,7 @@ fn main() {
         ("all_sound", Json::Bool(unsound_static == 0)),
         ("rows", Json::Arr(static_rows.iter().map(CellStaticBound::to_json).collect())),
     ]);
-    let path = "BENCH_static.json";
-    match std::fs::write(path, static_artifact.render_pretty()) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_artifact("BENCH_static.json", &static_artifact);
 
     let all_sound = flow_rows.iter().all(|r| {
         ["sound_vs_measured", "sound_vs_exact_bus", "sound_vs_sum"]
@@ -260,8 +212,11 @@ fn main() {
         ("all_sound", Json::Bool(all_sound)),
         ("rows", Json::Arr(flow_rows)),
     ]);
-    let path = "BENCH_flow.json";
-    match std::fs::write(path, flow_artifact.render_pretty()) {
+    write_artifact("BENCH_flow.json", &flow_artifact);
+}
+
+fn write_artifact(path: &str, artifact: &Json) {
+    match std::fs::write(path, artifact.render_pretty()) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }

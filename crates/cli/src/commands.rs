@@ -3,7 +3,10 @@
 //! stdout.
 
 use crate::args::{ParseArgsError, Parsed};
-use rrb::campaign::{clamped_jobs, Campaign, CampaignGrid, GridScenario, ParseGridScenarioError};
+use rrb::campaign::{
+    clamped_jobs, Campaign, CampaignBuilder, CampaignGrid, CampaignResult, GridScenario,
+    ParseGridScenarioError,
+};
 use rrb::methodology::{derive_ubd, derive_ubd_repeated, store_tooth_check, MethodologyConfig};
 use rrb::naive::naive_rsk_vs_rsk;
 use rrb::report;
@@ -386,23 +389,27 @@ fn grid_from(parsed: &Parsed) -> Result<CampaignGrid, CliError> {
     Ok(grid)
 }
 
+/// Resolves `--format` (default `text`) against a command's `allowed`
+/// choices, listed comma-separated.
+fn format_from<'a>(parsed: &'a Parsed, allowed: &'static str) -> Result<&'a str, CliError> {
+    let format = parsed.get("format").unwrap_or("text");
+    if allowed.split(", ").any(|choice| choice == format) {
+        Ok(format)
+    } else {
+        Err(CliError::UnknownChoice { flag: "format", value: format.to_string(), allowed })
+    }
+}
+
 /// Renders a campaign result per `--format` and writes it to `--out`
 /// (or returns it for stdout).
 fn render_result(
     parsed: &Parsed,
     result: &rrb::campaign::CampaignResult,
 ) -> Result<String, CliError> {
-    let rendered = match parsed.get("format").unwrap_or("text") {
-        "text" => result.render_text(),
+    let rendered = match format_from(parsed, "text, json, csv")? {
         "json" => result.to_json(),
         "csv" => result.to_csv(),
-        other => {
-            return Err(CliError::UnknownChoice {
-                flag: "format",
-                value: other.to_string(),
-                allowed: "text, json, csv",
-            })
-        }
+        _ => result.render_text(),
     };
     write_or_return(parsed, rendered)
 }
@@ -459,21 +466,35 @@ fn store_from(parsed: &Parsed) -> Result<Option<Arc<ResultStore>>, CliError> {
     }
 }
 
-/// Reports store activity on stderr (never stdout: the rendered result
-/// must stay byte-identical across cold and warm runs).
-fn report_store_use(result: &rrb::campaign::CampaignResult, store: &ResultStore) {
-    for warning in &result.warnings {
-        eprintln!("rrb: warning: {warning}");
+/// Runs the campaign `builder` makes for the resolved `--jobs` through
+/// the result store (see [`store_from`]), reporting store activity on
+/// stderr — never stdout: the rendered result must stay byte-identical
+/// across cold and warm runs.
+fn run_campaign(
+    parsed: &Parsed,
+    builder: impl FnOnce(usize) -> CampaignBuilder,
+) -> Result<CampaignResult, CliError> {
+    let store = store_from(parsed)?;
+    let mut builder = builder(jobs_from(parsed)?);
+    if let Some(store) = &store {
+        builder = builder.store(store.clone());
     }
-    let s = &result.stats;
-    eprintln!(
-        "rrb: cache {}: {} of {} unique run(s) resumed, {} simulated, {} recorded",
-        store.dir().display(),
-        s.store_hits,
-        s.store_hits + s.executed_runs,
-        s.executed_runs,
-        s.store_writes,
-    );
+    let result = builder.build().run();
+    if let Some(store) = &store {
+        for warning in &result.warnings {
+            eprintln!("rrb: warning: {warning}");
+        }
+        let s = &result.stats;
+        eprintln!(
+            "rrb: cache {}: {} of {} unique run(s) resumed, {} simulated, {} recorded",
+            store.dir().display(),
+            s.store_hits,
+            s.store_hits + s.executed_runs,
+            s.executed_runs,
+            s.store_writes,
+        );
+    }
+    Ok(result)
 }
 
 /// `rrb campaign`: expand a parameter grid into scenarios, execute the
@@ -482,15 +503,7 @@ fn report_store_use(result: &rrb::campaign::CampaignResult, store: &ResultStore)
 /// `--jobs` value and every cache state.
 fn cmd_campaign(parsed: &Parsed) -> Result<String, CliError> {
     let grid = grid_from(parsed)?;
-    let store = store_from(parsed)?;
-    let mut builder = Campaign::builder().grid(&grid).jobs(jobs_from(parsed)?);
-    if let Some(store) = &store {
-        builder = builder.store(store.clone());
-    }
-    let result = builder.build().run();
-    if let Some(store) = &store {
-        report_store_use(&result, store);
-    }
+    let result = run_campaign(parsed, |jobs| Campaign::builder().grid(&grid).jobs(jobs))?;
     render_result(parsed, &result)
 }
 
@@ -509,30 +522,39 @@ fn cmd_export_spec(parsed: &Parsed) -> Result<String, CliError> {
 /// choices — `--jobs` never changes the serialised json/csv bytes (the
 /// text format's trailing stats line does report the job count).
 fn cmd_run(parsed: &Parsed) -> Result<String, CliError> {
-    let path = spec_path_from(parsed, "rrb run <spec.json>")?;
-    let spec = ExperimentSpec::from_file(path).map_err(|e| CliError::Tool(Box::new(e)))?;
-    let store = store_from(parsed)?;
-    let mut builder = spec.to_campaign_builder(jobs_from(parsed)?);
-    if let Some(store) = &store {
-        builder = builder.store(store.clone());
-    }
-    let result = builder.build().run();
-    if let Some(store) = &store {
-        report_store_use(&result, store);
-    }
+    let spec = spec_from(parsed, "rrb run <spec.json>")?;
+    let result = run_campaign(parsed, |jobs| spec.to_campaign_builder(jobs))?;
     render_result(parsed, &result)
 }
 
-/// Extracts the single spec-file positional shared by `run`, `analyze`,
-/// and `lint`.
-fn spec_path_from<'a>(parsed: &'a Parsed, usage: &'static str) -> Result<&'a str, CliError> {
-    match parsed.positionals() {
-        [path] => Ok(path),
+/// Loads the single spec-file positional shared by `run`, `analyze`,
+/// `verify` and `lint`.
+fn spec_from(parsed: &Parsed, usage: &'static str) -> Result<ExperimentSpec, CliError> {
+    let path = match parsed.positionals() {
+        [path] => path,
         [] => {
-            Err(CliError::Args(ParseArgsError::MissingValue(format!("spec file (usage: {usage})"))))
+            return Err(CliError::Args(ParseArgsError::MissingValue(format!(
+                "spec file (usage: {usage})"
+            ))))
         }
-        [_, extra, ..] => Err(CliError::Args(ParseArgsError::UnexpectedPositional(extra.clone()))),
+        [_, extra, ..] => {
+            return Err(CliError::Args(ParseArgsError::UnexpectedPositional(extra.clone())))
+        }
+    };
+    ExperimentSpec::from_file(path).map_err(|e| CliError::Tool(Box::new(e)))
+}
+
+/// Fails with `header` and one indented line per violation, if there
+/// are any.
+fn fail_on_violations(header: &str, violations: &[String]) -> Result<(), CliError> {
+    if violations.is_empty() {
+        return Ok(());
     }
+    let mut msg = format!("{header}\n");
+    for v in violations {
+        msg.push_str(&format!("  {v}\n"));
+    }
+    Err(CliError::Tool(msg.into()))
 }
 
 /// `rrb analyze <spec.json>`: compute the static contention bound for
@@ -544,20 +566,9 @@ fn spec_path_from<'a>(parsed: &'a Parsed, usage: &'static str) -> Result<&'a str
 /// columns: the flow-composed bound next to the saturating sum, with the
 /// per-resource slack the topology proves unreachable.
 fn cmd_analyze(parsed: &Parsed) -> Result<String, CliError> {
-    let path = spec_path_from(parsed, "rrb analyze <spec.json>")?;
-    let spec = ExperimentSpec::from_file(path).map_err(|e| CliError::Tool(Box::new(e)))?;
+    let spec = spec_from(parsed, "rrb analyze <spec.json>")?;
     let rows = rrb::analyze::analyze_spec(&spec);
-    let json = match parsed.get("format").unwrap_or("text") {
-        "text" => false,
-        "json" => true,
-        other => {
-            return Err(CliError::UnknownChoice {
-                flag: "format",
-                value: other.to_string(),
-                allowed: "text, json",
-            })
-        }
-    };
+    let json = format_from(parsed, "text, json")? == "json";
     let mut out = if json {
         ndjson(rows.iter().map(rrb::CellStaticBound::to_json))
     } else if parsed.get_switch("composed") {
@@ -570,50 +581,28 @@ fn cmd_analyze(parsed: &Parsed) -> Result<String, CliError> {
         // Execute the spec's campaign (store-cached like `rrb run`) and
         // cross-check every observed per-request delay against the
         // static bound for its cell.
-        let store = store_from(parsed)?;
-        let mut builder = spec.to_campaign_builder(jobs_from(parsed)?);
-        if let Some(store) = &store {
-            builder = builder.store(store.clone());
-        }
-        let result = builder.build().run();
-        if let Some(store) = &store {
-            report_store_use(&result, store);
-        }
-        let measured = rrb::analyze::check_measured(&rows, &result);
-        let tightness = rrb::analyze::measured_tightness(&rows, &result);
+        let result = run_campaign(parsed, |jobs| spec.to_campaign_builder(jobs))?;
+        let check = rrb::analyze::check_measured(&rows, &result);
         if json {
-            out.push_str(&ndjson(tightness.iter().map(|t| {
-                rrb::Json::obj(vec![
-                    ("cell", rrb::Json::str(t.cell.clone())),
-                    ("measured", rrb::Json::U64(t.measured)),
-                    ("static_total", rrb::Json::U64(t.static_total)),
-                    ("tightness", rrb::Json::F64(t.tightness)),
-                ])
-            })));
+            out.push_str(&ndjson(check.tightness.iter().map(rrb::CellTightness::to_json)));
         } else {
             out.push_str(&format!(
                 "measured cross-check: {} run record(s), {} violation(s)\n",
                 result.records.len(),
-                measured.len()
+                check.violations.len()
             ));
             // How much of each static bound the runs actually realised:
             // the per-cell pessimism, not just pass/fail.
-            for t in &tightness {
+            for t in &check.tightness {
                 out.push_str(&format!(
                     "  tightness {}: measured {} / static {} = {:.3}\n",
                     t.cell, t.measured, t.static_total, t.tightness
                 ));
             }
         }
-        violations.extend(measured);
+        violations.extend(check.violations);
     }
-    if !violations.is_empty() {
-        let mut msg = String::from("static soundness violated:\n");
-        for v in &violations {
-            msg.push_str(&format!("  {v}\n"));
-        }
-        return Err(CliError::Tool(msg.into()));
-    }
+    fail_on_violations("static soundness violated:", &violations)?;
     write_or_return(parsed, out)
 }
 
@@ -633,25 +622,14 @@ fn ndjson(values: impl Iterator<Item = rrb::Json>) -> String {
 /// spec would run — the *exact* worst-case per-request delay per
 /// resource (enumerating request alignments against the real arbiter
 /// implementations), the tightness certificate `exact / static`, and a
-/// replayable adversarial witness. Fails on any `exact > static`
-/// violation; with `--check-runs`, also replays each witness on the full
+/// replayable adversarial witness. Fails on any broken link of the bound
+/// chain; with `--check-runs`, also replays each witness on the full
 /// simulator and fails if a measured delay exceeds the exact bound.
 fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
-    let path = spec_path_from(parsed, "rrb verify <spec.json>")?;
-    let spec = ExperimentSpec::from_file(path).map_err(|e| CliError::Tool(Box::new(e)))?;
+    let spec = spec_from(parsed, "rrb verify <spec.json>")?;
     let opts = rrb::statics::VerifyOptions::with_horizon(parsed.get_u64("horizon", 0)?);
     let rows = rrb::verify::verify_spec(&spec, &opts);
-    let json = match parsed.get("format").unwrap_or("text") {
-        "text" => false,
-        "json" => true,
-        other => {
-            return Err(CliError::UnknownChoice {
-                flag: "format",
-                value: other.to_string(),
-                allowed: "text, json",
-            })
-        }
-    };
+    let json = format_from(parsed, "text, json")? == "json";
     let mut out = if json {
         ndjson(rows.iter().map(rrb::VerifiedCell::to_json))
     } else {
@@ -663,8 +641,7 @@ fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
         for row in &rows {
             for replay in rrb::verify::replay_cell_witnesses(row, iterations) {
                 if json {
-                    out.push_str(&replay.to_json().render_compact());
-                    out.push('\n');
+                    out.push_str(&ndjson(std::iter::once(replay.to_json())));
                 } else {
                     let measured =
                         replay.measured.map_or_else(|| String::from("none"), |m| m.to_string());
@@ -677,13 +654,7 @@ fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
             }
         }
     }
-    if !violations.is_empty() {
-        let mut msg = String::from("exact-bound soundness violated:\n");
-        for v in &violations {
-            msg.push_str(&format!("  {v}\n"));
-        }
-        return Err(CliError::Tool(msg.into()));
-    }
+    fail_on_violations("exact-bound soundness violated:", &violations)?;
     write_or_return(parsed, out)
 }
 
@@ -692,19 +663,11 @@ fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
 /// period matcher, finite contenders, … Errors fail the command; CI runs
 /// this over every checked-in spec.
 fn cmd_lint(parsed: &Parsed) -> Result<String, CliError> {
-    let path = spec_path_from(parsed, "rrb lint <spec.json>")?;
-    let spec = ExperimentSpec::from_file(path).map_err(|e| CliError::Tool(Box::new(e)))?;
+    let spec = spec_from(parsed, "rrb lint <spec.json>")?;
     let findings = rrb::lint::lint_spec(&spec);
-    let rendered = match parsed.get("format").unwrap_or("text") {
-        "text" => rrb::lint::render_findings(&findings),
+    let rendered = match format_from(parsed, "text, json")? {
         "json" => ndjson(findings.iter().map(rrb::LintFinding::to_json)),
-        other => {
-            return Err(CliError::UnknownChoice {
-                flag: "format",
-                value: other.to_string(),
-                allowed: "text, json",
-            })
-        }
+        _ => rrb::lint::render_findings(&findings),
     };
     if rrb::lint::has_errors(&findings) {
         return Err(CliError::Tool(rendered.into()));
@@ -1275,6 +1238,31 @@ mod tests {
     /// root so the test passes regardless of the runner's cwd.
     const NGMP_SPEC: &str =
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/experiments/ngmp_sweep.json");
+
+    /// `rrb analyze` and `rrb verify` output on both checked-in specs,
+    /// pinned byte for byte in `tests/golden/`.
+    #[test]
+    fn analyze_and_verify_output_matches_the_golden_files() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+        for (stem, spec) in [
+            ("ngmp_sweep", "examples/experiments/ngmp_sweep.json"),
+            ("ablation_arbiters", "crates/bench/specs/ablation_arbiters.json"),
+        ] {
+            for (verb, flags, suffix) in [
+                ("analyze", "", "analyze.txt"),
+                ("analyze", "--composed", "analyze-composed.txt"),
+                ("analyze", "--format json", "analyze.ndjson"),
+                ("verify", "", "verify.txt"),
+                ("verify", "--format json", "verify.ndjson"),
+            ] {
+                let out = run(&format!("{verb} {root}/{spec} {flags}")).expect(verb);
+                let path = format!("{golden}/{stem}.{suffix}");
+                let want = std::fs::read_to_string(&path).expect("golden file");
+                assert_eq!(out, want, "`rrb {verb} {spec} {flags}` drifted from {path}");
+            }
+        }
+    }
 
     #[test]
     fn analyze_bounds_every_cell_of_the_example_spec() {

@@ -1,27 +1,35 @@
-//! Static bounds for experiment specs: the bridge between the
+//! The static half of the bound ladder: the bridge between the
 //! [`rrb_static`] analyzer and the campaign layer.
 //!
-//! Expands a spec into exactly the cells the campaign would run —
-//! [`CampaignGrid::cells`] for grids, one cell per workload case — builds
-//! sound per-core demand profiles for each cell's programs, and computes a
-//! machine-wide [`StaticBound`] per cell. Every cell gets an answer: where
-//! the measurement methodology refuses an arbiter (no saw-tooth period to
-//! recover for `fp`/`fifo`), the static model still produces its analytic
-//! bound.
+//! Every cell a spec would run —
+//! [`CampaignGrid::cells`](crate::campaign::CampaignGrid::cells) for
+//! grids, one cell per workload case — is expanded once into the programs each core
+//! executes. Each program is built once and profiled once into both the
+//! worst-case envelope and the must/may-classified demand, and the cell
+//! gets one [`CellStaticBound`] row: the machine-wide [`StaticBound`], the
+//! observed core's tightened terms, and the interference-flow
+//! [`ComposedBound`]. Every cell gets an answer: where the measurement
+//! methodology refuses an arbiter (no saw-tooth period to recover for
+//! `fp`/`fifo`), the static model still produces its analytic bound.
+//! [`crate::verify`] runs the model checker on the same envelope
+//! profiles, so a verified row's static half *is* this row.
 //!
-//! Two soundness cross-checks hang off the result:
+//! The ladder per cell is `measured ≤ exact ≤ observed ≤ static ≥ truth`,
+//! with `flow ≤ sum`. This module owns the static links:
 //!
-//! * [`CellStaticBound::violation`] — the static bound fell below the
-//!   analytic truth `Σ (Nc-1)·l_r` (a bug in the static model);
+//! * [`CellStaticBound::violations`] — the static bound fell below the
+//!   analytic truth `Σ (Nc-1)·l_r`, or the flow composition exceeded the
+//!   saturating sum it refines (a bug in the static model);
 //! * [`check_measured`] — an observed per-request delay from an actual
-//!   campaign run exceeded the static bound (a bug in the static model or
-//!   the simulator).
+//!   campaign run exceeded the static or flow bound (a bug in the static
+//!   model or the simulator), plus how much of each bound the runs
+//!   realised.
 
-use crate::campaign::{CampaignGrid, CampaignResult, GridCell};
+use crate::campaign::{CampaignResult, GridCell};
 use crate::json::Json;
 use crate::spec::{ExperimentSpec, WorkloadCase};
-use rrb_kernels::{rsk, rsk_nop, KernelSpec};
-use rrb_sim::{CoreId, MachineConfig, ResourceKind};
+use rrb_kernels::{rsk, rsk_nop};
+use rrb_sim::{CoreId, MachineConfig, Program, ResourceKind};
 pub use rrb_static::{
     classified_profile, compose_flow, profile_program, ComposedBound, CoreProfile, FlowTerm,
     ResourceBound, StaticBound,
@@ -62,17 +70,20 @@ impl CellStaticBound {
         self.bound.total()
     }
 
+    /// The machine-wide static term for `kind` (`Some(0)` for a resource
+    /// the topology lacks).
+    pub(crate) fn static_for(&self, kind: ResourceKind) -> Option<u64> {
+        self.bound.resource(kind).map_or(Some(0), |r| r.bound)
+    }
+
     /// The static bus term.
     pub fn static_bus(&self) -> Option<u64> {
-        self.bound.resource(ResourceKind::Bus).and_then(|r| r.bound)
+        self.static_for(ResourceKind::Bus)
     }
 
     /// The static MC term (`Some(0)` for single-level topologies).
     pub fn static_mc(&self) -> Option<u64> {
-        match self.bound.resource(ResourceKind::MemoryController) {
-            Some(r) => r.bound,
-            None => Some(0),
-        }
+        self.static_for(ResourceKind::MemoryController)
     }
 
     /// The observed core's static total: the machine-wide terms with the
@@ -84,18 +95,10 @@ impl CellStaticBound {
         self.bound.observed_total()
     }
 
-    /// The observed core's bus term.
-    pub fn observed_bus(&self) -> Option<u64> {
-        self.bound.resource(ResourceKind::Bus).and_then(|r| r.observed)
-    }
-
-    /// The observed core's MC term (`Some(0)` for single-level
-    /// topologies).
-    pub fn observed_mc(&self) -> Option<u64> {
-        match self.bound.resource(ResourceKind::MemoryController) {
-            Some(r) => r.observed,
-            None => Some(0),
-        }
+    /// The observed core's term for `kind` (`Some(0)` for a resource the
+    /// topology lacks).
+    pub(crate) fn observed_for(&self, kind: ResourceKind) -> Option<u64> {
+        self.bound.resource(kind).map_or(Some(0), |r| r.observed)
     }
 
     /// The flow-composed total for the observed core.
@@ -110,10 +113,7 @@ impl CellStaticBound {
 
     /// The flow-composed MC term (`Some(0)` for single-level topologies).
     pub fn flow_mc(&self) -> Option<u64> {
-        match self.composed.term(ResourceKind::MemoryController) {
-            Some(t) => t.flow,
-            None => Some(0),
-        }
+        self.composed.term(ResourceKind::MemoryController).map_or(Some(0), |t| t.flow)
     }
 
     /// Provable slack between the saturating static total and the flow
@@ -123,12 +123,14 @@ impl CellStaticBound {
         Some(self.static_total()?.saturating_sub(self.flow_total()?))
     }
 
-    /// A soundness violation: the static bound fell below the analytic
-    /// truth. `None` when the bound is sound (or honestly unbounded).
-    pub fn violation(&self) -> Option<String> {
-        let total = self.static_total()?;
+    /// The static links of the bound chain that fail: `truth ≤ static`,
+    /// then `flow ≤ sum`. Empty when the row is sound (or honestly
+    /// unbounded).
+    pub fn violations(&self) -> Vec<String> {
+        let Some(total) = self.static_total() else { return Vec::new() };
+        let mut out = Vec::new();
         if total < self.truth_total() {
-            return Some(format!(
+            out.push(format!(
                 "static bound {total} < analytic truth {} on `{}`",
                 self.truth_total(),
                 self.cell
@@ -137,15 +139,20 @@ impl CellStaticBound {
         // The flow composition refines the *observed core's* bound, so it
         // may drop below the machine-wide truth — but it must never
         // exceed the saturating sum it claims to refine.
-        if let Some(flow) = self.flow_total() {
-            if flow > total {
-                return Some(format!(
-                    "flow composed {flow} exceeds saturating sum {total} on `{}`",
-                    self.cell
-                ));
-            }
+        if let Some(flow) = self.flow_total().filter(|&flow| flow > total) {
+            out.push(format!(
+                "flow composed {flow} exceeds saturating sum {total} on `{}`",
+                self.cell
+            ));
         }
-        None
+        out
+    }
+
+    /// The first failing static link, if any (see [`violations`]).
+    ///
+    /// [`violations`]: Self::violations
+    pub fn violation(&self) -> Option<String> {
+        self.violations().into_iter().next()
     }
 
     /// The row as a JSON object (used by `rrb analyze --json` and the
@@ -172,191 +179,113 @@ impl CellStaticBound {
     }
 }
 
-/// Truth terms of a config, as (bus, mc).
-fn truth_terms(cfg: &MachineConfig) -> (u64, u64) {
-    let mut bus = 0;
-    let mut mc = 0;
-    for term in cfg.ubd_breakdown() {
-        match term.resource {
-            ResourceKind::Bus => bus = term.ubd,
-            ResourceKind::MemoryController => mc = term.ubd,
-        }
-    }
-    (bus, mc)
+/// One cell a spec would run, expanded into the programs each core
+/// executes. Core `i` runs the programs in `cores[i]`, whose profiles
+/// are joined; `None` marks a kernel that cannot be built for this
+/// machine, which the saturating envelope stands in for.
+pub(crate) struct CellPrograms {
+    /// Cell (scenario) name, matching the campaign's record names.
+    pub(crate) name: String,
+    /// The cell's machine configuration.
+    pub(crate) cfg: MachineConfig,
+    cores: Vec<Option<Vec<Program>>>,
 }
 
-/// Profile of a kernel spec on `cfg`; falls back to the saturating
-/// envelope if the kernel cannot be built for this machine.
-fn profile_kernel(kernel: &KernelSpec, cfg: &MachineConfig, core: CoreId) -> CoreProfile {
-    match kernel.try_build(cfg, core) {
-        Ok(program) => profile_program(&program, cfg),
-        Err(_) => CoreProfile::saturating(),
+impl CellPrograms {
+    /// A grid cell: the scua sweeps `rsk-nop(t, k)` for `k = 0..=max_k`
+    /// (joined over the endpoints — the count/makespan envelope is
+    /// monotone in `k`), the other cores run endless resource-stressing
+    /// kernels.
+    pub(crate) fn grid(cell: &GridCell) -> Self {
+        let cfg = &cell.cfg;
+        let scua = [0, cell.max_k]
+            .map(|k| rsk_nop(cell.access, k, cfg, CoreId::new(0), cell.iterations))
+            .to_vec();
+        let contenders = (1..cfg.num_cores)
+            .map(|core| Some(vec![rsk(cell.contender_access, cfg, CoreId::new(core))]));
+        let cores = std::iter::once(Some(scua)).chain(contenders).collect();
+        CellPrograms { name: cell.name.clone(), cfg: cfg.clone(), cores }
     }
-}
 
-/// Classified (must/may) profile of a kernel spec on `cfg`; same
-/// fallback behaviour as [`profile_kernel`].
-fn classify_kernel(kernel: &KernelSpec, cfg: &MachineConfig, core: CoreId) -> CoreProfile {
-    match kernel.try_build(cfg, core) {
-        Ok(program) => classified_profile(&program, cfg, core),
-        Err(_) => CoreProfile::saturating(),
+    /// A workload case: the scua on core 0, each contender kernel on the
+    /// next core up, truncated to the machine.
+    pub(crate) fn workload(machine: &MachineConfig, case: &WorkloadCase) -> Self {
+        let kernels = std::iter::once(&case.scua).chain(&case.contenders).take(machine.num_cores);
+        let cores = kernels
+            .enumerate()
+            .map(|(core, kernel)| {
+                kernel.try_build(machine, CoreId::new(core)).ok().map(|p| vec![p])
+            })
+            .collect();
+        CellPrograms { name: case.name.clone(), cfg: machine.clone(), cores }
     }
-}
 
-/// Per-core demand profiles for a grid cell: the scua sweeps
-/// `rsk-nop(t, k)` for `k = 0..=max_k` (joined over the endpoints — the
-/// count/makespan envelope is monotone in `k`), the other cores run
-/// endless resource-stressing kernels.
-pub(crate) fn grid_cell_profiles(cell: &GridCell) -> Vec<CoreProfile> {
-    let cfg = &cell.cfg;
-    let scua0 = rsk_nop(cell.access, 0, cfg, CoreId::new(0), cell.iterations);
-    let scua_k = rsk_nop(cell.access, cell.max_k, cfg, CoreId::new(0), cell.iterations);
-    let scua = profile_program(&scua0, cfg).join(&profile_program(&scua_k, cfg));
-    let mut profiles = vec![scua];
-    for core in 1..cfg.num_cores {
-        let contender = rsk(cell.contender_access, cfg, CoreId::new(core));
-        profiles.push(profile_program(&contender, cfg));
+    /// Every cell a spec would run, in the campaign's enumeration order:
+    /// each grid cell, then each workload case.
+    pub(crate) fn of_spec(spec: &ExperimentSpec) -> impl Iterator<Item = CellPrograms> + '_ {
+        let grid = spec.to_grid().map(|g| g.cells()).unwrap_or_default();
+        grid.into_iter()
+            .map(|cell| CellPrograms::grid(&cell))
+            .chain(spec.workloads.iter().map(|case| CellPrograms::workload(&spec.machine, case)))
     }
-    profiles
-}
 
-/// Classified per-core demand profiles for a grid cell: the same
-/// programs as [`grid_cell_profiles`], but with must/may-proven request
-/// counts and gaps instead of the worst-case envelope.
-pub(crate) fn grid_cell_classified_profiles(cell: &GridCell) -> Vec<CoreProfile> {
-    let cfg = &cell.cfg;
-    let scua0 = rsk_nop(cell.access, 0, cfg, CoreId::new(0), cell.iterations);
-    let scua_k = rsk_nop(cell.access, cell.max_k, cfg, CoreId::new(0), cell.iterations);
-    let scua = classified_profile(&scua0, cfg, CoreId::new(0)).join(&classified_profile(
-        &scua_k,
-        cfg,
-        CoreId::new(0),
-    ));
-    let mut profiles = vec![scua];
-    for core in 1..cfg.num_cores {
-        let id = CoreId::new(core);
-        let contender = rsk(cell.contender_access, cfg, id);
-        profiles.push(classified_profile(&contender, cfg, id));
+    /// Profiles every program once and bounds the cell: the static row,
+    /// plus the envelope profiles it was built from (what the model
+    /// checker searches).
+    pub(crate) fn bound(&self) -> (CellStaticBound, Vec<CoreProfile>) {
+        let cfg = &self.cfg;
+        let (envelope, classified): (Vec<_>, Vec<_>) = self
+            .cores
+            .iter()
+            .enumerate()
+            .map(|(core, programs)| {
+                let id = CoreId::new(core);
+                programs
+                    .iter()
+                    .flatten()
+                    .map(|p| (profile_program(p, cfg), classified_profile(p, cfg, id)))
+                    .reduce(|(e, c), (e2, c2)| (e.join(&e2), c.join(&c2)))
+                    .unwrap_or_else(|| (CoreProfile::saturating(), CoreProfile::saturating()))
+            })
+            .unzip();
+        let breakdown = cfg.ubd_breakdown();
+        let truth = |kind| breakdown.iter().find(|t| t.resource == kind).map_or(0, |t| t.ubd);
+        let row = CellStaticBound {
+            cell: self.name.clone(),
+            num_cores: cfg.num_cores,
+            arbiter: cfg.topology.bus.arbiter.to_string(),
+            truth_bus: truth(ResourceKind::Bus),
+            truth_mc: truth(ResourceKind::MemoryController),
+            bound: StaticBound::analyze(cfg, &envelope),
+            composed: compose_flow(cfg, &classified),
+        };
+        (row, envelope)
     }
-    profiles
 }
 
 /// Statically bounds one expanded grid cell.
 pub fn analyze_grid_cell(cell: &GridCell) -> CellStaticBound {
-    let profiles = grid_cell_profiles(cell);
-    let bound = StaticBound::analyze(&cell.cfg, &profiles);
-    let composed = compose_flow(&cell.cfg, &grid_cell_classified_profiles(cell));
-    let (truth_bus, truth_mc) = truth_terms(&cell.cfg);
-    CellStaticBound {
-        cell: cell.name.clone(),
-        num_cores: cell.cfg.num_cores,
-        arbiter: cell.cfg.topology.bus.arbiter.to_string(),
-        truth_bus,
-        truth_mc,
-        bound,
-        composed,
-    }
-}
-
-/// Per-core demand profiles for a workload case: the scua on core 0,
-/// each contender kernel on the next core up, truncated to the machine.
-pub(crate) fn workload_profiles(machine: &MachineConfig, case: &WorkloadCase) -> Vec<CoreProfile> {
-    let mut profiles = vec![profile_kernel(&case.scua, machine, CoreId::new(0))];
-    for (i, contender) in case.contenders.iter().enumerate() {
-        let core = CoreId::new((i + 1).min(machine.num_cores.saturating_sub(1)));
-        profiles.push(profile_kernel(contender, machine, core));
-    }
-    profiles.truncate(machine.num_cores);
-    profiles
-}
-
-/// Classified per-core demand profiles for a workload case.
-pub(crate) fn workload_classified_profiles(
-    machine: &MachineConfig,
-    case: &WorkloadCase,
-) -> Vec<CoreProfile> {
-    let mut profiles = vec![classify_kernel(&case.scua, machine, CoreId::new(0))];
-    for (i, contender) in case.contenders.iter().enumerate() {
-        let core = CoreId::new((i + 1).min(machine.num_cores.saturating_sub(1)));
-        profiles.push(classify_kernel(contender, machine, core));
-    }
-    profiles.truncate(machine.num_cores);
-    profiles
+    CellPrograms::grid(cell).bound().0
 }
 
 /// Statically bounds one workload case on `machine`.
 pub fn analyze_workload(machine: &MachineConfig, case: &WorkloadCase) -> CellStaticBound {
-    let profiles = workload_profiles(machine, case);
-    let bound = StaticBound::analyze(machine, &profiles);
-    let composed = compose_flow(machine, &workload_classified_profiles(machine, case));
-    let (truth_bus, truth_mc) = truth_terms(machine);
-    CellStaticBound {
-        cell: case.name.clone(),
-        num_cores: machine.num_cores,
-        arbiter: machine.topology.bus.arbiter.to_string(),
-        truth_bus,
-        truth_mc,
-        bound,
-        composed,
-    }
+    CellPrograms::workload(machine, case).bound().0
 }
 
 /// Statically bounds every cell a spec would run: each grid cell (in the
 /// campaign's enumeration order), then each workload case.
 pub fn analyze_spec(spec: &ExperimentSpec) -> Vec<CellStaticBound> {
-    let mut rows = Vec::new();
-    if let Some(grid) = spec.to_grid() {
-        rows.extend(grid.cells().iter().map(analyze_grid_cell));
-    }
-    for case in &spec.workloads {
-        rows.push(analyze_workload(&spec.machine, case));
-    }
-    rows
+    CellPrograms::of_spec(spec).map(|cell| cell.bound().0).collect()
 }
 
-/// Statically bounds every cell of a [`CampaignGrid`] directly.
-pub fn analyze_grid(grid: &CampaignGrid) -> Vec<CellStaticBound> {
-    grid.cells().iter().map(analyze_grid_cell).collect()
-}
-
-/// Cross-checks measured per-request delays from a campaign run against
-/// the static bounds: any observed `γ` above the cell's static bound is a
-/// soundness violation. Returns one message per violation.
-pub fn check_measured(rows: &[CellStaticBound], result: &CampaignResult) -> Vec<String> {
-    let mut violations = Vec::new();
-    for record in result.records.iter().filter(|r| r.is_ok()) {
-        let Some(row) = rows.iter().find(|row| row.cell == record.scenario) else {
-            continue;
-        };
-        let checks = [
-            ("bus", record.max_gamma, row.static_bus()),
-            ("mc", record.max_gamma_mc, row.static_mc()),
-        ];
-        for (what, observed, bound) in checks {
-            if let (Some(observed), Some(bound)) = (observed, bound) {
-                if observed > bound {
-                    violations.push(format!(
-                        "measured {what} γ {observed} exceeds static bound {bound} on `{}` ({})",
-                        record.scenario, record.label
-                    ));
-                }
-            }
-        }
-        // The flow composition bounds the observed core's *total* worst
-        // per-request delay across the topology, so the measured bus γ
-        // plus MC γ must stay under it.
-        if let Some(flow) = row.flow_total() {
-            let total =
-                record.max_gamma.unwrap_or(0).saturating_add(record.max_gamma_mc.unwrap_or(0));
-            if total > flow {
-                violations.push(format!(
-                    "measured composed γ {total} exceeds flow bound {flow} on `{}` ({})",
-                    record.scenario, record.label
-                ));
-            }
-        }
-    }
-    violations
+/// What a campaign run says about the static bounds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeasuredCheck {
+    /// Per-cell measured/static tightness, in row order.
+    pub tightness: Vec<CellTightness>,
+    /// One message per soundness violation, in record order.
+    pub violations: Vec<String>,
 }
 
 /// Per-cell measured/static tightness from a campaign run: how much of
@@ -375,68 +304,168 @@ pub struct CellTightness {
     pub tightness: f64,
 }
 
-/// Computes per-cell measured/static tightness for every cell that has
-/// both a finite static total and at least one successful run record.
-pub fn measured_tightness(rows: &[CellStaticBound], result: &CampaignResult) -> Vec<CellTightness> {
-    let mut out = Vec::new();
-    for row in rows {
-        let Some(static_total) = row.static_total() else { continue };
-        let mut measured: Option<u64> = None;
-        for record in result.records.iter().filter(|r| r.is_ok() && r.scenario == row.cell) {
-            let total = record.max_gamma.unwrap_or(0) + record.max_gamma_mc.unwrap_or(0);
-            measured = Some(measured.map_or(total, |m| m.max(total)));
-        }
-        let Some(measured) = measured else { continue };
-        let tightness = if static_total == 0 { 1.0 } else { measured as f64 / static_total as f64 };
-        out.push(CellTightness { cell: row.cell.clone(), measured, static_total, tightness });
+impl CellTightness {
+    /// The tightness row as a JSON object (`rrb analyze --check-runs
+    /// --format json`).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("cell", Json::str(self.cell.clone())),
+            ("measured", Json::U64(self.measured)),
+            ("static_total", Json::U64(self.static_total)),
+            ("tightness", Json::F64(self.tightness)),
+        ])
     }
+}
+
+/// Cross-checks measured per-request delays from a campaign run against
+/// the static bounds, in one pass over the successful run records (each
+/// counts toward the first row of its scenario name).
+///
+/// Any observed `γ` above the cell's static term, or bus γ plus MC γ
+/// above its flow bound, is a soundness violation. Every cell with a
+/// finite static total and at least one successful run also gets a
+/// [`CellTightness`] row.
+pub fn check_measured(rows: &[CellStaticBound], result: &CampaignResult) -> MeasuredCheck {
+    let mut worst: Vec<Option<u64>> = vec![None; rows.len()];
+    let mut violations = Vec::new();
+    for record in result.records.iter().filter(|r| r.is_ok()) {
+        let Some((row, worst)) =
+            rows.iter().zip(worst.iter_mut()).find(|(row, _)| row.cell == record.scenario)
+        else {
+            continue;
+        };
+        let checks = [
+            ("bus", record.max_gamma, row.static_bus()),
+            ("mc", record.max_gamma_mc, row.static_mc()),
+        ];
+        for (what, observed, bound) in checks {
+            if let Some((observed, bound)) = observed.zip(bound).filter(|(o, b)| o > b) {
+                violations.push(format!(
+                    "measured {what} γ {observed} exceeds static bound {bound} on `{}` ({})",
+                    record.scenario, record.label
+                ));
+            }
+        }
+        // The flow composition bounds the observed core's *total* worst
+        // per-request delay across the topology, so the measured bus γ
+        // plus MC γ must stay under it.
+        let total = record.max_gamma.unwrap_or(0).saturating_add(record.max_gamma_mc.unwrap_or(0));
+        if let Some(flow) = row.flow_total().filter(|&flow| total > flow) {
+            violations.push(format!(
+                "measured composed γ {total} exceeds flow bound {flow} on `{}` ({})",
+                record.scenario, record.label
+            ));
+        }
+        *worst = Some(worst.map_or(total, |w| w.max(total)));
+    }
+    let tightness = rows
+        .iter()
+        .zip(worst)
+        .filter_map(|(row, measured)| {
+            let (measured, static_total) = (measured?, row.static_total()?);
+            let tightness = tightness_ratio(measured, static_total);
+            Some(CellTightness { cell: row.cell.clone(), measured, static_total, tightness })
+        })
+        .collect();
+    MeasuredCheck { tightness, violations }
+}
+
+/// How much of `bound` a `delay` realises: `delay / bound`, or `1.0`
+/// for a zero bound (nothing to be pessimistic about).
+pub fn tightness_ratio(delay: u64, bound: u64) -> f64 {
+    if bound == 0 {
+        1.0
+    } else {
+        delay as f64 / bound as f64
+    }
+}
+
+/// One column of a bound table: its header, how it aligns, and its text
+/// for one row.
+pub(crate) struct Column<R> {
+    header: &'static str,
+    /// `None` left-aligns the column and fits it to its widest entry;
+    /// `Some(w)` right-aligns it in at least `w` characters.
+    width: Option<usize>,
+    text: fn(&R) -> String,
+}
+
+impl<R> Column<R> {
+    /// A left-aligned column as wide as its widest entry.
+    pub(crate) fn fit(header: &'static str, text: fn(&R) -> String) -> Self {
+        Column { header, width: None, text }
+    }
+
+    /// A right-aligned column at least `width` characters wide.
+    pub(crate) fn right(header: &'static str, width: usize, text: fn(&R) -> String) -> Self {
+        Column { header, width: Some(width), text }
+    }
+}
+
+/// Renders `rows` as an aligned text table — one header line, one line
+/// per row, columns two spaces apart, the last one unpadded — followed
+/// by the `summary` line.
+pub(crate) fn render_table<R>(columns: &[Column<R>], rows: &[R], summary: &str) -> String {
+    let header = columns.iter().map(|c| c.header.to_string()).collect();
+    let lines: Vec<Vec<String>> = std::iter::once(header)
+        .chain(rows.iter().map(|r| columns.iter().map(|c| (c.text)(r)).collect()))
+        .collect();
+    let fit: Vec<usize> = (0..columns.len())
+        .map(|i| lines.iter().filter_map(|line| line.get(i)).map(String::len).max().unwrap_or(0))
+        .collect();
+    let last = columns.len().saturating_sub(1);
+    let mut out = String::new();
+    for line in &lines {
+        for (i, ((text, column), &fit)) in line.iter().zip(columns).zip(&fit).enumerate() {
+            let sep = if i == 0 { "" } else { "  " };
+            let _ = match column.width {
+                _ if i == last => write!(out, "{sep}{text}"),
+                None => write!(out, "{sep}{text:<fit$}"),
+                Some(width) => write!(out, "{sep}{text:>width$}"),
+            };
+        }
+        out.push('\n');
+    }
+    let _ = writeln!(out, "{summary}");
     out
+}
+
+/// A bound as table text: the number, or `unbounded`.
+pub(crate) fn bound_text(bound: Option<u64>) -> String {
+    bound.map_or_else(|| String::from("unbounded"), |b| b.to_string())
+}
+
+/// A static row's status: its first violation, else `sound` when
+/// `finite`, else the reason the bound is open.
+fn status(r: &CellStaticBound, finite: bool) -> String {
+    if let Some(v) = r.violation() {
+        format!("UNSOUND: {v}")
+    } else if finite {
+        String::from("sound")
+    } else {
+        format!("unbounded: {}", r.bound.reason().unwrap_or("unknown"))
+    }
 }
 
 /// Renders the rows as an aligned text table with a one-line verdict.
 pub fn render_rows(rows: &[CellStaticBound]) -> String {
-    let mut out = String::new();
-    let name_width = rows.iter().map(|r| r.cell.len()).max().unwrap_or(4).max(4);
-    let _ = writeln!(
-        out,
-        "{:<name_width$}  {:>5}  {:>9}  {:>10}  {:>9}  {:>12}  status",
-        "cell", "truth", "stat(bus)", "stat(mc)", "stat(tot)", "arbiter"
-    );
-    for r in rows {
-        let fmt_opt = |v: Option<u64>| match v {
-            Some(v) => v.to_string(),
-            None => "unbounded".to_string(),
-        };
-        let status = if let Some(v) = r.violation() {
-            format!("UNSOUND: {v}")
-        } else if r.bound.is_finite() {
-            "sound".to_string()
-        } else {
-            format!("unbounded: {}", r.bound.reason().unwrap_or("unknown"))
-        };
-        let _ = writeln!(
-            out,
-            "{:<name_width$}  {:>5}  {:>9}  {:>10}  {:>9}  {:>12}  {}",
-            r.cell,
-            r.truth_total(),
-            fmt_opt(r.static_bus()),
-            fmt_opt(r.static_mc()),
-            fmt_opt(r.static_total()),
-            r.arbiter,
-            status,
-        );
-    }
+    let columns = [
+        Column::fit("cell", |r: &CellStaticBound| r.cell.clone()),
+        Column::right("truth", 5, |r| r.truth_total().to_string()),
+        Column::right("stat(bus)", 9, |r| bound_text(r.static_bus())),
+        Column::right("stat(mc)", 10, |r| bound_text(r.static_mc())),
+        Column::right("stat(tot)", 9, |r| bound_text(r.static_total())),
+        Column::right("arbiter", 12, |r| r.arbiter.clone()),
+        Column::fit("status", |r| status(r, r.bound.is_finite())),
+    ];
     let unsound = rows.iter().filter(|r| r.violation().is_some()).count();
     let unbounded = rows.iter().filter(|r| !r.bound.is_finite()).count();
-    let _ = writeln!(
-        out,
-        "{} cells: {} sound, {} unbounded, {} UNSOUND",
+    let summary = format!(
+        "{} cells: {} sound, {unbounded} unbounded, {unsound} UNSOUND",
         rows.len(),
-        rows.len() - unsound - unbounded,
-        unbounded,
-        unsound,
+        rows.len().saturating_sub(unsound + unbounded),
     );
-    out
+    render_table(&columns, rows, &summary)
 }
 
 /// Renders the rows with the interference-flow columns next to the
@@ -444,52 +473,27 @@ pub fn render_rows(rows: &[CellStaticBound]) -> String {
 /// MC terms for the observed core, the composed total, and the provable
 /// slack the saturating sum leaves on the table.
 pub fn render_rows_composed(rows: &[CellStaticBound]) -> String {
-    let mut out = String::new();
-    let name_width = rows.iter().map(|r| r.cell.len()).max().unwrap_or(4).max(4);
-    let _ = writeln!(
-        out,
-        "{:<name_width$}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>6}  {:>12}  status",
-        "cell", "stat(tot)", "flow(bus)", "flow(mc)", "flow(tot)", "slack", "s/f", "arbiter"
-    );
-    for r in rows {
-        let fmt_opt = |v: Option<u64>| match v {
-            Some(v) => v.to_string(),
-            None => "unbounded".to_string(),
-        };
-        let ratio = match (r.static_total(), r.flow_total()) {
+    let columns = [
+        Column::fit("cell", |r: &CellStaticBound| r.cell.clone()),
+        Column::right("stat(tot)", 9, |r| bound_text(r.static_total())),
+        Column::right("flow(bus)", 9, |r| bound_text(r.flow_bus())),
+        Column::right("flow(mc)", 9, |r| bound_text(r.flow_mc())),
+        Column::right("flow(tot)", 9, |r| bound_text(r.flow_total())),
+        Column::right("slack", 9, |r| bound_text(r.flow_slack())),
+        Column::right("s/f", 6, |r| match (r.static_total(), r.flow_total()) {
             (Some(s), Some(f)) if f > 0 => format!("{:.2}", s as f64 / f as f64),
-            (Some(_), Some(0)) => "inf".to_string(),
-            _ => "-".to_string(),
-        };
-        let status = if let Some(v) = r.violation() {
-            format!("UNSOUND: {v}")
-        } else if r.composed.is_finite() {
-            "sound".to_string()
-        } else {
-            format!("unbounded: {}", r.bound.reason().unwrap_or("unknown"))
-        };
-        let _ = writeln!(
-            out,
-            "{:<name_width$}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>6}  {:>12}  {}",
-            r.cell,
-            fmt_opt(r.static_total()),
-            fmt_opt(r.flow_bus()),
-            fmt_opt(r.flow_mc()),
-            fmt_opt(r.flow_total()),
-            fmt_opt(r.flow_slack()),
-            ratio,
-            r.arbiter,
-            status,
-        );
-    }
+            (Some(_), Some(0)) => String::from("inf"),
+            _ => String::from("-"),
+        }),
+        Column::right("arbiter", 12, |r| r.arbiter.clone()),
+        Column::fit("status", |r| status(r, r.composed.is_finite())),
+    ];
     let total_slack: u64 = rows.iter().filter_map(CellStaticBound::flow_slack).sum();
-    let _ = writeln!(
-        out,
-        "{} cells, {} cycles of provable slack attributed across the topology",
-        rows.len(),
-        total_slack,
+    let summary = format!(
+        "{} cells, {total_slack} cycles of provable slack attributed across the topology",
+        rows.len()
     );
-    out
+    render_table(&columns, rows, &summary)
 }
 
 #[cfg(test)]
@@ -509,9 +513,13 @@ mod tests {
             .max_k(8)
     }
 
+    fn grid_rows(grid: &CampaignGrid) -> Vec<CellStaticBound> {
+        grid.cells().iter().map(analyze_grid_cell).collect()
+    }
+
     #[test]
     fn every_grid_cell_gets_a_finite_sound_bound() {
-        let rows = analyze_grid(&toy_grid());
+        let rows = grid_rows(&toy_grid());
         assert_eq!(rows.len(), 6);
         for row in &rows {
             assert!(row.bound.is_finite(), "cell `{}` must not be refused", row.cell);
@@ -521,7 +529,7 @@ mod tests {
 
     #[test]
     fn round_robin_cells_match_eq1_exactly() {
-        let rows = analyze_grid(&toy_grid());
+        let rows = grid_rows(&toy_grid());
         let rr4 = rows.iter().find(|r| r.cell.contains("/rr/c4/")).expect("rr c4 cell");
         assert_eq!(rr4.static_total(), Some(6));
         assert_eq!(rr4.truth_total(), 6);
@@ -529,7 +537,7 @@ mod tests {
 
     #[test]
     fn fixed_priority_cells_use_the_window_bound() {
-        let rows = analyze_grid(&toy_grid());
+        let rows = grid_rows(&toy_grid());
         let fp4 = rows.iter().find(|r| r.cell.contains("/fp/c4/")).expect("fp c4 cell");
         let total = fp4.static_total().expect("finite via run window");
         assert!(total >= fp4.truth_total());
@@ -537,7 +545,7 @@ mod tests {
 
     #[test]
     fn composed_flow_shaves_the_lookup_cycle_on_rr_cells() {
-        let rows = analyze_grid(&toy_grid());
+        let rows = grid_rows(&toy_grid());
         let rr4 = rows.iter().find(|r| r.cell.contains("/rr/c4/")).expect("rr c4 cell");
         // The classified scua has a proven request gap, so the observed
         // core's flow bound drops the request cycle: (4-1)*2 - 1.
@@ -558,7 +566,7 @@ mod tests {
             .contender_accesses(vec![AccessKind::Load])
             .iterations(vec![40])
             .max_k(8);
-        let rows = analyze_grid(&grid);
+        let rows = grid_rows(&grid);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert_eq!(row.static_total(), Some(12), "saturating: bus 6 + mc 6");

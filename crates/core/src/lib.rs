@@ -83,8 +83,8 @@
 //! // ([`analyze`]) still produces FIFO's analytic bound for the cell.
 //! assert_eq!(result.reports[0].metric_u64("ubd_m"), Some(6));
 //! assert!(!result.reports[1].is_ok());
-//! let static_rows = rrb::analyze::analyze_grid(&grid);
-//! assert_eq!(static_rows[1].static_total(), Some(6)); // the fifo cell
+//! let fifo_cell = &grid.cells()[1];
+//! assert_eq!(rrb::analyze::analyze_grid_cell(fifo_cell).static_total(), Some(6));
 //! let json = result.to_json(); // bit-identical for any --jobs value
 //! assert!(json.contains("\"ubd_m\": 6"));
 //! ```
@@ -120,8 +120,8 @@ pub use rrb_sim as sim;
 pub use rrb_static as statics;
 
 pub use analyze::{
-    analyze_grid, analyze_grid_cell, analyze_spec, analyze_workload, check_measured,
-    measured_tightness, CellStaticBound, CellTightness,
+    analyze_grid_cell, analyze_spec, analyze_workload, check_measured, CellStaticBound,
+    CellTightness, MeasuredCheck,
 };
 pub use campaign::{
     clamped_jobs, Campaign, CampaignBuilder, CampaignGrid, CampaignPlan, CampaignResult,

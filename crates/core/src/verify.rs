@@ -3,11 +3,14 @@
 //! layer, plus replay of the checker's adversarial witnesses on the full
 //! simulator.
 //!
-//! Three numbers exist for every cell, and this module lines them up:
+//! This module is the exact half of the bound ladder
+//! `measured ≤ exact ≤ observed ≤ static ≥ truth` (with `flow ≤ sum`).
+//! Each cell is expanded and profiled once, by the same per-cell function
+//! [`crate::analyze`] uses, and the checker searches exactly the envelope
+//! profiles the cell's static row was built from:
 //!
-//! * **static** — the analytic upper bound ([`crate::analyze`], closed
-//!   formulas / response-time analysis). Sound by construction, possibly
-//!   pessimistic.
+//! * **static / observed / flow** — the analytic row
+//!   ([`CellStaticBound`]): sound by construction, possibly pessimistic.
 //! * **exact** — the bounded-exhaustive worst case over all request
 //!   alignments of the abstract single-resource model
 //!   ([`rrb_static::exact_bounds`]). `exact ≤ observed ≤ static` is a
@@ -23,6 +26,9 @@
 //!   just runs the adversarial schedule and reads the worst γ off the
 //!   PMCs.
 //!
+//! [`VerifiedCell::violations`] is the one chain check: the static row's
+//! links, then the exact links.
+//!
 //! The replay sweeps the scua's nop padding over one rotation period
 //! (the §4 argument: alignment is controlled modulo the period, so some
 //! padding in `0..=period` lands the observed request in the witness's
@@ -32,7 +38,7 @@
 //! `prop_verify_exact` property test.
 
 use crate::analyze::{
-    analyze_grid_cell, analyze_workload, grid_cell_profiles, workload_profiles, CellStaticBound,
+    bound_text, render_table, tightness_ratio, CellPrograms, CellStaticBound, Column,
 };
 use crate::campaign::{CampaignGrid, GridCell, RunSpec};
 use crate::executor::MachineArena;
@@ -40,7 +46,6 @@ use crate::json::Json;
 use crate::spec::{ExperimentSpec, WorkloadCase};
 use rrb_sim::{MachineConfig, ResourceKind};
 use rrb_static::{exact_bounds, ExactBound, VerifyOptions, Witness};
-use std::fmt::Write as _;
 
 /// One verified campaign cell: the static bound, the exact bound per
 /// resource, and the machine configuration needed to replay witnesses.
@@ -62,15 +67,13 @@ impl VerifiedCell {
 
     /// The exact MC bound (`Some(0)` for single-level topologies).
     pub fn exact_mc(&self) -> Option<u64> {
-        if self.exact.iter().any(|r| r.resource == ResourceKind::MemoryController) {
-            self.exact_for(ResourceKind::MemoryController)
-        } else {
-            Some(0)
-        }
+        self.exact_for(ResourceKind::MemoryController)
     }
 
+    /// The exact bound for `kind` (`Some(0)` for a resource the topology
+    /// lacks).
     fn exact_for(&self, kind: ResourceKind) -> Option<u64> {
-        self.exact.iter().find(|r| r.resource == kind).and_then(|r| r.exact)
+        self.exact.iter().find(|r| r.resource == kind).map_or(Some(0), |r| r.exact)
     }
 
     /// The composed exact total; `None` when any resource starves.
@@ -88,19 +91,16 @@ impl VerifiedCell {
     /// when the observed total is zero (nothing to be pessimistic
     /// about).
     pub fn tightness(&self) -> Option<f64> {
-        let exact = self.exact_total()?;
-        let observed = self.statics.observed_total()?;
-        if observed == 0 {
-            return Some(1.0);
-        }
-        Some(exact as f64 / observed as f64)
+        Some(tightness_ratio(self.exact_total()?, self.statics.observed_total()?))
     }
 
-    /// Soundness violations over the whole bound chain per resource and
-    /// in total: `exact ≤ observed-core static ≤ machine-wide static`,
-    /// plus `flow composed ≤ saturating sum`. Empty means the static
-    /// model dominates the exhaustive search and the flow composition
-    /// never exceeds the sum it claims to tighten.
+    /// Every failing link of the cell's bound chain: the static row's
+    /// links (`truth ≤ static`, `flow ≤ sum`, see
+    /// [`CellStaticBound::violations`]), then `exact ≤ observed-core
+    /// static ≤ machine-wide static` per resource and in total. Empty
+    /// means the static model dominates both the truth and the
+    /// exhaustive search, and the flow composition never exceeds the sum
+    /// it claims to tighten.
     ///
     /// Note there is deliberately **no** `exact_total ≤ flow_total`
     /// check: the exact MC term is the single-resource worst case under
@@ -109,63 +109,26 @@ impl VerifiedCell {
     /// the flow composition (that is exactly the pessimism flow
     /// removes).
     pub fn violations(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for row in &self.exact {
-            let (statics, observed) = match row.resource {
-                ResourceKind::Bus => (self.statics.static_bus(), self.statics.observed_bus()),
-                ResourceKind::MemoryController => {
-                    (self.statics.static_mc(), self.statics.observed_mc())
-                }
-            };
-            if let (Some(exact), Some(bound)) = (row.exact, statics) {
-                if exact > bound {
-                    out.push(format!(
-                        "exact {} delay {exact} exceeds static bound {bound} on `{}`",
-                        row.resource, self.statics.cell
-                    ));
-                }
-            }
-            if let (Some(exact), Some(obs)) = (row.exact, observed) {
-                if exact > obs {
-                    out.push(format!(
-                        "exact {} delay {exact} exceeds observed-core bound {obs} on `{}`",
-                        row.resource, self.statics.cell
-                    ));
-                }
-            }
-        }
-        if let (Some(exact), Some(statics)) = (self.exact_total(), self.statics.static_total()) {
-            if exact > statics {
-                out.push(format!(
-                    "exact total {exact} exceeds static total {statics} on `{}`",
-                    self.statics.cell
-                ));
-            }
-        }
-        if let (Some(exact), Some(observed)) = (self.exact_total(), self.statics.observed_total()) {
-            if exact > observed {
-                out.push(format!(
-                    "exact total {exact} exceeds observed-core total {observed} on `{}`",
-                    self.statics.cell
-                ));
-            }
-        }
-        if let (Some(flow), Some(statics)) =
-            (self.statics.flow_total(), self.statics.static_total())
-        {
-            if flow > statics {
-                out.push(format!(
-                    "flow composed {flow} exceeds saturating sum {statics} on `{}`",
-                    self.statics.cell
-                ));
-            }
-        }
+        let s = &self.statics;
+        // (resource, or `None` for the total; exact; bound name; bound)
+        let per_resource = self.exact.iter().flat_map(|row| {
+            let kind = row.resource;
+            [
+                (Some(kind), row.exact, "static bound", s.static_for(kind)),
+                (Some(kind), row.exact, "observed-core bound", s.observed_for(kind)),
+            ]
+        });
+        let total = [
+            (None, self.exact_total(), "static total", s.static_total()),
+            (None, self.exact_total(), "observed-core total", s.observed_total()),
+        ];
+        let mut out = s.violations();
+        out.extend(per_resource.chain(total).filter_map(|(kind, exact, bound_name, bound)| {
+            let (exact, bound) = exact.zip(bound).filter(|(e, b)| e > b)?;
+            let what = kind.map_or_else(|| String::from("total"), |k| format!("{k} delay"));
+            Some(format!("exact {what} {exact} exceeds {bound_name} {bound} on `{}`", s.cell))
+        }));
         out
-    }
-
-    /// The witness for `kind`, if the checker found a delayed alignment.
-    pub fn witness(&self, kind: ResourceKind) -> Option<&Witness> {
-        self.exact.iter().find(|r| r.resource == kind).and_then(|r| r.witness.as_ref())
     }
 
     /// Total alignments simulated across this cell's resources.
@@ -185,10 +148,7 @@ impl VerifiedCell {
             .exact
             .iter()
             .map(|r| {
-                let statics = match r.resource {
-                    ResourceKind::Bus => self.statics.static_bus(),
-                    ResourceKind::MemoryController => self.statics.static_mc(),
-                };
+                let statics = self.statics.static_for(r.resource);
                 let witness = r.witness.as_ref().map(|w| {
                     Json::obj(vec![
                         ("observed_gap", Json::U64(w.observed_gap)),
@@ -235,13 +195,17 @@ impl VerifiedCell {
     }
 }
 
-/// Verifies one expanded grid cell: static bounds plus exact bounds over
-/// the same demand profiles.
+/// Verifies one expanded cell: its static row plus exact bounds over
+/// the envelope profiles that row was built from.
+fn verify_cell(cell: CellPrograms, opts: &VerifyOptions) -> VerifiedCell {
+    let (statics, envelope) = cell.bound();
+    let exact = exact_bounds(&cell.cfg, &envelope, opts);
+    VerifiedCell { statics, cfg: cell.cfg, exact }
+}
+
+/// Verifies one expanded grid cell.
 pub fn verify_grid_cell(cell: &GridCell, opts: &VerifyOptions) -> VerifiedCell {
-    let statics = analyze_grid_cell(cell);
-    let profiles = grid_cell_profiles(cell);
-    let exact = exact_bounds(&cell.cfg, &profiles, opts);
-    VerifiedCell { statics, cfg: cell.cfg.clone(), exact }
+    verify_cell(CellPrograms::grid(cell), opts)
 }
 
 /// Verifies one workload case on `machine`.
@@ -250,22 +214,13 @@ pub fn verify_workload(
     case: &WorkloadCase,
     opts: &VerifyOptions,
 ) -> VerifiedCell {
-    let statics = analyze_workload(machine, case);
-    let profiles = workload_profiles(machine, case);
-    let exact = exact_bounds(machine, &profiles, opts);
-    VerifiedCell { statics, cfg: machine.clone(), exact }
+    verify_cell(CellPrograms::workload(machine, case), opts)
 }
 
-/// Verifies every cell a spec would run, in campaign enumeration order.
+/// Verifies every cell a spec would run, in campaign enumeration order —
+/// row for row the cells [`crate::analyze::analyze_spec`] bounds.
 pub fn verify_spec(spec: &ExperimentSpec, opts: &VerifyOptions) -> Vec<VerifiedCell> {
-    let mut rows = Vec::new();
-    if let Some(grid) = spec.to_grid() {
-        rows.extend(grid.cells().iter().map(|cell| verify_grid_cell(cell, opts)));
-    }
-    for case in &spec.workloads {
-        rows.push(verify_workload(&spec.machine, case, opts));
-    }
-    rows
+    CellPrograms::of_spec(spec).map(|cell| verify_cell(cell, opts)).collect()
 }
 
 /// Verifies every cell of a [`CampaignGrid`] directly.
@@ -296,11 +251,7 @@ impl WitnessReplay {
     /// `measured / exact` — how much of the exhaustive worst case the
     /// cycle-accurate machine reproduces. `1.0` when `exact` is zero.
     pub fn tightness(&self) -> Option<f64> {
-        let measured = self.measured?;
-        if self.exact == 0 {
-            return Some(1.0);
-        }
-        Some(measured as f64 / self.exact as f64)
+        Some(tightness_ratio(self.measured?, self.exact))
     }
 
     /// A soundness violation of the abstract model: the real machine
@@ -391,71 +342,42 @@ pub fn replay_cell_witnesses(cell: &VerifiedCell, iterations: u64) -> Vec<Witnes
 }
 
 /// Renders verified cells as an aligned text table with a one-line
-/// verdict, mirroring [`crate::analyze::render_rows`].
+/// verdict, through the same renderer as [`crate::analyze::render_rows`].
 pub fn render_verified(rows: &[VerifiedCell]) -> String {
-    let mut out = String::new();
-    let name_width = rows.iter().map(|r| r.statics.cell.len()).max().unwrap_or(4).max(4);
-    let _ = writeln!(
-        out,
-        "{:<name_width$}  {:>10}  {:>9}  {:>9}  {:>8}  {:>9}  {:>9}  {:>8}  {:>12}  status",
-        "cell",
-        "exact(bus)",
-        "exact(mc)",
-        "stat(tot)",
-        "obs(tot)",
-        "flow(tot)",
-        "exact(tot)",
-        "tight",
-        "arbiter"
-    );
-    for r in rows {
-        let fmt_opt = |v: Option<u64>| match v {
-            Some(v) => v.to_string(),
-            None => "unbounded".to_string(),
-        };
-        let tight = match r.tightness() {
-            Some(t) => format!("{t:.3}"),
-            None => "-".to_string(),
-        };
-        let violations = r.violations();
-        let status = if let Some(v) = violations.first() {
-            format!("UNSOUND: {v}")
-        } else if r.exact_total().is_some() {
-            "exact".to_string()
-        } else {
-            let reason = r.exact.iter().find_map(|row| row.reason.as_deref()).unwrap_or("unknown");
-            format!("unbounded: {reason}")
-        };
-        let _ = writeln!(
-            out,
-            "{:<name_width$}  {:>10}  {:>9}  {:>9}  {:>8}  {:>9}  {:>9}  {:>8}  {:>12}  {}",
-            r.statics.cell,
-            fmt_opt(r.exact_bus()),
-            fmt_opt(r.exact_mc()),
-            fmt_opt(r.statics.static_total()),
-            fmt_opt(r.statics.observed_total()),
-            fmt_opt(r.statics.flow_total()),
-            fmt_opt(r.exact_total()),
-            tight,
-            r.statics.arbiter,
-            status,
-        );
-    }
+    let columns = [
+        Column::fit("cell", |r: &VerifiedCell| r.statics.cell.clone()),
+        Column::right("exact(bus)", 10, |r| bound_text(r.exact_bus())),
+        Column::right("exact(mc)", 9, |r| bound_text(r.exact_mc())),
+        Column::right("stat(tot)", 9, |r| bound_text(r.statics.static_total())),
+        Column::right("obs(tot)", 8, |r| bound_text(r.statics.observed_total())),
+        Column::right("flow(tot)", 9, |r| bound_text(r.statics.flow_total())),
+        Column::right("exact(tot)", 9, |r| bound_text(r.exact_total())),
+        Column::right("tight", 8, |r| {
+            r.tightness().map_or_else(|| String::from("-"), |t| format!("{t:.3}"))
+        }),
+        Column::right("arbiter", 12, |r| r.statics.arbiter.clone()),
+        Column::fit("status", |r| {
+            if let Some(v) = r.violations().first() {
+                format!("UNSOUND: {v}")
+            } else if r.exact_total().is_some() {
+                String::from("exact")
+            } else {
+                let reason = r.exact.iter().find_map(|row| row.reason.as_deref());
+                format!("unbounded: {}", reason.unwrap_or("unknown"))
+            }
+        }),
+    ];
     let unsound = rows.iter().filter(|r| !r.violations().is_empty()).count();
     let unbounded = rows.iter().filter(|r| r.exact_total().is_none()).count();
     let explored: u64 = rows.iter().map(VerifiedCell::explored).sum();
     let pruned: u64 = rows.iter().map(VerifiedCell::pruned).sum();
-    let _ = writeln!(
-        out,
-        "{} cells: {} exact, {} unbounded, {} UNSOUND ({} alignments explored, {} pruned)",
+    let summary = format!(
+        "{} cells: {} exact, {unbounded} unbounded, {unsound} UNSOUND \
+         ({explored} alignments explored, {pruned} pruned)",
         rows.len(),
-        rows.len() - unsound - unbounded,
-        unbounded,
-        unsound,
-        explored,
-        pruned,
+        rows.len().saturating_sub(unsound + unbounded),
     );
-    out
+    render_table(&columns, rows, &summary)
 }
 
 #[cfg(test)]
@@ -555,6 +477,38 @@ mod tests {
         assert_eq!(row.exact.len(), 2);
         assert!(row.violations().is_empty());
         assert!(row.exact_mc().expect("mc exact") > 0);
+    }
+
+    #[test]
+    fn a_static_bound_below_truth_breaks_the_chain() {
+        let mut cell = verify_grid(&toy_grid(), &VerifyOptions::default()).swap_remove(0);
+        assert!(cell.violations().is_empty(), "{:?}", cell.violations());
+        cell.statics.truth_bus = cell.statics.static_total().expect("finite") + 1;
+        let violations = cell.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("< analytic truth"), "{violations:?}");
+        let text = render_verified(&[cell]);
+        assert!(text.contains("UNSOUND: static bound"), "{text}");
+        assert!(text.contains("1 cells: 0 exact, 0 unbounded, 1 UNSOUND"), "{text}");
+    }
+
+    #[test]
+    fn an_exact_bound_above_static_breaks_every_exact_link() {
+        let mut cell = verify_grid(&toy_grid(), &VerifyOptions::default()).swap_remove(0);
+        let name = cell.statics.cell.clone();
+        cell.exact[0].exact = Some(100);
+        // Single-bus cell: the bus terms are the totals.
+        let stat = cell.statics.static_total().expect("finite");
+        let obs = cell.statics.observed_total().expect("finite");
+        assert_eq!(
+            cell.violations(),
+            [
+                format!("exact bus delay 100 exceeds static bound {stat} on `{name}`"),
+                format!("exact bus delay 100 exceeds observed-core bound {obs} on `{name}`"),
+                format!("exact total 100 exceeds static total {stat} on `{name}`"),
+                format!("exact total 100 exceeds observed-core total {obs} on `{name}`"),
+            ]
+        );
     }
 
     #[test]
