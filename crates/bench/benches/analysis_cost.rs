@@ -1,15 +1,16 @@
 //! Benchmark of the bound-analysis layer on one cell — the `ngmp_ref`
 //! four-core bus+mc round-robin derive cell: must/may cache
 //! classification of the cell's kernels, then the static analysis,
-//! the model check and the spec lint built on it (std-only harness;
-//! `harness = false`).
+//! the model check and the spec lint built on it — plus the model check
+//! of the same cell with a fifo bus, the checker's costliest arbiter
+//! (std-only harness; `harness = false`).
 //!
 //! ```sh
 //! cargo bench -p rrb-bench --bench analysis_cost
 //! ```
 
 use rrb::analyze::analyze_grid_cell;
-use rrb::campaign::{CampaignGrid, GridScenario};
+use rrb::campaign::{CampaignGrid, GridCell, GridScenario};
 use rrb::kernels::{rsk, rsk_nop};
 use rrb::lint::lint_spec;
 use rrb::spec::ExperimentSpec;
@@ -19,10 +20,22 @@ use rrb_bench::bench;
 use rrb_sim::{ArbiterKind, CoreId, MachineConfig};
 use std::hint::black_box;
 
+/// The `ngmp_ref` four-core bus+mc derive grid with `arbiter` on the bus.
+fn ngmp_grid(arbiter: ArbiterKind) -> CampaignGrid {
+    CampaignGrid::new(GridScenario::Derive, MachineConfig::ngmp_two_level())
+        .arbiters(vec![arbiter])
+        .cores(vec![4])
+}
+
+fn bench_verify(cell: &GridCell, opts: &VerifyOptions) {
+    println!("model check: {}", cell.name);
+    bench("verify_grid_cell", 2, 20, || {
+        black_box(verify_grid_cell(cell, opts));
+    });
+}
+
 fn main() {
-    let grid = CampaignGrid::new(GridScenario::Derive, MachineConfig::ngmp_two_level())
-        .arbiters(vec![ArbiterKind::RoundRobin])
-        .cores(vec![4]);
+    let grid = ngmp_grid(ArbiterKind::RoundRobin);
     let spec = ExperimentSpec::from_grid("ngmp_ref_bus_mc_rr_c4", &grid);
     let cell = grid.cells().remove(0);
     let cfg = &cell.cfg;
@@ -47,4 +60,5 @@ fn main() {
     bench("lint_spec", 5, 50, || {
         black_box(lint_spec(&spec));
     });
+    bench_verify(&ngmp_grid(ArbiterKind::Fifo).cells().remove(0), &opts);
 }

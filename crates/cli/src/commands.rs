@@ -618,7 +618,7 @@ fn ndjson(values: impl Iterator<Item = rrb::Json>) -> String {
     out
 }
 
-/// `rrb verify <spec.json>`: bounded model checking of every cell the
+/// `rrb verify <spec.json>`: exhaustive model checking of every cell the
 /// spec would run — the *exact* worst-case per-request delay per
 /// resource (enumerating request alignments against the real arbiter
 /// implementations), the tightness certificate `exact / static`, and a
@@ -627,8 +627,7 @@ fn ndjson(values: impl Iterator<Item = rrb::Json>) -> String {
 /// simulator and fails if a measured delay exceeds the exact bound.
 fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
     let spec = spec_from(parsed, "rrb verify <spec.json>")?;
-    let opts = rrb::statics::VerifyOptions::with_horizon(parsed.get_u64("horizon", 0)?);
-    let rows = rrb::verify::verify_spec(&spec, &opts);
+    let rows = rrb::verify::verify_spec(&spec, &rrb::statics::VerifyOptions::default());
     let json = format_from(parsed, "text, json")? == "json";
     let mut out = if json {
         ndjson(rows.iter().map(rrb::VerifiedCell::to_json))
@@ -833,11 +832,11 @@ fn help_text() -> String {
                      flow bound and its slack vs the saturating sum;\n\
                      --check-runs also executes the campaign and fails\n\
                      if any measured delay exceeds its static bound)\n\
-           verify    bounded exhaustive model check of every cell of an\n\
+           verify    exhaustive model check of every cell of an\n\
                      experiment file: exact worst-case delays, tightness\n\
                      certificates vs the static bounds, and replayable\n\
                      adversarial witnesses: rrb verify <spec.json>\n\
-                     [--horizon N] [--format text|json] [--out FILE]\n\
+                     [--format text|json] [--out FILE]\n\
                      [--check-runs [--iterations N]]  (--check-runs\n\
                      replays each witness on the cycle-accurate\n\
                      simulator and fails if measured exceeds exact)\n\

@@ -407,11 +407,11 @@ impl Arbiter for GroupedRoundRobinArbiter {
         let groups = self.groups();
         for g_off in 0..groups {
             let group = (self.group_head + g_off) % groups;
-            let members: Vec<usize> = self.members(group).collect();
+            let members = self.members(group);
             let m_len = members.len();
             for m_off in 0..m_len {
                 let idx = (self.member_head[group] + m_off) % m_len;
-                let core = members[idx];
+                let core = members.start + idx;
                 if let Some(req) = view[core] {
                     if req.ready <= now {
                         self.member_head[group] = (idx + 1) % m_len;

@@ -37,7 +37,7 @@
 //!   propagated through the topology (the bus grant rate caps the MC-queue
 //!   arrival rate), emitting a [`ComposedBound`] with per-resource slack
 //!   attribution next to the saturating sum.
-//! * [`verify`] — a bounded exhaustive model checker that drives the *real*
+//! * [`verify`] — an exhaustive model checker that drives the *real*
 //!   arbiter implementations over the abstract single-resource model,
 //!   enumerating request-arrival alignments (with per-arbiter symmetry
 //!   pruning) to compute the **exact** worst-case delay of the observed

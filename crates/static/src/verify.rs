@@ -1,4 +1,4 @@
-//! Bounded exhaustive model checking of the abstract arbiter model:
+//! Exhaustive model checking of the abstract arbiter model:
 //! *exact* worst-case per-request delays, with replayable adversarial
 //! witnesses.
 //!
@@ -57,29 +57,41 @@
 //!   equivalent, and the gap sweep covers coarser shifts); the checker
 //!   enumerates nondecreasing offset tuples over `0..=L`.
 //!
-//! The horizon bounds how many cycles each alignment is simulated; the
-//! default auto horizon covers several rotation periods, which the
-//! repo-level property test pins against the closed-form bounds.
+//! ## Event-driven lasso search
+//!
+//! Each alignment is a deterministic finite system: its future depends
+//! only on the arbiter's decision state and each requester's pending
+//! ready cycle, both relative to `now`. The search jumps from event to
+//! event — the active completion, or the earliest cycle any pending
+//! request could be granted ([`Arbiter::earliest_grant`], exact for
+//! tdma) — and at every bus-free decision point packs that relative
+//! state into an exact fixed-width key: the arbiter's
+//! [`Arbiter::ff_signature`] plus each core's tagged `ready - now`. When
+//! a key recurs on the current path the schedule has closed a lasso, and
+//! the worst delay on it is the alignment's exact worst case for any
+//! horizon. A memo of resolved states → worst future observed delay lets
+//! a later alignment that reaches a known state stop there; it is scoped
+//! to one (resource, observed gap) and cleared when the gap changes, so
+//! the gap stays out of the key.
+//!
+//! The horizon is only a safety cap. An alignment that reaches it before
+//! closing its lasso, or whose state does not fit the key, reports the
+//! worst delay within the cap — the plain bounded result — and is never
+//! memoised. The default auto cap covers several rotation periods.
 
 use crate::bounds::{can_request, resource_models};
 use crate::profile::CoreProfile;
-use rrb_sim::{build_arbiter, ArbiterKind, MachineConfig, RequestView, ResourceKind};
+use rrb_sim::{build_arbiter, Arbiter, ArbiterKind, MachineConfig, RequestView, ResourceKind};
 
-/// Options for the bounded model checker.
+/// Options for the model checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VerifyOptions {
-    /// Cycles simulated per alignment; `0` picks an automatic horizon of
-    /// several rotation periods (enough for every alignment's schedule to
-    /// reach and repeat its worst phase).
+    /// Safety cap on the cycles explored per alignment before its lasso
+    /// closes; `0` picks an automatic cap of several rotation periods.
     pub horizon: u64,
 }
 
 impl VerifyOptions {
-    /// Explicit cycle horizon per alignment (`0` = auto).
-    pub fn with_horizon(horizon: u64) -> Self {
-        VerifyOptions { horizon }
-    }
-
     fn effective_horizon(&self, period: u64, occupancy: u64) -> u64 {
         if self.horizon > 0 {
             self.horizon
@@ -87,16 +99,6 @@ impl VerifyOptions {
             period.saturating_mul(8).saturating_add(occupancy.saturating_mul(16)).saturating_add(64)
         }
     }
-}
-
-/// One request-arrival alignment of the abstract model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Alignment {
-    /// Cycles between an observed completion and its next post.
-    observed_gap: u64,
-    /// Initial ready offset per contender core (`1..Nc`); `None` for a
-    /// core that never requests at this resource.
-    offsets: Vec<Option<u64>>,
 }
 
 /// The adversarial alignment that achieves the exact worst-case delay:
@@ -118,19 +120,23 @@ pub struct Witness {
     pub contender_offsets: Vec<Option<u64>>,
     /// The exact worst-case delay this alignment achieves.
     pub delay: u64,
-    /// Cycle horizon the alignment was explored to.
+    /// Safety cap on the cycles the alignment is explored to before its
+    /// lasso closes.
     pub horizon: u64,
 }
 
 impl Witness {
-    /// Deterministically re-simulates the witness alignment in the
-    /// abstract model and returns the worst delay it exhibits — by
-    /// construction equal to [`Witness::delay`]. This is the cheap
-    /// certificate check: a mismatch means the checker is broken.
+    /// Deterministically re-runs the witness alignment in the abstract
+    /// model and returns the worst delay it exhibits — by construction
+    /// equal to [`Witness::delay`]. This is the cheap certificate check:
+    /// a mismatch means the checker is broken.
     pub fn replay(&self) -> Option<u64> {
-        let alignment =
-            Alignment { observed_gap: self.observed_gap, offsets: self.contender_offsets.clone() };
-        simulate_alignment(self.arbiter, self.num_cores, self.occupancy, &alignment, self.horizon)
+        let period = rotation_period(self.arbiter, self.num_cores as u64, self.occupancy);
+        LassoSearch::new(self.arbiter, self.num_cores, self.occupancy, period).worst(
+            self.observed_gap,
+            &self.contender_offsets,
+            self.horizon,
+        )
     }
 
     /// Contender core indices (`1..Nc`) that post requests in this
@@ -202,54 +208,246 @@ fn nondecreasing_tuples(len: usize, max: u64) -> Vec<Vec<u64>> {
     out
 }
 
-/// Simulates one alignment: the real arbiter over the single-resource
-/// abstract model, mirroring the machine's in-cycle phase order
-/// (completion, repost, select). Returns the worst observed-core delay,
-/// or `None` if the observed core is never granted within the horizon.
-fn simulate_alignment(
-    arbiter: ArbiterKind,
-    num_cores: usize,
-    occupancy: u64,
-    alignment: &Alignment,
-    horizon: u64,
-) -> Option<u64> {
-    let occ = occupancy.max(1);
-    let mut arb = build_arbiter(arbiter, num_cores);
-    let mut pending: Vec<Option<u64>> = Vec::with_capacity(num_cores);
-    pending.push(Some(alignment.observed_gap));
-    pending.extend(alignment.offsets.iter().copied());
-    debug_assert_eq!(pending.len(), num_cores);
-    let mut view: Vec<Option<RequestView>> = vec![None; num_cores];
-    let mut active: Option<(usize, u64)> = None;
-    let mut worst: Option<u64> = None;
-    for now in 0..horizon {
-        if let Some((core, until)) = active {
-            if until == now {
-                // Contenders saturate; the observed stream reposts after
-                // its gap.
-                pending[core] = Some(if core == 0 { now + alignment.observed_gap } else { now });
-                active = None;
-            }
-        }
-        if active.is_none() {
-            for (slot, ready) in view.iter_mut().zip(pending.iter()) {
-                *slot = ready.map(|ready| RequestView { ready, occupancy: occ });
-            }
-            if let Some(core) = arb.select(&view, now) {
-                let ready = pending[core].take().unwrap_or(now);
-                if core == 0 {
-                    let gamma = now.saturating_sub(ready);
-                    worst = Some(worst.map_or(gamma, |w| w.max(gamma)));
-                }
-                active = Some((core, now + occ));
-            }
-        }
-    }
-    worst
+/// Bit layout of a packed state key: `sig_len` arbiter-signature words
+/// of `sig_bits` each, then one `core_bits` field per core. Fixed per
+/// resource, so equal keys mean equal states.
+#[derive(Debug, Clone, Copy)]
+struct KeyLayout {
+    sig_len: usize,
+    sig_bits: u32,
+    core_bits: u32,
 }
 
-/// Enumerates the pruned alignment family for one resource, returning the
-/// alignments plus the size of the *unpruned* space `(P+1)^(m+1)`.
+impl KeyLayout {
+    /// The layout for `num_cores` cores and `sig_len` signature words
+    /// bounded by `sig_bound`; `None` when 128 bits cannot hold it.
+    fn new(num_cores: usize, sig_len: usize, sig_bound: u64) -> Option<Self> {
+        let sig_bits = (u64::BITS - sig_bound.leading_zeros()).max(1);
+        let used = u32::try_from(sig_len).ok()?.checked_mul(sig_bits).filter(|&u| u < 128)?;
+        let core_bits = ((128 - used) / u32::try_from(num_cores.max(1)).ok()?).min(64);
+        (core_bits >= 2).then_some(KeyLayout { sig_len, sig_bits, core_bits })
+    }
+}
+
+/// What the memo knows about one state.
+#[derive(Debug, Clone, Copy)]
+enum Mark {
+    /// Seen only on a path that was capped or did not fit the key.
+    Unresolved,
+    /// On the current alignment's path, at this index.
+    OnPath(usize),
+    /// Resolved: the worst observed delay from this state on (`None`
+    /// when the observed core is never granted again).
+    Done(Option<u64>),
+}
+
+/// State key → index of its [`Mark`], so resolving a path rewrites
+/// marks without hashing again.
+// lint_sources: allow (lookup-only memo: never iterated, so its order never reaches output)
+type Memo = std::collections::HashMap<u128, usize>;
+
+/// Zigzag-encodes a signed relative cycle so small magnitudes of either
+/// sign pack into few bits.
+fn zigzag(rel: i64) -> u64 {
+    ((rel << 1) ^ (rel >> 63)) as u64
+}
+
+/// The event-driven lasso search over one resource's abstract model: the
+/// real arbiter, built once, and every buffer an alignment needs, reused
+/// so the alignment loop allocates nothing.
+#[derive(Debug)]
+struct LassoSearch {
+    arb: Box<dyn Arbiter>,
+    occupancy: u64,
+    layout: Option<KeyLayout>,
+    /// Whether a contender's waiting time is invisible to the arbiter,
+    /// so its `ready` clamps to `now` in the key. True for every policy
+    /// that only asks `ready <= now`; FIFO orders by `ready` itself.
+    clamp_waiting: bool,
+    /// Pending request per core: the arbiter's view and the state.
+    view: Vec<Option<RequestView>>,
+    sig: Vec<u64>,
+    /// The current alignment's decision points: mark index and the
+    /// observed delay granted there.
+    path: Vec<(usize, Option<u64>)>,
+    /// The observed gap the memo holds states for.
+    memo_gap: Option<u64>,
+    memo: Memo,
+    marks: Vec<Mark>,
+}
+
+impl LassoSearch {
+    /// A search over `num_cores` cores at one resource whose arbiter
+    /// rotates with `period` (which bounds every signature word).
+    fn new(arbiter: ArbiterKind, num_cores: usize, occupancy: u64, period: u64) -> Self {
+        let arb = build_arbiter(arbiter, num_cores);
+        let mut sig = Vec::new();
+        arb.ff_signature(0, &mut sig);
+        LassoSearch {
+            arb,
+            occupancy: occupancy.max(1),
+            layout: KeyLayout::new(num_cores, sig.len(), period.max(num_cores as u64)),
+            clamp_waiting: arbiter != ArbiterKind::Fifo,
+            view: Vec::with_capacity(num_cores),
+            sig,
+            path: Vec::new(),
+            memo_gap: None,
+            memo: Memo::default(),
+            marks: Vec::new(),
+        }
+    }
+
+    /// Packs the state at decision point `now` into its exact key, or
+    /// `None` when some field does not fit the layout.
+    fn key(&mut self, now: u64) -> Option<u128> {
+        let layout = self.layout?;
+        self.sig.clear();
+        self.arb.ff_signature(now, &mut self.sig);
+        if self.sig.len() != layout.sig_len {
+            return None;
+        }
+        let mut key = 0u128;
+        for &word in &self.sig {
+            if word >> layout.sig_bits != 0 {
+                return None;
+            }
+            key = (key << layout.sig_bits) | u128::from(word);
+        }
+        for (core, slot) in self.view.iter().enumerate() {
+            let field = match slot {
+                None => 0,
+                Some(req) => {
+                    let mut rel = req.ready.wrapping_sub(now) as i64;
+                    if core > 0 && self.clamp_waiting {
+                        rel = rel.max(0);
+                    }
+                    zigzag(rel).checked_add(1)?
+                }
+            };
+            if layout.core_bits < 64 && field >> layout.core_bits != 0 {
+                return None;
+            }
+            key = (key << layout.core_bits) | u128::from(field);
+        }
+        Some(key)
+    }
+
+    /// Resolves every state on the path, walking back from a `tail`
+    /// value that already covers states `cycle_from..`, and returns the
+    /// first state's worst future delay.
+    fn close(&mut self, tail: Option<u64>, cycle_from: usize) -> Option<u64> {
+        let mut acc = tail;
+        for (i, &(mark, delay)) in self.path.iter().enumerate().rev() {
+            if i < cycle_from {
+                acc = acc.max(delay);
+            }
+            self.marks[mark] = Mark::Done(acc);
+        }
+        acc
+    }
+
+    /// The exact worst observed-core delay of one alignment: the
+    /// observed stream reposting `gap` cycles after each completion,
+    /// contenders starting at `offsets` (`None` = never requests) and
+    /// saturating. Mirrors the machine's in-cycle phase order
+    /// (completion, repost, select). `None` when the observed core is
+    /// never granted.
+    fn worst(&mut self, gap: u64, offsets: &[Option<u64>], horizon: u64) -> Option<u64> {
+        let occ = self.occupancy;
+        if self.memo_gap != Some(gap) {
+            // The gap is not in the key: a memo holds one gap's states.
+            self.memo.clear();
+            self.marks.clear();
+            self.memo_gap = Some(gap);
+        }
+        self.arb.reset();
+        self.view.clear();
+        self.view.push(Some(RequestView { ready: gap, occupancy: occ }));
+        self.view
+            .extend(offsets.iter().map(|o| o.map(|ready| RequestView { ready, occupancy: occ })));
+        self.path.clear();
+        let mut keyed = self.layout.is_some();
+        let mut worst: Option<u64> = None;
+        let mut now = 0u64;
+        loop {
+            // The bus is free at `now`: a decision point.
+            if keyed {
+                match self.key(now) {
+                    Some(key) => {
+                        let fresh = self.marks.len();
+                        let mark = *self.memo.entry(key).or_insert(fresh);
+                        if mark == fresh {
+                            self.marks.push(Mark::Unresolved);
+                        }
+                        match self.marks[mark] {
+                            Mark::OnPath(start) => {
+                                let cycle = self.path[start..].iter().map(|&(_, d)| d).max();
+                                return self.close(cycle.flatten(), start);
+                            }
+                            Mark::Done(tail) => return self.close(tail, self.path.len()),
+                            Mark::Unresolved if now < horizon => {
+                                self.marks[mark] = Mark::OnPath(self.path.len());
+                                self.path.push((mark, None));
+                            }
+                            Mark::Unresolved => {}
+                        }
+                    }
+                    None => keyed = false,
+                }
+            }
+            if now >= horizon {
+                break;
+            }
+            match self.arb.select(&self.view, now) {
+                Some(core) => {
+                    let until = now + occ;
+                    let ready = self.view[core].map_or(now, |req| req.ready);
+                    // Contenders saturate; the observed stream reposts
+                    // `gap` cycles after its completion.
+                    let repost = if core == 0 { until + gap } else { until };
+                    self.view[core] = Some(RequestView { ready: repost, occupancy: occ });
+                    if core == 0 {
+                        let gamma = now.saturating_sub(ready);
+                        worst = worst.max(Some(gamma));
+                        if let Some(last) = self.path.last_mut().filter(|_| keyed) {
+                            last.1 = Some(gamma);
+                        }
+                    }
+                    now = until;
+                }
+                None => {
+                    let next = self
+                        .view
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(c, slot)| {
+                            slot.and_then(|req| self.arb.earliest_grant(c, req, now + 1))
+                        })
+                        .min();
+                    match next {
+                        Some(next) => now = next,
+                        // Nothing can ever be granted again: the future
+                        // holds no further delay.
+                        None if keyed => return self.close(None, self.path.len()),
+                        None => break,
+                    }
+                }
+            }
+        }
+        // Capped, or a state did not fit the key: the bounded result,
+        // never memoised.
+        for &(mark, _) in &self.path {
+            self.marks[mark] = Mark::Unresolved;
+        }
+        worst
+    }
+}
+
+/// The contender offset tuples of one resource's pruned alignment
+/// family, placed over cores `1..Nc` (`None` for a core that never
+/// requests there), plus the size of the *unpruned* space `(P+1)^(m+1)`.
+/// Every tuple is swept against every observed gap in
+/// `gap_floor..=gap_floor + P`.
 ///
 /// The observed-gap sweep is floored at `gap_floor` — the observed
 /// profile's [`CoreProfile::min_gap`], a sound lower bound on how fast
@@ -258,27 +456,13 @@ fn simulate_alignment(
 /// request is ready), so excluding them keeps `exact` an upper bound on
 /// anything the machine measures while certifying a *tighter* reachable
 /// worst case than the gap-0 envelope.
-fn alignment_family(
+fn contender_family(
     arbiter: ArbiterKind,
     period: u64,
     occupancy: u64,
-    gap_floor: u64,
     requesting: &[bool],
-) -> (Vec<Alignment>, u64) {
+) -> (Vec<Vec<Option<u64>>>, u64) {
     let m = requesting.iter().filter(|&&r| r).count();
-    let place = |tuple: &[u64]| -> Vec<Option<u64>> {
-        let mut offsets = Vec::with_capacity(requesting.len());
-        let mut next = 0usize;
-        for &req in requesting {
-            if req {
-                offsets.push(Some(tuple[next]));
-                next += 1;
-            } else {
-                offsets.push(None);
-            }
-        }
-        offsets
-    };
     let tuples: Vec<Vec<u64>> = match arbiter {
         // Queue-prefix canonicalisation: offsets within one occupancy,
         // order-normalised.
@@ -287,15 +471,16 @@ fn alignment_family(
         // contender offsets collapse to zero.
         _ => vec![vec![0; m]],
     };
-    let mut family = Vec::with_capacity(tuples.len() * (period as usize + 1));
-    for gap in gap_floor..=gap_floor.saturating_add(period) {
-        for tuple in &tuples {
-            family.push(Alignment { observed_gap: gap, offsets: place(tuple) });
-        }
-    }
+    let placed = tuples
+        .iter()
+        .map(|tuple| {
+            let mut next = tuple.iter();
+            requesting.iter().map(|&req| if req { next.next().copied() } else { None }).collect()
+        })
+        .collect();
     let unpruned =
         u64::try_from((u128::from(period) + 1).saturating_pow(m as u32 + 1)).unwrap_or(u64::MAX);
-    (family, unpruned)
+    (placed, unpruned)
 }
 
 /// Computes the exact worst-case per-request delay for the observed core
@@ -372,29 +557,30 @@ pub fn exact_bounds(
                 .effective_horizon(period, model.max_occ)
                 .saturating_add(gap_floor.saturating_mul(8));
             let (family, unpruned) =
-                alignment_family(model.arbiter, period, model.max_occ, gap_floor, &requesting);
-            row.explored = family.len() as u64;
-            row.pruned = unpruned.saturating_sub(row.explored);
-            for alignment in &family {
-                let Some(delay) =
-                    simulate_alignment(model.arbiter, num_cores, model.max_occ, alignment, horizon)
-                else {
-                    continue;
-                };
-                if row.exact.is_none_or(|e| delay > e) {
-                    row.exact = Some(delay);
-                    row.witness = Some(Witness {
-                        resource: model.kind,
-                        arbiter: model.arbiter,
-                        num_cores,
-                        occupancy: model.max_occ,
-                        observed_gap: alignment.observed_gap,
-                        contender_offsets: alignment.offsets.clone(),
-                        delay,
-                        horizon,
-                    });
+                contender_family(model.arbiter, period, model.max_occ, &requesting);
+            let mut search = LassoSearch::new(model.arbiter, num_cores, model.max_occ, period);
+            for gap in gap_floor..=gap_floor.saturating_add(period) {
+                for offsets in &family {
+                    row.explored += 1;
+                    let Some(delay) = search.worst(gap, offsets, horizon) else {
+                        continue;
+                    };
+                    if row.exact.is_none_or(|e| delay > e) {
+                        row.exact = Some(delay);
+                        row.witness = Some(Witness {
+                            resource: model.kind,
+                            arbiter: model.arbiter,
+                            num_cores,
+                            occupancy: model.max_occ,
+                            observed_gap: gap,
+                            contender_offsets: offsets.clone(),
+                            delay,
+                            horizon,
+                        });
+                    }
                 }
             }
+            row.pruned = unpruned.saturating_sub(row.explored);
             if row.exact.is_none() {
                 row.reason = Some(format!(
                     "observed core never granted at the {} within horizon {horizon}",
@@ -410,7 +596,116 @@ pub fn exact_bounds(
 mod tests {
     use super::*;
     use crate::bounds::StaticBound;
+    use rrb_kernels::KernelRng;
     use rrb_sim::McQueueConfig;
+
+    /// The plain per-cycle oracle: the real arbiter stepped one cycle at a
+    /// time from 0 to `horizon`, in the machine's in-cycle phase order
+    /// (completion, repost, select). Returns the worst observed-core
+    /// delay within the horizon.
+    fn step_alignment(
+        arbiter: ArbiterKind,
+        num_cores: usize,
+        occupancy: u64,
+        gap: u64,
+        offsets: &[Option<u64>],
+        horizon: u64,
+    ) -> Option<u64> {
+        let occ = occupancy.max(1);
+        let mut arb = build_arbiter(arbiter, num_cores);
+        let mut pending: Vec<Option<u64>> = Vec::with_capacity(num_cores);
+        pending.push(Some(gap));
+        pending.extend(offsets.iter().copied());
+        let mut view: Vec<Option<RequestView>> = vec![None; num_cores];
+        let mut active: Option<(usize, u64)> = None;
+        let mut worst: Option<u64> = None;
+        for now in 0..horizon {
+            if let Some((core, until)) = active {
+                if until == now {
+                    pending[core] = Some(if core == 0 { now + gap } else { now });
+                    active = None;
+                }
+            }
+            if active.is_none() {
+                for (slot, ready) in view.iter_mut().zip(pending.iter()) {
+                    *slot = ready.map(|ready| RequestView { ready, occupancy: occ });
+                }
+                if let Some(core) = arb.select(&view, now) {
+                    let ready = pending[core].take().unwrap_or(now);
+                    if core == 0 {
+                        worst = worst.max(Some(now.saturating_sub(ready)));
+                    }
+                    active = Some((core, now + occ));
+                }
+            }
+        }
+        worst
+    }
+
+    fn random_arbiter(rng: &mut KernelRng, nc: usize, occ: u64) -> ArbiterKind {
+        match rng.gen_below(5) {
+            0 => ArbiterKind::RoundRobin,
+            1 => ArbiterKind::FixedPriority,
+            2 => ArbiterKind::Fifo,
+            3 => ArbiterKind::Tdma { slot_cycles: occ + rng.gen_below(4) },
+            _ => ArbiterKind::GroupedRoundRobin {
+                group_size: rng.gen_range(1, nc as u64 + 1) as usize,
+            },
+        }
+    }
+
+    #[test]
+    fn lasso_search_equals_stepping_to_ten_times_the_horizon() {
+        let mut rng = KernelRng::seed_from_u64(0x1a55);
+        for case in 0..200 {
+            let nc = rng.gen_range(2, 5) as usize;
+            let occ = rng.gen_range(1, 7);
+            let arbiter = random_arbiter(&mut rng, nc, occ);
+            let period = rotation_period(arbiter, nc as u64, occ);
+            let gaps = [rng.gen_below(2 * period + 4), rng.gen_below(2 * period + 4)];
+            // Alignments share one search, and runs of one gap share its
+            // memo, as in the checker's own alignment loop.
+            let mut search = LassoSearch::new(arbiter, nc, occ, period);
+            for _ in 0..8 {
+                let gap = gaps[rng.gen_below(2) as usize];
+                let horizon =
+                    VerifyOptions::default().effective_horizon(period, occ).saturating_add(gap * 8);
+                let mut offsets: Vec<Option<u64>> = (1..nc)
+                    .map(|_| (rng.gen_below(5) > 0).then(|| rng.gen_below(occ + 1)))
+                    .collect();
+                if arbiter == ArbiterKind::Fifo {
+                    offsets.sort();
+                }
+                let lasso = search.worst(gap, &offsets, horizon);
+                let oracle = step_alignment(arbiter, nc, occ, gap, &offsets, 10 * horizon);
+                assert_eq!(
+                    lasso, oracle,
+                    "case {case}: {arbiter:?} nc={nc} occ={occ} gap={gap} offsets={offsets:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_state_too_wide_for_the_key_falls_back_to_the_bounded_result() {
+        // Sixteen cores leave 7 bits per core field, too few for the
+        // observed core's 100-cycle repost offset.
+        let (arbiter, nc, occ, gap) = (ArbiterKind::RoundRobin, 16, 2, 100);
+        let period = rotation_period(arbiter, nc as u64, occ);
+        let mut search = LassoSearch::new(arbiter, nc, occ, period);
+        assert!(search.layout.is_some(), "the layout itself fits");
+        let offsets = vec![Some(0); nc - 1];
+        let horizon = VerifyOptions::default().effective_horizon(period, occ) + gap * 8;
+        search.view.push(Some(RequestView { ready: gap, occupancy: occ }));
+        search
+            .view
+            .extend(offsets.iter().map(|o| o.map(|ready| RequestView { ready, occupancy: occ })));
+        assert_eq!(search.key(0), None, "the initial state does not fit");
+        let fallback = search.worst(gap, &offsets, horizon);
+        assert_eq!(fallback, step_alignment(arbiter, nc, occ, gap, &offsets, horizon));
+        assert!(fallback.is_some());
+        assert!(search.memo.is_empty(), "a fallback is never memoised");
+    }
 
     fn saturating_profiles(nc: usize) -> Vec<CoreProfile> {
         vec![CoreProfile::saturating(); nc]
