@@ -2,19 +2,17 @@
 //! `String` so the whole surface is unit-testable without capturing
 //! stdout.
 
-use crate::args::{ParseArgsError, Parsed};
+use crate::args::Flag::{Switch, Value};
+use crate::args::{Command, Flag, ParseArgsError, Parsed};
 use rrb::campaign::{
-    clamped_jobs, Campaign, CampaignBuilder, CampaignGrid, CampaignResult, GridScenario,
-    ParseGridScenarioError,
+    clamped_jobs, CampaignGrid, CampaignResult, GridScenario, ParseGridScenarioError,
 };
-use rrb::methodology::{derive_ubd, derive_ubd_repeated, store_tooth_check, MethodologyConfig};
-use rrb::naive::naive_rsk_vs_rsk;
-use rrb::report;
+use rrb::methodology::MethodologyConfig;
 use rrb::spec::ExperimentSpec;
 use rrb::store::{sim_fingerprint, write_file_atomic, ResultStore};
 use rrb::{MbtaAnalysis, TaskSpec};
 use rrb_analysis::GammaModel;
-use rrb_kernels::{random_eembc_workload, AccessKind, AutobenchKernel};
+use rrb_kernels::{AccessKind, AutobenchKernel};
 use rrb_sim::{ArbiterKind, CoreId, MachineConfig, McQueueConfig};
 use std::error::Error;
 use std::fmt;
@@ -25,8 +23,6 @@ use std::sync::Arc;
 pub enum CliError {
     /// Bad command line.
     Args(ParseArgsError),
-    /// Unknown subcommand.
-    UnknownCommand(String),
     /// An unknown value for an enumerated flag.
     UnknownChoice {
         /// Flag name.
@@ -37,7 +33,7 @@ pub enum CliError {
         allowed: &'static str,
     },
     /// A usage mistake that is not a single bad flag value (conflicting
-    /// switches, a missing subcommand, …).
+    /// switches, an unknown cache action, …).
     Usage(String),
     /// A toolkit operation failed.
     Tool(Box<dyn Error>),
@@ -47,9 +43,6 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Args(e) => write!(f, "{e}"),
-            CliError::UnknownCommand(c) => {
-                write!(f, "unknown command `{c}` (try `rrb help`)")
-            }
             CliError::UnknownChoice { flag, value, allowed } => {
                 write!(f, "--{flag}: unknown value `{value}` (expected one of: {allowed})")
             }
@@ -67,42 +60,99 @@ impl From<ParseArgsError> for CliError {
     }
 }
 
+/// Wraps a toolkit failure.
+fn tool(e: impl Error + 'static) -> CliError {
+    CliError::Tool(Box::new(e))
+}
+
+type Handler = fn(&Parsed) -> Result<String, CliError>;
+
+/// The base machine of a flag-built grid ([`machine_from`]).
+const MACHINE: &[Flag] = &[
+    Value("arch"),
+    Value("cores"),
+    Value("l-bus"),
+    Value("nop-latency"),
+    Value("topology"),
+    Value("mc-arbiter"),
+    Value("mc-occupancy"),
+];
+/// The derivation knobs ([`methodology_from`]).
+const METHODOLOGY: &[Flag] =
+    &[Value("max-k"), Value("iterations"), Value("min-utilization"), Switch("store-contenders")];
+/// The grid axes ([`grid_from`]).
+const GRID: &[Flag] = &[
+    Value("scenario"),
+    Value("arbiters"),
+    Value("grid-cores"),
+    Value("accesses"),
+    Value("contenders"),
+];
+/// How a campaign executes ([`run_campaign`]): workers and result store.
+const RUNNER: &[Flag] = &[Value("jobs"), Value("cache-dir"), Switch("no-cache"), Switch("resume")];
+/// Where and how the output goes ([`format_from`], [`write_or_return`]).
+const OUTPUT: &[Flag] = &[Value("format"), Value("out")];
+
+/// Every command: its name, positional, flags and handler. `rrb help`
+/// documents each of them.
+static COMMANDS: &[Command<Handler>] = &[
+    Command::new("gamma", None, &[&[Value("ubd"), Value("max-delta")]], cmd_gamma),
+    Command::new(
+        "audit",
+        None,
+        &[MACHINE, METHODOLOGY, &[Value("kernel"), Value("seed"), Value("trials")]],
+        cmd_audit,
+    ),
+    Command::new("campaign", None, &[MACHINE, METHODOLOGY, GRID, RUNNER, OUTPUT], cmd_campaign),
+    Command::new(
+        "export-spec",
+        None,
+        &[MACHINE, METHODOLOGY, GRID, &[Value("name"), Value("out")]],
+        cmd_export_spec,
+    ),
+    Command::new("run", Some("rrb run <spec.json>"), &[RUNNER, OUTPUT], cmd_run),
+    Command::new(
+        "analyze",
+        Some("rrb analyze <spec.json>"),
+        &[OUTPUT, &[Switch("composed"), Switch("check-runs")], RUNNER],
+        cmd_analyze,
+    ),
+    Command::new(
+        "verify",
+        Some("rrb verify <spec.json>"),
+        &[OUTPUT, &[Switch("check-runs"), Value("iterations")]],
+        cmd_verify,
+    ),
+    Command::new("lint", Some("rrb lint <spec.json>"), &[OUTPUT], cmd_lint),
+    Command::new(
+        "cache",
+        Some("rrb cache <action>, one of: stats, verify, gc, fingerprint"),
+        &[&[Value("cache-dir"), Value("max-age"), Value("max-size")]],
+        cmd_cache,
+    ),
+    Command::new(
+        "serve",
+        None,
+        &[&[Value("addr"), Value("workers"), Value("cache-dir")]],
+        cmd_serve,
+    ),
+    Command::new("help", None, &[], |_| Ok(HELP.to_string())),
+];
+
 /// Parses and runs a command line, returning the textual output.
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] for malformed input or failed derivations.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
-    let parsed = Parsed::parse(argv)?;
-    // Only the spec-file commands (`run`, `analyze`, `verify`, `lint`)
-    // and `cache` (the action) take a positional; everywhere else a
-    // stray argument is a mistake.
-    if !matches!(parsed.command.as_str(), "run" | "analyze" | "verify" | "lint" | "cache") {
-        parsed.require_no_positionals()?;
-    }
-    match parsed.command.as_str() {
-        "derive" => cmd_derive(&parsed),
-        "naive" => cmd_naive(&parsed),
-        "gamma" => cmd_gamma(&parsed),
-        "audit" => cmd_audit(&parsed),
-        "simulate" => cmd_simulate(&parsed),
-        "campaign" => cmd_campaign(&parsed),
-        "run" => cmd_run(&parsed),
-        "analyze" => cmd_analyze(&parsed),
-        "verify" => cmd_verify(&parsed),
-        "lint" => cmd_lint(&parsed),
-        "export-spec" => cmd_export_spec(&parsed),
-        "cache" => cmd_cache(&parsed),
-        "serve" => cmd_serve(&parsed),
-        "help" | "--help" | "-h" => Ok(help_text()),
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+    let (command, parsed) = Parsed::parse(argv, COMMANDS)?;
+    (command.handler)(&parsed)
 }
 
-/// Resolves the `--arch` / `--cores` / `--l-bus` / `--topology` flags
-/// into a machine.
+/// Resolves the [`MACHINE`] flags into a machine.
 fn machine_from(parsed: &Parsed) -> Result<MachineConfig, CliError> {
-    let mut cfg = match parsed.get("arch").unwrap_or("ref") {
+    let arch = parsed.get("arch").unwrap_or("ref");
+    let mut cfg = match arch {
         "ref" => MachineConfig::ngmp_ref(),
         "var" => MachineConfig::ngmp_var(),
         "toy" => {
@@ -116,6 +166,16 @@ fn machine_from(parsed: &Parsed) -> Result<MachineConfig, CliError> {
             })
         }
     };
+    // The NGMP presets fix their core count and bus latency; taking the
+    // toy-only flags there would silently build a different machine.
+    if let Some(flag) =
+        ["cores", "l-bus"].into_iter().find(|&f| arch != "toy" && parsed.get(f).is_some())
+    {
+        return Err(CliError::Usage(format!(
+            "--{flag} only applies to --arch toy; the {arch} machine fixes it \
+             (vary the core count with --grid-cores)"
+        )));
+    }
     let has_mc_flags = parsed.get("mc-arbiter").is_some() || parsed.get("mc-occupancy").is_some();
     // The mc flags only make sense on the two-level topology, so giving
     // one implies it; an explicit --topology single-bus alongside them
@@ -150,19 +210,18 @@ fn machine_from(parsed: &Parsed) -> Result<MachineConfig, CliError> {
             })
         }
     }
-    if let Ok(n) = parsed.get_u64("nop-latency", cfg.nop_latency) {
-        cfg.nop_latency = n.max(1);
-    }
+    cfg.nop_latency = parsed.get_u64("nop-latency", cfg.nop_latency)?.max(1);
     Ok(cfg)
 }
 
+/// Resolves the [`METHODOLOGY`] flags against the machine they derive on.
 fn methodology_from(parsed: &Parsed, cfg: &MachineConfig) -> Result<MethodologyConfig, CliError> {
     let mut m = MethodologyConfig::paper();
     // The saw-tooth is bus-only, so the default sweep length scales
     // with the bus share of the bound (the mc term adds no period).
     m.max_k = parsed.get_u64("max-k", (cfg.bus_ubd() * 3).max(20))? as usize;
     // `--iterations` accepts a comma list for `campaign` grids; the
-    // single-run commands use the first value.
+    // methodology template (and `audit`) use the first value.
     m.iterations = parsed.get_u64_list("iterations", &[300])?.first().copied().unwrap_or(300);
     // Short command-line sweeps include the cold-start transient in the
     // utilisation average, so the floor defaults a touch below the
@@ -172,66 +231,6 @@ fn methodology_from(parsed: &Parsed, cfg: &MachineConfig) -> Result<MethodologyC
         m.contender_access = AccessKind::Store;
     }
     Ok(m)
-}
-
-fn cmd_derive(parsed: &Parsed) -> Result<String, CliError> {
-    let cfg = machine_from(parsed)?;
-    let mcfg = methodology_from(parsed, &cfg)?;
-    let repeats = parsed.get_u64("repeats", 1)? as u32;
-    let mut out = String::new();
-    if repeats <= 1 {
-        let d = derive_ubd(&cfg, &mcfg).map_err(|e| CliError::Tool(Box::new(e)))?;
-        out.push_str(&report::render_derivation(&d));
-        out.push_str("\nslowdown saw-tooth:\n");
-        out.push_str(&report::render_sawtooth(&d.slowdowns, 9));
-        if parsed.get_switch("store-scua") {
-            // Stores have no periodic tooth (the buffer hides the bus
-            // beyond one period), so they serve as a Fig. 7(b)-style
-            // cross-check of the load-derived bound.
-            let check =
-                store_tooth_check(&cfg, &mcfg, d.ubd_m).map_err(|e| CliError::Tool(Box::new(e)))?;
-            out.push_str(&format!(
-                "\nstore-tooth cross-check: tooth length {} vs ubd_m {} -> {}\n",
-                check.tooth_length,
-                check.ubd_m,
-                if check.corroborates(cfg.bus().store_occupancy + 2) {
-                    "corroborated"
-                } else {
-                    "NOT corroborated"
-                }
-            ));
-        }
-    } else {
-        let r = derive_ubd_repeated(&cfg, &mcfg, repeats, 1)
-            .map_err(|e| CliError::Tool(Box::new(e)))?;
-        out.push_str(&format!("consensus: {}\n", r.consensus));
-        match r.ubd_m() {
-            Some(u) => out.push_str(&format!("ubd_m    : {u} cycles\n")),
-            None => out.push_str("ubd_m    : no agreement — do not use these measurements\n"),
-        }
-        for (i, run) in r.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "run {i}: period {} ({}), ubd_m {}\n",
-                run.k_period, run.period_estimate.method, run.ubd_m
-            ));
-        }
-    }
-    Ok(out)
-}
-
-fn cmd_naive(parsed: &Parsed) -> Result<String, CliError> {
-    let cfg = machine_from(parsed)?;
-    let iterations = parsed.get_u64("iterations", 500)?;
-    let e = naive_rsk_vs_rsk(&cfg, AccessKind::Load, iterations)
-        .map_err(|e| CliError::Tool(Box::new(e)))?;
-    Ok(format!(
-        "naive rsk-vs-rsk on this platform:\n\
-         ubd_m (det/nr)    : {}\n\
-         ubd_m (max gamma) : {}\n\
-         (the rsk-nop methodology exists because these under-estimate the\n\
-          true bound whenever the kernel's injection time is non-zero)\n",
-        e.ubd_m_det_over_nr, e.ubd_m_max_gamma
-    ))
 }
 
 fn cmd_gamma(parsed: &Parsed) -> Result<String, CliError> {
@@ -259,8 +258,7 @@ fn cmd_audit(parsed: &Parsed) -> Result<String, CliError> {
         })?;
     let iterations = parsed.get_u64("iterations", 200)?;
 
-    let analysis =
-        MbtaAnalysis::characterise(&cfg, &mcfg).map_err(|e| CliError::Tool(Box::new(e)))?;
+    let analysis = MbtaAnalysis::characterise(&cfg, &mcfg).map_err(tool)?;
     let task = TaskSpec::new(
         kernel.to_string(),
         kernel.profile().program(
@@ -270,10 +268,10 @@ fn cmd_audit(parsed: &Parsed) -> Result<String, CliError> {
             Some(iterations),
         ),
     );
-    let bound = analysis.bound_task(&task).map_err(|e| CliError::Tool(Box::new(e)))?;
+    let bound = analysis.bound_task(&task).map_err(tool)?;
     let validation = analysis
         .validate_bound(&task, &bound, parsed.get_u64("trials", 2)? as u32)
-        .map_err(|e| CliError::Tool(Box::new(e)))?;
+        .map_err(tool)?;
     Ok(format!(
         "platform ubd_m = {}\n{bound}\nvalidation: worst observed {} cycles, slack {} — bound {}\n",
         analysis.ubd_m(),
@@ -281,33 +279,6 @@ fn cmd_audit(parsed: &Parsed) -> Result<String, CliError> {
         validation.slack,
         if validation.holds() { "holds" } else { "VIOLATED" }
     ))
-}
-
-fn cmd_simulate(parsed: &Parsed) -> Result<String, CliError> {
-    let cfg = machine_from(parsed)?;
-    let seed = parsed.get_u64("seed", 0)?;
-    let iterations = parsed.get_u64("scua-iterations", 200)?;
-    let workload = random_eembc_workload(&cfg, seed, iterations);
-    let scua = workload.scua;
-    let mut machine = workload.into_machine(&cfg).map_err(|e| CliError::Tool(Box::new(e)))?;
-    let summary = machine.run().map_err(|e| CliError::Tool(Box::new(e)))?;
-    let pmc = machine.pmc().core(scua);
-    let mut out = format!(
-        "random EEMBC workload, seed {seed}:\n\
-         scua execution time : {} cycles\n\
-         scua bus requests   : {}\n\
-         bus utilisation     : {:.3}\n\
-         max gamma observed  : {}\n\
-         contender histogram (other cores with a request when the scua posts):\n",
-        summary.core(scua).execution_time().unwrap_or(0),
-        pmc.bus_requests(),
-        summary.bus_utilization,
-        pmc.max_gamma().unwrap_or(0),
-    );
-    for (c, n) in &pmc.contender_histogram {
-        out.push_str(&format!("  {c} contender(s): {n}\n"));
-    }
-    Ok(out)
 }
 
 /// Parses an arbiter token through `rrb-sim`'s canonical
@@ -322,10 +293,6 @@ fn parse_arbiter_for(token: &str, flag: &'static str) -> Result<ArbiterKind, Cli
     })
 }
 
-fn parse_arbiter(token: &str) -> Result<ArbiterKind, CliError> {
-    parse_arbiter_for(token, "arbiters")
-}
-
 fn parse_access(token: &str) -> Result<AccessKind, CliError> {
     match token {
         "load" => Ok(AccessKind::Load),
@@ -338,12 +305,10 @@ fn parse_access(token: &str) -> Result<AccessKind, CliError> {
     }
 }
 
-/// Resolves the grid flags (`--scenario`, `--arbiters`, `--grid-cores`,
-/// `--accesses`, `--contenders`, `--iterations`, `--max-k`, …) into a
-/// [`CampaignGrid`] over the `machine_from` base — shared by
-/// `rrb campaign` (which runs it) and `rrb export-spec` (which
-/// serialises it), so the two can never disagree about what a flag set
-/// means.
+/// Resolves the [`GRID`] flags into a [`CampaignGrid`] over the
+/// `machine_from` base — shared by `rrb campaign` (which runs it) and
+/// `rrb export-spec` (which serialises it), so the two can never
+/// disagree about what a flag set means.
 fn grid_from(parsed: &Parsed) -> Result<CampaignGrid, CliError> {
     let base = machine_from(parsed)?;
     let scenario_token = parsed.get("scenario").unwrap_or("derive");
@@ -356,7 +321,7 @@ fn grid_from(parsed: &Parsed) -> Result<CampaignGrid, CliError> {
     let arbiters = parsed
         .get_list("arbiters", &[])
         .iter()
-        .map(|t| parse_arbiter(t))
+        .map(|t| parse_arbiter_for(t, "arbiters"))
         .collect::<Result<Vec<_>, _>>()?;
     let accesses = parsed
         .get_list("accesses", &["load"])
@@ -369,9 +334,9 @@ fn grid_from(parsed: &Parsed) -> Result<CampaignGrid, CliError> {
         .map(|t| parse_access(t))
         .collect::<Result<Vec<_>, _>>()?;
     let core_counts = parsed.get_u64_list("grid-cores", &[base.num_cores as u64])?;
-    // The same flag handling `rrb derive` uses (max-k, iterations,
-    // min-utilization, store-contenders), so the two commands share
-    // defaults; the grid dimensions then fan out per cell.
+    // The methodology template fixes the defaults (max-k, iterations,
+    // min-utilization, store-contenders); the grid dimensions then fan
+    // out per cell.
     let methodology = methodology_from(parsed, &base)?;
     let iterations = parsed.get_u64_list("iterations", &[methodology.iterations])?;
     let max_k = methodology.max_k;
@@ -400,25 +365,11 @@ fn format_from<'a>(parsed: &'a Parsed, allowed: &'static str) -> Result<&'a str,
     }
 }
 
-/// Renders a campaign result per `--format` and writes it to `--out`
-/// (or returns it for stdout).
-fn render_result(
-    parsed: &Parsed,
-    result: &rrb::campaign::CampaignResult,
-) -> Result<String, CliError> {
-    let rendered = match format_from(parsed, "text, json, csv")? {
-        "json" => result.to_json(),
-        "csv" => result.to_csv(),
-        _ => result.render_text(),
-    };
-    write_or_return(parsed, rendered)
-}
-
 fn write_or_return(parsed: &Parsed, rendered: String) -> Result<String, CliError> {
     if let Some(path) = parsed.get("out") {
         // Atomic (temp file + rename), so an interrupted run never
         // leaves a half-written results file at the requested path.
-        write_file_atomic(path, &rendered).map_err(|e| CliError::Tool(Box::new(e)))?;
+        write_file_atomic(path, &rendered).map_err(tool)?;
         return Ok(format!("wrote {} bytes to {path}\n", rendered.len()));
     }
     Ok(rendered)
@@ -428,10 +379,7 @@ fn write_or_return(parsed: &Parsed, rendered: String) -> Result<String, CliError
 /// available CPU, and over-requests are clamped (with a stderr warning)
 /// rather than oversubscribing a pure-CPU simulator pool.
 fn jobs_from(parsed: &Parsed) -> Result<usize, CliError> {
-    let requested = match parsed.get("jobs") {
-        None => None,
-        Some(_) => Some(parsed.get_u64("jobs", 0)?.max(1) as usize),
-    };
+    let requested = parsed.get_opt_u64("jobs")?.map(|jobs| jobs.max(1) as usize);
     let (jobs, warning) = clamped_jobs(requested);
     if let Some(warning) = warning {
         eprintln!("rrb: warning: {warning}");
@@ -458,7 +406,7 @@ fn store_from(parsed: &Parsed) -> Result<Option<Arc<ResultStore>>, CliError> {
     let dir = ResultStore::resolve_dir(parsed.get("cache-dir"));
     match ResultStore::open(&dir) {
         Ok(store) => Ok(Some(Arc::new(store))),
-        Err(e) if resume => Err(CliError::Tool(Box::new(e))),
+        Err(e) if resume => Err(tool(e)),
         Err(e) => {
             eprintln!("rrb: warning: result cache disabled: {e}");
             Ok(None)
@@ -466,16 +414,13 @@ fn store_from(parsed: &Parsed) -> Result<Option<Arc<ResultStore>>, CliError> {
     }
 }
 
-/// Runs the campaign `builder` makes for the resolved `--jobs` through
-/// the result store (see [`store_from`]), reporting store activity on
-/// stderr — never stdout: the rendered result must stay byte-identical
-/// across cold and warm runs.
-fn run_campaign(
-    parsed: &Parsed,
-    builder: impl FnOnce(usize) -> CampaignBuilder,
-) -> Result<CampaignResult, CliError> {
+/// Runs `spec`'s campaign over the resolved `--jobs` through the result
+/// store (see [`store_from`]), reporting store activity on stderr —
+/// never stdout: the rendered result must stay byte-identical across
+/// cold and warm runs.
+fn run_campaign(parsed: &Parsed, spec: &ExperimentSpec) -> Result<CampaignResult, CliError> {
     let store = store_from(parsed)?;
-    let mut builder = builder(jobs_from(parsed)?);
+    let mut builder = spec.to_campaign_builder(jobs_from(parsed)?);
     if let Some(store) = &store {
         builder = builder.store(store.clone());
     }
@@ -497,14 +442,25 @@ fn run_campaign(
     Ok(result)
 }
 
+/// Runs `spec`'s campaign and renders it per `--format` to `--out` (or
+/// returns it for stdout) — the tail `campaign` and `run` share.
+fn run_spec(parsed: &Parsed, spec: &ExperimentSpec) -> Result<String, CliError> {
+    let result = run_campaign(parsed, spec)?;
+    let rendered = match format_from(parsed, "text, json, csv")? {
+        "json" => result.to_json(),
+        "csv" => result.to_csv(),
+        _ => result.render_text(),
+    };
+    write_or_return(parsed, rendered)
+}
+
 /// `rrb campaign`: expand a parameter grid into scenarios, execute the
 /// deduplicated run plan across `--jobs` worker threads, and print the
 /// results as text, JSON, or CSV. Output is byte-identical for every
-/// `--jobs` value and every cache state.
+/// `--jobs` value and every cache state. Grid cells validate per cell
+/// at plan time, so a bad flag-built machine yields error records.
 fn cmd_campaign(parsed: &Parsed) -> Result<String, CliError> {
-    let grid = grid_from(parsed)?;
-    let result = run_campaign(parsed, |jobs| Campaign::builder().grid(&grid).jobs(jobs))?;
-    render_result(parsed, &result)
+    run_spec(parsed, &ExperimentSpec::from_grid("campaign", &grid_from(parsed)?))
 }
 
 /// `rrb export-spec`: serialise the campaign a flag set describes into a
@@ -517,31 +473,18 @@ fn cmd_export_spec(parsed: &Parsed) -> Result<String, CliError> {
 }
 
 /// `rrb run <spec.json>`: parse, validate, and execute a declarative
-/// experiment file through the same campaign runner the flag-driven
-/// commands use. `--jobs`, `--format`, and `--out` stay runtime
-/// choices — `--jobs` never changes the serialised json/csv bytes (the
-/// text format's trailing stats line does report the job count).
+/// experiment file through the same campaign runner as `rrb campaign`.
+/// `--jobs`, `--format`, and `--out` stay runtime choices — `--jobs`
+/// never changes the serialised json/csv bytes (the text format's
+/// trailing stats line does report the job count).
 fn cmd_run(parsed: &Parsed) -> Result<String, CliError> {
-    let spec = spec_from(parsed, "rrb run <spec.json>")?;
-    let result = run_campaign(parsed, |jobs| spec.to_campaign_builder(jobs))?;
-    render_result(parsed, &result)
+    run_spec(parsed, &spec_from(parsed)?)
 }
 
-/// Loads the single spec-file positional shared by `run`, `analyze`,
-/// `verify` and `lint`.
-fn spec_from(parsed: &Parsed, usage: &'static str) -> Result<ExperimentSpec, CliError> {
-    let path = match parsed.positionals() {
-        [path] => path,
-        [] => {
-            return Err(CliError::Args(ParseArgsError::MissingValue(format!(
-                "spec file (usage: {usage})"
-            ))))
-        }
-        [_, extra, ..] => {
-            return Err(CliError::Args(ParseArgsError::UnexpectedPositional(extra.clone())))
-        }
-    };
-    ExperimentSpec::from_file(path).map_err(|e| CliError::Tool(Box::new(e)))
+/// Loads the spec-file positional of `run`, `analyze`, `verify` and
+/// `lint`.
+fn spec_from(parsed: &Parsed) -> Result<ExperimentSpec, CliError> {
+    ExperimentSpec::from_file(parsed.positional()).map_err(tool)
 }
 
 /// Fails with `header` and one indented line per violation, if there
@@ -566,7 +509,7 @@ fn fail_on_violations(header: &str, violations: &[String]) -> Result<(), CliErro
 /// columns: the flow-composed bound next to the saturating sum, with the
 /// per-resource slack the topology proves unreachable.
 fn cmd_analyze(parsed: &Parsed) -> Result<String, CliError> {
-    let spec = spec_from(parsed, "rrb analyze <spec.json>")?;
+    let spec = spec_from(parsed)?;
     let rows = rrb::analyze::analyze_spec(&spec);
     let json = format_from(parsed, "text, json")? == "json";
     let mut out = if json {
@@ -581,7 +524,7 @@ fn cmd_analyze(parsed: &Parsed) -> Result<String, CliError> {
         // Execute the spec's campaign (store-cached like `rrb run`) and
         // cross-check every observed per-request delay against the
         // static bound for its cell.
-        let result = run_campaign(parsed, |jobs| spec.to_campaign_builder(jobs))?;
+        let result = run_campaign(parsed, &spec)?;
         let check = rrb::analyze::check_measured(&rows, &result);
         if json {
             out.push_str(&ndjson(check.tightness.iter().map(rrb::CellTightness::to_json)));
@@ -626,7 +569,7 @@ fn ndjson(values: impl Iterator<Item = rrb::Json>) -> String {
 /// chain; with `--check-runs`, also replays each witness on the full
 /// simulator and fails if a measured delay exceeds the exact bound.
 fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
-    let spec = spec_from(parsed, "rrb verify <spec.json>")?;
+    let spec = spec_from(parsed)?;
     let rows = rrb::verify::verify_spec(&spec, &rrb::statics::VerifyOptions::default());
     let json = format_from(parsed, "text, json")? == "json";
     let mut out = if json {
@@ -662,7 +605,7 @@ fn cmd_verify(parsed: &Parsed) -> Result<String, CliError> {
 /// period matcher, finite contenders, … Errors fail the command; CI runs
 /// this over every checked-in spec.
 fn cmd_lint(parsed: &Parsed) -> Result<String, CliError> {
-    let spec = spec_from(parsed, "rrb lint <spec.json>")?;
+    let spec = spec_from(parsed)?;
     let findings = rrb::lint::lint_spec(&spec);
     let rendered = match format_from(parsed, "text, json")? {
         "json" => ndjson(findings.iter().map(rrb::LintFinding::to_json)),
@@ -675,34 +618,17 @@ fn cmd_lint(parsed: &Parsed) -> Result<String, CliError> {
 }
 
 /// `rrb cache <stats|verify|gc|fingerprint>`: inspect and maintain the
-/// persistent result store.
+/// persistent result store. Only the actions that read the store open
+/// it, so `fingerprint` and an unknown action never create a store
+/// directory as a side effect.
 fn cmd_cache(parsed: &Parsed) -> Result<String, CliError> {
-    const ACTIONS: &str = "stats, verify, gc, fingerprint";
-    let action = match parsed.positionals() {
-        [action] => action.as_str(),
-        [] => {
-            return Err(CliError::Usage(format!("usage: rrb cache <action> (one of: {ACTIONS})")))
-        }
-        [_, extra, ..] => {
-            return Err(CliError::Args(ParseArgsError::UnexpectedPositional(extra.clone())))
-        }
-    };
-    if action == "fingerprint" {
-        // The CI cache key: no store is opened or created.
-        return Ok(format!("{:016x}\n", sim_fingerprint()));
-    }
-    if !matches!(action, "stats" | "verify" | "gc") {
-        // Reject before opening: an unknown action must not create a
-        // store directory as a side effect.
-        return Err(CliError::Usage(format!(
-            "unknown cache action `{action}` (expected one of: {ACTIONS})"
-        )));
-    }
-    let dir = ResultStore::resolve_dir(parsed.get("cache-dir"));
-    let store = ResultStore::open(&dir).map_err(|e| CliError::Tool(Box::new(e)))?;
-    match action {
+    let open =
+        || ResultStore::open(ResultStore::resolve_dir(parsed.get("cache-dir"))).map_err(tool);
+    match parsed.positional() {
+        // The CI cache key.
+        "fingerprint" => Ok(format!("{:016x}\n", sim_fingerprint())),
         "stats" => {
-            let s = store.stats();
+            let s = open()?.stats();
             Ok(format!(
                 "result store     : {}\n\
                  format version   : {}\n\
@@ -719,25 +645,24 @@ fn cmd_cache(parsed: &Parsed) -> Result<String, CliError> {
             ))
         }
         "verify" => {
-            let report = store.verify();
+            let report = open()?.verify();
             if report.problems.is_empty() {
-                Ok(format!("verified {} entr(y/ies): all valid\n", report.ok))
-            } else {
-                let mut msg = format!(
-                    "cache verification failed: {} valid, {} problem(s):\n",
-                    report.ok,
-                    report.problems.len()
-                );
-                for (file, problem) in &report.problems {
-                    msg.push_str(&format!("  {file}: {problem}\n"));
-                }
-                Err(CliError::Tool(msg.into()))
+                return Ok(format!("verified {} entr(y/ies): all valid\n", report.ok));
             }
+            let mut msg = format!(
+                "cache verification failed: {} valid, {} problem(s):\n",
+                report.ok,
+                report.problems.len()
+            );
+            for (file, problem) in &report.problems {
+                msg.push_str(&format!("  {file}: {problem}\n"));
+            }
+            Err(CliError::Tool(msg.into()))
         }
         "gc" => {
-            let max_age = opt_u64_flag(parsed, "max-age")?;
-            let max_size = opt_u64_flag(parsed, "max-size")?;
-            let report = store.gc(max_age, max_size);
+            let (max_age, max_size) =
+                (parsed.get_opt_u64("max-age")?, parsed.get_opt_u64("max-size")?);
+            let report = open()?.gc(max_age, max_size);
             Ok(format!(
                 "examined {} entr(y/ies): removed {} ({} bytes), kept {} ({} bytes)\n",
                 report.examined,
@@ -747,7 +672,9 @@ fn cmd_cache(parsed: &Parsed) -> Result<String, CliError> {
                 report.kept_bytes,
             ))
         }
-        _ => unreachable!("action validated before the store was opened"),
+        other => Err(CliError::Usage(format!(
+            "unknown cache action `{other}` (expected one of: stats, verify, gc, fingerprint)"
+        ))),
     }
 }
 
@@ -759,109 +686,101 @@ fn cmd_cache(parsed: &Parsed) -> Result<String, CliError> {
 /// commands.
 fn cmd_serve(parsed: &Parsed) -> Result<String, CliError> {
     let dir = ResultStore::resolve_dir(parsed.get("cache-dir"));
-    let store = Arc::new(ResultStore::open(&dir).map_err(|e| CliError::Tool(Box::new(e)))?);
+    let store = Arc::new(ResultStore::open(&dir).map_err(tool)?);
     let config = rrb_serve::ServeConfig {
         addr: parsed.get("addr").unwrap_or("127.0.0.1:7077").to_string(),
         workers: parsed.get_u64("workers", 0)? as usize,
         ..rrb_serve::ServeConfig::default()
     };
-    let server = rrb_serve::Server::bind(config, store).map_err(|e| CliError::Tool(Box::new(e)))?;
+    let server = rrb_serve::Server::bind(config, store).map_err(tool)?;
     rrb_serve::trap_termination_signals();
-    let addr = server.local_addr().map_err(|e| CliError::Tool(Box::new(e)))?;
+    let addr = server.local_addr().map_err(tool)?;
     eprintln!(
         "rrb: serving {} on http://{addr} with {} worker(s) (SIGTERM or POST /v1/shutdown to drain)",
         dir.display(),
         server.workers(),
     );
-    let stats = server.run().map_err(|e| CliError::Tool(Box::new(e)))?;
+    let stats = server.run().map_err(tool)?;
     Ok(format!(
         "served {} campaign(s), {} point quer(y/ies); streamed {} run record(s), simulated {}\n",
         stats.campaigns, stats.point_queries, stats.runs_streamed, stats.runs_executed,
     ))
 }
 
-/// An optional integer flag: `None` when absent, parsed when present.
-fn opt_u64_flag(parsed: &Parsed, flag: &'static str) -> Result<Option<u64>, CliError> {
-    match parsed.get(flag) {
-        None => Ok(None),
-        Some(_) => Ok(Some(parsed.get_u64(flag, 0)?)),
-    }
-}
+/// `rrb help`. Every command of [`COMMANDS`] and every flag it declares
+/// appears here (pinned by `help_lists_all_commands`).
+const HELP: &str = "\
+rrb — measurement-based contention bounds for round-robin buses
+(reproduction of Fernandez et al., DAC 2015)
 
-fn help_text() -> String {
-    String::from(
-        "rrb — measurement-based contention bounds for round-robin buses\n\
-         (reproduction of Fernandez et al., DAC 2015)\n\n\
-         common machine flags (derive, naive, audit, simulate, campaign):\n\
-           --arch ref|var|toy  [--cores N --l-bus N]  [--nop-latency N]\n\
-           --topology single-bus|bus+mc   chain the memory-controller queue\n\
-           --mc-arbiter TOKEN --mc-occupancy N   configure the mc queue\n\
-           (arbiter TOKENs everywhere: rr, fp, fifo, tdma:<slot>, grr:<group>)\n\n\
-         commands:\n\
-           derive    run the rsk-nop methodology and derive ubd_m, with a\n\
-                     per-resource breakdown on multi-resource topologies\n\
-                     [--max-k N] [--iterations N] [--store-scua]\n\
-                     [--store-contenders] [--repeats N]\n\
-           naive     the prior-practice estimate (rsk vs rsk, det/nr)\n\
-                     [--arch ...] [--iterations N]\n\
-           gamma     print the Eq. 2 contention model\n\
-                     [--ubd N] [--max-delta N]\n\
-           audit     derive ubd_m, bound an EEMBC-profile task, validate\n\
-                     [--arch ...] [--kernel NAME] [--iterations N] [--trials N]\n\
-           simulate  run a random EEMBC workload and print its PMC digest\n\
-                     [--arch ...] [--seed N] [--scua-iterations N]\n\
-           campaign  run a scenario grid through the parallel batch runner\n\
-                     [--scenario derive|naive|sweep|validate] [--arch ...]\n\
-                     [--arbiters rr,fifo,...] [--topology bus+mc]\n\
-                     [--grid-cores 2,3,4] [--accesses load,store]\n\
-                     [--contenders load,store] [--iterations 100,200]\n\
-                     [--max-k N] [--jobs N] [--format text|json|csv]\n\
-                     [--out FILE]\n\
-           export-spec  serialise the campaign the given flags describe\n\
-                     into a declarative experiment file (same flags as\n\
-                     campaign) [--name NAME] [--out FILE]\n\
-           run       execute an experiment file: rrb run <spec.json>\n\
-                     [--jobs N] [--format text|json|csv] [--out FILE]\n\
-                     (json/csv output is byte-identical to the\n\
-                     flag-driven campaign the spec was exported from)\n\
-           analyze   static contention bounds for every cell of an\n\
-                     experiment file — finite for every arbiter, no\n\
-                     simulation: rrb analyze <spec.json>\n\
-                     [--format text|json] [--out FILE] [--composed]\n\
-                     [--check-runs]  (--composed shows the interference-\n\
-                     flow bound and its slack vs the saturating sum;\n\
-                     --check-runs also executes the campaign and fails\n\
-                     if any measured delay exceeds its static bound)\n\
-           verify    exhaustive model check of every cell of an\n\
-                     experiment file: exact worst-case delays, tightness\n\
-                     certificates vs the static bounds, and replayable\n\
-                     adversarial witnesses: rrb verify <spec.json>\n\
-                     [--format text|json] [--out FILE]\n\
-                     [--check-runs [--iterations N]]  (--check-runs\n\
-                     replays each witness on the cycle-accurate\n\
-                     simulator and fails if measured exceeds exact)\n\
-           lint      static semantic checks on an experiment file:\n\
-                     rrb lint <spec.json> [--format text|json]\n\
-                     (errors fail the command)\n\
-           cache     inspect/maintain the persistent result store:\n\
-                     rrb cache stats | verify | fingerprint\n\
-                     rrb cache gc [--max-age SECS] [--max-size BYTES]\n\
-           serve     run the derivation daemon over the result store:\n\
-                     rrb serve [--addr HOST:PORT] [--workers N]\n\
-                     [--cache-dir DIR]  (POST /v1/campaigns streams\n\
-                     NDJSON run records; GET /v1/runs/<hash> answers\n\
-                     point queries; SIGTERM drains gracefully)\n\
-           help      this text\n\n\
-         result cache (campaign, run):\n\
-           runs are deterministic, so campaign/run results persist in a\n\
-           content-addressed store and warm re-runs simulate nothing;\n\
-           output is byte-identical either way. Default dir .rrb-cache\n\
-           (override: --cache-dir DIR or RRB_CACHE_DIR). --no-cache\n\
-           disables it; --resume makes an unusable cache a hard error\n\
-           instead of a silent cold run. Resume statistics and any\n\
-           corrupt-entry warnings go to stderr, never into results.\n",
-    )
-}
+flag groups (each command below names the groups it takes):
+  machine      --arch ref|var|toy  [--cores N --l-bus N (toy only)]
+               [--nop-latency N]
+               [--topology single-bus|bus+mc]  chain the memory-controller queue
+               [--mc-arbiter TOKEN] [--mc-occupancy N]  configure the mc queue
+               (arbiter TOKENs everywhere: rr, fp, fifo, tdma:<slot>, grr:<group>)
+  methodology  [--max-k N] [--iterations N] [--min-utilization PCT]
+               [--store-contenders]
+  grid         [--scenario derive|naive|sweep|validate]
+               [--arbiters rr,fifo,...] [--grid-cores 2,3,4]
+               [--accesses load,store] [--contenders load,store]
+               [--iterations 100,200]
+  runner       [--jobs N] [--cache-dir DIR] [--no-cache] [--resume]
+  output       [--format text|json|csv] [--out FILE]
+A flag the command does not take is an error.
+
+commands:
+  gamma     print the Eq. 2 contention model
+            [--ubd N] [--max-delta N]
+  audit     derive ubd_m, bound an EEMBC-profile task, validate
+            machine, methodology, [--kernel NAME] [--seed N] [--trials N]
+  campaign  run a scenario grid through the parallel batch runner:
+            machine, methodology, grid, runner, output.
+            --scenario derive runs the rsk-nop methodology and derives
+            ubd_m (with per-resource metrics on bus+mc); --scenario naive
+            is the prior-practice rsk-vs-rsk estimate (det/nr, max gamma)
+  export-spec  serialise the campaign the given flags describe into a
+            declarative experiment file: machine, methodology, grid,
+            [--name NAME] [--out FILE]
+  run       execute an experiment file: rrb run <spec.json> runner, output
+            (json/csv output is byte-identical to the flag-driven
+            campaign the spec was exported from)
+  analyze   static contention bounds for every cell of an experiment
+            file — finite for every arbiter, no simulation:
+            rrb analyze <spec.json> [--format text|json] [--out FILE]
+            [--composed] [--check-runs] runner  (--composed shows the
+            interference-flow bound and its slack vs the saturating sum;
+            --check-runs also executes the campaign and fails if any
+            measured delay exceeds its static bound)
+  verify    exhaustive model check of every cell of an experiment file:
+            exact worst-case delays, tightness certificates vs the static
+            bounds, and replayable adversarial witnesses:
+            rrb verify <spec.json> [--format text|json] [--out FILE]
+            [--check-runs [--iterations N]]  (--check-runs replays each
+            witness on the cycle-accurate simulator and fails if
+            measured exceeds exact)
+  lint      static semantic checks on an experiment file:
+            rrb lint <spec.json> [--format text|json] [--out FILE]
+            (errors fail the command)
+  cache     inspect/maintain the persistent result store:
+            rrb cache stats | verify | fingerprint [--cache-dir DIR]
+            rrb cache gc [--max-age SECS] [--max-size BYTES]
+  serve     run the derivation daemon over the result store:
+            rrb serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
+            (POST /v1/campaigns streams NDJSON run records;
+            GET /v1/runs/<hash> answers point queries; SIGTERM drains
+            gracefully)
+  help      this text
+
+result cache (campaign, run, analyze --check-runs):
+  runs are deterministic, so campaign/run results persist in a
+  content-addressed store and warm re-runs simulate nothing; output is
+  byte-identical either way. Default dir .rrb-cache (override:
+  --cache-dir DIR or RRB_CACHE_DIR). --no-cache disables it; --resume
+  makes an unusable cache a hard error instead of a silent cold run.
+  Resume statistics and any corrupt-entry warnings go to stderr, never
+  into results.
+";
 
 #[cfg(test)]
 mod tests {
@@ -875,10 +794,16 @@ mod tests {
     #[test]
     fn help_lists_all_commands() {
         let h = run("help").expect("help");
-        for cmd in [
-            "derive", "naive", "gamma", "audit", "simulate", "campaign", "cache", "serve", "verify",
-        ] {
-            assert!(h.contains(cmd), "help must mention {cmd}");
+        for command in COMMANDS {
+            assert!(
+                h.contains(&format!("\n  {} ", command.name)),
+                "help must list {}",
+                command.name
+            );
+            for flag in command.flags() {
+                let flag = format!("--{}", flag.name());
+                assert!(h.contains(&flag), "help must document {flag} of {}", command.name);
+            }
         }
     }
 
@@ -934,12 +859,52 @@ mod tests {
     fn unknown_command_is_reported() {
         let e = run("frobnicate").expect_err("must fail");
         assert!(e.to_string().contains("frobnicate"));
+        // The verbs `campaign --scenario derive|naive` and `run` replace.
+        for verb in ["derive", "naive", "simulate"] {
+            let e = run(&format!("{verb} --arch toy")).expect_err("must fail");
+            assert!(e.to_string().contains(&format!("unknown command `{verb}`")), "{e}");
+        }
     }
 
     #[test]
     fn stray_positionals_are_rejected_outside_run() {
-        let e = run("derive extra").expect_err("must fail");
-        assert!(e.to_string().contains("extra"), "{e}");
+        for line in ["campaign extra --arch toy", "export-spec extra", "gamma extra"] {
+            let e = run(line).expect_err("must fail");
+            assert!(e.to_string().contains("unexpected argument `extra`"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn undeclared_flags_are_rejected_naming_command_and_flag() {
+        for (line, command, flag) in [
+            (format!("verify {NGMP_SPEC} --horizon 4096"), "verify", "--horizon"),
+            (String::from("campaign --arch toy --composed --no-cache"), "campaign", "--composed"),
+            (String::from("export-spec --arch toy --jobs 2"), "export-spec", "--jobs"),
+            (String::from("cache stats --no-cache"), "cache", "--no-cache"),
+        ] {
+            let e = run(&line).expect_err("must fail");
+            let msg = e.to_string();
+            assert!(msg.contains(&format!("rrb {command}")) && msg.contains(flag), "{line}: {msg}");
+        }
+    }
+
+    #[test]
+    fn toy_only_machine_flags_and_bad_numbers_are_usage_errors() {
+        // Each used to be dropped without a word: an NGMP preset with
+        // --cores/--l-bus exported its fixed machine, and a non-numeric
+        // --nop-latency kept the default.
+        for (line, needle) in [
+            ("export-spec --arch ref --cores 2", "--cores only applies to --arch toy"),
+            ("export-spec --l-bus 5", "--l-bus only applies to --arch toy"),
+            ("campaign --arch var --cores 2 --no-cache", "--cores only applies to --arch toy"),
+            ("export-spec --arch toy --nop-latency fast", "--nop-latency: `fast`"),
+        ] {
+            let e = run(line).expect_err("must fail");
+            assert!(e.to_string().contains(needle), "{line}: {e}");
+        }
+        let spec = run("export-spec --arch toy --cores 2 --l-bus 3 --nop-latency 2").expect("toy");
+        let spec = ExperimentSpec::parse(&spec).expect("parse");
+        assert_eq!((spec.machine.num_cores, spec.machine.nop_latency), (2, 2));
     }
 
     /// A scratch path in the target-adjacent temp dir, removed on drop.
@@ -1399,52 +1364,55 @@ mod tests {
         assert!(out.contains("    7      5"));
     }
 
+    /// The value of metric `name` in a text-format campaign cell.
+    fn metric(out: &str, name: &str) -> u64 {
+        out.lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("metric {name} missing:\n{out}"))
+    }
+
     #[test]
     fn derive_on_toy_bus_reports_six() {
-        let out = run("derive --arch toy --cores 4 --l-bus 2 --max-k 20 --iterations 100")
-            .expect("derive");
-        assert!(out.contains("ubd_m               : 6"), "{out}");
+        let out = run("campaign --scenario derive --arch toy --cores 4 --l-bus 2 --max-k 20 \
+             --iterations 100 --no-cache")
+        .expect("derive");
+        assert!(out.contains("ubd_m = 6 (period 6"), "{out}");
+        assert_eq!(metric(&out, "ubd_m"), 6, "{out}");
     }
 
     #[test]
     fn derive_on_two_level_topology_reports_breakdown_that_sums() {
-        let out = run("derive --arch toy --cores 4 --l-bus 2 --topology bus+mc \
-             --mc-occupancy 2 --max-k 20 --iterations 100")
+        let out = run("campaign --scenario derive --arch toy --cores 4 --l-bus 2 \
+             --topology bus+mc --mc-occupancy 2 --max-k 20 --iterations 100 --no-cache")
         .expect("derive");
-        assert!(out.contains("ubd_m               : 6"), "{out}");
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("per-resource ubd_m"))
-            .unwrap_or_else(|| panic!("breakdown line missing:\n{out}"));
-        // "per-resource ubd_m  : bus 6 + mc N = M cycles" — the shares
-        // must sum to the reported total.
-        let nums: Vec<u64> =
-            line.split(|c: char| !c.is_ascii_digit()).filter_map(|t| t.parse().ok()).collect();
-        assert_eq!(nums.len(), 3, "{line}");
-        assert_eq!(nums[0] + nums[1], nums[2], "{line}");
-        assert_eq!(nums[0], 6, "the bus share is the saw-tooth bound: {line}");
+        let (bus, mc, total) =
+            (metric(&out, "ubd_bus"), metric(&out, "ubd_mc"), metric(&out, "ubd_total"));
+        assert_eq!(bus + mc, total, "the per-resource shares sum to the total:\n{out}");
+        assert_eq!(bus, 6, "the bus share is the saw-tooth bound:\n{out}");
+        assert_eq!(metric(&out, "ubd_m"), 6, "{out}");
     }
 
     #[test]
     fn mc_flags_imply_two_level_topology() {
         // --mc-occupancy without --topology must not be silently ignored:
-        // it implies bus+mc, so the breakdown line appears.
-        let out = run("derive --arch toy --cores 4 --l-bus 2 --mc-occupancy 2 \
-             --max-k 20 --iterations 100")
+        // it implies bus+mc, so the per-resource metrics appear.
+        let out = run("campaign --scenario derive --arch toy --cores 4 --l-bus 2 \
+             --mc-occupancy 2 --max-k 20 --iterations 100 --no-cache")
         .expect("derive");
-        assert!(out.contains("per-resource ubd_m"), "{out}");
+        assert!(out.contains("/bus+mc"), "{out}");
+        assert!(out.contains("ubd_mc"), "{out}");
         // ...and contradicting them with an explicit single-bus errors.
-        let e =
-            run("derive --arch toy --topology single-bus --mc-occupancy 2").expect_err("must fail");
+        let e = run("export-spec --arch toy --topology single-bus --mc-occupancy 2")
+            .expect_err("must fail");
         assert!(e.to_string().contains("bus+mc when the mc flags are given"), "{e}");
     }
 
     #[test]
     fn derive_rejects_bad_topology_and_mc_arbiter() {
-        let e = run("derive --arch toy --topology mesh").expect_err("must fail");
+        let e = run("campaign --arch toy --topology mesh --no-cache").expect_err("must fail");
         assert!(e.to_string().contains("single-bus, bus+mc"), "{e}");
-        let e =
-            run("derive --arch toy --topology bus+mc --mc-arbiter cdma").expect_err("must fail");
+        let e = run("export-spec --arch toy --topology bus+mc --mc-arbiter cdma")
+            .expect_err("must fail");
         assert!(e.to_string().contains("tdma:<slot>"), "{e}");
     }
 
@@ -1460,45 +1428,26 @@ mod tests {
     }
 
     #[test]
-    fn derive_with_repeats_reports_consensus() {
-        let out =
-            run("derive --arch toy --cores 4 --l-bus 2 --max-k 20 --iterations 60 --repeats 2")
-                .expect("derive");
-        assert!(out.contains("consensus: unanimous"), "{out}");
-        assert!(out.contains("ubd_m    : 6"), "{out}");
-    }
-
-    #[test]
-    fn derive_with_store_cross_check() {
-        let out =
-            run("derive --arch toy --cores 4 --l-bus 2 --max-k 20 --iterations 80 --store-scua")
-                .expect("derive");
-        assert!(out.contains("corroborated"), "{out}");
-    }
-
-    #[test]
     fn naive_on_toy_bus_underestimates() {
-        let out = run("naive --arch toy --cores 4 --l-bus 2 --iterations 200").expect("naive");
-        assert!(out.contains("ubd_m (max gamma) : 5"), "{out}");
+        let out = run("campaign --scenario naive --arch toy --cores 4 --l-bus 2 --iterations 200 \
+             --no-cache")
+        .expect("naive");
+        assert!(out.contains("(det/nr 6, max gamma 5)"), "{out}");
+        assert_eq!(metric(&out, "ubd_m_max_gamma"), 5, "{out}");
     }
 
     #[test]
     fn bad_arch_is_rejected() {
-        let e = run("derive --arch sparc").expect_err("must fail");
-        assert!(e.to_string().contains("ref, var, toy"));
+        for line in ["campaign --arch sparc --no-cache", "export-spec --arch sparc"] {
+            let e = run(line).expect_err("must fail");
+            assert!(e.to_string().contains("ref, var, toy"), "{line}: {e}");
+        }
     }
 
     #[test]
     fn bad_kernel_is_rejected() {
         let e = run("audit --arch toy --kernel nosuch").expect_err("must fail");
         assert!(e.to_string().contains("canrdr"));
-    }
-
-    #[test]
-    fn simulate_prints_digest() {
-        let out = run("simulate --arch toy --seed 3 --scua-iterations 50").expect("simulate");
-        assert!(out.contains("bus utilisation"));
-        assert!(out.contains("contender histogram"));
     }
 
     #[test]

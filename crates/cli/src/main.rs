@@ -1,28 +1,7 @@
 //! `rrb` — command-line driver for the contention-bound toolkit.
 //!
-//! ```text
-//! rrb derive  [--arch ref|var] [--cores N --l-bus N] [--max-k N]
-//!             [--iterations N] [--store-scua] [--repeats N]
-//! rrb naive   [--arch ref|var] [--iterations N]
-//! rrb gamma   [--ubd N] [--max-delta N]
-//! rrb audit   [--arch ref|var] [--kernel NAME] [--iterations N]
-//! rrb simulate [--arch ref|var] [--seed N] [--scua-iterations N]
-//! rrb campaign [--scenario derive|naive|sweep|validate]
-//!             [--arbiters rr,fp,...] [--grid-cores 2,3,4]
-//!             [--jobs N] [--format text|json|csv] [--out FILE]
-//!             [--cache-dir DIR] [--no-cache] [--resume]
-//! rrb export-spec [same flags as campaign] [--name NAME] [--out FILE]
-//! rrb run <spec.json> [--jobs N] [--format text|json|csv] [--out FILE]
-//!             [--cache-dir DIR] [--no-cache] [--resume]
-//! rrb analyze <spec.json> [--format text|json] [--out FILE]
-//!             [--check-runs] [--jobs N] [--cache-dir DIR] [--no-cache]
-//! rrb lint <spec.json>
-//! rrb cache   stats | verify | fingerprint | gc [--max-age SECS]
-//!             [--max-size BYTES]   [--cache-dir DIR]
-//! rrb serve   [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
-//! ```
-//!
-//! Run `rrb help` for details.
+//! Every command, its positional and the flags it takes are declared in
+//! one table in `commands.rs`; `rrb help` lists them all.
 
 mod args;
 mod commands;
