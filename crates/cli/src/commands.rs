@@ -293,15 +293,14 @@ fn parse_arbiter_for(token: &str, flag: &'static str) -> Result<ArbiterKind, Cli
     })
 }
 
-fn parse_access(token: &str) -> Result<AccessKind, CliError> {
+/// Parses a `load`/`store` token, naming `flag` in the error.
+fn parse_access(token: &str, flag: &'static str) -> Result<AccessKind, CliError> {
     match token {
         "load" => Ok(AccessKind::Load),
         "store" => Ok(AccessKind::Store),
-        other => Err(CliError::UnknownChoice {
-            flag: "accesses",
-            value: other.to_string(),
-            allowed: "load, store",
-        }),
+        other => {
+            Err(CliError::UnknownChoice { flag, value: other.to_string(), allowed: "load, store" })
+        }
     }
 }
 
@@ -326,12 +325,12 @@ fn grid_from(parsed: &Parsed) -> Result<CampaignGrid, CliError> {
     let accesses = parsed
         .get_list("accesses", &["load"])
         .iter()
-        .map(|t| parse_access(t))
+        .map(|t| parse_access(t, "accesses"))
         .collect::<Result<Vec<_>, _>>()?;
     let contender_accesses = parsed
         .get_list("contenders", &["load"])
         .iter()
-        .map(|t| parse_access(t))
+        .map(|t| parse_access(t, "contenders"))
         .collect::<Result<Vec<_>, _>>()?;
     let core_counts = parsed.get_u64_list("grid-cores", &[base.num_cores as u64])?;
     // The methodology template fixes the defaults (max-k, iterations,
@@ -1442,6 +1441,25 @@ mod tests {
             let e = run(line).expect_err("must fail");
             assert!(e.to_string().contains("ref, var, toy"), "{line}: {e}");
         }
+    }
+
+    /// A bad access token must be reported against the flag it came from.
+    fn assert_bad_access_names(flag: &str) {
+        let e = run(&format!("export-spec --arch toy --{flag} lod")).expect_err("must fail");
+        assert_eq!(
+            e.to_string(),
+            format!("--{flag}: unknown value `lod` (expected one of: load, store)")
+        );
+    }
+
+    #[test]
+    fn bad_accesses_token_names_accesses() {
+        assert_bad_access_names("accesses");
+    }
+
+    #[test]
+    fn bad_contenders_token_names_contenders() {
+        assert_bad_access_names("contenders");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! assert_eq!(serial.reports[0].metric_u64("ubd_m"), Some(6));
 //! ```
 
-use crate::executor::Executor;
+use crate::executor::{Executor, StoredOutcome};
 use crate::json::{csv_field, Fnv64Hasher, Json};
 use crate::methodology::{MethodologyConfig, UbdScenario};
 use crate::naive::NaiveScenario;
@@ -33,7 +33,7 @@ use crate::validation::GammaValidationScenario;
 use rrb_analysis::Histogram;
 use rrb_kernels::{rsk_nop, AccessKind, KernelSpec};
 use rrb_sim::{ArbiterKind, CoreId, MachineConfig, Program, SimError};
-use std::collections::HashMap;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -178,7 +178,8 @@ impl RunSpec {
 /// comparison, never alias two different runs onto one measurement.
 #[derive(Default)]
 struct DedupTable {
-    by_hash: HashMap<u64, Vec<usize>>,
+    // lint_sources: allow (lookup-only: never iterated, so hash order never reaches output)
+    by_hash: std::collections::HashMap<u64, Vec<usize>>,
 }
 
 impl DedupTable {
@@ -314,6 +315,25 @@ pub struct StoreUsage {
     pub warnings: Vec<String>,
 }
 
+impl StoreUsage {
+    /// Counts one run's store activity — a hit, a write, its warnings —
+    /// and hands back the run's result. Every scheduler folds its
+    /// [`StoredOutcome`]s through here, in whatever order it wants the
+    /// warnings listed.
+    pub fn tally(
+        &mut self,
+        (result, source, warnings): StoredOutcome,
+    ) -> Result<RunMeasurement, RunError> {
+        match source {
+            RunSource::Store => self.hits += 1,
+            RunSource::Simulated { recorded: true } => self.writes += 1,
+            RunSource::Simulated { recorded: false } => {}
+        }
+        self.warnings.extend(warnings);
+        result
+    }
+}
+
 // ---------------------------------------------------------------------
 // Records and results
 // ---------------------------------------------------------------------
@@ -345,10 +365,8 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// A success record for one measured run. Public so external
-    /// schedulers (the `rrb-serve` daemon) can emit the exact records a
-    /// whole-campaign [`Campaign::run`] would have produced.
-    pub fn ok(scenario: &str, label: &str, m: &RunMeasurement) -> Self {
+    /// A success record for one measured run.
+    fn ok(scenario: &str, label: &str, m: &RunMeasurement) -> Self {
         RunRecord {
             scenario: scenario.to_string(),
             label: label.to_string(),
@@ -364,7 +382,7 @@ impl RunRecord {
     }
 
     /// An error record for a run (or plan) that failed.
-    pub fn failed(scenario: &str, label: &str, error: impl fmt::Display) -> Self {
+    fn failed(scenario: &str, label: &str, error: impl fmt::Display) -> Self {
         RunRecord {
             scenario: scenario.to_string(),
             label: label.to_string(),
@@ -618,10 +636,10 @@ impl Campaign {
     /// appear once in [`CampaignPlan::unique_specs`].
     ///
     /// An external scheduler (the `rrb-serve` worker pool, a remote
-    /// queue) can execute the unique specs in any order and at any pace,
-    /// then reassemble the exact whole-campaign output with
-    /// [`CampaignPlan::outcomes`], [`CampaignPlan::analyze`], and
-    /// [`CampaignPlan::finish`].
+    /// queue) can execute the unique specs in any order and at any pace;
+    /// [`CampaignPlan::walk`] then reassembles the whole-campaign output
+    /// in plan order — the one reassembly path, which
+    /// [`CampaignPlan::finish`] runs too.
     pub fn plan(&self) -> CampaignPlan<'_> {
         let mut unique: Vec<RunSpec> = Vec::new();
         let mut seen = DedupTable::default();
@@ -660,10 +678,11 @@ pub struct PlannedScenario {
 /// The deduplicated execution plan of a [`Campaign`]: phases 1–2 of
 /// [`Campaign::run`] split from phases 3–4 so a scheduler can drive the
 /// unique runs *incrementally* — out of order, across its own worker
-/// pool, streaming per-run records as they land — instead of only
-/// whole-campaign. [`Campaign::run`] itself is now a thin
-/// `plan → execute → finish` composition, so both paths produce
-/// byte-identical output by construction.
+/// pool — instead of only whole-campaign. [`CampaignPlan::walk`] is the
+/// one plan-order reassembly path: [`Campaign::run`] reaches it through
+/// [`CampaignPlan::finish`] and the `rrb-serve` daemon calls it while
+/// streaming, so both emit the same records and reports by
+/// construction.
 pub struct CampaignPlan<'a> {
     campaign: &'a Campaign,
     scenarios: Vec<PlannedScenario>,
@@ -671,10 +690,21 @@ pub struct CampaignPlan<'a> {
     planned_runs: usize,
 }
 
+/// One item of a [`CampaignPlan::walk`], in plan order: every run record
+/// of a scenario, then that scenario's report.
+#[derive(Debug)]
+pub enum PlanItem<'p> {
+    /// One run's record and the spec it measured (`None` for the
+    /// `<plan>` record of a scenario whose plan failed).
+    Run(RunRecord, Option<&'p RunSpec>),
+    /// One scenario's analysed report, after all of its run records.
+    Scenario(ScenarioReport),
+}
+
 impl CampaignPlan<'_> {
-    /// The deduplicated runs to execute, in first-appearance order.
-    /// Result vectors handed back to [`CampaignPlan::outcomes`] and
-    /// [`CampaignPlan::finish`] must be indexed like this slice.
+    /// The deduplicated runs to execute, in first-appearance order. The
+    /// indices [`CampaignPlan::walk`] asks for, and the result slice
+    /// handed to [`CampaignPlan::finish`], refer to this slice.
     pub fn unique_specs(&self) -> &[RunSpec] {
         &self.unique
     }
@@ -690,54 +720,69 @@ impl CampaignPlan<'_> {
     }
 
     /// Builds scenario `index`'s [`RunOutcome`]s by scattering
-    /// per-unique-run `results` back into that scenario's plan order.
-    /// A result the scheduler never delivered surfaces as a failed
-    /// outcome, never a panic; an out-of-range `index` or a failed plan
-    /// yields no outcomes.
+    /// per-unique-run `results` back into that scenario's plan order, as
+    /// [`CampaignPlan::walk`] does. A result never delivered surfaces as
+    /// a failed outcome, never a panic; an out-of-range `index` or a
+    /// failed plan yields no outcomes.
     pub fn outcomes(
         &self,
         index: usize,
         results: &[Result<RunMeasurement, RunError>],
     ) -> Vec<RunOutcome> {
-        let Some(scenario) = self.scenarios.get(index) else { return Vec::new() };
-        let Ok(specs) = &scenario.runs else { return Vec::new() };
-        specs
-            .iter()
-            .zip(&scenario.indices)
-            .map(|(spec, &idx)| RunOutcome {
-                label: spec.label.clone(),
-                result: results.get(idx).cloned().unwrap_or_else(|| {
-                    Err(RunError::Analysis(String::from(
-                        "scheduler delivered no result for this run",
-                    )))
-                }),
-            })
-            .collect()
+        let Some(planned) = self.scenarios.get(index) else { return Vec::new() };
+        scatter(planned, |idx| results.get(idx).cloned()).map(|(_, outcome)| outcome).collect()
     }
 
-    /// Runs scenario `index`'s analysis over `outcomes` (usually the
-    /// vector [`CampaignPlan::outcomes`] built once that scenario's runs
-    /// all completed). A scenario whose *plan* failed reports that
-    /// failure regardless of `outcomes`.
-    pub fn analyze(&self, index: usize, outcomes: &[RunOutcome]) -> ScenarioReport {
-        match (self.campaign.scenarios.get(index), self.scenarios.get(index)) {
-            (Some(scenario), Some(planned)) => match &planned.runs {
-                Err(e) => ScenarioReport::failure(planned.name.clone(), e),
-                Ok(_) => scenario.analyze(outcomes),
-            },
-            _ => ScenarioReport::failure(
-                String::from("<campaign>"),
-                format!("scenario index {index} out of range"),
-            ),
+    /// Walks the plan in scenario order and hands `sink` every run record
+    /// (with its spec) and then every scenario report, returning the
+    /// number of failed runs.
+    ///
+    /// `result` is asked for each planned run's unique index, in plan
+    /// order (shared runs are asked for once per use). It may block until
+    /// that run lands, which is how a streaming scheduler paces the
+    /// walk; `None` means the run will never be delivered and becomes an
+    /// error record. A scenario whose plan failed yields one `<plan>`
+    /// error record. The first `sink` error stops the walk and is
+    /// returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `sink` returns.
+    pub fn walk<'p, E>(
+        &'p self,
+        mut result: impl FnMut(usize) -> Option<Result<RunMeasurement, RunError>>,
+        mut sink: impl FnMut(PlanItem<'p>) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let mut failed_runs = 0usize;
+        for (scenario, planned) in self.campaign.scenarios.iter().zip(&self.scenarios) {
+            if let Err(e) = &planned.runs {
+                failed_runs += 1;
+                sink(PlanItem::Run(RunRecord::failed(&planned.name, "<plan>", e), None))?;
+                sink(PlanItem::Scenario(ScenarioReport::failure(planned.name.clone(), e)))?;
+                continue;
+            }
+            let mut outcomes = Vec::with_capacity(planned.indices.len());
+            for (spec, outcome) in scatter(planned, &mut result) {
+                let record = match &outcome.result {
+                    Ok(m) => RunRecord::ok(&planned.name, &spec.label, m),
+                    Err(e) => {
+                        failed_runs += 1;
+                        RunRecord::failed(&planned.name, &spec.label, e)
+                    }
+                };
+                sink(PlanItem::Run(record, Some(spec)))?;
+                outcomes.push(outcome);
+            }
+            sink(PlanItem::Scenario(scenario.analyze(&outcomes)))?;
         }
+        Ok(failed_runs)
     }
 
-    /// Phase 4 of [`Campaign::run`]: scatters per-unique-run `results`
-    /// back into plan order and analyses every scenario, producing the
-    /// same records, reports, and statistics that a whole-campaign
-    /// [`Campaign::run`] would have. `results` must be indexed like
-    /// [`CampaignPlan::unique_specs`]; `usage` and `jobs` only feed the
-    /// (non-serialised) statistics.
+    /// Phase 4 of [`Campaign::run`]: [`CampaignPlan::walk`] over
+    /// per-unique-run `results`, collecting the records, reports, and
+    /// statistics a whole-campaign [`Campaign::run`] produces. `results`
+    /// must be indexed like [`CampaignPlan::unique_specs`]; `usage` and
+    /// `jobs` only feed the (non-serialised) statistics.
     pub fn finish(
         &self,
         results: &[Result<RunMeasurement, RunError>],
@@ -746,29 +791,17 @@ impl CampaignPlan<'_> {
     ) -> CampaignResult {
         let mut records = Vec::with_capacity(self.planned_runs);
         let mut reports = Vec::with_capacity(self.scenarios.len());
-        let mut failed_runs = 0usize;
-        for (index, planned) in self.scenarios.iter().enumerate() {
-            match &planned.runs {
-                Err(e) => {
-                    failed_runs += 1;
-                    records.push(RunRecord::failed(&planned.name, "<plan>", e));
-                    reports.push(ScenarioReport::failure(planned.name.clone(), e));
+        let walked = self.walk(
+            |idx| results.get(idx).cloned(),
+            |item| {
+                match item {
+                    PlanItem::Run(record, _) => records.push(record),
+                    PlanItem::Scenario(report) => reports.push(report),
                 }
-                Ok(_) => {
-                    let outcomes = self.outcomes(index, results);
-                    for outcome in &outcomes {
-                        records.push(match &outcome.result {
-                            Ok(m) => RunRecord::ok(&planned.name, &outcome.label, m),
-                            Err(e) => {
-                                failed_runs += 1;
-                                RunRecord::failed(&planned.name, &outcome.label, e)
-                            }
-                        });
-                    }
-                    reports.push(self.analyze(index, &outcomes));
-                }
-            }
-        }
+                Ok::<(), Infallible>(())
+            },
+        );
+        let failed_runs = walked.unwrap_or_else(|never| match never {});
         CampaignResult {
             records,
             reports,
@@ -785,6 +818,22 @@ impl CampaignPlan<'_> {
             warnings: usage.warnings,
         }
     }
+}
+
+/// Pairs each of `planned`'s runs with its outcome, asking `result` for
+/// the run's unique index as the iterator advances. A run `result` never
+/// delivers becomes a failed outcome.
+fn scatter(
+    planned: &PlannedScenario,
+    mut result: impl FnMut(usize) -> Option<Result<RunMeasurement, RunError>>,
+) -> impl Iterator<Item = (&RunSpec, RunOutcome)> {
+    let specs = planned.runs.as_deref().unwrap_or(&[]);
+    specs.iter().zip(&planned.indices).map(move |(spec, &idx)| {
+        let result = result(idx).unwrap_or_else(|| {
+            Err(RunError::Analysis(String::from("scheduler delivered no result for this run")))
+        });
+        (spec, RunOutcome { label: spec.label.clone(), result })
+    })
 }
 
 /// Clamps a requested worker count to the machine's available
@@ -1167,6 +1216,51 @@ mod tests {
         assert_eq!(plan.outcomes(0, &results), plain);
         assert_eq!(plan.outcomes(1, &results), plain);
         assert!(plain.iter().all(|o| o.result.is_ok()));
+    }
+
+    #[test]
+    fn walk_reports_plan_failures_and_missing_results_in_plan_order() {
+        let mut bad = toy();
+        bad.num_cores = 0;
+        let campaign = Campaign::builder()
+            .scenario(SweepScenario::new(bad, 1, 20).named("bad"))
+            .scenario(SweepScenario::new(toy(), 1, 20).named("good"))
+            .build();
+        let plan = campaign.plan();
+        let mut items = Vec::new();
+        let failed = plan.walk(
+            |_| None,
+            |item| {
+                items.push(item);
+                Ok::<(), ()>(())
+            },
+        );
+        assert_eq!(failed, Ok(5), "one <plan> record and four undelivered runs");
+        assert_eq!(items.len(), 7);
+        let PlanItem::Run(record, None) = &items[0] else { panic!("{:?}", items[0]) };
+        assert_eq!((record.scenario.as_str(), record.label.as_str()), ("bad", "<plan>"));
+        assert!(record.error.as_deref().is_some_and(|e| e.contains("invalid scenario")));
+        assert!(matches!(&items[1], PlanItem::Scenario(r) if r.scenario == "bad" && !r.is_ok()));
+        for (item, spec) in items[2..6].iter().zip(&plan.unique_specs()[..4]) {
+            let PlanItem::Run(record, Some(walked)) = item else { panic!("{item:?}") };
+            assert_eq!(*walked, spec);
+            assert_eq!(
+                record.error.as_deref(),
+                Some("scenario analysis failed: scheduler delivered no result for this run")
+            );
+        }
+        assert!(matches!(&items[6], PlanItem::Scenario(r) if r.scenario == "good" && !r.is_ok()));
+
+        // The first sink error ends the walk.
+        let mut calls = 0;
+        let stopped = plan.walk(
+            |_| None,
+            |_| {
+                calls += 1;
+                Err("client went away")
+            },
+        );
+        assert_eq!((stopped, calls), (Err("client went away"), 1));
     }
 
     #[test]

@@ -278,18 +278,7 @@ impl Executor {
                 .collect()
         };
         let mut usage = StoreUsage::default();
-        let results = outcomes
-            .into_iter()
-            .map(|(result, source, warnings)| {
-                match source {
-                    RunSource::Store => usage.hits += 1,
-                    RunSource::Simulated { recorded: true } => usage.writes += 1,
-                    RunSource::Simulated { recorded: false } => {}
-                }
-                usage.warnings.extend(warnings);
-                result
-            })
-            .collect();
+        let results = outcomes.into_iter().map(|outcome| usage.tally(outcome)).collect();
         (results, usage)
     }
 }

@@ -25,9 +25,12 @@
 //! plan order: a `campaign` header, one `run` line per planned run
 //! (emitted as soon as its result — and every earlier plan position —
 //! has landed), one `scenario` line per analysed scenario, a `summary`
-//! line, and a final `stats` line. Everything *except* the `stats` line
-//! is byte-identical across worker counts, cache states, and racing
-//! clients, exactly like `Campaign::run` output.
+//! line, and a final `stats` line. The `run` and `scenario` lines come
+//! from `CampaignPlan::walk`, the one plan-order reassembly path that
+//! `Campaign::run` also takes, so they carry exactly the records and
+//! reports of `rrb run`. Everything *except* the `stats` line is
+//! byte-identical across worker counts, cache states, and racing
+//! clients.
 //!
 //! ```no_run
 //! use rrb::store::ResultStore;

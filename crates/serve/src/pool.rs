@@ -13,14 +13,19 @@
 //! state, and it already tolerates racing writers (atomic temp+rename
 //! entries).
 //!
+//! Workers only execute: each [`RunDone`] carries the arena's
+//! [`StoredOutcome`] back to the submitting connection, whose
+//! `CampaignPlan::walk` folds it into the stream in plan order — the
+//! same walk `Campaign::run` takes.
+//!
 //! Error containment: a panicking run is caught with
-//! [`std::panic::catch_unwind`] and surfaces as a failed
-//! [`RunDone::result`] — the worker thread survives and keeps serving.
+//! [`std::panic::catch_unwind`] and surfaces as a failed outcome — the
+//! worker thread survives and keeps serving.
 //!
 //! This module is on the lint-enforced no-panic path (`lint_sources`).
 
-use rrb::campaign::{RunError, RunMeasurement, RunSource, RunSpec};
-use rrb::executor::MachineArena;
+use rrb::campaign::{RunError, RunSource, RunSpec};
+use rrb::executor::{MachineArena, StoredOutcome};
 use rrb::store::ResultStore;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -46,12 +51,9 @@ pub struct Job {
 pub struct RunDone {
     /// The submitter's index for this run.
     pub index: usize,
-    /// The measurement, or why the run (or its worker) failed.
-    pub result: Result<RunMeasurement, RunError>,
-    /// Whether the run was simulated or answered from the store.
-    pub source: RunSource,
-    /// Non-fatal store warnings for this run.
-    pub warnings: Vec<String>,
+    /// The measurement (or why the run or its worker failed), where it
+    /// came from, and any non-fatal store warnings.
+    pub outcome: StoredOutcome,
 }
 
 /// A fixed-size pool of worker threads draining a shared job queue.
@@ -130,25 +132,22 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
         let Ok(job) = job else { return }; // queue closed: shutdown
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             arena.execute_stored(&job.spec, job.store.as_deref())
-        }));
-        let (result, source, warnings) = match outcome {
-            Ok(outcome) => outcome,
-            Err(panic) => {
-                // A machine that panicked mid-run is in an unknown
-                // state; drop it so the next job builds fresh.
-                arena.clear();
-                (
-                    Err(RunError::Analysis(format!(
-                        "worker caught a panic executing `{}`: {}",
-                        job.spec.label,
-                        panic_message(&panic)
-                    ))),
-                    RunSource::Simulated { recorded: false },
-                    Vec::new(),
-                )
-            }
-        };
-        let _ = job.reply.send(RunDone { index: job.index, result, source, warnings });
+        }))
+        .unwrap_or_else(|panic| {
+            // A machine that panicked mid-run is in an unknown state;
+            // drop it so the next job builds fresh.
+            arena.clear();
+            (
+                Err(RunError::Analysis(format!(
+                    "worker caught a panic executing `{}`: {}",
+                    job.spec.label,
+                    panic_message(&panic)
+                ))),
+                RunSource::Simulated { recorded: false },
+                Vec::new(),
+            )
+        });
+        let _ = job.reply.send(RunDone { index: job.index, outcome });
     }
 }
 
@@ -191,7 +190,7 @@ mod tests {
         let mut done: Vec<RunDone> = rx.iter().collect();
         done.sort_by_key(|d| d.index);
         assert_eq!(done.len(), 3);
-        assert!(done.iter().all(|d| d.result.is_ok()));
+        assert!(done.iter().all(|d| d.outcome.0.is_ok()));
         drop(handle); // shutdown joins workers, which wait on every live handle
         pool.shutdown();
     }

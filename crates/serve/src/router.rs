@@ -12,10 +12,10 @@
 use crate::http::{self, ChunkedWriter, HttpError, Request};
 use crate::pool::{Job, PoolHandle, RunDone};
 use crate::ServerState;
-use rrb::campaign::{RunError, RunMeasurement, RunRecord, RunSource};
+use rrb::campaign::{PlanItem, RunRecord, RunSpec, StoreUsage};
 use rrb::json::Json;
 use rrb::lint::{has_errors, lint_spec, LintFinding};
-use rrb::scenario::RunOutcome;
+use rrb::scenario::ScenarioReport;
 use rrb::spec::ExperimentSpec;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -169,28 +169,14 @@ fn parse_spec(body: &[u8]) -> Result<ExperimentSpec, (u16, String)> {
     Ok(spec)
 }
 
-fn findings_json(findings: &[LintFinding]) -> Json {
-    Json::Arr(
-        findings
-            .iter()
-            .map(|f| {
-                Json::obj(vec![
-                    ("severity", Json::str(f.severity.to_string())),
-                    ("path", Json::str(f.path.clone())),
-                    ("message", Json::str(f.message.clone())),
-                ])
-            })
-            .collect(),
-    )
-}
-
 /// `POST /v1/campaigns`: validate, lint, shard, stream.
 ///
-/// Every deduplicated run becomes one pool job; the handler then emits
-/// NDJSON lines in deterministic plan order, each line as one HTTP
-/// chunk, waiting on the pool only when the next plan position is still
-/// in flight. A client that disconnects mid-stream aborts the emission
-/// loop, but already-queued runs still execute and land in the store.
+/// Every deduplicated run becomes one pool job; the handler then streams
+/// the plan through `CampaignPlan::walk` — the walk `Campaign::run`
+/// takes — writing each record and report as one HTTP chunk and waiting
+/// on the pool only when the next plan position is still in flight. A
+/// client that disconnects mid-stream aborts the walk, but
+/// already-queued runs still execute and land in the store.
 fn campaigns(
     stream: &mut TcpStream,
     state: &Arc<ServerState>,
@@ -205,7 +191,7 @@ fn campaigns(
     if has_errors(&findings) {
         let body = Json::obj(vec![
             ("error", Json::str("spec failed lint")),
-            ("findings", findings_json(&findings)),
+            ("findings", Json::Arr(findings.iter().map(LintFinding::to_json).collect())),
         ])
         .render_compact();
         return http::respond_json(stream, 422, &body);
@@ -232,7 +218,7 @@ fn campaigns(
     }
     drop(reply);
 
-    // Stream: header, then per-run and per-scenario lines in plan order.
+    // Stream: header, the plan-order walk, then the summary and stats.
     let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
     writer.chunk(&line(Json::obj(vec![
         ("type", Json::str("campaign")),
@@ -243,84 +229,33 @@ fn campaigns(
         ("unique_runs", Json::U64(unique.len() as u64)),
     ])))?;
 
-    let mut results: Vec<Option<Result<RunMeasurement, RunError>>> = Vec::new();
-    results.resize_with(unique.len(), || None);
-    let mut executed = 0u64;
-    let mut store_hits = 0u64;
-    let mut store_writes = 0u64;
-    let mut warnings: Vec<String> = Vec::new();
-    let mut failed_runs = 0usize;
-
-    for (index, planned) in plan.scenarios().iter().enumerate() {
-        let specs = match &planned.runs {
-            Err(e) => {
-                failed_runs += 1;
-                let record = RunRecord::failed(&planned.name, "<plan>", e);
-                writer.chunk(&run_line(&record, None))?;
+    let mut results = vec![None; unique.len()];
+    let mut usage = StoreUsage::default();
+    let mut delivered = 0usize;
+    let failed_runs = plan.walk(
+        |idx| {
+            // Block until run `idx` lands; a pool that died or refused
+            // jobs leaves it missing, and the walk records an error.
+            while results.get(idx).is_some_and(Option::is_none) {
+                let Ok(done) = done.recv() else { break };
+                if let Some(slot) = results.get_mut(done.index) {
+                    delivered += 1;
+                    *slot = Some(usage.tally(done.outcome));
+                }
+            }
+            results.get(idx).cloned().flatten()
+        },
+        |item| match item {
+            PlanItem::Run(record, spec) => {
+                writer.chunk(&run_line(&record, spec.map(RunSpec::spec_hash)))?;
                 state.runs_streamed.fetch_add(1, Ordering::Relaxed);
-                writer.chunk(&scenario_line(&plan.analyze(index, &[])))?;
-                continue;
+                Ok(())
             }
-            Ok(specs) => specs,
-        };
-        // Wait for this scenario's runs (earlier scenarios already
-        // resolved everything they share with this one).
-        for &idx in &planned.indices {
-            while idx < results.len() && results[idx].is_none() {
-                match done.recv() {
-                    Ok(done) => {
-                        if let Some(slot) = results.get_mut(done.index) {
-                            match done.source {
-                                RunSource::Store => store_hits += 1,
-                                RunSource::Simulated { recorded } => {
-                                    executed += 1;
-                                    if recorded {
-                                        store_writes += 1;
-                                    }
-                                }
-                            }
-                            warnings.extend(done.warnings);
-                            *slot = Some(done.result);
-                        }
-                    }
-                    // The pool died or refused jobs: whatever is still
-                    // unresolved becomes an error record below.
-                    Err(_) => break,
-                }
-            }
-            if results.get(idx).is_some_and(Option::is_none) {
-                break;
-            }
-        }
-        let outcomes: Vec<RunOutcome> = specs
-            .iter()
-            .zip(&planned.indices)
-            .map(|(run, &idx)| RunOutcome {
-                label: run.label.clone(),
-                result: results.get(idx).and_then(Clone::clone).unwrap_or_else(|| {
-                    Err(RunError::Analysis(String::from(
-                        "the worker pool delivered no result for this run",
-                    )))
-                }),
-            })
-            .collect();
-        for (position, outcome) in outcomes.iter().enumerate() {
-            let record = match &outcome.result {
-                Ok(m) => RunRecord::ok(&planned.name, &outcome.label, m),
-                Err(e) => {
-                    failed_runs += 1;
-                    RunRecord::failed(&planned.name, &outcome.label, e)
-                }
-            };
-            let hash = specs.get(position).map(rrb::campaign::RunSpec::spec_hash);
-            writer.chunk(&run_line(&record, hash))?;
-            state.runs_streamed.fetch_add(1, Ordering::Relaxed);
-        }
-        writer.chunk(&scenario_line(&plan.analyze(index, &outcomes)))?;
-    }
+            PlanItem::Scenario(report) => writer.chunk(&scenario_line(&report)),
+        },
+    )?;
 
-    // Anything still in flight (a disconnect would have aborted above;
-    // here the plan is fully emitted) has already been accounted.
+    let executed = delivered.saturating_sub(usage.hits);
     writer.chunk(&line(Json::obj(vec![
         ("type", Json::str("summary")),
         ("scenarios", Json::U64(plan.scenarios().len() as u64)),
@@ -331,12 +266,12 @@ fn campaigns(
     writer.chunk(&line(Json::obj(vec![
         ("type", Json::str("stats")),
         ("submitted_runs", Json::U64(submitted as u64)),
-        ("executed_runs", Json::U64(executed)),
-        ("store_hits", Json::U64(store_hits)),
-        ("store_writes", Json::U64(store_writes)),
-        ("warnings", Json::Arr(warnings.iter().map(Json::str).collect())),
+        ("executed_runs", Json::U64(executed as u64)),
+        ("store_hits", Json::U64(usage.hits as u64)),
+        ("store_writes", Json::U64(usage.writes as u64)),
+        ("warnings", Json::Arr(usage.warnings.iter().map(Json::str).collect())),
     ])))?;
-    state.runs_executed.fetch_add(executed, Ordering::Relaxed);
+    state.runs_executed.fetch_add(executed as u64, Ordering::Relaxed);
     writer.finish()
 }
 
@@ -364,7 +299,7 @@ fn run_line(record: &RunRecord, spec_hash: Option<u64>) -> Vec<u8> {
     line(Json::Obj(fields))
 }
 
-fn scenario_line(report: &rrb::scenario::ScenarioReport) -> Vec<u8> {
+fn scenario_line(report: &ScenarioReport) -> Vec<u8> {
     let mut fields = vec![(String::from("type"), Json::str("scenario"))];
     if let Json::Obj(pairs) = report.to_json() {
         fields.extend(pairs);

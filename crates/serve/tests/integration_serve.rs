@@ -6,11 +6,11 @@
 use rrb::campaign::{CampaignGrid, GridScenario, RunSpec};
 use rrb::executor::Executor;
 use rrb::json::Json;
-use rrb::spec::ExperimentSpec;
+use rrb::spec::{ExperimentSpec, WorkloadCase};
 use rrb::store::ResultStore;
-use rrb_kernels::{rsk_nop, AccessKind};
+use rrb_kernels::{rsk_nop, AccessKind, KernelSpec};
 use rrb_serve::{client, ServeConfig, ServeStats, Server, ServerHandle};
-use rrb_sim::{CoreId, MachineConfig};
+use rrb_sim::{ArbiterKind, CoreId, MachineConfig};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -353,4 +353,107 @@ fn draining_shutdown_finishes_the_campaign_in_flight() {
     );
     let final_stats = daemon.thread.join().unwrap().unwrap();
     assert_eq!(final_stats.campaigns, 1);
+}
+
+/// The checked-in NGMP sweep (a derive grid plus two workload cases).
+fn ngmp_sweep_spec() -> String {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/experiments/ngmp_sweep.json");
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// A small workload-only spec on the toy machine. The cycle budget is
+/// too tight for the second case, so its runs end in error records.
+fn small_workload_spec() -> String {
+    let mut machine = MachineConfig::toy(4, 2);
+    machine.max_cycles = 4_000;
+    let case = |name: &str, iterations| WorkloadCase {
+        name: name.to_string(),
+        scua: KernelSpec::RskNop { access: AccessKind::Load, nops: 2, iterations },
+        contenders: vec![KernelSpec::Rsk { access: AccessKind::Load }; 3],
+    };
+    let workloads = vec![case("short", 20), case("over-budget", 5_000), case("short-again", 20)];
+    ExperimentSpec { name: String::from("serve-workloads"), machine, grid: None, workloads }
+        .to_text()
+}
+
+/// An NDJSON line's object minus the `drop` keys, rendered compactly.
+fn without(line: &Json, drop: &[&str]) -> String {
+    let fields = line.as_object().unwrap().iter().filter(|(k, _)| !drop.contains(&k.as_str()));
+    Json::Obj(fields.cloned().collect()).render_compact()
+}
+
+/// The parsed lines of a stream whose `type` is `kind`, in order.
+fn lines_of(body: &str, kind: &str) -> Vec<Json> {
+    body.lines()
+        .filter(|l| !l.is_empty())
+        .map(|l| Json::parse(l).unwrap())
+        .filter(|v| v.get("type").and_then(Json::as_str) == Some(kind))
+        .collect()
+}
+
+#[test]
+fn campaign_stream_matches_campaign_run_record_for_record() {
+    let daemon = Daemon::boot("equivalence", 2);
+    let mut failures_seen = 0;
+    for text in [ngmp_sweep_spec(), small_workload_spec()] {
+        let resp = client::post(daemon.addr, "/v1/campaigns", &text).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let campaign = ExperimentSpec::parse(&text).unwrap().to_campaign(1);
+        let expected = campaign.run();
+        let plan = campaign.plan();
+        let unique_hashes: Vec<Option<String>> = plan
+            .scenarios()
+            .iter()
+            .flat_map(|s| match &s.runs {
+                Ok(_) => s
+                    .indices
+                    .iter()
+                    .map(|&i| Some(format!("{:016x}", plan.unique_specs()[i].spec_hash())))
+                    .collect(),
+                Err(_) => vec![None],
+            })
+            .collect();
+
+        let runs = lines_of(&resp.body, "run");
+        assert_eq!(runs.len(), expected.records.len());
+        assert_eq!(runs.len(), unique_hashes.len());
+        for ((line, record), hash) in runs.iter().zip(&expected.records).zip(&unique_hashes) {
+            assert_eq!(without(line, &["type", "spec_hash"]), record.to_json().render_compact());
+            assert_eq!(&spec_hash_of(line), hash);
+        }
+        let scenarios = lines_of(&resp.body, "scenario");
+        assert_eq!(scenarios.len(), expected.reports.len());
+        for (line, report) in scenarios.iter().zip(&expected.reports) {
+            assert_eq!(without(line, &["type"]), report.to_json().render_compact());
+        }
+        let summary = &lines_of(&resp.body, "summary")[0];
+        assert_eq!(u64_field(summary, "failed_runs"), expected.stats.failed_runs as u64);
+        failures_seen += expected.stats.failed_runs;
+    }
+    assert!(failures_seen > 0, "the workload spec must exercise failed run records");
+    daemon.shutdown();
+}
+
+#[test]
+fn lint_rejection_body_is_pinned() {
+    let daemon = Daemon::boot("lint-reject", 1);
+    let grid = CampaignGrid::new(GridScenario::Derive, MachineConfig::toy(4, 2))
+        .arbiters(vec![ArbiterKind::Tdma { slot_cycles: 1 }])
+        .iterations(vec![40])
+        .max_k(8);
+    let spec = ExperimentSpec::from_grid("starving", &grid).to_text();
+    let resp = client::post(daemon.addr, "/v1/campaigns", &spec).unwrap();
+    assert_eq!(resp.status, 422);
+    let expected = concat!(
+        r#"{"error":"spec failed lint","findings":["#,
+        r#"{"severity":"error","path":"grid.arbiters[0]","message":"tdma slot 1 is shorter "#,
+        r#"than the worst bus occupancy 2; the arbiter only grants requests that fit the "#,
+        r#"remaining slot, so those transactions starve forever"},"#,
+        r#"{"severity":"warning","path":"grid.max_k","message":"nop sweep tops out at 8 but "#,
+        r#"one saw-tooth period can reach 6 cycles; cover at least two periods (12) for the "#,
+        r#"matcher to lock on"}]}"#,
+    );
+    assert_eq!(resp.body, expected);
+    daemon.shutdown();
 }
