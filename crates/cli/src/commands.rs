@@ -12,10 +12,11 @@ use rrb::spec::ExperimentSpec;
 use rrb::store::{sim_fingerprint, write_file_atomic, ResultStore};
 use rrb::{MbtaAnalysis, TaskSpec};
 use rrb_analysis::GammaModel;
-use rrb_kernels::{AccessKind, AutobenchKernel};
-use rrb_sim::{ArbiterKind, CoreId, MachineConfig, McQueueConfig};
+use rrb_kernels::{AccessKind, AutobenchKernel, ParseAccessError};
+use rrb_sim::{CoreId, MachineConfig, McQueueConfig, ParseArbiterError};
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// A top-level CLI failure.
@@ -30,7 +31,7 @@ pub enum CliError {
         /// Offending value.
         value: String,
         /// Allowed values.
-        allowed: &'static str,
+        allowed: String,
     },
     /// A usage mistake that is not a single bad flag value (conflicting
     /// switches, an unknown cache action, …).
@@ -162,7 +163,7 @@ fn machine_from(parsed: &Parsed) -> Result<MachineConfig, CliError> {
             return Err(CliError::UnknownChoice {
                 flag: "arch",
                 value: other.to_string(),
-                allowed: "ref, var, toy",
+                allowed: String::from("ref, var, toy"),
             })
         }
     };
@@ -190,14 +191,14 @@ fn machine_from(parsed: &Parsed) -> Result<MachineConfig, CliError> {
             return Err(CliError::UnknownChoice {
                 flag: "topology",
                 value: String::from("single-bus (with --mc-arbiter/--mc-occupancy)"),
-                allowed: "bus+mc when the mc flags are given",
+                allowed: String::from("bus+mc when the mc flags are given"),
             })
         }
         "single-bus" => {}
         "bus+mc" => {
             let mut mc = McQueueConfig::ngmp();
             if let Some(token) = parsed.get("mc-arbiter") {
-                mc.arbiter = parse_arbiter_for(token, "mc-arbiter")?;
+                mc.arbiter = parse_token(token, "mc-arbiter", ParseArbiterError::ALLOWED)?;
             }
             mc.service_occupancy = parsed.get_u64("mc-occupancy", mc.service_occupancy)?;
             cfg.topology.mc = Some(mc);
@@ -206,7 +207,7 @@ fn machine_from(parsed: &Parsed) -> Result<MachineConfig, CliError> {
             return Err(CliError::UnknownChoice {
                 flag: "topology",
                 value: other.to_string(),
-                allowed: "single-bus, bus+mc",
+                allowed: String::from("single-bus, bus+mc"),
             })
         }
     }
@@ -247,15 +248,9 @@ fn cmd_gamma(parsed: &Parsed) -> Result<String, CliError> {
 fn cmd_audit(parsed: &Parsed) -> Result<String, CliError> {
     let cfg = machine_from(parsed)?;
     let mcfg = methodology_from(parsed, &cfg)?;
-    let kernel_name = parsed.get("kernel").unwrap_or("canrdr");
-    let kernel = AutobenchKernel::all()
-        .into_iter()
-        .find(|k| k.to_string() == kernel_name)
-        .ok_or(CliError::UnknownChoice {
-            flag: "kernel",
-            value: kernel_name.to_string(),
-            allowed: "a2time, aifftr, aifirf, aiifft, basefp, bitmnp, cacheb, canrdr, idctrn, iirflt, matrix, pntrch, puwmod, rspeed, tblook, ttsprk",
-        })?;
+    let kernels = AutobenchKernel::all().map(|k| k.to_string()).join(", ");
+    let kernel: AutobenchKernel =
+        parse_token(parsed.get("kernel").unwrap_or("canrdr"), "kernel", &kernels)?;
     let iterations = parsed.get_u64("iterations", 200)?;
 
     let analysis = MbtaAnalysis::characterise(&cfg, &mcfg).map_err(tool)?;
@@ -281,27 +276,26 @@ fn cmd_audit(parsed: &Parsed) -> Result<String, CliError> {
     ))
 }
 
-/// Parses an arbiter token through `rrb-sim`'s canonical
-/// `ArbiterKind::from_str` (the single source of truth for the
-/// `rr/fp/fifo/tdma:<slot>/grr:<group>` grammar), naming `flag` in the
-/// error.
-fn parse_arbiter_for(token: &str, flag: &'static str) -> Result<ArbiterKind, CliError> {
+/// Parses `token` through `T`'s canonical `FromStr` (the one grammar
+/// the library, the spec files and the CLI share), naming `flag` and the
+/// `allowed` tokens in the error.
+fn parse_token<T: FromStr>(token: &str, flag: &'static str, allowed: &str) -> Result<T, CliError> {
     token.parse().map_err(|_| CliError::UnknownChoice {
         flag,
         value: token.to_string(),
-        allowed: rrb_sim::ParseArbiterError::ALLOWED,
+        allowed: allowed.to_string(),
     })
 }
 
-/// Parses a `load`/`store` token, naming `flag` in the error.
-fn parse_access(token: &str, flag: &'static str) -> Result<AccessKind, CliError> {
-    match token {
-        "load" => Ok(AccessKind::Load),
-        "store" => Ok(AccessKind::Store),
-        other => {
-            Err(CliError::UnknownChoice { flag, value: other.to_string(), allowed: "load, store" })
-        }
-    }
+/// [`parse_token`] over each token of the comma list `--flag` (or
+/// `default` when absent).
+fn parse_tokens<T: FromStr>(
+    parsed: &Parsed,
+    flag: &'static str,
+    default: &[&str],
+    allowed: &str,
+) -> Result<Vec<T>, CliError> {
+    parsed.get_list(flag, default).iter().map(|t| parse_token(t, flag, allowed)).collect()
 }
 
 /// Resolves the [`GRID`] flags into a [`CampaignGrid`] over the
@@ -310,28 +304,15 @@ fn parse_access(token: &str, flag: &'static str) -> Result<AccessKind, CliError>
 /// disagree about what a flag set means.
 fn grid_from(parsed: &Parsed) -> Result<CampaignGrid, CliError> {
     let base = machine_from(parsed)?;
-    let scenario_token = parsed.get("scenario").unwrap_or("derive");
-    let scenario: GridScenario = scenario_token.parse().map_err(|_| CliError::UnknownChoice {
-        flag: "scenario",
-        value: scenario_token.to_string(),
-        allowed: ParseGridScenarioError::ALLOWED,
-    })?;
-
-    let arbiters = parsed
-        .get_list("arbiters", &[])
-        .iter()
-        .map(|t| parse_arbiter_for(t, "arbiters"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let accesses = parsed
-        .get_list("accesses", &["load"])
-        .iter()
-        .map(|t| parse_access(t, "accesses"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let contender_accesses = parsed
-        .get_list("contenders", &["load"])
-        .iter()
-        .map(|t| parse_access(t, "contenders"))
-        .collect::<Result<Vec<_>, _>>()?;
+    let scenario: GridScenario = parse_token(
+        parsed.get("scenario").unwrap_or("derive"),
+        "scenario",
+        ParseGridScenarioError::ALLOWED,
+    )?;
+    let arbiters = parse_tokens(parsed, "arbiters", &[], ParseArbiterError::ALLOWED)?;
+    let accesses = parse_tokens(parsed, "accesses", &["load"], ParseAccessError::ALLOWED)?;
+    let contender_accesses =
+        parse_tokens(parsed, "contenders", &["load"], ParseAccessError::ALLOWED)?;
     let core_counts = parsed.get_u64_list("grid-cores", &[base.num_cores as u64])?;
     // The methodology template fixes the defaults (max-k, iterations,
     // min-utilization, store-contenders); the grid dimensions then fan
@@ -360,7 +341,11 @@ fn format_from<'a>(parsed: &'a Parsed, allowed: &'static str) -> Result<&'a str,
     if allowed.split(", ").any(|choice| choice == format) {
         Ok(format)
     } else {
-        Err(CliError::UnknownChoice { flag: "format", value: format.to_string(), allowed })
+        Err(CliError::UnknownChoice {
+            flag: "format",
+            value: format.to_string(),
+            allowed: allowed.to_string(),
+        })
     }
 }
 
@@ -1227,6 +1212,32 @@ mod tests {
         }
     }
 
+    /// `rrb campaign --format json` for a small toy grid of every
+    /// `--scenario` (plus a two-level derive grid and a two-arbiter one)
+    /// is pinned byte for byte in `tests/golden/`; regenerate one with
+    /// `rrb campaign <flags> --no-cache --format json > campaign.<stem>.json`.
+    #[test]
+    fn campaign_output_matches_the_golden_files() {
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+        let toy = "--arch toy --cores 4 --l-bus 2 --no-cache --format json --jobs 2";
+        for (stem, flags) in [
+            ("derive", "--scenario derive --max-k 14 --iterations 60"),
+            (
+                "derive-bus-mc",
+                "--scenario derive --topology bus+mc --mc-occupancy 2 --max-k 14 --iterations 60",
+            ),
+            ("derive-arbiters", "--scenario derive --arbiters rr,fifo --max-k 14 --iterations 60"),
+            ("naive", "--scenario naive --contenders load,store --iterations 80"),
+            ("sweep", "--scenario sweep --accesses load,store --max-k 13 --iterations 60"),
+            ("validate", "--scenario validate --grid-cores 3,4 --max-k 8 --iterations 60"),
+        ] {
+            let out = run(&format!("campaign {toy} {flags}")).expect("campaign");
+            let path = format!("{golden}/campaign.{stem}.json");
+            let want = std::fs::read_to_string(&path).expect("golden file");
+            assert_eq!(out, want, "`rrb campaign {flags}` drifted from {path}");
+        }
+    }
+
     #[test]
     fn analyze_bounds_every_cell_of_the_example_spec() {
         let out = run(&format!("analyze {NGMP_SPEC}")).expect("analyze");
@@ -1293,7 +1304,7 @@ mod tests {
         let mut spec = ExperimentSpec::from_grid("broken", &grid);
         let g = spec.grid.as_mut().expect("grid spec");
         g.cores.clear(); // dangling axis: the grid expands to nothing
-        g.arbiters[0] = ArbiterKind::Tdma { slot_cycles: 1 }; // slot < worst occupancy
+        g.arbiters[0] = rrb_sim::ArbiterKind::Tdma { slot_cycles: 1 }; // slot < worst occupancy
         let file = TempFile::new("broken-spec.json");
         std::fs::write(&file.0, spec.to_text()).expect("write");
         let e = run(&format!("lint {}", file.as_str())).expect_err("must fail");
@@ -1464,8 +1475,17 @@ mod tests {
 
     #[test]
     fn bad_kernel_is_rejected() {
+        // The error names the flag and lists every kernel `AutobenchKernel` knows.
         let e = run("audit --arch toy --kernel nosuch").expect_err("must fail");
-        assert!(e.to_string().contains("canrdr"));
+        assert_eq!(
+            e.to_string(),
+            "--kernel: unknown value `nosuch` (expected one of: a2time, aifftr, aifirf, aiifft, \
+             basefp, bitmnp, cacheb, canrdr, idctrn, iirflt, matrix, pntrch, puwmod, rspeed, \
+             tblook, ttsprk)"
+        );
+        for kernel in AutobenchKernel::all() {
+            assert!(e.to_string().contains(&format!(" {kernel}")), "{kernel}: {e}");
+        }
     }
 
     #[test]

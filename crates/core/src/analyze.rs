@@ -223,7 +223,7 @@ impl CellPrograms {
     /// Every cell a spec would run, in the campaign's enumeration order:
     /// each grid cell, then each workload case.
     pub(crate) fn of_spec(spec: &ExperimentSpec) -> impl Iterator<Item = CellPrograms> + '_ {
-        let grid = spec.to_grid().map(|g| g.cells()).unwrap_or_default();
+        let grid = spec.grid.as_ref().map(|g| g.cells(&spec.machine)).unwrap_or_default();
         grid.into_iter()
             .map(|cell| CellPrograms::grid(&cell))
             .chain(spec.workloads.iter().map(|case| CellPrograms::workload(&spec.machine, case)))

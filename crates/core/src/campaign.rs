@@ -28,6 +28,7 @@ use crate::json::{csv_field, Fnv64Hasher, Json};
 use crate::methodology::{MethodologyConfig, UbdScenario};
 use crate::naive::NaiveScenario;
 use crate::scenario::{RunOutcome, Scenario, ScenarioError, ScenarioReport, SweepScenario};
+use crate::spec::GridSpec;
 use crate::store::ResultStore;
 use crate::validation::GammaValidationScenario;
 use rrb_analysis::Histogram;
@@ -862,6 +863,11 @@ pub fn clamped_jobs(requested: Option<usize>) -> (usize, Option<String>) {
 // ---------------------------------------------------------------------
 // Parameter grids
 // ---------------------------------------------------------------------
+//
+// A grid's scenario kind and axes are declared once, on `GridSpec` (next
+// to the rest of the spec schema in `crate::spec`); this section expands
+// them against a base machine into cells and scenarios. `CampaignGrid`
+// is only that pair — base machine plus `GridSpec` — with builder setters.
 
 /// Which scenario a [`CampaignGrid`] instantiates per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -876,17 +882,6 @@ pub enum GridScenario {
     ValidateGamma,
 }
 
-impl GridScenario {
-    fn slug(self) -> &'static str {
-        match self {
-            GridScenario::Derive => "derive",
-            GridScenario::Naive => "naive",
-            GridScenario::Sweep => "sweep",
-            GridScenario::ValidateGamma => "validate",
-        }
-    }
-}
-
 impl fmt::Display for GridScenario {
     /// The canonical token (`derive`, `naive`, `sweep`, `validate`)
     /// used in scenario names, CLI flags, and experiment files;
@@ -894,7 +889,12 @@ impl fmt::Display for GridScenario {
     ///
     /// [`GridScenario::from_str`]: std::str::FromStr::from_str
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.slug())
+        f.write_str(match self {
+            GridScenario::Derive => "derive",
+            GridScenario::Naive => "naive",
+            GridScenario::Sweep => "sweep",
+            GridScenario::ValidateGamma => "validate",
+        })
     }
 }
 
@@ -932,22 +932,6 @@ impl std::str::FromStr for GridScenario {
     }
 }
 
-/// The canonical arbiter token used in scenario names and records —
-/// `ArbiterKind`'s `Display` form (`rr`, `fp`, `fifo`, `tdma:<slot>`,
-/// `grr:<group>`), which `ArbiterKind::from_str` round-trips, so a name
-/// fragment can be parsed straight back into a policy.
-pub fn arbiter_slug(kind: ArbiterKind) -> String {
-    kind.to_string()
-}
-
-/// A short name for an access kind.
-pub fn access_slug(kind: AccessKind) -> &'static str {
-    match kind {
-        AccessKind::Load => "load",
-        AccessKind::Store => "store",
-    }
-}
-
 /// One expanded grid cell: the concrete machine configuration and
 /// workload axes a single scenario is instantiated from. The static
 /// analyzer bounds these directly, without building the scenario.
@@ -967,102 +951,25 @@ pub struct GridCell {
     pub max_k: usize,
 }
 
-/// A parameter grid over a base machine: the cartesian product of
-/// arbiter × core count × scua access × contender access × iterations,
-/// each cell instantiating one [`GridScenario`]. Shared runs between
-/// cells (isolated baselines in particular: they do not depend on the
-/// contender access) are deduplicated by the campaign runner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignGrid {
-    /// The scenario kind instantiated per cell.
-    pub scenario: GridScenario,
-    /// The base machine every cell starts from.
-    pub base: MachineConfig,
-    /// Arbitration policies to sweep.
-    pub arbiters: Vec<ArbiterKind>,
-    /// Core counts to sweep (the L2 way count is raised when needed, as
-    /// [`MachineConfig::toy`] does, so cells stay partitionable).
-    pub cores: Vec<usize>,
-    /// Scua access kinds to sweep.
-    pub accesses: Vec<AccessKind>,
-    /// Contender access kinds to sweep.
-    pub contender_accesses: Vec<AccessKind>,
-    /// Per-run iteration counts to sweep.
-    pub iteration_counts: Vec<u64>,
-    /// Largest nop padding swept inside each cell (`max_k`).
-    pub max_k: usize,
-    /// Methodology template for `Derive` cells (access kinds, iterations
-    /// and `max_k` are overridden per cell).
-    pub methodology: MethodologyConfig,
-}
-
-impl CampaignGrid {
-    /// A 1×1×…×1 grid over `base`; widen dimensions with the setters.
-    pub fn new(scenario: GridScenario, base: MachineConfig) -> Self {
+impl GridSpec {
+    /// A 1×1×…×1 grid over `base` (its arbiter and core count, load vs
+    /// load, the [`MethodologyConfig::fast`] template); widen it with the
+    /// [`CampaignGrid`] setters or by editing the axes.
+    pub fn new(scenario: GridScenario, base: &MachineConfig) -> Self {
         let mut methodology = MethodologyConfig::fast();
         // The saw-tooth period is bus-only, so the sweep length scales
         // with the bus's share of the bound, not the topology total.
         methodology.max_k = ((base.bus_ubd() as usize) * 3).max(12);
-        CampaignGrid {
+        GridSpec {
             scenario,
             arbiters: vec![base.bus().arbiter],
             cores: vec![base.num_cores],
             accesses: vec![AccessKind::Load],
             contender_accesses: vec![AccessKind::Load],
-            iteration_counts: vec![methodology.iterations],
+            iterations: vec![methodology.iterations],
             max_k: methodology.max_k,
             methodology,
-            base,
         }
-    }
-
-    /// Sweeps the arbitration policy.
-    #[must_use]
-    pub fn arbiters(mut self, arbiters: Vec<ArbiterKind>) -> Self {
-        self.arbiters = arbiters;
-        self
-    }
-
-    /// Sweeps the core count.
-    #[must_use]
-    pub fn cores(mut self, cores: Vec<usize>) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// Sweeps the scua access kind.
-    #[must_use]
-    pub fn accesses(mut self, accesses: Vec<AccessKind>) -> Self {
-        self.accesses = accesses;
-        self
-    }
-
-    /// Sweeps the contender access kind.
-    #[must_use]
-    pub fn contender_accesses(mut self, accesses: Vec<AccessKind>) -> Self {
-        self.contender_accesses = accesses;
-        self
-    }
-
-    /// Sweeps the per-run iteration count.
-    #[must_use]
-    pub fn iterations(mut self, iteration_counts: Vec<u64>) -> Self {
-        self.iteration_counts = iteration_counts;
-        self
-    }
-
-    /// Sets the in-cell nop-padding ceiling.
-    #[must_use]
-    pub fn max_k(mut self, max_k: usize) -> Self {
-        self.max_k = max_k;
-        self
-    }
-
-    /// Sets the methodology template for `Derive` cells.
-    #[must_use]
-    pub fn methodology(mut self, methodology: MethodologyConfig) -> Self {
-        self.methodology = methodology;
-        self
     }
 
     /// Number of grid cells.
@@ -1071,48 +978,41 @@ impl CampaignGrid {
             * self.cores.len()
             * self.accesses.len()
             * self.contender_accesses.len()
-            * self.iteration_counts.len()
+            * self.iterations.len()
     }
 
-    /// Expands the grid into its concrete cells — the same enumeration
-    /// (and the same cell names) [`scenarios`](Self::scenarios) builds its
-    /// scenario list from, exposed so the static analyzer can bound
-    /// exactly the cells the campaign would run.
-    pub fn cells(&self) -> Vec<GridCell> {
+    /// Expands the grid over `base` into its concrete cells, row-major
+    /// (arbiter × cores × access × contender access × iterations) — the
+    /// enumeration, and the cell names, that
+    /// [`scenarios`](Self::scenarios) builds its scenario list from, so
+    /// the static analyzer bounds exactly the cells the campaign runs.
+    /// A cell with more cores than L2 ways gets one way per core, as
+    /// [`MachineConfig::toy`] does, so it stays partitionable.
+    pub fn cells(&self, base: &MachineConfig) -> Vec<GridCell> {
+        let mc = match base.topology.mc {
+            Some(mc) => format!("/bus+mc:{}:{}", mc.arbiter, mc.service_occupancy),
+            None => String::new(),
+        };
         let mut out = Vec::with_capacity(self.cell_count());
         for &arbiter in &self.arbiters {
             for &cores in &self.cores {
                 for &access in &self.accesses {
                     for &contender_access in &self.contender_accesses {
-                        for &iterations in &self.iteration_counts {
-                            let mut cfg = self.base.clone();
+                        for &iterations in &self.iterations {
+                            let mut cfg = base.clone();
                             cfg.topology.bus.arbiter = arbiter;
                             cfg.num_cores = cores;
                             if (cfg.l2.ways as usize) < cores {
                                 cfg.l2.ways = cores as u32;
                             }
                             let name = format!(
-                                "{}/{}/c{}/{}-vs-{}/i{}{}",
-                                self.scenario.slug(),
-                                arbiter_slug(arbiter),
-                                cores,
-                                access_slug(access),
-                                access_slug(contender_access),
-                                iterations,
-                                match cfg.topology.mc {
-                                    Some(mc) =>
-                                        format!("/bus+mc:{}:{}", mc.arbiter, mc.service_occupancy),
-                                    None => String::new(),
-                                },
+                                "{}/{arbiter}/c{cores}/{access}-vs-{contender_access}/i{iterations}{mc}",
+                                self.scenario
                             );
-                            out.push(GridCell {
-                                name,
-                                cfg,
-                                access,
-                                contender_access,
-                                iterations,
-                                max_k: self.max_k,
-                            });
+                            let max_k = self.max_k;
+                            let cell =
+                                GridCell { name, cfg, access, contender_access, iterations, max_k };
+                            out.push(cell);
                         }
                     }
                 }
@@ -1121,46 +1021,123 @@ impl CampaignGrid {
         out
     }
 
-    /// Expands the grid into one scenario per cell, in a deterministic
-    /// (row-major) order.
-    pub fn scenarios(&self) -> Vec<Box<dyn Scenario + Send + Sync>> {
-        self.cells()
-            .into_iter()
-            .map(|c| self.cell(c.name, c.cfg, c.access, c.contender_access, c.iterations))
-            .collect()
+    /// Expands the grid over `base` into one scenario per cell, in
+    /// [`cells`](Self::cells) order.
+    pub fn scenarios(&self, base: &MachineConfig) -> Vec<Box<dyn Scenario + Send + Sync>> {
+        self.cells(base).into_iter().map(|cell| self.instantiate(cell)).collect()
     }
 
-    fn cell(
-        &self,
-        name: String,
-        cfg: MachineConfig,
-        access: AccessKind,
-        contender_access: AccessKind,
-        iterations: u64,
-    ) -> Box<dyn Scenario + Send + Sync> {
+    /// The cell's scenario, named after the cell.
+    fn instantiate(&self, c: GridCell) -> Box<dyn Scenario + Send + Sync> {
         match self.scenario {
             GridScenario::Derive => {
                 let mut mcfg = self.methodology.clone();
-                mcfg.access = access;
-                mcfg.contender_access = contender_access;
-                mcfg.iterations = iterations;
-                mcfg.max_k = self.max_k;
-                Box::new(UbdScenario::new(cfg, mcfg).named(name))
+                mcfg.access = c.access;
+                mcfg.contender_access = c.contender_access;
+                mcfg.iterations = c.iterations;
+                mcfg.max_k = c.max_k;
+                Box::new(UbdScenario::new(c.cfg, mcfg).named(c.name))
             }
             GridScenario::Naive => {
-                let scua = rsk_nop(access, 0, &cfg, CoreId::new(0), iterations);
-                Box::new(NaiveScenario::new(cfg, scua, contender_access).named(name))
+                let scua = rsk_nop(c.access, 0, &c.cfg, CoreId::new(0), c.iterations);
+                Box::new(NaiveScenario::new(c.cfg, scua, c.contender_access).named(c.name))
             }
             GridScenario::Sweep => Box::new(
-                SweepScenario::new(cfg, self.max_k, iterations)
-                    .access(access)
-                    .contenders(contender_access)
-                    .named(name),
+                SweepScenario::new(c.cfg, c.max_k, c.iterations)
+                    .access(c.access)
+                    .contenders(c.contender_access)
+                    .named(c.name),
             ),
             GridScenario::ValidateGamma => Box::new(
-                GammaValidationScenario::new(cfg, self.max_k as u64, iterations).named(name),
+                GammaValidationScenario::new(c.cfg, c.max_k as u64, c.iterations).named(c.name),
             ),
         }
+    }
+}
+
+/// A parameter grid over a base machine: the [`GridSpec`] axes
+/// (arbiter × core count × scua access × contender access × iterations,
+/// each cell instantiating one [`GridScenario`]) plus the machine they
+/// expand against. Shared runs between cells (isolated baselines in
+/// particular: they do not depend on the contender access) are
+/// deduplicated by the campaign runner.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignGrid {
+    /// The base machine every cell starts from.
+    pub base: MachineConfig,
+    /// The scenario kind and the sweep axes.
+    pub axes: GridSpec,
+}
+
+impl CampaignGrid {
+    /// A 1×1×…×1 grid over `base` ([`GridSpec::new`]); widen dimensions
+    /// with the setters.
+    pub fn new(scenario: GridScenario, base: MachineConfig) -> Self {
+        CampaignGrid { axes: GridSpec::new(scenario, &base), base }
+    }
+
+    /// Sweeps the arbitration policy.
+    #[must_use]
+    pub fn arbiters(mut self, arbiters: Vec<ArbiterKind>) -> Self {
+        self.axes.arbiters = arbiters;
+        self
+    }
+
+    /// Sweeps the core count.
+    #[must_use]
+    pub fn cores(mut self, cores: Vec<usize>) -> Self {
+        self.axes.cores = cores;
+        self
+    }
+
+    /// Sweeps the scua access kind.
+    #[must_use]
+    pub fn accesses(mut self, accesses: Vec<AccessKind>) -> Self {
+        self.axes.accesses = accesses;
+        self
+    }
+
+    /// Sweeps the contender access kind.
+    #[must_use]
+    pub fn contender_accesses(mut self, accesses: Vec<AccessKind>) -> Self {
+        self.axes.contender_accesses = accesses;
+        self
+    }
+
+    /// Sweeps the per-run iteration count.
+    #[must_use]
+    pub fn iterations(mut self, iterations: Vec<u64>) -> Self {
+        self.axes.iterations = iterations;
+        self
+    }
+
+    /// Sets the in-cell nop-padding ceiling.
+    #[must_use]
+    pub fn max_k(mut self, max_k: usize) -> Self {
+        self.axes.max_k = max_k;
+        self
+    }
+
+    /// Sets the methodology template for `Derive` cells.
+    #[must_use]
+    pub fn methodology(mut self, methodology: MethodologyConfig) -> Self {
+        self.axes.methodology = methodology;
+        self
+    }
+
+    /// Number of grid cells.
+    pub fn cell_count(&self) -> usize {
+        self.axes.cell_count()
+    }
+
+    /// Expands the grid into its concrete cells ([`GridSpec::cells`]).
+    pub fn cells(&self) -> Vec<GridCell> {
+        self.axes.cells(&self.base)
+    }
+
+    /// Expands the grid into one scenario per cell ([`GridSpec::scenarios`]).
+    pub fn scenarios(&self) -> Vec<Box<dyn Scenario + Send + Sync>> {
+        self.axes.scenarios(&self.base)
     }
 }
 

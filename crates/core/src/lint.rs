@@ -290,10 +290,9 @@ pub fn lint_spec(spec: &ExperimentSpec) -> Vec<LintFinding> {
                 ),
             );
         }
+        // The template's access kinds, iterations and max_k never reach a
+        // run: every derive cell overrides them from the grid axes.
         let m = &grid.methodology;
-        if m.iterations == 0 {
-            lint.error("grid.methodology.iterations", "zero iterations: the scua never requests");
-        }
         if m.calibration_iterations == 0 {
             lint.error(
                 "grid.methodology.calibration_iterations",
@@ -410,6 +409,27 @@ mod tests {
     fn clean_spec_has_no_errors() {
         let findings = lint_spec(&clean_spec());
         assert!(!has_errors(&findings), "{findings:?}");
+    }
+
+    #[test]
+    fn methodology_template_fields_the_axes_override_do_not_lint() {
+        // Every derive cell takes its iterations and max_k from the grid
+        // axes, so zeroes in the template cannot stop a spec from running.
+        let mut spec = ExperimentSpec::parse(&clean_spec().to_text()).expect("round trip");
+        let grid = spec.grid.as_mut().expect("grid");
+        grid.methodology.iterations = 0;
+        grid.methodology.max_k = 0;
+        let findings = lint_spec(&spec);
+        assert!(!has_errors(&findings), "{findings:?}");
+
+        spec.grid.as_mut().expect("grid").iterations = vec![0];
+        let findings = lint_spec(&spec);
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.severity == LintSeverity::Error && f.path == "grid.iterations[0]"),
+            "{findings:?}"
+        );
     }
 
     #[test]

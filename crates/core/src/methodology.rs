@@ -21,9 +21,12 @@
 //! shared runs. [`derive_ubd`] is the single-scenario convenience
 //! wrapper over the same code path.
 
-use crate::campaign::{Campaign, RunError, RunSpec};
+use crate::campaign::{Campaign, RunError, RunMeasurement, RunSpec};
 use crate::executor::Executor;
-use crate::scenario::{MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport};
+use crate::scenario::{
+    plan_k_sweep, sweep_points, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport,
+    SweepPoint,
+};
 use rrb_analysis::sawtooth::{detect_period, ubd_candidates, PeriodEstimate};
 use rrb_kernels::{estimate_delta_nop, nop_kernel, AccessKind, KernelSpec};
 use rrb_sim::{MachineConfig, ResourceKind, SimError};
@@ -229,10 +232,25 @@ impl From<ScenarioError> for MethodologyError {
 ///
 /// Returns [`MethodologyError::Run`] if the calibration run fails.
 pub fn calibrate_delta_nop(cfg: &MachineConfig, iterations: u64) -> Result<u64, MethodologyError> {
-    let kernel = nop_kernel(cfg, iterations);
-    let nops = kernel.dynamic_instruction_count().expect("calibration kernel is finite");
-    let run = Executor::new().run(&RunSpec::isolated("calibration", cfg.clone(), kernel))?;
-    Ok(estimate_delta_nop(run.execution_time, nops))
+    delta_nop(cfg, iterations, &Executor::new().run(&calibration_run(cfg, iterations))?)
+}
+
+/// The δ_nop calibration run: `iterations` nop loops, alone on core 0.
+fn calibration_run(cfg: &MachineConfig, iterations: u64) -> RunSpec {
+    RunSpec::from_kernels("calibration", cfg.clone(), &KernelSpec::Nop { iterations }, &[])
+}
+
+/// The one δ_nop reduction: the calibration run's execution time over
+/// the nop count of its `iterations` loops.
+fn delta_nop(
+    cfg: &MachineConfig,
+    iterations: u64,
+    calibration: &RunMeasurement,
+) -> Result<u64, MethodologyError> {
+    let nops = nop_kernel(cfg, iterations)
+        .dynamic_instruction_count()
+        .ok_or_else(|| RunError::Analysis(String::from("the calibration kernel never ends")))?;
+    Ok(estimate_delta_nop(calibration.execution_time, nops))
 }
 
 /// The full rsk-nop methodology as a campaign-ready
@@ -277,27 +295,17 @@ impl UbdScenario {
         assert_eq!(outcomes.len(), expected, "outcome count must match the plan");
 
         // Step 1: δ_nop calibration.
-        let calibration = outcomes[0].measurement()?;
-        let nops = nop_kernel(&self.machine, mcfg.calibration_iterations)
-            .dynamic_instruction_count()
-            .expect("calibration kernel is finite");
-        let delta_nop = estimate_delta_nop(calibration.execution_time, nops);
+        let delta_nop =
+            delta_nop(&self.machine, mcfg.calibration_iterations, outcomes[0].measurement()?)?;
 
         // Step 2: the k sweep.
-        let mut slowdowns = Vec::with_capacity(mcfg.max_k + 1);
-        let mut max_gamma = 0u64;
-        let mut max_mc_gamma = 0u64;
-        let mut min_util = 1.0f64;
-        let mut scua_requests = 0u64;
-        for pair in outcomes[1..].chunks(2) {
-            let isolated = pair[0].measurement()?;
-            let contended = pair[1].measurement()?;
-            slowdowns.push(contended.execution_time.saturating_sub(isolated.execution_time));
-            max_gamma = max_gamma.max(contended.max_gamma().unwrap_or(0));
-            max_mc_gamma = max_mc_gamma.max(contended.max_gamma_mc().unwrap_or(0));
-            min_util = min_util.min(contended.bus_utilization);
-            scua_requests = isolated.bus_requests;
-        }
+        let points = sweep_points(&outcomes[1..])?;
+        let slowdowns: Vec<u64> = points.iter().map(SweepPoint::slowdown).collect();
+        let contended = || points.iter().map(|p| p.contended);
+        let max_gamma = contended().map(|m| m.max_gamma().unwrap_or(0)).max().unwrap_or(0);
+        let max_mc_gamma = contended().map(|m| m.max_gamma_mc().unwrap_or(0)).max().unwrap_or(0);
+        let min_util = contended().map(|m| m.bus_utilization).fold(1.0, f64::min);
+        let scua_requests = points.last().map_or(0, |p| p.isolated.bus_requests);
 
         // Step 4a (checked early): contenders must saturate the bus.
         if min_util < mcfg.min_bus_utilization {
@@ -370,41 +378,11 @@ impl Scenario for UbdScenario {
     }
 
     fn plan(&self) -> Result<Vec<RunSpec>, ScenarioError> {
-        self.machine.validate().map_err(SimError::from)?;
-        let mcfg = &self.methodology;
-        // The whole plan is declarative: each run is a KernelSpec per
-        // core, and the programs are derived from the specs.
-        let contenders = vec![
-            KernelSpec::Rsk { access: mcfg.contender_access };
-            self.machine.num_cores.saturating_sub(1)
-        ];
-        let mut specs = Vec::with_capacity(1 + 2 * (mcfg.max_k + 1));
-        specs.push(RunSpec::from_kernels(
-            "calibration",
-            self.machine.clone(),
-            &KernelSpec::Nop { iterations: mcfg.calibration_iterations },
-            &[],
-        ));
-        for k in 0..=mcfg.max_k {
-            let scua = KernelSpec::RskNop {
-                access: mcfg.access,
-                nops: k as u64,
-                iterations: mcfg.iterations,
-            };
-            specs.push(RunSpec::from_kernels(
-                format!("k={k}/isolated"),
-                self.machine.clone(),
-                &scua,
-                &[],
-            ));
-            specs.push(RunSpec::from_kernels(
-                format!("k={k}/contended"),
-                self.machine.clone(),
-                &scua,
-                &contenders,
-            ));
-        }
-        Ok(specs)
+        let m = &self.methodology;
+        let sweep =
+            plan_k_sweep(&self.machine, m.access, m.contender_access, m.max_k, m.iterations, true)?;
+        let calibration = calibration_run(&self.machine, m.calibration_iterations);
+        Ok(std::iter::once(calibration).chain(sweep).collect())
     }
 
     fn analyze(&self, outcomes: &[RunOutcome]) -> ScenarioReport {

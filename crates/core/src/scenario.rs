@@ -227,6 +227,12 @@ impl ScenarioReport {
 ///   — the machine-vs-Eq. 2 white-box validation;
 /// * [`SweepScenario`] — a raw `d_bus(t, k)` saw-tooth sweep (Fig. 7).
 ///
+/// The three rsk-nop scenarios (derive, sweep, validate) plan their
+/// `k = 0..=max_k` runs through one crate-private planner,
+/// `plan_k_sweep`, so equal sweeps are equal specs that campaigns
+/// deduplicate; derive and sweep read slowdowns off one reduction,
+/// `sweep_points`.
+///
 /// Grids of scenarios are built by
 /// [`CampaignGrid`](crate::campaign::CampaignGrid) and executed by
 /// [`Campaign`](crate::campaign::Campaign).
@@ -325,13 +331,7 @@ impl SweepScenario {
     ///
     /// Returns the first failed run's [`RunError`].
     pub fn slowdowns(&self, outcomes: &[RunOutcome]) -> Result<Vec<u64>, RunError> {
-        let mut series = Vec::with_capacity(self.max_k + 1);
-        for pair in outcomes.chunks(2) {
-            let isolated = pair[0].measurement()?;
-            let contended = pair[1].measurement()?;
-            series.push(contended.execution_time.saturating_sub(isolated.execution_time));
-        }
-        Ok(series)
+        Ok(sweep_points(outcomes)?.iter().map(SweepPoint::slowdown).collect())
     }
 }
 
@@ -341,32 +341,14 @@ impl Scenario for SweepScenario {
     }
 
     fn plan(&self) -> Result<Vec<RunSpec>, ScenarioError> {
-        self.machine.validate().map_err(SimError::from)?;
-        let contenders = vec![
-            KernelSpec::Rsk { access: self.contender_access };
-            self.machine.num_cores.saturating_sub(1)
-        ];
-        let mut specs = Vec::with_capacity(2 * (self.max_k + 1));
-        for k in 0..=self.max_k {
-            let scua = KernelSpec::RskNop {
-                access: self.access,
-                nops: k as u64,
-                iterations: self.iterations,
-            };
-            specs.push(RunSpec::from_kernels(
-                format!("k={k}/isolated"),
-                self.machine.clone(),
-                &scua,
-                &[],
-            ));
-            specs.push(RunSpec::from_kernels(
-                format!("k={k}/contended"),
-                self.machine.clone(),
-                &scua,
-                &contenders,
-            ));
-        }
-        Ok(specs)
+        plan_k_sweep(
+            &self.machine,
+            self.access,
+            self.contender_access,
+            self.max_k,
+            self.iterations,
+            true,
+        )
     }
 
     fn analyze(&self, outcomes: &[RunOutcome]) -> ScenarioReport {
@@ -390,6 +372,62 @@ impl Scenario for SweepScenario {
             Err(e) => ScenarioReport::failure(self.name(), e),
         }
     }
+}
+
+/// The one k-sweep planner behind every rsk-nop scenario: for
+/// `k = 0..=max_k`, `rsk-nop(access, k)` alone (`k={k}/isolated`, only
+/// when `isolated` is set) and then against `Nc − 1` saturating
+/// `rsk(contender_access)` (`k={k}/contended`). [`SweepScenario`] plans
+/// exactly this, `UbdScenario` prefixes its calibration run, and
+/// `GammaValidationScenario` keeps only the contended half.
+pub(crate) fn plan_k_sweep(
+    machine: &MachineConfig,
+    access: AccessKind,
+    contender_access: AccessKind,
+    max_k: usize,
+    iterations: u64,
+    isolated: bool,
+) -> Result<Vec<RunSpec>, ScenarioError> {
+    machine.validate().map_err(SimError::from)?;
+    let contenders =
+        vec![KernelSpec::Rsk { access: contender_access }; machine.num_cores.saturating_sub(1)];
+    let mut specs = Vec::with_capacity((1 + usize::from(isolated)) * (max_k + 1));
+    for k in 0..=max_k {
+        let scua = KernelSpec::RskNop { access, nops: k as u64, iterations };
+        if isolated {
+            let label = format!("k={k}/isolated");
+            specs.push(RunSpec::from_kernels(label, machine.clone(), &scua, &[]));
+        }
+        let label = format!("k={k}/contended");
+        specs.push(RunSpec::from_kernels(label, machine.clone(), &scua, &contenders));
+    }
+    Ok(specs)
+}
+
+/// One `k` of a sweep planned with its isolated half: the scua's
+/// measurement alone and against the contenders.
+pub(crate) struct SweepPoint<'a> {
+    pub(crate) isolated: &'a RunMeasurement,
+    pub(crate) contended: &'a RunMeasurement,
+}
+
+impl SweepPoint<'_> {
+    /// `d(t, k)`: the contended run's execution time over the isolated one.
+    pub(crate) fn slowdown(&self) -> u64 {
+        self.contended.execution_time.saturating_sub(self.isolated.execution_time)
+    }
+}
+
+/// The one slowdown reduction: pairs the outcomes of a
+/// [`plan_k_sweep`] with its isolated half into one [`SweepPoint`] per
+/// `k`, stopping at the first failed run.
+pub(crate) fn sweep_points(outcomes: &[RunOutcome]) -> Result<Vec<SweepPoint<'_>>, RunError> {
+    outcomes
+        .chunks(2)
+        .map(|pair| {
+            Ok(SweepPoint { isolated: pair[0].measurement()?, contended: pair[1].measurement()? })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -423,6 +461,50 @@ mod tests {
         let report = s.analyze(&outcomes);
         assert!(report.is_ok(), "{report:?}");
         assert_eq!(report.metric_u64("period"), Some(6));
+    }
+
+    /// Labels and measurement digests of a plan, for comparing planners.
+    fn digest(plan: &[RunSpec]) -> Vec<(String, u64)> {
+        plan.iter().map(|s| (s.label.clone(), s.spec_hash())).collect()
+    }
+
+    #[test]
+    fn every_rsk_nop_plan_is_the_same_k_sweep() {
+        use crate::methodology::{MethodologyConfig, UbdScenario};
+        use crate::validation::GammaValidationScenario;
+        let mut two_level = MachineConfig::toy(3, 2);
+        two_level.topology.mc = Some(rrb_sim::McQueueConfig::ngmp());
+        let cases = [
+            (MachineConfig::toy(4, 2), AccessKind::Load, AccessKind::Load),
+            (MachineConfig::toy(4, 2), AccessKind::Store, AccessKind::Load),
+            (MachineConfig::toy(4, 2), AccessKind::Load, AccessKind::Store),
+            (two_level, AccessKind::Load, AccessKind::Load),
+        ];
+        for (cfg, access, contender_access) in cases {
+            let mut m = MethodologyConfig::fast();
+            m.access = access;
+            m.contender_access = contender_access;
+            m.max_k = 7;
+            m.iterations = 30;
+            let sweep = SweepScenario::new(cfg.clone(), m.max_k, m.iterations)
+                .access(access)
+                .contenders(contender_access)
+                .plan()
+                .expect("sweep plan");
+            assert_eq!(sweep.len(), 2 * (m.max_k + 1));
+
+            let ubd = UbdScenario::new(cfg.clone(), m.clone()).plan().expect("ubd plan");
+            assert_eq!(ubd[0].label, "calibration");
+            assert_eq!(digest(&ubd[1..]), digest(&sweep), "{cfg:?}");
+
+            if access == AccessKind::Load && contender_access == AccessKind::Load {
+                let validate = GammaValidationScenario::new(cfg, m.max_k as u64, m.iterations)
+                    .plan()
+                    .expect("validation plan");
+                let contended: Vec<_> = sweep.iter().skip(1).step_by(2).cloned().collect();
+                assert_eq!(digest(&validate), digest(&contended));
+            }
+        }
     }
 
     #[test]

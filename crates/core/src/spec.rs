@@ -7,8 +7,10 @@
 //!
 //! * a **machine** section mirroring [`MachineConfig`] field by field,
 //!   topology included ([`MachineSpec`]);
-//! * an optional **grid** section carrying the scenario kind and the
-//!   sweep axes of a [`CampaignGrid`] ([`GridSpec`]);
+//! * an optional **grid** section, a [`GridSpec`]: the scenario kind
+//!   and sweep axes, declared once and shared with [`CampaignGrid`]
+//!   (which pairs them with a base machine). Cells expand straight from
+//!   the section against the machine section;
 //! * a list of explicit **workload** cases, each a scua
 //!   [`KernelSpec`] against declarative contender kernels
 //!   ([`WorkloadCase`], executed by [`WorkloadScenario`]).
@@ -210,32 +212,19 @@ fn get_array<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], SpecError> {
     v.as_array().ok_or_else(|| SpecError::field(path, "expected an array"))
 }
 
-fn token_list<T>(v: &Json, path: &str) -> Result<Vec<T>, SpecError>
-where
-    T: FromStr,
-    T::Err: fmt::Display,
-{
-    get_array(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, item)| get_token(item, &format!("{path}[{i}]")))
-        .collect()
+/// Parses an array field item by item with `item`, naming `path[i]` in
+/// errors.
+fn get_list<T>(
+    v: &Json,
+    path: &str,
+    item: impl Fn(&Json, &str) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    get_array(v, path)?.iter().enumerate().map(|(i, x)| item(x, &format!("{path}[{i}]"))).collect()
 }
 
-fn u64_list(v: &Json, path: &str) -> Result<Vec<u64>, SpecError> {
-    get_array(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, item)| get_u64(item, &format!("{path}[{i}]")))
-        .collect()
-}
-
-fn usize_list(v: &Json, path: &str) -> Result<Vec<usize>, SpecError> {
-    get_array(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, item)| get_usize(item, &format!("{path}[{i}]")))
-        .collect()
+/// Renders canonical tokens (the `Display` form `get_token` parses).
+fn tokens<T: fmt::Display>(xs: &[T]) -> Json {
+    Json::Arr(xs.iter().map(|x| Json::str(x.to_string())).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -598,9 +587,12 @@ fn methodology_from_json(v: &Json, path: &str) -> Result<MethodologyConfig, Spec
 // Grid and workload sections
 // ---------------------------------------------------------------------
 
-/// The grid section of an [`ExperimentSpec`]: the scenario kind plus
-/// every sweep axis of a [`CampaignGrid`], minus the base machine
-/// (which lives in the spec's machine section).
+/// The scenario kind and sweep axes of a parameter grid — the one
+/// declaration of the axes. It is the grid section of an
+/// [`ExperimentSpec`] (whose machine section is the base machine) and
+/// the `axes` of a [`CampaignGrid`]; [`GridSpec::new`],
+/// [`GridSpec::cells`] and [`GridSpec::scenarios`] live with the rest of
+/// the grid code in [`crate::campaign`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// Which scenario each grid cell instantiates.
@@ -617,7 +609,8 @@ pub struct GridSpec {
     pub iterations: Vec<u64>,
     /// In-cell nop-padding ceiling.
     pub max_k: usize,
-    /// Methodology template for `derive` cells.
+    /// Methodology template for `derive` cells (access kinds, iterations
+    /// and `max_k` are overridden per cell from the axes).
     pub methodology: MethodologyConfig,
 }
 
@@ -625,21 +618,10 @@ impl GridSpec {
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("scenario", Json::str(self.scenario.to_string())),
-            (
-                "arbiters",
-                Json::Arr(self.arbiters.iter().map(|a| Json::str(a.to_string())).collect()),
-            ),
-            ("cores", Json::u64_array(&self.cores.iter().map(|&c| c as u64).collect::<Vec<_>>())),
-            (
-                "accesses",
-                Json::Arr(self.accesses.iter().map(|a| Json::str(a.to_string())).collect()),
-            ),
-            (
-                "contender_accesses",
-                Json::Arr(
-                    self.contender_accesses.iter().map(|a| Json::str(a.to_string())).collect(),
-                ),
-            ),
+            ("arbiters", tokens(&self.arbiters)),
+            ("cores", Json::Arr(self.cores.iter().map(|&c| Json::U64(c as u64)).collect())),
+            ("accesses", tokens(&self.accesses)),
+            ("contender_accesses", tokens(&self.contender_accesses)),
             ("iterations", Json::u64_array(&self.iterations)),
             ("max_k", Json::U64(self.max_k as u64)),
             ("methodology", methodology_to_json(&self.methodology)),
@@ -650,14 +632,15 @@ impl GridSpec {
         let mut f = Fields::new(v, path)?;
         let g = GridSpec {
             scenario: get_token::<GridScenario>(f.take("scenario")?, &format!("{path}.scenario"))?,
-            arbiters: token_list(f.take("arbiters")?, &format!("{path}.arbiters"))?,
-            cores: usize_list(f.take("cores")?, &format!("{path}.cores"))?,
-            accesses: token_list(f.take("accesses")?, &format!("{path}.accesses"))?,
-            contender_accesses: token_list(
+            arbiters: get_list(f.take("arbiters")?, &format!("{path}.arbiters"), get_token)?,
+            cores: get_list(f.take("cores")?, &format!("{path}.cores"), get_usize)?,
+            accesses: get_list(f.take("accesses")?, &format!("{path}.accesses"), get_token)?,
+            contender_accesses: get_list(
                 f.take("contender_accesses")?,
                 &format!("{path}.contender_accesses"),
+                get_token,
             )?,
-            iterations: u64_list(f.take("iterations")?, &format!("{path}.iterations"))?,
+            iterations: get_list(f.take("iterations")?, &format!("{path}.iterations"), get_u64)?,
             max_k: get_usize(f.take("max_k")?, &format!("{path}.max_k"))?,
             methodology: methodology_from_json(
                 f.take("methodology")?,
@@ -836,45 +819,21 @@ impl ExperimentSpec {
     /// [`ExperimentSpec::to_grid`], so flag-driven campaigns can be
     /// exported and re-run from the file with byte-identical output.
     pub fn from_grid(name: impl Into<String>, grid: &CampaignGrid) -> Self {
-        ExperimentSpec {
-            name: name.into(),
-            machine: grid.base.clone(),
-            grid: Some(GridSpec {
-                scenario: grid.scenario,
-                arbiters: grid.arbiters.clone(),
-                cores: grid.cores.clone(),
-                accesses: grid.accesses.clone(),
-                contender_accesses: grid.contender_accesses.clone(),
-                iterations: grid.iteration_counts.clone(),
-                max_k: grid.max_k,
-                methodology: grid.methodology.clone(),
-            }),
-            workloads: Vec::new(),
-        }
+        let CampaignGrid { base, axes } = grid.clone();
+        ExperimentSpec { name: name.into(), machine: base, grid: Some(axes), workloads: Vec::new() }
     }
 
     /// Reassembles the [`CampaignGrid`] of the grid section, if present.
     pub fn to_grid(&self) -> Option<CampaignGrid> {
-        let g = self.grid.as_ref()?;
-        Some(CampaignGrid {
-            scenario: g.scenario,
-            base: self.machine.clone(),
-            arbiters: g.arbiters.clone(),
-            cores: g.cores.clone(),
-            accesses: g.accesses.clone(),
-            contender_accesses: g.contender_accesses.clone(),
-            iteration_counts: g.iterations.clone(),
-            max_k: g.max_k,
-            methodology: g.methodology.clone(),
-        })
+        let axes = self.grid.clone()?;
+        Some(CampaignGrid { base: self.machine.clone(), axes })
     }
 
     /// Expands the spec into scenarios: grid cells (row-major, as
-    /// [`CampaignGrid::scenarios`]) followed by one [`WorkloadScenario`]
+    /// [`GridSpec::scenarios`]) followed by one [`WorkloadScenario`]
     /// per workload case.
     pub fn scenarios(&self) -> Vec<Box<dyn Scenario + Send + Sync>> {
-        let mut out: Vec<Box<dyn Scenario + Send + Sync>> =
-            self.to_grid().map(|g| g.scenarios()).unwrap_or_default();
+        let mut out = self.grid.as_ref().map(|g| g.scenarios(&self.machine)).unwrap_or_default();
         for case in &self.workloads {
             out.push(Box::new(WorkloadScenario::new(self.machine.clone(), case)));
         }

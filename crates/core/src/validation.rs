@@ -12,10 +12,12 @@
 
 use crate::campaign::{RunError, RunSpec};
 use crate::executor::Executor;
-use crate::scenario::{MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport};
+use crate::scenario::{
+    plan_k_sweep, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport,
+};
 use rrb_analysis::GammaModel;
-use rrb_kernels::{AccessKind, KernelSpec};
-use rrb_sim::{MachineConfig, SimError};
+use rrb_kernels::AccessKind;
+use rrb_sim::MachineConfig;
 use std::fmt;
 
 /// One δ point of a validation sweep.
@@ -146,26 +148,8 @@ impl Scenario for GammaValidationScenario {
     }
 
     fn plan(&self) -> Result<Vec<RunSpec>, ScenarioError> {
-        self.machine.validate().map_err(SimError::from)?;
-        let contenders = vec![
-            KernelSpec::Rsk { access: AccessKind::Load };
-            self.machine.num_cores.saturating_sub(1)
-        ];
-        let mut specs = Vec::with_capacity(self.max_k as usize + 1);
-        for k in 0..=self.max_k {
-            let scua = KernelSpec::RskNop {
-                access: AccessKind::Load,
-                nops: k,
-                iterations: self.iterations,
-            };
-            specs.push(RunSpec::from_kernels(
-                format!("k={k}/contended"),
-                self.machine.clone(),
-                &scua,
-                &contenders,
-            ));
-        }
-        Ok(specs)
+        let load = AccessKind::Load;
+        plan_k_sweep(&self.machine, load, load, self.max_k as usize, self.iterations, false)
     }
 
     fn analyze(&self, outcomes: &[RunOutcome]) -> ScenarioReport {
