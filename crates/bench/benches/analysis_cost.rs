@@ -3,7 +3,10 @@
 //! classification of the cell's kernels, then the static analysis,
 //! the model check and the spec lint built on it — plus the model check
 //! of the same cell with a fifo bus, the checker's costliest arbiter
-//! (std-only harness; `harness = false`).
+//! (std-only harness; `harness = false`). Classification also runs on
+//! an EEMBC-profile scua (`canrdr` on `ngmp_ref`): its 256-instruction
+//! body reaches far more cache sets than the short rsk bodies, so it is
+//! the input where listing and signing the reachable sets costs most.
 //!
 //! ```sh
 //! cargo bench -p rrb-bench --bench analysis_cost
@@ -11,7 +14,7 @@
 
 use rrb::analyze::analyze_grid_cell;
 use rrb::campaign::{CampaignGrid, GridCell, GridScenario};
-use rrb::kernels::{rsk, rsk_nop};
+use rrb::kernels::{rsk, rsk_nop, AutobenchKernel};
 use rrb::lint::lint_spec;
 use rrb::spec::ExperimentSpec;
 use rrb::statics::{classify_accesses, VerifyOptions};
@@ -50,6 +53,11 @@ fn main() {
     });
     bench(&format!("classify_accesses/rsk-nop({})", cell.max_k), 5, 50, || {
         black_box(classify_accesses(&swept, cfg, scua));
+    });
+    let ngmp = MachineConfig::ngmp_ref();
+    let canrdr = AutobenchKernel::Canrdr.profile().program(&ngmp, scua, 7, Some(1000));
+    bench("classify_accesses/eembc-canrdr", 5, 50, || {
+        black_box(classify_accesses(&canrdr, &ngmp, scua));
     });
     bench("analyze_grid_cell", 5, 50, || {
         black_box(analyze_grid_cell(&cell));

@@ -57,6 +57,12 @@ pub struct CellStaticBound {
     /// The interference-flow composition for the observed core, computed
     /// from must/may-classified demand profiles.
     pub composed: ComposedBound,
+    /// Why the cell's machine cannot be built — `invalid machine: ` and
+    /// its cache hierarchy's validation error
+    /// ([`MachineConfig::validate_caches`]). Such a cell is reported, not
+    /// bounded: every static, flow and exact term is unbounded with this
+    /// as the reason.
+    pub invalid: Option<String>,
 }
 
 impl CellStaticBound {
@@ -232,10 +238,13 @@ impl CellPrograms {
     /// Profiles every program once and bounds the cell: the static row,
     /// plus the envelope profiles it was built from (what the model
     /// checker searches).
+    /// A cell whose machine cannot be built is never profiled (the replay
+    /// would need its caches) and gets every term opened instead.
     pub(crate) fn bound(&self) -> (CellStaticBound, Vec<CoreProfile>) {
         let cfg = &self.cfg;
-        let (envelope, classified): (Vec<_>, Vec<_>) = self
-            .cores
+        let invalid = cfg.validate_caches().err().map(|e| format!("invalid machine: {e}"));
+        let cores = if invalid.is_some() { &[][..] } else { &self.cores[..] };
+        let (envelope, classified): (Vec<_>, Vec<_>) = cores
             .iter()
             .enumerate()
             .map(|(core, programs)| {
@@ -250,7 +259,7 @@ impl CellPrograms {
             .unzip();
         let breakdown = cfg.ubd_breakdown();
         let truth = |kind| breakdown.iter().find(|t| t.resource == kind).map_or(0, |t| t.ubd);
-        let row = CellStaticBound {
+        let mut row = CellStaticBound {
             cell: self.name.clone(),
             num_cores: cfg.num_cores,
             arbiter: cfg.topology.bus.arbiter.to_string(),
@@ -258,7 +267,16 @@ impl CellPrograms {
             truth_mc: truth(ResourceKind::MemoryController),
             bound: StaticBound::analyze(cfg, &envelope),
             composed: compose_flow(cfg, &classified),
+            invalid,
         };
+        if let Some(reason) = &row.invalid {
+            for r in &mut row.bound.resources {
+                (r.bound, r.observed, r.reason) = (None, None, Some(reason.clone()));
+            }
+            for t in &mut row.composed.terms {
+                (t.sum, t.flow, t.reason) = (None, None, reason.clone());
+            }
+        }
         (row, envelope)
     }
 }
@@ -435,10 +453,23 @@ pub(crate) fn bound_text(bound: Option<u64>) -> String {
     bound.map_or_else(|| String::from("unbounded"), |b| b.to_string())
 }
 
-/// A static row's status: its first violation, else `sound` when
-/// `finite`, else the reason the bound is open.
+/// The `, N invalid` tail of a table's summary line; empty when every
+/// cell's machine can be built.
+pub(crate) fn invalid_tail(invalid: usize) -> String {
+    if invalid == 0 {
+        String::new()
+    } else {
+        format!(", {invalid} invalid")
+    }
+}
+
+/// A static row's status: the machine's validation error when it cannot
+/// be built, else its first violation, else `sound` when `finite`, else
+/// the reason the bound is open.
 fn status(r: &CellStaticBound, finite: bool) -> String {
-    if let Some(v) = r.violation() {
+    if let Some(reason) = &r.invalid {
+        reason.clone()
+    } else if let Some(v) = r.violation() {
         format!("UNSOUND: {v}")
     } else if finite {
         String::from("sound")
@@ -459,11 +490,13 @@ pub fn render_rows(rows: &[CellStaticBound]) -> String {
         Column::fit("status", |r| status(r, r.bound.is_finite())),
     ];
     let unsound = rows.iter().filter(|r| r.violation().is_some()).count();
-    let unbounded = rows.iter().filter(|r| !r.bound.is_finite()).count();
+    let invalid = rows.iter().filter(|r| r.invalid.is_some()).count();
+    let unbounded = rows.iter().filter(|r| r.invalid.is_none() && !r.bound.is_finite()).count();
     let summary = format!(
-        "{} cells: {} sound, {unbounded} unbounded, {unsound} UNSOUND",
+        "{} cells: {} sound, {unbounded} unbounded, {unsound} UNSOUND{}",
         rows.len(),
-        rows.len().saturating_sub(unsound + unbounded),
+        rows.len().saturating_sub(unsound + unbounded + invalid),
+        invalid_tail(invalid),
     );
     render_table(&columns, rows, &summary)
 }

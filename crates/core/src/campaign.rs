@@ -986,8 +986,7 @@ impl GridSpec {
     /// enumeration, and the cell names, that
     /// [`scenarios`](Self::scenarios) builds its scenario list from, so
     /// the static analyzer bounds exactly the cells the campaign runs.
-    /// A cell with more cores than L2 ways gets one way per core, as
-    /// [`MachineConfig::toy`] does, so it stays partitionable.
+    /// Each cell's machine is [`GridSpec::cell_machine`].
     pub fn cells(&self, base: &MachineConfig) -> Vec<GridCell> {
         let mc = match base.topology.mc {
             Some(mc) => format!("/bus+mc:{}:{}", mc.arbiter, mc.service_occupancy),
@@ -999,12 +998,7 @@ impl GridSpec {
                 for &access in &self.accesses {
                     for &contender_access in &self.contender_accesses {
                         for &iterations in &self.iterations {
-                            let mut cfg = base.clone();
-                            cfg.topology.bus.arbiter = arbiter;
-                            cfg.num_cores = cores;
-                            if (cfg.l2.ways as usize) < cores {
-                                cfg.l2.ways = cores as u32;
-                            }
+                            let cfg = GridSpec::cell_machine(base, arbiter, cores);
                             let name = format!(
                                 "{}/{arbiter}/c{cores}/{access}-vs-{contender_access}/i{iterations}{mc}",
                                 self.scenario
@@ -1019,6 +1013,20 @@ impl GridSpec {
             }
         }
         out
+    }
+
+    /// The machine of every cell with `arbiter` on the bus and `cores`
+    /// cores: `base` with both applied. A cell with more cores than L2
+    /// ways gets one way per core, as [`MachineConfig::toy`] does, so it
+    /// stays partitionable.
+    pub fn cell_machine(base: &MachineConfig, arbiter: ArbiterKind, cores: usize) -> MachineConfig {
+        let mut cfg = base.clone();
+        cfg.topology.bus.arbiter = arbiter;
+        cfg.num_cores = cores;
+        if (cfg.l2.ways as usize) < cores {
+            cfg.l2.ways = cores as u32;
+        }
+        cfg
     }
 
     /// Expands the grid over `base` into one scenario per cell, in

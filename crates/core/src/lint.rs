@@ -14,7 +14,7 @@
 //! [`SpecError::Field`]: crate::spec::SpecError
 
 use crate::json::Json;
-use crate::spec::ExperimentSpec;
+use crate::spec::{ExperimentSpec, GridSpec};
 use rrb_kernels::{rsk, AccessKind, KernelSpec};
 use rrb_sim::{ArbiterKind, CoreId, MachineConfig};
 use rrb_static::{classified_profile, compose_flow, steady_state_silent};
@@ -252,9 +252,20 @@ pub fn lint_spec(spec: &ExperimentSpec) -> Vec<LintFinding> {
             }
         }
         let max_cores = grid.cores.iter().copied().max().unwrap_or(0);
+        // A core count changes the cell machine's L2 partition, so it can
+        // break a template that validates: every cell it spans would fail.
+        // (A template that fails on its own is the loader's error.)
+        let template_valid = machine.validate().is_ok();
         for (i, &cores) in grid.cores.iter().enumerate() {
+            let cell = GridSpec::cell_machine(machine, machine.topology.bus.arbiter, cores);
+            let invalid = cell.validate().err().filter(|_| template_valid);
             if cores == 0 {
                 lint.error(format!("grid.cores[{i}]"), "a zero-core machine cannot run");
+            } else if let Some(e) = invalid {
+                lint.error(
+                    format!("grid.cores[{i}]"),
+                    format!("cells with {cores} cores cannot be built: {e}"),
+                );
             } else if cores == 1 {
                 lint.warning(
                     format!("grid.cores[{i}]"),
@@ -451,6 +462,24 @@ mod tests {
         let hit = findings.iter().find(|f| f.path == "grid.arbiters[0]").expect("tdma finding");
         assert_eq!(hit.severity, LintSeverity::Error);
         assert!(hit.message.contains("starve"), "{}", hit.message);
+    }
+
+    #[test]
+    fn core_count_whose_cells_cannot_be_built_is_an_error() {
+        // Five cores force five L2 ways, and 256 KiB / 5 is no whole
+        // number of lines: every c5 cell fails `MachineConfig::validate`.
+        let grid =
+            CampaignGrid::new(GridScenario::Derive, MachineConfig::ngmp_ref()).cores(vec![3, 5]);
+        let findings = lint_spec(&ExperimentSpec::from_grid("ngmp", &grid));
+        let errors: Vec<_> =
+            findings.iter().filter(|f| f.severity == LintSeverity::Error).collect();
+        assert_eq!(errors.len(), 1, "{findings:?}");
+        assert_eq!(errors[0].path, "grid.cores[1]");
+        assert_eq!(
+            errors[0].message,
+            "cells with 5 cores cannot be built: invalid cache geometry: l2.partition: size \
+             52428 is not a multiple of ways*line = 32"
+        );
     }
 
     #[test]

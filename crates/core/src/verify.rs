@@ -38,7 +38,7 @@
 //! `prop_verify_exact` property test.
 
 use crate::analyze::{
-    bound_text, render_table, tightness_ratio, CellPrograms, CellStaticBound, Column,
+    bound_text, invalid_tail, render_table, tightness_ratio, CellPrograms, CellStaticBound, Column,
 };
 use crate::campaign::{CampaignGrid, GridCell, RunSpec};
 use crate::executor::MachineArena;
@@ -199,7 +199,14 @@ impl VerifiedCell {
 /// the envelope profiles that row was built from.
 fn verify_cell(cell: CellPrograms, opts: &VerifyOptions) -> VerifiedCell {
     let (statics, envelope) = cell.bound();
-    let exact = exact_bounds(&cell.cfg, &envelope, opts);
+    let mut exact = exact_bounds(&cell.cfg, &envelope, opts);
+    // An invalid cell has no profiles, so the search above found nothing
+    // to delay; its rows are opened like its static terms.
+    if let Some(reason) = &statics.invalid {
+        for row in &mut exact {
+            (row.exact, row.witness, row.reason) = (None, None, Some(reason.clone()));
+        }
+    }
     VerifiedCell { statics, cfg: cell.cfg, exact }
 }
 
@@ -357,7 +364,9 @@ pub fn render_verified(rows: &[VerifiedCell]) -> String {
         }),
         Column::right("arbiter", 12, |r| r.statics.arbiter.clone()),
         Column::fit("status", |r| {
-            if let Some(v) = r.violations().first() {
+            if let Some(reason) = &r.statics.invalid {
+                reason.clone()
+            } else if let Some(v) = r.violations().first() {
                 format!("UNSOUND: {v}")
             } else if r.exact_total().is_some() {
                 String::from("exact")
@@ -368,14 +377,17 @@ pub fn render_verified(rows: &[VerifiedCell]) -> String {
         }),
     ];
     let unsound = rows.iter().filter(|r| !r.violations().is_empty()).count();
-    let unbounded = rows.iter().filter(|r| r.exact_total().is_none()).count();
+    let invalid = rows.iter().filter(|r| r.statics.invalid.is_some()).count();
+    let unbounded =
+        rows.iter().filter(|r| r.statics.invalid.is_none() && r.exact_total().is_none()).count();
     let explored: u64 = rows.iter().map(VerifiedCell::explored).sum();
     let pruned: u64 = rows.iter().map(VerifiedCell::pruned).sum();
     let summary = format!(
-        "{} cells: {} exact, {unbounded} unbounded, {unsound} UNSOUND \
+        "{} cells: {} exact, {unbounded} unbounded, {unsound} UNSOUND{} \
          ({explored} alignments explored, {pruned} pruned)",
         rows.len(),
-        rows.len().saturating_sub(unsound + unbounded),
+        rows.len().saturating_sub(unsound + unbounded + invalid),
+        invalid_tail(invalid),
     );
     render_table(&columns, rows, &summary)
 }
@@ -519,5 +531,34 @@ mod tests {
         let json = rows[0].to_json().render_pretty();
         assert!(json.contains("\"tightness\""), "{json}");
         assert!(json.contains("\"sound\": true"), "{json}");
+    }
+
+    #[test]
+    fn cells_whose_machine_cannot_be_built_are_reported_invalid() {
+        let grid = CampaignGrid::new(GridScenario::Derive, MachineConfig::ngmp_ref())
+            .cores(vec![3, 5])
+            .max_k(8);
+        let spec = ExperimentSpec::from_grid("ngmp", &grid);
+        let verified = verify_spec(&spec, &VerifyOptions::default());
+        let rows = crate::analyze::analyze_spec(&spec);
+        assert_eq!(rows, verified.iter().map(|v| v.statics.clone()).collect::<Vec<_>>());
+        let (c3, c5) = (&verified[0], &verified[1]);
+        assert_eq!(c3.statics.invalid, None);
+        assert_eq!(c3.exact_total(), Some(17), "{:?}", c3.exact);
+        let error = "invalid machine: invalid cache geometry: l2.partition: size 52428 is not a \
+                     multiple of ways*line = 32";
+        assert_eq!(c5.statics.invalid.as_deref(), Some(error));
+        assert_eq!(c5.statics.static_total(), None, "an invalid cell is never bounded");
+        assert_eq!(c5.statics.flow_total(), None);
+        assert_eq!(c5.exact_total(), None);
+        assert!(c5.violations().is_empty(), "{:?}", c5.violations());
+        assert_eq!(c5.explored(), 0, "no alignment of an invalid machine is searched");
+
+        let analyzed = crate::analyze::render_rows(&rows);
+        assert!(analyzed.contains(error), "{analyzed}");
+        assert!(analyzed.ends_with("2 cells: 1 sound, 0 unbounded, 0 UNSOUND, 1 invalid\n"));
+        let text = render_verified(&verified);
+        assert!(text.contains(error), "{text}");
+        assert!(text.contains("2 cells: 1 exact, 0 unbounded, 0 UNSOUND, 1 invalid ("), "{text}");
     }
 }

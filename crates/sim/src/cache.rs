@@ -11,6 +11,7 @@
 use crate::config::CacheConfig;
 pub use crate::config::Replacement;
 use crate::types::Addr;
+use std::ops::Range;
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +75,12 @@ pub struct Cache {
     cfg: CacheConfig,
     /// All lines, set-major: set `s` is `lines[s * ways .. (s + 1) * ways]`.
     lines: Box<[Line]>,
-    /// Number of sets (cached so the hot path avoids re-deriving it).
-    sets: u64,
+    /// Shift-and-mask indexing (validation makes the line size and the
+    /// set count powers of two): an address's line is `addr >> line_shift`,
+    /// its set `line & set_mask` and its tag `addr >> tag_shift`.
+    line_shift: u32,
+    set_mask: u64,
+    tag_shift: u32,
     ways: usize,
     stats: CacheStats,
     /// Monotonic access counter; doubles as the xorshift seed for random
@@ -96,7 +101,18 @@ impl Cache {
         let sets = cfg.sets();
         let ways = cfg.ways as usize;
         let lines = vec![COLD; sets as usize * ways].into_boxed_slice();
-        Cache { cfg, lines, sets, ways, stats: CacheStats::default(), clock: 0 }
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        let tag_shift = line_shift + sets.trailing_zeros();
+        Cache {
+            cfg,
+            lines,
+            line_shift,
+            set_mask: sets - 1,
+            tag_shift,
+            ways,
+            stats: CacheStats::default(),
+            clock: 0,
+        }
     }
 
     /// The geometry this cache was built with.
@@ -146,17 +162,38 @@ impl Cache {
     }
 
     fn set_index(&self, addr: Addr) -> usize {
-        ((addr / self.cfg.line_bytes) % self.sets) as usize
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     fn tag(&self, addr: Addr) -> u64 {
-        addr / self.cfg.line_bytes / self.sets
+        addr >> self.tag_shift
     }
 
-    /// The set index an address maps to (exposed for kernel construction,
-    /// which engineers same-set conflict misses).
+    /// The set index an address maps to. Kernel construction uses it to
+    /// engineer same-set conflict misses; [`Cache::reachable_sets`] maps
+    /// addresses through it for both signature consumers, period skip and
+    /// the static must/may replay.
     pub fn set_of(&self, addr: Addr) -> usize {
         self.set_index(addr)
+    }
+
+    /// The sets a static program can reach, ascending and deduplicated:
+    /// the set of each address in `data` and of each line the `fetch`
+    /// range overlaps (listed line by line, one lap of the sets at most).
+    /// Both [`Cache::rank_signature`] consumers sign exactly these sets: a
+    /// set outside them is cold in every state, so leaving it out keeps
+    /// the signature's equality test the all-sets one.
+    pub fn reachable_sets(&self, data: &[Addr], fetch: Range<Addr>) -> Vec<usize> {
+        let mut sets: Vec<usize> = data.iter().map(|&a| self.set_of(a)).collect();
+        if !fetch.is_empty() {
+            let (first, last) =
+                (fetch.start >> self.line_shift, (fetch.end - 1) >> self.line_shift);
+            let lines = (last - first).min(self.set_mask) + 1;
+            sets.extend((first..first + lines).map(|line| (line & self.set_mask) as usize));
+        }
+        sets.sort_unstable();
+        sets.dedup();
+        sets
     }
 
     /// Whether the line containing `addr` is resident, without touching
@@ -228,10 +265,13 @@ impl Cache {
     /// validity, tag, and the line's *relative* stamp rank within its set.
     /// Two caches with equal signatures behave identically on any future
     /// LRU/FIFO access pattern confined to those sets, regardless of the
-    /// absolute clock values — the property the steady-state fast-forward
-    /// detector relies on. (Random replacement depends on the absolute
-    /// clock, which is why the detector refuses it.)
-    pub(crate) fn rank_signature(&self, sets: &[usize], out: &mut Vec<u64>) {
+    /// absolute clock values. (Random replacement depends on the absolute
+    /// clock, which is why both consumers refuse it.) The consumers sign
+    /// the sets [`Cache::reachable_sets`] lists: period skip fingerprints
+    /// the machine with it at iteration boundaries, and the static must/may
+    /// replay (`rrb_static::classify_accesses`) proves a loop's cache
+    /// outcomes periodic once it repeats.
+    pub fn rank_signature(&self, sets: &[usize], out: &mut Vec<u64>) {
         for &s in sets {
             let base = s * self.ways;
             let set = &self.lines[base..base + self.ways];
@@ -380,6 +420,30 @@ mod tests {
         assert_eq!(c.set_of(31), 0);
         assert_eq!(c.set_of(32), 1);
         assert_eq!(c.set_of(64), 0);
+    }
+
+    #[test]
+    fn reachable_sets_list_data_sets_and_each_fetch_line_once() {
+        // 4 ways of 8 sets of 32-byte lines.
+        let c = Cache::new(CacheConfig {
+            size_bytes: 1024,
+            ways: 4,
+            line_bytes: 32,
+            latency: 1,
+            replacement: Replacement::Lru,
+        });
+        assert_eq!(c.reachable_sets(&[0x20, 0x124, 0x20], 0..0), [1], "lines 1 and 9");
+        assert_eq!(c.reachable_sets(&[], 0x44..0x84), [2, 3, 4], "a range starting mid-line");
+        assert_eq!(c.reachable_sets(&[0xe0], 0x44..0x84), [2, 3, 4, 7]);
+        assert_eq!(c.reachable_sets(&[], 0..0x1000), (0..8).collect::<Vec<_>>(), "one lap");
+        // Stepping whole lines lists what mapping every instruction would.
+        for (start, len) in [(0x8000_0000u64, 1u64), (0x8000_0004, 9), (0x8000_0010, 77)] {
+            let range = start..start + 4 * len;
+            let mut each: Vec<usize> = range.clone().step_by(4).map(|a| c.set_of(a)).collect();
+            each.sort_unstable();
+            each.dedup();
+            assert_eq!(c.reachable_sets(&[], range), each, "{start:#x}+{len}");
+        }
     }
 
     #[test]

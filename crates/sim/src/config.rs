@@ -417,9 +417,12 @@ impl L2Config {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for zero/non-power-of-two sizes or when
-    /// there are more cores than L2 ways to partition among them.
+    /// Returns [`ConfigError`] for zero cores, zero/non-power-of-two sizes
+    /// or when there are more cores than L2 ways to partition among them.
     pub fn validate(&self, num_cores: usize) -> Result<(), ConfigError> {
+        if num_cores == 0 {
+            return Err(ConfigError::ZeroParameter { name: "num_cores" });
+        }
         if self.ways == 0 {
             return Err(ConfigError::ZeroParameter { name: "l2.ways" });
         }
@@ -703,13 +706,24 @@ impl MachineConfig {
         if self.max_cycles == 0 {
             return Err(ConfigError::ZeroParameter { name: "max_cycles" });
         }
-        self.dl1.validate("dl1")?;
-        self.il1.validate("il1")?;
-        self.l2.validate(self.num_cores)?;
+        self.validate_caches()?;
         self.topology.validate()?;
         self.dram.validate()?;
         self.store_buffer.validate()?;
         Ok(())
+    }
+
+    /// Validates the cache hierarchy alone: the DL1, the IL1 and the
+    /// per-core L2 partition. A [`Cache`](crate::Cache) may only be built
+    /// from a geometry that passed this check.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ConfigError`] found in any cache.
+    pub fn validate_caches(&self) -> Result<(), ConfigError> {
+        self.dl1.validate("dl1")?;
+        self.il1.validate("il1")?;
+        self.l2.validate(self.num_cores)
     }
 }
 
@@ -756,6 +770,8 @@ mod tests {
         let mut cfg = MachineConfig::ngmp_ref();
         cfg.num_cores = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter { name: "num_cores" }));
+        // The partition check alone must not divide by the zero core count.
+        assert_eq!(cfg.validate_caches(), Err(ConfigError::ZeroParameter { name: "num_cores" }));
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::config::MachineConfig;
 use crate::instr::{Instr, Iterations, Program};
 use crate::store_buffer::StoreBuffer;
 use crate::types::{Addr, CoreId, Cycle};
+use std::ops::Range;
 
 /// Base of the per-core instruction address region (64 MB apart so no two
 /// cores alias instruction lines in DRAM rows).
@@ -32,6 +33,14 @@ const IFETCH_BASE: Addr = 0x8000_0000;
 const IFETCH_STRIDE: Addr = 0x0400_0000;
 /// Bytes per instruction.
 const INSTR_BYTES: Addr = 4;
+
+/// The address of the instruction at `pc` in `core`'s fetch region — the
+/// one fetch-address formula. The core model fetches from it, period
+/// skip lists the fetch footprint with it, and the static must/may replay
+/// (`rrb_static::classify_accesses`) replays the same stream.
+pub fn fetch_addr(core: CoreId, pc: usize) -> Addr {
+    IFETCH_BASE + IFETCH_STRIDE * core.index() as Addr + INSTR_BYTES * pc as Addr
+}
 
 /// What a core wants to post on the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +179,7 @@ impl CoreModel {
 
     /// The address of the instruction at `pc` in this core's fetch region.
     fn pc_addr(&self) -> Addr {
-        IFETCH_BASE + IFETCH_STRIDE * self.id.index() as Addr + INSTR_BYTES * self.pc as Addr
+        fetch_addr(self.id, self.pc)
     }
 
     fn line_of(&self, addr: Addr) -> Addr {
@@ -335,22 +344,18 @@ impl CoreModel {
         &self.program
     }
 
-    /// Collects the line addresses this core's program can ever touch:
-    /// data lines (loads/stores) into `data`, instruction-fetch lines into
-    /// `fetch`. Programs are static, so these sets bound the reachable
+    /// The footprint this core's program can ever touch: pushes the data
+    /// lines its loads and stores touch onto `data` and returns the
+    /// address range its instruction fetches span. Programs are static,
+    /// so [`Cache::reachable_sets`] over the two bounds the reachable
     /// cache footprint exactly.
-    pub(crate) fn ff_footprint(&self, data: &mut Vec<Addr>, fetch: &mut Vec<Addr>) {
+    pub(crate) fn ff_footprint(&self, data: &mut Vec<Addr>) -> Range<Addr> {
         for instr in self.program.body() {
-            match instr {
-                Instr::Load(a) | Instr::Store(a) => data.push(self.line_of(*a)),
-                _ => {}
+            if let Instr::Load(a) | Instr::Store(a) = instr {
+                data.push(self.line_of(*a));
             }
         }
-        for pc in 0..self.program.body().len() {
-            let addr =
-                IFETCH_BASE + IFETCH_STRIDE * self.id.index() as Addr + INSTR_BYTES * pc as Addr;
-            fetch.push(self.line_of(addr));
-        }
+        fetch_addr(self.id, 0)..fetch_addr(self.id, self.program.body().len())
     }
 
     /// Appends a time-relative signature of the pipeline state to `out`

@@ -22,9 +22,10 @@
 //!   outstanding;
 //! * per cache: validity, tags, and within-set recency *ranks* over the
 //!   sets reachable from the programs' static addresses
-//!   ([`Cache::rank_signature`] — rank order, not absolute clocks, is
-//!   what LRU/FIFO behaviour depends on; random replacement depends on
-//!   the absolute clock, so it disables the skip);
+//!   ([`Cache::rank_signature`] over [`Cache::reachable_sets`] — the key
+//!   the static must/may replay detects cycles on too; rank order, not
+//!   absolute clocks, is what LRU/FIFO behaviour depends on; random
+//!   replacement depends on the absolute clock, so it disables the skip);
 //! * per shared resource: pending and active transactions and the
 //!   arbiter's schedule state — a TDMA arbiter contributes its slot
 //!   phase, so a period only matches when it is a multiple of the TDMA
@@ -46,7 +47,8 @@
 //!
 //! [`Machine::run`]: crate::Machine::run
 //! [`CoreModel::ff_signature`]: crate::core_model::CoreModel
-//! [`Cache::rank_signature`]: crate::cache::Cache
+//! [`Cache::rank_signature`]: crate::cache::Cache::rank_signature
+//! [`Cache::reachable_sets`]: crate::cache::Cache::reachable_sets
 //! [`SharedResource::ff_signature`]: crate::resource::SharedResource
 //! [`Dram::ff_signature`]: crate::dram::Dram
 
@@ -138,17 +140,13 @@ impl PeriodSkip {
         let mut l2_sets = Vec::with_capacity(cfg.num_cores);
         let mut total = 0usize;
         let mut data = Vec::new();
-        let mut fetch = Vec::new();
         for i in 0..cfg.num_cores {
             data.clear();
-            fetch.clear();
             let core = &m.cores[i];
-            core.ff_footprint(&mut data, &mut fetch);
-            let dl1: Vec<usize> = sorted_sets(data.iter().map(|&a| core.dl1.set_of(a)));
-            let il1: Vec<usize> = sorted_sets(fetch.iter().map(|&a| core.il1.set_of(a)));
-            let part = m.l2.partition(CoreId::new(i));
-            let l2: Vec<usize> =
-                sorted_sets(data.iter().chain(fetch.iter()).map(|&a| part.set_of(a)));
+            let fetch = core.ff_footprint(&mut data);
+            let dl1 = core.dl1.reachable_sets(&data, 0..0);
+            let il1 = core.il1.reachable_sets(&[], fetch.clone());
+            let l2 = m.l2.partition(CoreId::new(i)).reachable_sets(&data, fetch);
             total += dl1.len() + il1.len() + l2.len();
             dl1_sets.push(dl1);
             il1_sets.push(il1);
@@ -266,14 +264,6 @@ impl PeriodSkip {
             dram_stats: m.dram.stats(),
         }
     }
-}
-
-/// Sorted, deduplicated set list from an address→set mapping.
-fn sorted_sets(iter: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut v: Vec<usize> = iter.collect();
-    v.sort_unstable();
-    v.dedup();
-    v
 }
 
 /// How many whole periods may be skipped from the matched state: at

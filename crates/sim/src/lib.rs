@@ -119,6 +119,7 @@ pub use config::{
     BusConfig, CacheConfig, DramConfig, L2Config, MachineConfig, McQueueConfig,
     ParseReplacementError, ResourceUbd, StoreBufferConfig, Topology,
 };
+pub use core_model::fetch_addr;
 pub use error::{ConfigError, SimError};
 pub use instr::{Instr, Iterations, Program, ProgramBuilder};
 pub use machine::{CoreSummary, Machine, MachineBuilder, RunSummary};

@@ -7,12 +7,16 @@
 //! the paper's rsk never reaches the controller after its cold fill, and a
 //! loop whose working set fits DL1 never reaches the bus at all. This
 //! module recovers those facts statically by *replaying* the access stream
-//! against models of the IL1, DL1, and the core's L2 partition that mirror
-//! the simulator's [`rrb_sim::Cache`] cycle for cycle:
+//! on the simulator's own caches: the IL1, the DL1 and the core's L2
+//! partition are each an [`rrb_sim::Cache`] built from the machine's
+//! geometry, so the replacement behaviour is the simulator's by
+//! construction and the hit/miss totals are read from [`Cache::stats`].
+//! Only the access stream is the replay's own:
 //!
 //! * instruction fetches touch the IL1 once per instruction in program
-//!   order (the core model touches on a hit at dispatch and on the refill
-//!   return after a miss — one touch per fetch either way);
+//!   order, at [`rrb_sim::fetch_addr`] (the core model touches on a hit at
+//!   dispatch and on the refill return after a miss — one touch per fetch
+//!   either way);
 //! * each load touches the DL1 once at dispatch; a store probes and only
 //!   touches on a probe hit (write-no-allocate through the store buffer);
 //! * every L1 miss — and every store drain — touches the core's private
@@ -22,20 +26,20 @@
 //!   drains interleave with demand misses the order is timing-dependent
 //!   and the L2 level degrades to `Unknown`.
 //!
-//! Replay over a loop body is run iteration by iteration until the
-//! (replacement-normalised) cache state repeats, which proves the per-
-//! iteration outcome vector periodic: the classification then covers
-//! *every* future iteration, not just the replayed prefix. Each model
-//! stores its lines flat and remembers which sets it has touched, and
-//! the state fingerprint covers only those sets. That is exact: the
-//! model never invalidates, so a touched set keeps a valid line and can
-//! never return to the all-invalid untouched state, and two states have
-//! equal touched-set fingerprints exactly when every set agrees. A loop
-//! that touches a few dozen sets pays for those, not for every set of
-//! the IL1, the DL1 and the L2 partition. Programs that
-//! do not converge within the iteration cap — or that use random
-//! replacement, whose victim choice depends on the absolute access count —
-//! fall back to the classic worst-case envelope.
+//! Replay over a loop body is run iteration by iteration until the cache
+//! state at an iteration boundary repeats, which proves the per-iteration
+//! outcome vector periodic: the classification then covers *every* future
+//! iteration, not just the replayed prefix. The state is keyed exactly as
+//! the simulator's period skip keys it: [`Cache::rank_signature`] over the
+//! sets [`Cache::reachable_sets`] lists for the program's data addresses
+//! and fetch range. A set the program cannot reach is cold in every
+//! state, so the reachable-set signature repeats exactly when the
+//! all-sets signature does; a loop that reaches a few dozen sets pays for
+//! those, not for every set of the IL1, the DL1 and the L2 partition.
+//! Programs that do not converge within the iteration cap — or that use
+//! random replacement, whose victim choice depends on the absolute access
+//! count — fall back to the classic worst-case envelope, as do machines
+//! whose cache geometry does not validate (no cache is built for them).
 //!
 //! The result feeds two consumers: [`classified_profile`] tightens a
 //! [`CoreProfile`] with proven request counts and a proven request gap,
@@ -43,14 +47,14 @@
 //! profiles to compose two-level bounds without the saturating sum's
 //! everything-collides pessimism.
 
-use crate::profile::{local_latency, profile_program, CoreProfile, INSTR_BYTES};
-use rrb_sim::{CacheConfig, CoreId, Instr, Iterations, MachineConfig, Program, Replacement};
+use crate::profile::{local_latency, profile_program, CoreProfile};
+use rrb_sim::cache::Access;
+use rrb_sim::{
+    fetch_addr, Addr, Cache, CacheStats, CoreId, Instr, Iterations, MachineConfig, Program,
+    Replacement,
+};
+use std::ops::Range;
 
-/// Base of the per-core instruction-fetch address stream (mirrors the
-/// core model's private constant; pinned by the golden-kernel tests).
-const IFETCH_BASE: u64 = 0x8000_0000;
-/// Per-core stride of the instruction-fetch address stream.
-const IFETCH_STRIDE: u64 = 0x0400_0000;
 /// Iteration cap for cycle detection: a loop whose cache state has not
 /// repeated after this many iterations is classified `Unknown`.
 const MAX_REPLAY_ITERS: u64 = 64;
@@ -91,17 +95,6 @@ impl LevelClasses {
     }
 }
 
-/// Raw hit/miss totals of one model cache over the replayed iterations.
-/// For a fully replayed finite program these match the cycle-accurate
-/// simulator's counters exactly (the golden-kernel tests pin this).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Accesses that hit during the replay.
-    pub hits: u64,
-    /// Accesses that missed during the replay.
-    pub misses: u64,
-}
-
 /// The classified access stream of one program on one core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessClasses {
@@ -134,150 +127,15 @@ pub struct AccessClasses {
     /// Whether every iteration of a finite program was replayed (totals
     /// and replay stats are then exact, not periodic extrapolations).
     pub fully_replayed: bool,
-    /// Model IL1 totals over the replayed iterations.
-    pub il1_replay: ReplayStats,
-    /// Model DL1 totals over the replayed iterations.
-    pub dl1_replay: ReplayStats,
-    /// Model L2-partition totals over the replayed iterations (only
+    /// IL1 counters over the replayed iterations (one touch per fetch).
+    pub il1_replay: CacheStats,
+    /// DL1 counters over the replayed iterations. For a fully replayed
+    /// finite program they equal the simulator's DL1 counters.
+    pub dl1_replay: CacheStats,
+    /// L2-partition counters over the replayed iterations (only
     /// meaningful when the L2 replay order is sound — no buffered store
     /// drains interleaving with demand misses).
-    pub l2_replay: ReplayStats,
-}
-
-/// Replacement-normalised state of one cache (see
-/// [`ModelCache::fingerprint`]): one `(set, tag, valid, rank)` entry per
-/// way of every *touched* set, in set-index order. Untouched sets are
-/// left out; that is exact because a touched set never returns to the
-/// all-invalid untouched state (see [`ModelCache::fingerprint`]).
-type Fingerprint = Vec<(usize, u64, bool, usize)>;
-
-/// A tag-only cache that mirrors [`rrb_sim::Cache`]'s replacement
-/// behaviour exactly (LRU stamp refresh on hit, invalid-first victim
-/// selection, FIFO fill stamps, xorshift-over-access-count random).
-#[derive(Debug, Clone)]
-struct ModelCache {
-    line_bytes: u64,
-    sets: u64,
-    ways: usize,
-    /// Every line, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
-    lines: Vec<ModelLine>,
-    /// Indices of the sets accessed so far, ascending.
-    touched: Vec<usize>,
-    replacement: Replacement,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ModelLine {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-}
-
-impl ModelCache {
-    fn new(cfg: &CacheConfig) -> ModelCache {
-        let sets = cfg.sets();
-        let ways = cfg.ways as usize;
-        ModelCache {
-            line_bytes: cfg.line_bytes.max(1),
-            sets,
-            ways,
-            lines: vec![ModelLine { tag: 0, valid: false, stamp: 0 }; sets as usize * ways],
-            touched: Vec::new(),
-            replacement: cfg.replacement,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) % self.sets) as usize
-    }
-
-    fn tag(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets
-    }
-
-    fn set(&self, idx: usize) -> &[ModelLine] {
-        &self.lines[idx * self.ways..(idx + 1) * self.ways]
-    }
-
-    fn probe(&self, addr: u64) -> bool {
-        let tag = self.tag(addr);
-        self.set(self.set_index(addr)).iter().any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Mirrors `Cache::touch`: returns whether the access hit.
-    fn touch(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let tag = self.tag(addr);
-        let idx = self.set_index(addr);
-        let replacement = self.replacement;
-        let set = &mut self.lines[idx * self.ways..(idx + 1) * self.ways];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            if replacement == Replacement::Lru {
-                line.stamp = clock;
-            }
-            self.hits += 1;
-            return true;
-        }
-        if !set[0].valid {
-            // First access to this set: invalid-first selection fills way
-            // 0 below, and no line is ever invalidated, so the set stays
-            // touched from here on.
-            let pos = self.touched.binary_search(&idx).unwrap_or_else(|p| p);
-            self.touched.insert(pos, idx);
-        }
-        let victim = if let Some(pos) = set.iter().position(|l| !l.valid) {
-            pos
-        } else {
-            match replacement {
-                Replacement::Lru | Replacement::Fifo => {
-                    set.iter().enumerate().min_by_key(|(_, l)| l.stamp).map(|(i, _)| i).unwrap_or(0)
-                }
-                Replacement::Random => {
-                    let mut x = clock.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x % set.len() as u64) as usize
-                }
-            }
-        };
-        set[victim] = ModelLine { tag, valid: true, stamp: clock };
-        self.misses += 1;
-        false
-    }
-
-    /// Replacement-normalised state: tags, validity, and the *relative*
-    /// stamp order per set. Two caches with equal fingerprints behave
-    /// identically on any future access sequence under LRU/FIFO (victim
-    /// choice depends only on stamp order within a set), so a repeated
-    /// fingerprint at an iteration boundary proves the outcome vector
-    /// periodic. Random replacement keys off the absolute access count
-    /// and is excluded from cycle detection by the caller.
-    ///
-    /// Only touched sets are covered. That is exact, not a shortcut: an
-    /// untouched set is all-invalid with zero stamps in every state, and
-    /// since the model never invalidates, a touched set always holds a
-    /// valid line. So two states have equal touched-set fingerprints
-    /// exactly when their all-sets fingerprints are equal.
-    fn fingerprint(&self) -> Fingerprint {
-        let mut fp = Vec::with_capacity(self.touched.len() * self.ways);
-        for &idx in &self.touched {
-            let set = self.set(idx);
-            for (i, l) in set.iter().enumerate() {
-                let rank =
-                    set.iter().enumerate().filter(|&(j, m)| (m.stamp, j) < (l.stamp, i)).count();
-                fp.push((idx, l.tag, l.valid, rank));
-            }
-        }
-        fp
-    }
+    pub l2_replay: CacheStats,
 }
 
 /// One access site in the per-iteration stream.
@@ -291,7 +149,7 @@ enum SiteKind {
 #[derive(Debug, Clone, Copy)]
 struct Site {
     kind: SiteKind,
-    addr: u64,
+    addr: Addr,
     /// Body index of the instruction this access belongs to.
     body_index: usize,
 }
@@ -307,14 +165,9 @@ struct Outcome {
 
 /// The per-iteration access stream of `program` on `core`.
 fn sites(program: &Program, core: CoreId) -> Vec<Site> {
-    let ifetch_base = IFETCH_BASE + IFETCH_STRIDE * core.index() as u64;
     let mut out = Vec::new();
     for (i, instr) in program.body().iter().enumerate() {
-        out.push(Site {
-            kind: SiteKind::Ifetch,
-            addr: ifetch_base + INSTR_BYTES * i as u64,
-            body_index: i,
-        });
+        out.push(Site { kind: SiteKind::Ifetch, addr: fetch_addr(core, i), body_index: i });
         match instr {
             Instr::Load(addr) => {
                 out.push(Site { kind: SiteKind::Load, addr: *addr, body_index: i });
@@ -328,19 +181,29 @@ fn sites(program: &Program, core: CoreId) -> Vec<Site> {
     out
 }
 
+/// Touches `addr` in `cache` (filling the line on a miss, as the
+/// simulator does) and returns whether it hit.
+fn touch(cache: &mut Cache, addr: Addr) -> bool {
+    cache.touch(addr) == Access::Hit
+}
+
+/// Which sets of a cache the replay signs, given the program's data
+/// addresses and fetch range for that level.
+type SignedSets = fn(&Cache, &[Addr], Range<Addr>) -> Vec<usize>;
+
 /// Classifies every access of `program` on `core` against `cfg`'s cache
 /// hierarchy. See the module docs for the replay semantics.
 pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -> AccessClasses {
-    classify_with(program, cfg, core, ModelCache::fingerprint)
+    classify_with(program, cfg, core, Cache::reachable_sets)
 }
 
-/// [`classify_accesses`] with the state fingerprint used for cycle
-/// detection passed in, so tests can replay against a reference.
+/// [`classify_accesses`] with the signed sets of each level passed in, so
+/// tests can replay against a reference that signs every set.
 fn classify_with(
     program: &Program,
     cfg: &MachineConfig,
     core: CoreId,
-    fingerprint: impl Fn(&ModelCache) -> Fingerprint,
+    signed_sets: SignedSets,
 ) -> AccessClasses {
     let body = program.body();
     let stream = sites(program, core);
@@ -358,20 +221,29 @@ fn classify_with(
             iterations_replayed: 0,
             prefix_iterations: 0,
             fully_replayed: true,
-            il1_replay: ReplayStats::default(),
-            dl1_replay: ReplayStats::default(),
-            l2_replay: ReplayStats::default(),
+            il1_replay: CacheStats::default(),
+            dl1_replay: CacheStats::default(),
+            l2_replay: CacheStats::default(),
         };
     }
+    if cfg.validate_caches().is_err() {
+        return unproven(program, cfg, 0, [CacheStats::default(); 3]);
+    }
 
-    let mut il1 = ModelCache::new(&cfg.il1);
-    let mut dl1 = ModelCache::new(&cfg.dl1);
-    let mut l2 = ModelCache::new(&cfg.l2.partition(cfg.num_cores));
+    let data: Vec<Addr> =
+        stream.iter().filter(|s| s.kind != SiteKind::Ifetch).map(|s| s.addr).collect();
+    let fetch = fetch_addr(core, 0)..fetch_addr(core, body.len());
+    let mut il1 = Cache::new(cfg.il1);
+    let mut dl1 = Cache::new(cfg.dl1);
+    let mut l2 = Cache::new(cfg.l2.partition(cfg.num_cores));
+    let signed = [
+        signed_sets(&il1, &[], fetch.clone()),
+        signed_sets(&dl1, &data, 0..0),
+        signed_sets(&l2, &data, fetch),
+    ];
     // Random replacement keys off the absolute access counter, so a
     // repeated normalised state does not imply repeated behaviour.
-    let cyclable = il1.replacement != Replacement::Random
-        && dl1.replacement != Replacement::Random
-        && l2.replacement != Replacement::Random;
+    let cyclable = [&il1, &dl1, &l2].iter().all(|c| c.config().replacement != Replacement::Random);
 
     let target = match program.iterations() {
         Iterations::Finite(n) => n.min(MAX_REPLAY_ITERS),
@@ -380,7 +252,7 @@ fn classify_with(
     let fully_replayed = matches!(program.iterations(), Iterations::Finite(n) if n <= target);
 
     let mut outcomes: Vec<Vec<Outcome>> = Vec::new();
-    let mut fingerprints: Vec<(Fingerprint, Fingerprint, Fingerprint)> = Vec::new();
+    let mut signatures: Vec<Vec<u64>> = Vec::new();
     // `cycle = Some(j)` means the state after iteration `j` equals the
     // state after the last replayed iteration: iterations `j+1..` repeat.
     let mut cycle: Option<usize> = None;
@@ -391,13 +263,13 @@ fn classify_with(
         for site in &stream {
             let outcome = match site.kind {
                 SiteKind::Ifetch => {
-                    let hit = il1.touch(site.addr);
-                    let l2_out = if hit { None } else { Some(l2.touch(site.addr)) };
+                    let hit = touch(&mut il1, site.addr);
+                    let l2_out = if hit { None } else { Some(touch(&mut l2, site.addr)) };
                     Outcome { l1_hit: hit, l2: l2_out }
                 }
                 SiteKind::Load => {
-                    let hit = dl1.touch(site.addr);
-                    let l2_out = if hit { None } else { Some(l2.touch(site.addr)) };
+                    let hit = touch(&mut dl1, site.addr);
+                    let l2_out = if hit { None } else { Some(touch(&mut l2, site.addr)) };
                     Outcome { l1_hit: hit, l2: l2_out }
                 }
                 SiteKind::Store => {
@@ -407,7 +279,7 @@ fn classify_with(
                     if hit {
                         dl1.touch(site.addr);
                     }
-                    Outcome { l1_hit: hit, l2: Some(l2.touch(site.addr)) }
+                    Outcome { l1_hit: hit, l2: Some(touch(&mut l2, site.addr)) }
                 }
             };
             iter_outcomes.push(outcome);
@@ -415,46 +287,22 @@ fn classify_with(
         outcomes.push(iter_outcomes);
         replayed += 1;
         if cyclable && !fully_replayed {
-            let fp = (fingerprint(&il1), fingerprint(&dl1), fingerprint(&l2));
-            if let Some(j) = fingerprints.iter().position(|f| *f == fp) {
+            // Every signature has the first one's length.
+            let mut sig = Vec::with_capacity(signatures.first().map_or(0, Vec::len));
+            for (cache, sets) in [&il1, &dl1, &l2].into_iter().zip(&signed) {
+                cache.rank_signature(sets, &mut sig);
+            }
+            if let Some(j) = signatures.iter().position(|s| *s == sig) {
                 cycle = Some(j);
                 break;
             }
-            fingerprints.push(fp);
+            signatures.push(sig);
         }
     }
 
-    let converged = fully_replayed || cycle.is_some();
-    if !converged {
-        // Unconverged replay: every verdict is Unknown and the demand is
-        // the classic envelope (the caller falls back to
-        // `profile_program` for the counts).
-        let envelope = profile_program(program, cfg);
-        let loads = body.iter().filter(|i| matches!(i, Instr::Load(_))).count() as u64;
-        let stores = body.iter().filter(|i| matches!(i, Instr::Store(_))).count() as u64;
-        return AccessClasses {
-            il1: LevelClasses { unknown: body.len() as u64, ..LevelClasses::default() },
-            dl1: LevelClasses { unknown: loads, ..LevelClasses::default() },
-            l2: LevelClasses {
-                unknown: (body.len() as u64) + loads + stores,
-                ..LevelClasses::default()
-            },
-            steady_bus_per_iter: loads
-                .saturating_mul(2)
-                .saturating_add(stores)
-                .saturating_add((body.len() as u64).saturating_mul(2)),
-            steady_mc_per_iter: loads.saturating_add(body.len() as u64),
-            prefix_bus: 0,
-            prefix_mc: 0,
-            min_gap: envelope.min_gap,
-            converged: false,
-            iterations_replayed: replayed,
-            prefix_iterations: 0,
-            fully_replayed: false,
-            il1_replay: ReplayStats { hits: il1.hits, misses: il1.misses },
-            dl1_replay: ReplayStats { hits: dl1.hits, misses: dl1.misses },
-            l2_replay: ReplayStats { hits: l2.hits, misses: l2.misses },
-        };
+    let replay = [il1.stats(), dl1.stats(), l2.stats()];
+    if !fully_replayed && cycle.is_none() {
+        return unproven(program, cfg, replayed, replay);
     }
 
     // The steady window: the proven-periodic iterations (after the cycle
@@ -571,9 +419,47 @@ fn classify_with(
         iterations_replayed: replayed,
         prefix_iterations: steady_start as u64,
         fully_replayed,
-        il1_replay: ReplayStats { hits: il1.hits, misses: il1.misses },
-        dl1_replay: ReplayStats { hits: dl1.hits, misses: dl1.misses },
-        l2_replay: ReplayStats { hits: l2.hits, misses: l2.misses },
+        il1_replay: replay[0],
+        dl1_replay: replay[1],
+        l2_replay: replay[2],
+    }
+}
+
+/// The classes of a replay that proved nothing after `replayed`
+/// iterations: every verdict `Unknown` and the classic envelope's demand
+/// (callers fall back to `profile_program` for the counts). `replay` is
+/// the IL1, DL1 and L2-partition counters the replay reached.
+fn unproven(
+    program: &Program,
+    cfg: &MachineConfig,
+    replayed: u64,
+    replay: [CacheStats; 3],
+) -> AccessClasses {
+    let body = program.body();
+    let loads = body.iter().filter(|i| matches!(i, Instr::Load(_))).count() as u64;
+    let stores = body.iter().filter(|i| matches!(i, Instr::Store(_))).count() as u64;
+    AccessClasses {
+        il1: LevelClasses { unknown: body.len() as u64, ..LevelClasses::default() },
+        dl1: LevelClasses { unknown: loads, ..LevelClasses::default() },
+        l2: LevelClasses {
+            unknown: (body.len() as u64) + loads + stores,
+            ..LevelClasses::default()
+        },
+        steady_bus_per_iter: loads
+            .saturating_mul(2)
+            .saturating_add(stores)
+            .saturating_add((body.len() as u64).saturating_mul(2)),
+        steady_mc_per_iter: loads.saturating_add(body.len() as u64),
+        prefix_bus: 0,
+        prefix_mc: 0,
+        min_gap: profile_program(program, cfg).min_gap,
+        converged: false,
+        iterations_replayed: replayed,
+        prefix_iterations: 0,
+        fully_replayed: false,
+        il1_replay: replay[0],
+        dl1_replay: replay[1],
+        l2_replay: replay[2],
     }
 }
 
@@ -692,23 +578,10 @@ mod tests {
         MachineConfig::toy(4, 2)
     }
 
-    impl ModelCache {
-        /// The reference fingerprint: every set, touched or not, with
-        /// ranks from a full stamp sort.
-        fn dense_fingerprint(&self) -> Fingerprint {
-            let mut fp = Vec::with_capacity(self.lines.len());
-            for idx in 0..self.sets as usize {
-                let set = self.set(idx);
-                let mut order: Vec<usize> = (0..set.len()).collect();
-                order.sort_by_key(|&i| (set[i].stamp, i));
-                let mut rank = vec![0usize; set.len()];
-                for (r, &i) in order.iter().enumerate() {
-                    rank[i] = r;
-                }
-                fp.extend(set.iter().enumerate().map(|(i, l)| (idx, l.tag, l.valid, rank[i])));
-            }
-            fp
-        }
+    /// The reference signature: every set of every level, reachable or
+    /// not.
+    fn every_set(cache: &Cache, _: &[Addr], _: Range<Addr>) -> Vec<usize> {
+        (0..cache.config().sets() as usize).collect()
     }
 
     /// A random loop body of loads, stores, nops and branches over a few
@@ -739,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn touched_set_fingerprint_classifies_like_the_dense_reference() {
+    fn reachable_set_signature_classifies_like_the_dense_reference() {
         let mut rng = KernelRng::seed_from_u64(0x5e7_c0de);
         for case in 0..200 {
             let cores = rng.gen_range(1, 5) as usize;
@@ -756,29 +629,10 @@ mod tests {
             cfg.l2.replacement = replacement;
             let prog = random_program(&mut rng, &cfg);
             let core = CoreId::new(rng.gen_below(cores as u64) as usize);
-            let sparse = classify_accesses(&prog, &cfg, core);
-            let dense = classify_with(&prog, &cfg, core, ModelCache::dense_fingerprint);
-            assert_eq!(sparse, dense, "case {case}: {cores} cores, {replacement:?}, {prog:?}");
+            let reachable = classify_accesses(&prog, &cfg, core);
+            let dense = classify_with(&prog, &cfg, core, every_set);
+            assert_eq!(reachable, dense, "case {case}: {cores} cores, {replacement:?}, {prog:?}");
         }
-    }
-
-    #[test]
-    fn fingerprint_covers_only_touched_sets() {
-        // ngmp_ref on four cores: a 1-way, 2048-set L2 partition.
-        let cfg = MachineConfig::ngmp_ref().l2.partition(4);
-        assert_eq!((cfg.sets(), cfg.ways), (2048, 1));
-        let mut l2 = ModelCache::new(&cfg);
-        assert!(l2.fingerprint().is_empty());
-        let touched = [3u64, 17, 17, 2047, 3, 1000];
-        for set in touched {
-            l2.touch(set * cfg.line_bytes);
-        }
-        let k = 4; // sets 3, 17, 1000, 2047
-        let fp = l2.fingerprint();
-        assert_eq!(fp.len(), k * cfg.ways as usize);
-        let sets: Vec<usize> = fp.iter().map(|e| e.0).collect();
-        assert_eq!(sets, [3, 17, 1000, 2047], "set-index order");
-        assert_eq!(l2.dense_fingerprint().len(), 2048);
     }
 
     #[test]
@@ -813,31 +667,52 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_machine_dl1_stats_exactly_on_a_finite_load_loop() {
-        // The strongest pin: a fully replayed finite program's model DL1
-        // must agree with the cycle-accurate machine's DL1 counters.
-        let cfg = toy();
-        let stride = cfg.dl1.sets() * cfg.dl1.line_bytes;
-        let mut b = ProgramBuilder::new();
-        for i in 0..(cfg.dl1.ways as u64 + 1) {
-            b = b.load(i * stride); // same-set thrash, the rsk shape
-        }
-        let prog = b.branch().iterations(20).build();
-
-        let mut dl1 = ModelCache::new(&cfg.dl1);
-        for _ in 0..20 {
-            for instr in prog.body() {
-                if let Instr::Load(a) = instr {
-                    dl1.touch(*a);
-                }
+    fn replay_matches_machine_dl1_stats_exactly_on_random_finite_programs() {
+        // With one cache model only the access stream can drift from the
+        // machine: a fully replayed finite program's DL1 counters must
+        // equal the cycle-accurate machine's, stores or not.
+        let mut rng = KernelRng::seed_from_u64(0xd11_5ca7);
+        let replacements = [Replacement::Lru, Replacement::Fifo, Replacement::Random];
+        for case in 0..300 {
+            let cores = rng.gen_range(1, 5) as usize;
+            let mut cfg = if rng.gen_below(2) == 0 {
+                MachineConfig::toy(cores, 2)
+            } else {
+                MachineConfig::ngmp_ref()
+            };
+            cfg.num_cores = cores;
+            cfg.dl1.replacement = replacements[rng.gen_below(3) as usize];
+            let mut body = random_program(&mut rng, &cfg).body().to_vec();
+            if case % 2 == 0 {
+                body.retain(|i| !matches!(i, Instr::Store(_)));
+                body.push(Instr::Branch); // never empty
             }
-        }
+            let prog = Program::from_body(body, rng.gen_range(1, MAX_REPLAY_ITERS + 1));
+            let core = CoreId::new(rng.gen_below(cores as u64) as usize);
+            let c = classify_accesses(&prog, &cfg, core);
+            assert!(c.fully_replayed, "case {case}: {c:?}");
 
-        let mut m = Machine::new(cfg.clone()).expect("config");
-        m.load_program(CoreId::new(0), prog);
-        m.run().expect("run");
-        let stats = m.dl1_stats(CoreId::new(0));
-        assert_eq!((dl1.hits, dl1.misses), (stats.hits, stats.misses));
+            let mut m = Machine::new(cfg.clone()).expect("config");
+            m.load_program(core, prog.clone());
+            m.run().expect("run");
+            assert_eq!(c.dl1_replay, m.dl1_stats(core), "case {case}: {cfg:?}, {prog:?}");
+        }
+    }
+
+    #[test]
+    fn unbuildable_cache_geometry_is_not_replayed() {
+        // Five cores on five L2 ways leave a 52428-byte partition, which
+        // no cache can be built with: the replay proves nothing rather
+        // than build one.
+        let mut cfg = MachineConfig::ngmp_ref();
+        (cfg.num_cores, cfg.l2.ways) = (5, 5);
+        assert!(cfg.validate_caches().is_err());
+        let prog = ProgramBuilder::new().load(0x100).branch().endless().build();
+        let c = classify_accesses(&prog, &cfg, CoreId::new(0));
+        assert!(!c.converged);
+        assert_eq!(c.iterations_replayed, 0);
+        let p = classified_profile(&prog, &cfg, CoreId::new(0));
+        assert_eq!(p, profile_program(&prog, &cfg), "falls back to the envelope");
     }
 
     #[test]

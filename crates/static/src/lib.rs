@@ -75,7 +75,7 @@ pub mod verify;
 
 pub use bounds::{Bound, ResourceBound, StaticBound};
 pub use cache::{
-    classified_profile, classify_accesses, AccessClasses, Classification, LevelClasses, ReplayStats,
+    classified_profile, classify_accesses, AccessClasses, Classification, LevelClasses,
 };
 pub use flow::{compose_flow, ComposedBound, FlowTerm};
 pub use profile::{profile_program, steady_state_silent, CoreProfile};

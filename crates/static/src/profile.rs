@@ -16,7 +16,7 @@
 //! core-side cycles between consecutive requests), so that request-rate
 //! curves built from it over-count arrivals.
 
-use rrb_sim::{CoreId, Instr, Iterations, MachineConfig, Program};
+use rrb_sim::{fetch_addr, CoreId, Instr, Iterations, MachineConfig, Program};
 
 /// Static demand profile of one core's program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +77,13 @@ impl CoreProfile {
     }
 }
 
-/// Bytes per fetched instruction (mirrors the core model's fetch stream).
-pub(crate) const INSTR_BYTES: u64 = 4;
+/// IL1 lines of `line` bytes one pass over `body` fetches: the span of
+/// the core model's fetch stream ([`fetch_addr`]), whose per-core region
+/// starts line-aligned.
+fn body_lines(body: &[Instr], line: u64) -> u64 {
+    let core = CoreId::new(0);
+    (fetch_addr(core, body.len()) - fetch_addr(core, 0)).div_ceil(line)
+}
 
 /// Worst-case DRAM service time for one request behind the controller.
 fn dram_worst(cfg: &MachineConfig) -> u64 {
@@ -105,7 +110,7 @@ pub fn profile_program(program: &Program, cfg: &MachineConfig) -> CoreProfile {
     // at most once (cold misses only); otherwise every line may miss on
     // every iteration.
     let line = cfg.il1.line_bytes.max(1);
-    let body_lines = (body.len() as u64).saturating_mul(INSTR_BYTES).div_ceil(line);
+    let body_lines = body_lines(body, line);
     let il1_lines = cfg.il1.size_bytes / line;
     let body_fits_il1 = body_lines <= il1_lines;
 
@@ -162,8 +167,7 @@ pub fn steady_state_silent(program: &Program, cfg: &MachineConfig, core: CoreId)
         return false;
     }
     let line = cfg.il1.line_bytes.max(1);
-    let body_lines = (body.len() as u64).saturating_mul(INSTR_BYTES).div_ceil(line);
-    body_lines <= cfg.il1.size_bytes / line
+    body_lines(body, line) <= cfg.il1.size_bytes / line
 }
 
 /// Core-side latency an instruction burns before the next one can issue,
