@@ -38,6 +38,10 @@ pub enum CliError {
     Usage(String),
     /// A toolkit operation failed.
     Tool(Box<dyn Error>),
+    /// The command ran and produced its output (the report itself, or
+    /// the note that `--out` was written), but the report is a failure:
+    /// the output goes to stdout as on success, and the exit code is 1.
+    Failed(String),
 }
 
 impl fmt::Display for CliError {
@@ -49,6 +53,7 @@ impl fmt::Display for CliError {
             }
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Tool(e) => write!(f, "{e}"),
+            CliError::Failed(output) => write!(f, "{output}"),
         }
     }
 }
@@ -595,10 +600,11 @@ fn cmd_lint(parsed: &Parsed) -> Result<String, CliError> {
         "json" => ndjson(findings.iter().map(rrb::LintFinding::to_json)),
         _ => rrb::lint::render_findings(&findings),
     };
+    let output = write_or_return(parsed, rendered)?;
     if rrb::lint::has_errors(&findings) {
-        return Err(CliError::Tool(rendered.into()));
+        return Err(CliError::Failed(output));
     }
-    write_or_return(parsed, rendered)
+    Ok(output)
 }
 
 /// `rrb cache <stats|verify|gc|fingerprint>`: inspect and maintain the
@@ -745,7 +751,7 @@ commands:
             measured exceeds exact)
   lint      static semantic checks on an experiment file:
             rrb lint <spec.json> [--format text|json] [--out FILE]
-            (errors fail the command)
+            (errors exit 1 after writing the findings as usual)
   cache     inspect/maintain the persistent result store:
             rrb cache stats | verify | fingerprint [--cache-dir DIR]
             rrb cache gc [--max-age SECS] [--max-size BYTES]
@@ -1307,9 +1313,10 @@ mod tests {
         g.arbiters[0] = rrb_sim::ArbiterKind::Tdma { slot_cycles: 1 }; // slot < worst occupancy
         let file = TempFile::new("broken-spec.json");
         std::fs::write(&file.0, spec.to_text()).expect("write");
-        let e = run(&format!("lint {}", file.as_str())).expect_err("must fail");
-        let msg = e.to_string();
-        assert!(msg.contains("spec field `grid.cores`"), "{msg}");
+        let Err(CliError::Failed(msg)) = run(&format!("lint {}", file.as_str())) else {
+            panic!("lint must fail with its findings as output");
+        };
+        assert!(msg.starts_with("error: spec field `grid.cores`"), "{msg}");
         assert!(msg.contains("spec field `grid.arbiters[0]`"), "{msg}");
         assert!(msg.contains("starve"), "{msg}");
         // The same file is refused by analyze's spec loading? No — analyze
@@ -1325,11 +1332,23 @@ mod tests {
         spec.grid.as_mut().expect("grid spec").cores.clear();
         let file = TempFile::new("broken-json-spec.json");
         std::fs::write(&file.0, spec.to_text()).expect("write");
-        let e = run(&format!("lint {} --format json", file.as_str())).expect_err("must fail");
-        let msg = e.to_string();
-        assert!(msg.contains("\"severity\":\"error\""), "{msg}");
-        assert!(msg.contains("\"path\":\"grid.cores\""), "{msg}");
-        assert!(msg.trim().lines().all(|l| l.starts_with('{') && l.ends_with('}')), "{msg}");
+        let Err(CliError::Failed(msg)) = run(&format!("lint {} --format json", file.as_str()))
+        else {
+            panic!("lint must fail with its findings as output");
+        };
+        let lines: Vec<_> =
+            msg.lines().map(|l| rrb::Json::parse(l).expect("every line is JSON")).collect();
+        assert_eq!(lines[0].get("severity"), Some(&rrb::Json::str("error")), "{msg}");
+        assert_eq!(lines[0].get("path"), Some(&rrb::Json::str("grid.cores")), "{msg}");
+        // With --out the same lines go to the file, not to stdout.
+        let out = TempFile::new("broken-json-spec.ndjson");
+        let Err(CliError::Failed(note)) =
+            run(&format!("lint {} --format json --out {}", file.as_str(), out.as_str()))
+        else {
+            panic!("lint must fail with the --out note as output");
+        };
+        assert_eq!(std::fs::read_to_string(&out.0).expect("findings file"), msg);
+        assert_eq!(note, format!("wrote {} bytes to {}\n", msg.len(), out.as_str()));
         let e = run(&format!("lint {} --format yaml", file.as_str())).expect_err("must fail");
         assert!(e.to_string().contains("text, json"), "{e}");
     }

@@ -15,6 +15,10 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
+        Err(commands::CliError::Failed(output)) => {
+            print!("{output}");
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -202,8 +202,15 @@ impl CellPrograms {
     /// (joined over the endpoints — the count/makespan envelope is
     /// monotone in `k`), the other cores run endless resource-stressing
     /// kernels.
+    ///
+    /// A cell whose caches cannot be built gets no programs: the kernel
+    /// layouts need its L2 partition, and [`CellPrograms::bound`]
+    /// reports the cell invalid.
     pub(crate) fn grid(cell: &GridCell) -> Self {
         let cfg = &cell.cfg;
+        if cfg.validate_caches().is_err() {
+            return CellPrograms { name: cell.name.clone(), cfg: cfg.clone(), cores: Vec::new() };
+        }
         let scua = [0, cell.max_k]
             .map(|k| rsk_nop(cell.access, k, cfg, CoreId::new(0), cell.iterations))
             .to_vec();

@@ -140,9 +140,7 @@ pub use naive::{naive_rsk_vs_rsk, naive_scua_vs_rsk, NaiveEstimate, NaiveScenari
 pub use scenario::{
     Metric, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport, SweepScenario,
 };
-pub use spec::{
-    ExperimentSpec, GridSpec, MachineSpec, SpecError, WorkloadCase, WorkloadScenario, SPEC_VERSION,
-};
+pub use spec::{ExperimentSpec, GridSpec, SpecError, WorkloadCase, WorkloadScenario, SPEC_VERSION};
 pub use store::{
     sim_fingerprint, write_file_atomic, GcReport, ResultStore, StoreError, StoreLookup, StoreStats,
     VerifyReport, STORE_FORMAT_VERSION,

@@ -416,6 +416,103 @@ mod tests {
         ExperimentSpec::from_grid("toy", &grid)
     }
 
+    /// `[N]` indices replaced by `[]`, the form of
+    /// [`ExperimentSpec::field_paths`].
+    fn schema_form(path: &str) -> String {
+        let mut out = String::new();
+        let mut in_index = false;
+        for c in path.chars() {
+            match c {
+                '[' => (in_index, out) = (true, out + "[]"),
+                ']' => in_index = false,
+                _ if in_index => {}
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lint_names_only_schema_paths() {
+        use crate::spec::WorkloadCase;
+        fn grid(spec: &mut ExperimentSpec) -> &mut GridSpec {
+            spec.grid.as_mut().expect("grid")
+        }
+        fn mc(arbiter: ArbiterKind) -> Option<rrb_sim::McQueueConfig> {
+            Some(rrb_sim::McQueueConfig { service_occupancy: 2, arbiter })
+        }
+        const RSK: KernelSpec = KernelSpec::Rsk { access: AccessKind::Load };
+        const BAD: KernelSpec = KernelSpec::Capacity { access: AccessKind::Load, factor: 1 };
+        fn case(contenders: &[KernelSpec]) -> WorkloadCase {
+            WorkloadCase {
+                name: "w".into(),
+                scua: KernelSpec::RskNop { access: AccessKind::Load, nops: 0, iterations: 10 },
+                contenders: contenders.to_vec(),
+            }
+        }
+        let tdma1 = ArbiterKind::Tdma { slot_cycles: 1 };
+        let grr = |group_size| ArbiterKind::GroupedRoundRobin { group_size };
+        // One spec per lint check, each with the path it must report.
+        type Edit<'a> = &'a dyn Fn(&mut ExperimentSpec);
+        let table: &[(&str, Edit)] = &[
+            ("name", &|s| s.name = " ".into()),
+            ("machine.num_cores", &|s| (s.grid, s.machine) = (None, MachineConfig::toy(1, 2))),
+            ("machine.topology.bus.arbiter", &|s| s.machine.topology.bus.arbiter = tdma1),
+            ("machine.topology.mc.arbiter", &|s| s.machine.topology.mc = mc(tdma1)),
+            ("machine.topology", &|s| s.machine.topology.mc = mc(ArbiterKind::Fifo)),
+            ("grid.arbiters", &|s| grid(s).arbiters.clear()),
+            ("grid.cores", &|s| grid(s).cores.clear()),
+            ("grid.accesses", &|s| grid(s).accesses.clear()),
+            ("grid.contender_accesses", &|s| grid(s).contender_accesses.clear()),
+            ("grid.iterations", &|s| grid(s).iterations.clear()),
+            ("grid.cores[]", &|s| grid(s).cores = vec![0]),
+            ("grid.cores[]", &|s| grid(s).cores = vec![1]),
+            ("grid.cores[]", &|s| {
+                s.machine = MachineConfig::ngmp_ref();
+                grid(s).cores = vec![5];
+            }),
+            ("grid.arbiters[]", &|s| grid(s).arbiters = vec![tdma1]),
+            ("grid.arbiters[]", &|s| grid(s).arbiters = vec![grr(0)]),
+            ("grid.arbiters[]", &|s| grid(s).arbiters = vec![grr(4)]),
+            ("grid.iterations[]", &|s| grid(s).iterations = vec![0]),
+            ("grid.max_k", &|s| grid(s).max_k = 3),
+            ("grid.methodology.calibration_iterations", &|s| {
+                grid(s).methodology.calibration_iterations = 0;
+            }),
+            ("grid.methodology.min_bus_utilization", &|s| {
+                grid(s).methodology.min_bus_utilization = 0.0;
+            }),
+            ("grid.methodology.tolerance", &|s| grid(s).methodology.tolerance = 99),
+            ("workloads[].name", &|s| {
+                s.workloads = vec![WorkloadCase { name: "".into(), ..case(&[RSK; 3]) }]
+            }),
+            ("workloads[].name", &|s| s.workloads = vec![case(&[RSK; 3]), case(&[RSK; 3])]),
+            ("workloads[].scua", &|s| {
+                s.workloads = vec![WorkloadCase { scua: RSK, ..case(&[RSK; 3]) }]
+            }),
+            ("workloads[].scua", &|s| {
+                s.workloads = vec![WorkloadCase { scua: BAD, ..case(&[RSK; 3]) }]
+            }),
+            ("workloads[].contenders", &|s| s.workloads = vec![case(&[RSK; 4])]),
+            ("workloads[].contenders", &|s| s.workloads = vec![case(&[RSK])]),
+            ("workloads[].contenders[]", &|s| {
+                s.workloads = vec![case(&[KernelSpec::Nop { iterations: 10 }])];
+            }),
+            ("workloads[].contenders[]", &|s| s.workloads = vec![case(&[RSK, RSK, BAD])]),
+        ];
+        let schema = ExperimentSpec::field_paths();
+        for (expected, edit) in table {
+            let mut spec = clean_spec();
+            edit(&mut spec);
+            let findings = lint_spec(&spec);
+            let paths: Vec<_> = findings.iter().map(|f| schema_form(&f.path)).collect();
+            assert!(paths.iter().any(|p| p == expected), "{expected} not reported: {findings:?}");
+            for path in &paths {
+                assert!(schema.contains(path), "`{path}` is not a schema path: {schema:?}");
+            }
+        }
+    }
+
     #[test]
     fn clean_spec_has_no_errors() {
         let findings = lint_spec(&clean_spec());

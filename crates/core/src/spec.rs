@@ -6,7 +6,8 @@
 //! An `ExperimentSpec` makes the whole experiment a value:
 //!
 //! * a **machine** section mirroring [`MachineConfig`] field by field,
-//!   topology included ([`MachineSpec`]);
+//!   topology included, so an experiment carries its platform instead
+//!   of naming a preset that may change meaning between versions;
 //! * an optional **grid** section, a [`GridSpec`]: the scenario kind
 //!   and sweep axes, declared once and shared with [`CampaignGrid`]
 //!   (which pairs them with a base machine). Cells expand straight from
@@ -19,9 +20,18 @@
 //! `ExperimentSpec → Json → text → ExperimentSpec` is the identity, and
 //! rendering is deterministic, so a spec file is a stable artifact —
 //! [`ExperimentSpec::spec_hash`] digests the canonical rendering into
-//! the cache key for campaign-level reuse. Parsing is strict: unknown
-//! or duplicate keys are rejected with a field path, so a typo in an
+//! the cache key for campaign-level reuse. Parsing is strict: unknown,
+//! duplicate or missing keys are rejected with a dotted field path
+//! (`machine.dl1.ways`, `workloads[0].scua.kind`), so a typo in an
 //! analyst's file is an error, not a silently ignored knob.
+//!
+//! Each key is declared once. Every config struct has one field table
+//! (`spec_fields!`: its keys in file order) and [`KernelSpec`] one
+//! table of `kind` tags (`kernel_kinds!`); the crate-private `Schema`
+//! trait generated from them renders a value, reads it back strictly
+//! and lists its paths ([`ExperimentSpec::field_paths`]), so the writer,
+//! the parser and the path names `rrb lint` reports cannot drift apart.
+//! The one absent-key default is `machine.period_skip = true`.
 //!
 //! ```
 //! use rrb::spec::ExperimentSpec;
@@ -116,14 +126,155 @@ impl From<JsonParseError> for SpecError {
 }
 
 // ---------------------------------------------------------------------
-// Strict object cursor
+// The schema: one field table per type
 // ---------------------------------------------------------------------
 
+/// One type's part of the spec schema: how a value renders, how it
+/// reads back strictly, and which field paths lie below it. The leaf
+/// types, the canonical tokens, `Option` (`null` is `None`) and `Vec`
+/// implement it by hand; every config struct and [`KernelSpec`] get it
+/// from their field tables below, so each key is declared once.
+pub(crate) trait Schema: Sized {
+    /// The value as JSON (deterministic key order).
+    fn render(&self) -> Json;
+
+    /// Reads a value back, naming `path` in errors.
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError>;
+
+    /// Appends every field path below `path`, with `[]` for an index.
+    fn paths(_path: &str, _out: &mut Vec<String>) {}
+}
+
+/// The path of `key` inside the object at `path` (the root path is
+/// empty, so top-level keys carry no leading dot).
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+fn get_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, SpecError> {
+    v.as_str().ok_or_else(|| SpecError::field(path, "expected a string"))
+}
+
+impl Schema for u64 {
+    fn render(&self) -> Json {
+        Json::U64(*self)
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        v.as_u64().ok_or_else(|| SpecError::field(path, "expected an unsigned integer"))
+    }
+}
+
+/// Unsigned integers narrower than the JSON `u64` class.
+macro_rules! narrow_unsigned {
+    ($($ty:ty: $overflow:literal),*) => {$(
+        impl Schema for $ty {
+            fn render(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+
+            fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+                <$ty>::try_from(u64::read(v, path)?)
+                    .map_err(|_| SpecError::field(path, $overflow))
+            }
+        }
+    )*};
+}
+
+narrow_unsigned!(u32: "value does not fit in 32 bits", usize: "value does not fit in usize");
+
+impl Schema for f64 {
+    fn render(&self) -> Json {
+        Json::F64(*self)
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        v.as_f64().ok_or_else(|| SpecError::field(path, "expected a number"))
+    }
+}
+
+impl Schema for bool {
+    fn render(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        v.as_bool().ok_or_else(|| SpecError::field(path, "expected true or false"))
+    }
+}
+
+impl Schema for String {
+    fn render(&self) -> Json {
+        Json::str(self.clone())
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        get_str(v, path).map(str::to_string)
+    }
+}
+
+/// Canonical-token types: written as their `Display` form and read
+/// through their own `FromStr`, echoing its error message.
+macro_rules! token_schema {
+    ($($ty:ty),*) => {$(
+        impl Schema for $ty {
+            fn render(&self) -> Json {
+                Json::str(self.to_string())
+            }
+
+            fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+                get_str(v, path)?
+                    .parse()
+                    .map_err(|e: <$ty as FromStr>::Err| SpecError::field(path, e.to_string()))
+            }
+        }
+    )*};
+}
+
+token_schema!(ArbiterKind, AccessKind, AutobenchKernel, Replacement, GridScenario);
+
+impl<T: Schema> Schema for Option<T> {
+    fn render(&self) -> Json {
+        Json::option(self.as_ref(), T::render)
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::read(v, path).map(Some)
+        }
+    }
+
+    fn paths(path: &str, out: &mut Vec<String>) {
+        T::paths(path, out);
+    }
+}
+
+impl<T: Schema> Schema for Vec<T> {
+    fn render(&self) -> Json {
+        Json::Arr(self.iter().map(T::render).collect())
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        let items = v.as_array().ok_or_else(|| SpecError::field(path, "expected an array"))?;
+        items.iter().enumerate().map(|(i, x)| T::read(x, &format!("{path}[{i}]"))).collect()
+    }
+
+    fn paths(path: &str, out: &mut Vec<String>) {
+        let item = format!("{path}[]");
+        out.push(item.clone());
+        T::paths(&item, out);
+    }
+}
+
 /// A strict reader over one JSON object: every schema field must be
-/// taken exactly once, and leftover keys are an error. This is what
-/// keeps the shipped schema and the parser from drifting apart — a
-/// field added to the writer but not the reader (or vice versa) fails
-/// the round-trip test immediately.
+/// taken exactly once, and leftover keys are an error, so a typo in an
+/// analyst's file is an error, not a silently ignored knob.
 struct Fields<'a> {
     path: &'a str,
     pairs: &'a [(String, Json)],
@@ -137,450 +288,147 @@ impl<'a> Fields<'a> {
         Ok(Fields { path, pairs, taken: vec![false; pairs.len()] })
     }
 
-    fn take(&mut self, key: &str) -> Result<&'a Json, SpecError> {
-        for (i, (k, v)) in self.pairs.iter().enumerate() {
-            if k == key {
+    /// Reads `key`; an absent key takes `default`, or is an error
+    /// without one.
+    fn take<T: Schema>(&mut self, key: &str, default: Option<T>) -> Result<T, SpecError> {
+        let path = join(self.path, key);
+        match self.pairs.iter().position(|(k, _)| k == key) {
+            Some(i) => {
                 self.taken[i] = true;
-                return Ok(v);
+                T::read(&self.pairs[i].1, &path)
             }
+            None => default.ok_or_else(|| SpecError::field(path, "missing required field")),
         }
-        Err(SpecError::field(format!("{}.{key}", self.path), "missing required field"))
-    }
-
-    /// Like [`Fields::take`], but absent keys read as `None` — for
-    /// fields added to the schema after specs were already in the wild.
-    fn take_opt(&mut self, key: &str) -> Option<&'a Json> {
-        for (i, (k, v)) in self.pairs.iter().enumerate() {
-            if k == key {
-                self.taken[i] = true;
-                return Some(v);
-            }
-        }
-        None
     }
 
     fn finish(self) -> Result<(), SpecError> {
-        for (i, (k, _)) in self.pairs.iter().enumerate() {
-            if !self.taken[i] {
-                return Err(SpecError::field(
-                    format!("{}.{k}", self.path),
-                    "unknown field (not part of the spec schema)",
-                ));
+        match self.pairs.iter().zip(&self.taken).find(|(_, &taken)| !taken) {
+            Some(((k, _), _)) => Err(SpecError::field(
+                join(self.path, k),
+                "unknown field (not part of the spec schema)",
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Lists the path of `key` and every path below it; `_field` only
+/// names the field's type.
+fn list_field<S, T: Schema>(path: &str, key: &str, _field: fn(&S) -> &T, out: &mut Vec<String>) {
+    let path = join(path, key);
+    out.push(path.clone());
+    T::paths(&path, out);
+}
+
+/// Declares a struct's field table: its keys in file order, each
+/// written and read through the field type's [`Schema`]. `key = value`
+/// gives an absent key that value; a leading `[key: T]` is a key with
+/// no struct field, rendered and checked by the unit type `T`.
+macro_rules! spec_fields {
+    ($ty:ident $([$($pin:ident: $pty:ident),*])? {
+        $($key:ident $(= $default:expr)?),* $(,)?
+    }) => {
+        impl Schema for $ty {
+            fn render(&self) -> Json {
+                Json::obj(vec![
+                    $($((stringify!($pin), $pty.render()),)*)?
+                    $((stringify!($key), self.$key.render()),)*
+                ])
+            }
+
+            fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+                let mut f = Fields::new(v, path)?;
+                $($(f.take::<$pty>(stringify!($pin), None)?;)*)?
+                let value = $ty {
+                    $($key: f.take(stringify!($key), None $(.or(Some($default)))?)?,)*
+                };
+                f.finish()?;
+                Ok(value)
+            }
+
+            fn paths(path: &str, out: &mut Vec<String>) {
+                $($(out.push(join(path, stringify!($pin)));)*)?
+                $(list_field(path, stringify!($key), |s: &$ty| &s.$key, out);)*
             }
         }
-        Ok(())
-    }
-}
-
-fn get_u64(v: &Json, path: &str) -> Result<u64, SpecError> {
-    v.as_u64().ok_or_else(|| SpecError::field(path, "expected an unsigned integer"))
-}
-
-fn get_u32(v: &Json, path: &str) -> Result<u32, SpecError> {
-    u32::try_from(get_u64(v, path)?)
-        .map_err(|_| SpecError::field(path, "value does not fit in 32 bits"))
-}
-
-fn get_usize(v: &Json, path: &str) -> Result<usize, SpecError> {
-    usize::try_from(get_u64(v, path)?)
-        .map_err(|_| SpecError::field(path, "value does not fit in usize"))
-}
-
-fn get_f64(v: &Json, path: &str) -> Result<f64, SpecError> {
-    v.as_f64().ok_or_else(|| SpecError::field(path, "expected a number"))
-}
-
-fn get_bool(v: &Json, path: &str) -> Result<bool, SpecError> {
-    v.as_bool().ok_or_else(|| SpecError::field(path, "expected true or false"))
-}
-
-fn get_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, SpecError> {
-    v.as_str().ok_or_else(|| SpecError::field(path, "expected a string"))
-}
-
-/// Parses a canonical-token field (`arbiter`, `access`, `scenario`, …)
-/// through the type's own `FromStr`, echoing its error message.
-fn get_token<T>(v: &Json, path: &str) -> Result<T, SpecError>
-where
-    T: FromStr,
-    T::Err: fmt::Display,
-{
-    get_str(v, path)?.parse().map_err(|e: T::Err| SpecError::field(path, e.to_string()))
-}
-
-fn get_array<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], SpecError> {
-    v.as_array().ok_or_else(|| SpecError::field(path, "expected an array"))
-}
-
-/// Parses an array field item by item with `item`, naming `path[i]` in
-/// errors.
-fn get_list<T>(
-    v: &Json,
-    path: &str,
-    item: impl Fn(&Json, &str) -> Result<T, SpecError>,
-) -> Result<Vec<T>, SpecError> {
-    get_array(v, path)?.iter().enumerate().map(|(i, x)| item(x, &format!("{path}[{i}]"))).collect()
-}
-
-/// Renders canonical tokens (the `Display` form `get_token` parses).
-fn tokens<T: fmt::Display>(xs: &[T]) -> Json {
-    Json::Arr(xs.iter().map(|x| Json::str(x.to_string())).collect())
-}
-
-// ---------------------------------------------------------------------
-// MachineSpec: MachineConfig ⇄ Json
-// ---------------------------------------------------------------------
-
-/// The machine section of an experiment file: a [`MachineConfig`]
-/// mirrored field by field into JSON, topology included. The mapping is
-/// total in both directions — every config is expressible, and parsing
-/// an emitted spec reconstructs the config exactly — so experiments
-/// carry their platform with them instead of referencing presets that
-/// may change meaning between versions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineSpec(pub MachineConfig);
-
-impl MachineSpec {
-    /// The machine as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let cfg = &self.0;
-        Json::obj(vec![
-            ("num_cores", Json::U64(cfg.num_cores as u64)),
-            ("dl1", cache_to_json(&cfg.dl1)),
-            ("il1", cache_to_json(&cfg.il1)),
-            ("l2", l2_to_json(&cfg.l2)),
-            ("topology", topology_to_json(&cfg.topology)),
-            ("dram", dram_to_json(&cfg.dram)),
-            (
-                "store_buffer",
-                Json::obj(vec![("entries", Json::U64(cfg.store_buffer.entries as u64))]),
-            ),
-            ("nop_latency", Json::U64(cfg.nop_latency)),
-            ("branch_latency", Json::U64(cfg.branch_latency)),
-            ("max_cycles", Json::U64(cfg.max_cycles)),
-            ("record_requests", Json::Bool(cfg.record_requests)),
-            ("record_trace", Json::Bool(cfg.record_trace)),
-            ("quiescence_skip", Json::Bool(cfg.quiescence_skip)),
-            ("period_skip", Json::Bool(cfg.period_skip)),
-        ])
-    }
-
-    /// Reconstructs the machine from its JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Field`] naming the offending field path.
-    pub fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let mut f = Fields::new(v, path)?;
-        let cfg = MachineConfig {
-            num_cores: get_usize(f.take("num_cores")?, &format!("{path}.num_cores"))?,
-            dl1: cache_from_json(f.take("dl1")?, &format!("{path}.dl1"))?,
-            il1: cache_from_json(f.take("il1")?, &format!("{path}.il1"))?,
-            l2: l2_from_json(f.take("l2")?, &format!("{path}.l2"))?,
-            topology: topology_from_json(f.take("topology")?, &format!("{path}.topology"))?,
-            dram: dram_from_json(f.take("dram")?, &format!("{path}.dram"))?,
-            store_buffer: {
-                let sb_path = format!("{path}.store_buffer");
-                let mut sb = Fields::new(f.take("store_buffer")?, &sb_path)?;
-                let entries = get_usize(sb.take("entries")?, &format!("{sb_path}.entries"))?;
-                sb.finish()?;
-                StoreBufferConfig { entries }
-            },
-            nop_latency: get_u64(f.take("nop_latency")?, &format!("{path}.nop_latency"))?,
-            branch_latency: get_u64(f.take("branch_latency")?, &format!("{path}.branch_latency"))?,
-            max_cycles: get_u64(f.take("max_cycles")?, &format!("{path}.max_cycles"))?,
-            record_requests: get_bool(
-                f.take("record_requests")?,
-                &format!("{path}.record_requests"),
-            )?,
-            record_trace: get_bool(f.take("record_trace")?, &format!("{path}.record_trace"))?,
-            quiescence_skip: get_bool(
-                f.take("quiescence_skip")?,
-                &format!("{path}.quiescence_skip"),
-            )?,
-            // Added after specs were already in the wild: absent reads
-            // as `true`, the preset default, so older files keep their
-            // (now faster, still cycle-identical) meaning.
-            period_skip: match f.take_opt("period_skip") {
-                Some(v) => get_bool(v, &format!("{path}.period_skip"))?,
-                None => true,
-            },
-        };
-        f.finish()?;
-        Ok(MachineSpec(cfg))
-    }
-}
-
-fn cache_to_json(c: &CacheConfig) -> Json {
-    Json::obj(vec![
-        ("size_bytes", Json::U64(c.size_bytes)),
-        ("ways", Json::U64(u64::from(c.ways))),
-        ("line_bytes", Json::U64(c.line_bytes)),
-        ("latency", Json::U64(c.latency)),
-        ("replacement", Json::str(c.replacement.to_string())),
-    ])
-}
-
-fn cache_from_json(v: &Json, path: &str) -> Result<CacheConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let c = CacheConfig {
-        size_bytes: get_u64(f.take("size_bytes")?, &format!("{path}.size_bytes"))?,
-        ways: get_u32(f.take("ways")?, &format!("{path}.ways"))?,
-        line_bytes: get_u64(f.take("line_bytes")?, &format!("{path}.line_bytes"))?,
-        latency: get_u64(f.take("latency")?, &format!("{path}.latency"))?,
-        replacement: get_token::<Replacement>(
-            f.take("replacement")?,
-            &format!("{path}.replacement"),
-        )?,
     };
-    f.finish()?;
-    Ok(c)
 }
 
-fn l2_to_json(l2: &L2Config) -> Json {
-    Json::obj(vec![
-        ("size_bytes", Json::U64(l2.size_bytes)),
-        ("ways", Json::U64(u64::from(l2.ways))),
-        ("line_bytes", Json::U64(l2.line_bytes)),
-        ("replacement", Json::str(l2.replacement.to_string())),
-    ])
-}
+/// Declares [`KernelSpec`]'s table: each variant's `kind` tag and its
+/// keys in file order.
+macro_rules! kernel_kinds {
+    ($($variant:ident $tag:literal { $($key:ident),* }),* $(,)?) => {
+        impl Schema for KernelSpec {
+            fn render(&self) -> Json {
+                match *self {
+                    $(KernelSpec::$variant { $($key),* } => Json::obj(vec![
+                        ("kind", Json::str($tag)),
+                        $((stringify!($key), $key.render()),)*
+                    ]),)*
+                }
+            }
 
-fn l2_from_json(v: &Json, path: &str) -> Result<L2Config, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let l2 = L2Config {
-        size_bytes: get_u64(f.take("size_bytes")?, &format!("{path}.size_bytes"))?,
-        ways: get_u32(f.take("ways")?, &format!("{path}.ways"))?,
-        line_bytes: get_u64(f.take("line_bytes")?, &format!("{path}.line_bytes"))?,
-        replacement: get_token::<Replacement>(
-            f.take("replacement")?,
-            &format!("{path}.replacement"),
-        )?,
-    };
-    f.finish()?;
-    Ok(l2)
-}
+            fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+                let mut f = Fields::new(v, path)?;
+                let kind: String = f.take("kind", None)?;
+                let kernel = match kind.as_str() {
+                    $($tag => KernelSpec::$variant { $($key: f.take(stringify!($key), None)?),* },)*
+                    other => {
+                        return Err(SpecError::field(
+                            join(path, "kind"),
+                            format!(
+                                "unknown kernel kind `{other}` (expected one of: {})",
+                                [$($tag),*].join(", ")
+                            ),
+                        ))
+                    }
+                };
+                f.finish()?;
+                Ok(kernel)
+            }
 
-fn topology_to_json(t: &Topology) -> Json {
-    Json::obj(vec![
-        (
-            "bus",
-            Json::obj(vec![
-                ("l2_hit_occupancy", Json::U64(t.bus.l2_hit_occupancy)),
-                ("transfer_occupancy", Json::U64(t.bus.transfer_occupancy)),
-                ("store_occupancy", Json::U64(t.bus.store_occupancy)),
-                ("arbiter", Json::str(t.bus.arbiter.to_string())),
-            ]),
-        ),
-        (
-            "mc",
-            Json::option(t.mc, |mc| {
-                Json::obj(vec![
-                    ("service_occupancy", Json::U64(mc.service_occupancy)),
-                    ("arbiter", Json::str(mc.arbiter.to_string())),
-                ])
-            }),
-        ),
-    ])
-}
-
-fn topology_from_json(v: &Json, path: &str) -> Result<Topology, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let bus_path = format!("{path}.bus");
-    let mut b = Fields::new(f.take("bus")?, &bus_path)?;
-    let bus = BusConfig {
-        l2_hit_occupancy: get_u64(
-            b.take("l2_hit_occupancy")?,
-            &format!("{bus_path}.l2_hit_occupancy"),
-        )?,
-        transfer_occupancy: get_u64(
-            b.take("transfer_occupancy")?,
-            &format!("{bus_path}.transfer_occupancy"),
-        )?,
-        store_occupancy: get_u64(
-            b.take("store_occupancy")?,
-            &format!("{bus_path}.store_occupancy"),
-        )?,
-        arbiter: get_token::<ArbiterKind>(b.take("arbiter")?, &format!("{bus_path}.arbiter"))?,
-    };
-    b.finish()?;
-    let mc_value = f.take("mc")?;
-    let mc = if mc_value.is_null() {
-        None
-    } else {
-        let mc_path = format!("{path}.mc");
-        let mut m = Fields::new(mc_value, &mc_path)?;
-        let mc = McQueueConfig {
-            service_occupancy: get_u64(
-                m.take("service_occupancy")?,
-                &format!("{mc_path}.service_occupancy"),
-            )?,
-            arbiter: get_token::<ArbiterKind>(m.take("arbiter")?, &format!("{mc_path}.arbiter"))?,
-        };
-        m.finish()?;
-        Some(mc)
-    };
-    f.finish()?;
-    Ok(Topology { bus, mc })
-}
-
-fn dram_to_json(d: &DramConfig) -> Json {
-    Json::obj(vec![
-        ("banks", Json::U64(u64::from(d.banks))),
-        ("row_bytes", Json::U64(d.row_bytes)),
-        ("t_rcd", Json::U64(d.t_rcd)),
-        ("t_rp", Json::U64(d.t_rp)),
-        ("t_cl", Json::U64(d.t_cl)),
-        ("burst", Json::U64(d.burst)),
-        ("controller_overhead", Json::U64(d.controller_overhead)),
-    ])
-}
-
-fn dram_from_json(v: &Json, path: &str) -> Result<DramConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let d = DramConfig {
-        banks: get_u32(f.take("banks")?, &format!("{path}.banks"))?,
-        row_bytes: get_u64(f.take("row_bytes")?, &format!("{path}.row_bytes"))?,
-        t_rcd: get_u64(f.take("t_rcd")?, &format!("{path}.t_rcd"))?,
-        t_rp: get_u64(f.take("t_rp")?, &format!("{path}.t_rp"))?,
-        t_cl: get_u64(f.take("t_cl")?, &format!("{path}.t_cl"))?,
-        burst: get_u64(f.take("burst")?, &format!("{path}.burst"))?,
-        controller_overhead: get_u64(
-            f.take("controller_overhead")?,
-            &format!("{path}.controller_overhead"),
-        )?,
-    };
-    f.finish()?;
-    Ok(d)
-}
-
-// ---------------------------------------------------------------------
-// KernelSpec ⇄ Json
-// ---------------------------------------------------------------------
-
-fn kernel_to_json(k: &KernelSpec) -> Json {
-    let mut pairs = vec![("kind", Json::str(k.kind()))];
-    match *k {
-        KernelSpec::Rsk { access } => pairs.push(("access", Json::str(access.to_string()))),
-        KernelSpec::RskNop { access, nops, iterations } => {
-            pairs.push(("access", Json::str(access.to_string())));
-            pairs.push(("nops", Json::U64(nops)));
-            pairs.push(("iterations", Json::U64(iterations)));
-        }
-        KernelSpec::Nop { iterations } => pairs.push(("iterations", Json::U64(iterations))),
-        KernelSpec::Eembc { kernel, seed, iterations } => {
-            pairs.push(("kernel", Json::str(kernel.to_string())));
-            pairs.push(("seed", Json::U64(seed)));
-            pairs.push(("iterations", Json::option(iterations, Json::U64)));
-        }
-        KernelSpec::PointerChase { lines, seed } => {
-            pairs.push(("lines", Json::U64(lines)));
-            pairs.push(("seed", Json::U64(seed)));
-        }
-        KernelSpec::Mixed { iterations } => {
-            pairs.push(("iterations", Json::option(iterations, Json::U64)));
-        }
-        KernelSpec::Capacity { access, factor } => {
-            pairs.push(("access", Json::str(access.to_string())));
-            pairs.push(("factor", Json::U64(factor)));
-        }
-        KernelSpec::L2Miss => {}
-    }
-    Json::obj(pairs)
-}
-
-fn opt_u64(v: &Json, path: &str) -> Result<Option<u64>, SpecError> {
-    if v.is_null() {
-        Ok(None)
-    } else {
-        get_u64(v, path).map(Some)
-    }
-}
-
-fn kernel_from_json(v: &Json, path: &str) -> Result<KernelSpec, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let kind = get_str(f.take("kind")?, &format!("{path}.kind"))?.to_string();
-    let k = match kind.as_str() {
-        "rsk" => KernelSpec::Rsk {
-            access: get_token::<AccessKind>(f.take("access")?, &format!("{path}.access"))?,
-        },
-        "rsk-nop" => KernelSpec::RskNop {
-            access: get_token::<AccessKind>(f.take("access")?, &format!("{path}.access"))?,
-            nops: get_u64(f.take("nops")?, &format!("{path}.nops"))?,
-            iterations: get_u64(f.take("iterations")?, &format!("{path}.iterations"))?,
-        },
-        "nop" => KernelSpec::Nop {
-            iterations: get_u64(f.take("iterations")?, &format!("{path}.iterations"))?,
-        },
-        "eembc" => KernelSpec::Eembc {
-            kernel: get_token::<AutobenchKernel>(f.take("kernel")?, &format!("{path}.kernel"))?,
-            seed: get_u64(f.take("seed")?, &format!("{path}.seed"))?,
-            iterations: opt_u64(f.take("iterations")?, &format!("{path}.iterations"))?,
-        },
-        "pointer-chase" => KernelSpec::PointerChase {
-            lines: get_u64(f.take("lines")?, &format!("{path}.lines"))?,
-            seed: get_u64(f.take("seed")?, &format!("{path}.seed"))?,
-        },
-        "mixed" => KernelSpec::Mixed {
-            iterations: opt_u64(f.take("iterations")?, &format!("{path}.iterations"))?,
-        },
-        "capacity" => KernelSpec::Capacity {
-            access: get_token::<AccessKind>(f.take("access")?, &format!("{path}.access"))?,
-            factor: get_u64(f.take("factor")?, &format!("{path}.factor"))?,
-        },
-        "l2-miss" => KernelSpec::L2Miss,
-        other => {
-            return Err(SpecError::field(
-                format!("{path}.kind"),
-                format!(
-                    "unknown kernel kind `{other}` (expected one of: rsk, rsk-nop, nop, \
-                     eembc, pointer-chase, mixed, capacity, l2-miss)"
-                ),
-            ))
+            /// Each key once, though several variants share it.
+            fn paths(path: &str, out: &mut Vec<String>) {
+                for key in ["kind", $($(stringify!($key),)*)*] {
+                    let key = join(path, key);
+                    if !out.contains(&key) {
+                        out.push(key);
+                    }
+                }
+            }
         }
     };
-    f.finish()?;
-    Ok(k)
 }
 
-// ---------------------------------------------------------------------
-// Methodology ⇄ Json
-// ---------------------------------------------------------------------
+spec_fields! { MachineConfig {
+    num_cores, dl1, il1, l2, topology, dram, store_buffer, nop_latency, branch_latency,
+    max_cycles, record_requests, record_trace, quiescence_skip,
+    // Added after specs were already in the wild: absent reads as `true`,
+    // the preset default, so older files keep their (now faster, still
+    // cycle-identical) meaning.
+    period_skip = true,
+} }
+spec_fields! { CacheConfig { size_bytes, ways, line_bytes, latency, replacement } }
+spec_fields! { L2Config { size_bytes, ways, line_bytes, replacement } }
+spec_fields! { Topology { bus, mc } }
+spec_fields! { BusConfig { l2_hit_occupancy, transfer_occupancy, store_occupancy, arbiter } }
+spec_fields! { McQueueConfig { service_occupancy, arbiter } }
+spec_fields! { DramConfig { banks, row_bytes, t_rcd, t_rp, t_cl, burst, controller_overhead } }
+spec_fields! { StoreBufferConfig { entries } }
+spec_fields! { MethodologyConfig {
+    access, contender_access, max_k, iterations, calibration_iterations, tolerance,
+    min_bus_utilization,
+} }
 
-fn methodology_to_json(m: &MethodologyConfig) -> Json {
-    Json::obj(vec![
-        ("access", Json::str(m.access.to_string())),
-        ("contender_access", Json::str(m.contender_access.to_string())),
-        ("max_k", Json::U64(m.max_k as u64)),
-        ("iterations", Json::U64(m.iterations)),
-        ("calibration_iterations", Json::U64(m.calibration_iterations)),
-        ("tolerance", Json::U64(m.tolerance)),
-        ("min_bus_utilization", Json::F64(m.min_bus_utilization)),
-    ])
-}
-
-fn methodology_from_json(v: &Json, path: &str) -> Result<MethodologyConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let m = MethodologyConfig {
-        access: get_token::<AccessKind>(f.take("access")?, &format!("{path}.access"))?,
-        contender_access: get_token::<AccessKind>(
-            f.take("contender_access")?,
-            &format!("{path}.contender_access"),
-        )?,
-        max_k: get_usize(f.take("max_k")?, &format!("{path}.max_k"))?,
-        iterations: get_u64(f.take("iterations")?, &format!("{path}.iterations"))?,
-        calibration_iterations: get_u64(
-            f.take("calibration_iterations")?,
-            &format!("{path}.calibration_iterations"),
-        )?,
-        tolerance: get_u64(f.take("tolerance")?, &format!("{path}.tolerance"))?,
-        min_bus_utilization: get_f64(
-            f.take("min_bus_utilization")?,
-            &format!("{path}.min_bus_utilization"),
-        )?,
-    };
-    f.finish()?;
-    Ok(m)
+kernel_kinds! {
+    Rsk "rsk" { access },
+    RskNop "rsk-nop" { access, nops, iterations },
+    Nop "nop" { iterations },
+    Eembc "eembc" { kernel, seed, iterations },
+    PointerChase "pointer-chase" { lines, seed },
+    Mixed "mixed" { iterations },
+    Capacity "capacity" { access, factor },
+    L2Miss "l2-miss" {},
 }
 
 // ---------------------------------------------------------------------
@@ -614,43 +462,9 @@ pub struct GridSpec {
     pub methodology: MethodologyConfig,
 }
 
-impl GridSpec {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("scenario", Json::str(self.scenario.to_string())),
-            ("arbiters", tokens(&self.arbiters)),
-            ("cores", Json::Arr(self.cores.iter().map(|&c| Json::U64(c as u64)).collect())),
-            ("accesses", tokens(&self.accesses)),
-            ("contender_accesses", tokens(&self.contender_accesses)),
-            ("iterations", Json::u64_array(&self.iterations)),
-            ("max_k", Json::U64(self.max_k as u64)),
-            ("methodology", methodology_to_json(&self.methodology)),
-        ])
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let mut f = Fields::new(v, path)?;
-        let g = GridSpec {
-            scenario: get_token::<GridScenario>(f.take("scenario")?, &format!("{path}.scenario"))?,
-            arbiters: get_list(f.take("arbiters")?, &format!("{path}.arbiters"), get_token)?,
-            cores: get_list(f.take("cores")?, &format!("{path}.cores"), get_usize)?,
-            accesses: get_list(f.take("accesses")?, &format!("{path}.accesses"), get_token)?,
-            contender_accesses: get_list(
-                f.take("contender_accesses")?,
-                &format!("{path}.contender_accesses"),
-                get_token,
-            )?,
-            iterations: get_list(f.take("iterations")?, &format!("{path}.iterations"), get_u64)?,
-            max_k: get_usize(f.take("max_k")?, &format!("{path}.max_k"))?,
-            methodology: methodology_from_json(
-                f.take("methodology")?,
-                &format!("{path}.methodology"),
-            )?,
-        };
-        f.finish()?;
-        Ok(g)
-    }
-}
+spec_fields! { GridSpec {
+    scenario, arbiters, cores, accesses, contender_accesses, iterations, max_k, methodology,
+} }
 
 /// One explicit workload case: a finite scua kernel observed against
 /// declarative contender kernels on the spec's machine.
@@ -694,33 +508,9 @@ impl WorkloadCase {
         }
         Ok(())
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name.clone())),
-            ("scua", kernel_to_json(&self.scua)),
-            ("contenders", Json::Arr(self.contenders.iter().map(kernel_to_json).collect())),
-        ])
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let mut f = Fields::new(v, path)?;
-        let c = WorkloadCase {
-            name: get_str(f.take("name")?, &format!("{path}.name"))?.to_string(),
-            scua: kernel_from_json(f.take("scua")?, &format!("{path}.scua"))?,
-            contenders: {
-                let arr_path = format!("{path}.contenders");
-                get_array(f.take("contenders")?, &arr_path)?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| kernel_from_json(item, &format!("{arr_path}[{i}]")))
-                    .collect::<Result<Vec<_>, _>>()?
-            },
-        };
-        f.finish()?;
-        Ok(c)
-    }
 }
+
+spec_fields! { WorkloadCase { name, scua, contenders } }
 
 // ---------------------------------------------------------------------
 // WorkloadScenario
@@ -884,13 +674,7 @@ impl ExperimentSpec {
 
     /// The spec as a JSON value (deterministic key order).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("version", Json::U64(SPEC_VERSION)),
-            ("name", Json::str(self.name.clone())),
-            ("machine", MachineSpec(self.machine.clone()).to_json()),
-            ("grid", Json::option(self.grid.as_ref(), GridSpec::to_json)),
-            ("workloads", Json::Arr(self.workloads.iter().map(WorkloadCase::to_json).collect())),
-        ])
+        self.render()
     }
 
     /// The spec as pretty-printed JSON text — the on-disk file format.
@@ -905,35 +689,16 @@ impl ExperimentSpec {
     ///
     /// Returns [`SpecError::Field`] naming the offending field path.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let mut f = Fields::new(v, "")?;
-        let version = get_u64(f.take("version")?, ".version")?;
-        if version != SPEC_VERSION {
-            return Err(SpecError::field(
-                ".version",
-                format!("unsupported spec version {version} (this build reads {SPEC_VERSION})"),
-            ));
-        }
-        let spec = ExperimentSpec {
-            name: get_str(f.take("name")?, ".name")?.to_string(),
-            machine: MachineSpec::from_json(f.take("machine")?, ".machine")?.0,
-            grid: {
-                let grid_value = f.take("grid")?;
-                if grid_value.is_null() {
-                    None
-                } else {
-                    Some(GridSpec::from_json(grid_value, ".grid")?)
-                }
-            },
-            workloads: {
-                let arr = get_array(f.take("workloads")?, ".workloads")?;
-                arr.iter()
-                    .enumerate()
-                    .map(|(i, item)| WorkloadCase::from_json(item, &format!(".workloads[{i}]")))
-                    .collect::<Result<Vec<_>, _>>()?
-            },
-        };
-        f.finish()?;
-        Ok(spec)
+        Self::read(v, "")
+    }
+
+    /// Every dotted field path of the schema, parents before children,
+    /// with `[]` for any array index (`workloads[].contenders[].kind`).
+    /// Error and lint paths are these with the indices filled in.
+    pub fn field_paths() -> Vec<String> {
+        let mut out = Vec::new();
+        Self::paths("", &mut out);
+        out
     }
 
     /// Parses a spec from JSON text (the inverse of
@@ -974,6 +739,27 @@ impl ExperimentSpec {
         fnv1a_64(self.to_json().render_compact().as_bytes())
     }
 }
+
+/// The `version` key: renders [`SPEC_VERSION`] and reads only that.
+struct Version;
+
+impl Schema for Version {
+    fn render(&self) -> Json {
+        Json::U64(SPEC_VERSION)
+    }
+
+    fn read(v: &Json, path: &str) -> Result<Self, SpecError> {
+        match u64::read(v, path)? {
+            SPEC_VERSION => Ok(Version),
+            version => Err(SpecError::field(
+                path,
+                format!("unsupported spec version {version} (this build reads {SPEC_VERSION})"),
+            )),
+        }
+    }
+}
+
+spec_fields! { ExperimentSpec [version: Version] { name, machine, grid, workloads } }
 
 #[cfg(test)]
 mod tests {
@@ -1018,9 +804,8 @@ mod tests {
             MachineConfig::ngmp_two_level(),
             MachineConfig::toy(3, 5),
         ] {
-            let json = MachineSpec(cfg.clone()).to_json();
-            let back = MachineSpec::from_json(&json, "machine").expect("round trip");
-            assert_eq!(back.0, cfg);
+            let back = MachineConfig::read(&cfg.render(), "machine").expect("round trip");
+            assert_eq!(back, cfg);
         }
     }
 
@@ -1101,22 +886,115 @@ mod tests {
         assert!(!result.reports[0].is_ok());
     }
 
+    /// The spec's JSON with the object at `keys` (array items by their
+    /// index) edited by `edit`.
+    fn edited(keys: &[&str], edit: impl FnOnce(&mut Vec<(String, Json)>)) -> String {
+        let mut doc = toy_spec().to_json();
+        let mut node = &mut doc;
+        for key in keys {
+            node = match node {
+                Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect("key").1,
+                Json::Arr(items) => &mut items[key.parse::<usize>().expect("index")],
+                _ => panic!("no container at {key}"),
+            };
+        }
+        let Json::Obj(pairs) = node else { panic!("not an object") };
+        edit(pairs);
+        doc.render_pretty()
+    }
+
+    fn set(key: &'static str, value: Json) -> impl FnOnce(&mut Vec<(String, Json)>) {
+        move |pairs| pairs.iter_mut().find(|(k, _)| k == key).expect("key").1 = value
+    }
+
+    fn remove(key: &'static str) -> impl FnOnce(&mut Vec<(String, Json)>) {
+        move |pairs| pairs.retain(|(k, _)| k != key)
+    }
+
     #[test]
     fn unknown_and_missing_fields_are_named_errors() {
-        let spec = toy_spec();
-        let text = spec.to_text();
-        let e = ExperimentSpec::parse(&text.replace("\"num_cores\"", "\"num_crores\""))
-            .expect_err("must fail");
-        let msg = e.to_string();
-        assert!(msg.contains("machine.num_c"), "{msg}");
-        let e = ExperimentSpec::parse(&text.replace("\"version\": 1", "\"version\": 9"))
-            .expect_err("must fail");
-        assert!(e.to_string().contains("unsupported spec version 9"), "{e}");
-        let e = ExperimentSpec::parse(&text.replace("\"arbiter\": \"rr\"", "\"arbiter\": \"xx\""))
-            .expect_err("must fail");
-        assert!(e.to_string().contains("tdma:<slot>"), "{e}");
+        let cases = [
+            (
+                edited(&["machine", "dl1"], remove("ways")),
+                "machine.dl1.ways: missing required field",
+            ),
+            (edited(&[], remove("name")), "name: missing required field"),
+            (
+                edited(&["machine", "dl1"], set("ways", Json::str("x"))),
+                "machine.dl1.ways: expected an unsigned integer",
+            ),
+            (
+                edited(&["machine", "dram"], set("banks", Json::U64(1 << 32))),
+                "machine.dram.banks: value does not fit in 32 bits",
+            ),
+            (
+                edited(&["machine", "topology", "bus"], |p| p.push(("zz".into(), Json::Null))),
+                "machine.topology.bus.zz: unknown field (not part of the spec schema)",
+            ),
+            (
+                edited(&[], |p| p.push(("zz".into(), Json::Null))),
+                "zz: unknown field (not part of the spec schema)",
+            ),
+            (
+                edited(&["workloads", "0", "contenders", "1"], set("kind", Json::str("spin"))),
+                "workloads[0].contenders[1].kind: unknown kernel kind `spin` (expected one of: \
+                 rsk, rsk-nop, nop, eembc, pointer-chase, mixed, capacity, l2-miss)",
+            ),
+            (
+                edited(&["machine", "topology", "bus"], set("arbiter", Json::str("xx"))),
+                "machine.topology.bus.arbiter: unknown arbiter `xx` (expected one of: rr, fp, \
+                 fifo, tdma:<slot>, grr:<group>)",
+            ),
+            (
+                edited(&["grid"], set("cores", Json::Arr(vec![Json::U64(2), Json::I64(-1)]))),
+                "grid.cores[1]: expected an unsigned integer",
+            ),
+            (
+                edited(&[], set("version", Json::U64(9))),
+                "version: unsupported spec version 9 (this build reads 1)",
+            ),
+        ];
+        for (text, expected) in cases {
+            let e = ExperimentSpec::parse(&text).expect_err(expected);
+            let (path, problem) = expected.split_once(": ").expect("path: problem");
+            assert_eq!(e, SpecError::field(path, problem));
+            assert_eq!(e.to_string(), format!("spec field `{path}`: {problem}"));
+        }
         let e = ExperimentSpec::parse("{ not json").expect_err("must fail");
         assert!(matches!(e, SpecError::Parse(_)));
+        // The one absent-key default: `period_skip` reads `true`.
+        let back = ExperimentSpec::parse(&edited(&["machine"], remove("period_skip")))
+            .expect("period_skip may be absent");
+        assert!(back.machine.period_skip);
+        assert_eq!(back, toy_spec());
+    }
+
+    #[test]
+    fn field_paths_list_every_key_once() {
+        let paths = ExperimentSpec::field_paths();
+        let mut unique = paths.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), paths.len(), "{paths:?}");
+        assert_eq!(paths[..4], ["version", "name", "machine", "machine.num_cores"]);
+        for path in [
+            "machine.dl1.ways",
+            "machine.topology.mc.arbiter",
+            "machine.period_skip",
+            "grid.cores[]",
+            "grid.methodology.min_bus_utilization",
+            "workloads[].name",
+            "workloads[].scua.kind",
+            "workloads[].contenders[].iterations",
+        ] {
+            assert!(paths.iter().any(|p| p == path), "{path} missing from {paths:?}");
+        }
+        let kernel_keys: Vec<_> =
+            paths.iter().filter_map(|p| p.strip_prefix("workloads[].scua.")).collect();
+        assert_eq!(
+            kernel_keys,
+            ["kind", "access", "nops", "iterations", "kernel", "seed", "lines", "factor"]
+        );
     }
 
     #[test]

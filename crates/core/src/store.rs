@@ -50,7 +50,7 @@
 
 use crate::campaign::{RunMeasurement, RunSpec};
 use crate::json::{fnv1a_64, Json};
-use crate::spec::MachineSpec;
+use crate::spec::Schema;
 use rrb_analysis::Histogram;
 use rrb_kernels::{rsk, rsk_nop, AccessKind};
 use rrb_sim::{BusOpKind, CoreId, Instr, Machine, MachineConfig, Program, TraceEvent};
@@ -711,12 +711,12 @@ fn decode_payload_json(bytes: &[u8], fingerprint: u64, spec_hash: u64) -> Result
 // ---------------------------------------------------------------------
 
 /// Appends the canonical, label-free encoding of a spec: the machine as
-/// its compact [`MachineSpec`] JSON text (a lossless mapping), then every
-/// program as tagged instruction records. Injective by construction, so
-/// byte equality of two encodings is structural equality of the
-/// measurement-relevant spec.
+/// the compact JSON text of a spec file's machine section (a lossless
+/// mapping), then every program as tagged instruction records. Injective
+/// by construction, so byte equality of two encodings is structural
+/// equality of the measurement-relevant spec.
 fn encode_spec(spec: &RunSpec, out: &mut Vec<u8>) {
-    put_bytes(out, MachineSpec(spec.cfg.clone()).to_json().render_compact().as_bytes());
+    put_bytes(out, spec.cfg.render().render_compact().as_bytes());
     encode_program(&spec.scua, out);
     put_varint(out, spec.contenders.len() as u64);
     for p in &spec.contenders {
@@ -1038,7 +1038,7 @@ mod tests {
             // and the measurement.
             let payload = decode_payload_json(&bytes, 0xfeed, spec.spec_hash()).expect("payload");
             let spec_json = payload.get("spec").expect("spec");
-            assert_eq!(spec_json.get("machine"), Some(&MachineSpec(spec.cfg.clone()).to_json()));
+            assert_eq!(spec_json.get("machine"), Some(&spec.cfg.render()));
             assert_eq!(spec_json.get("scua"), Some(&program_to_json(&spec.scua)));
             let contenders: Vec<Json> = spec.contenders.iter().map(program_to_json).collect();
             assert_eq!(spec_json.get("contenders"), Some(&Json::Arr(contenders)));

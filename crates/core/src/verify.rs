@@ -560,5 +560,19 @@ mod tests {
         let text = render_verified(&verified);
         assert!(text.contains(error), "{text}");
         assert!(text.contains("2 cells: 1 exact, 0 unbounded, 0 UNSOUND, 1 invalid ("), "{text}");
+
+        // A zero-core cell has no L2 partition to lay kernels out in.
+        let grid = grid.cores(vec![0, 2]);
+        let spec = ExperimentSpec::from_grid("ngmp", &grid);
+        let verified = verify_spec(&spec, &VerifyOptions::default());
+        let rows = crate::analyze::analyze_spec(&spec);
+        assert_eq!(rows, verified.iter().map(|v| v.statics.clone()).collect::<Vec<_>>());
+        let error = "invalid machine: configuration parameter `num_cores` must be non-zero";
+        assert_eq!(verified[0].statics.invalid.as_deref(), Some(error));
+        assert_eq!(verified[0].exact_total(), None);
+        assert_eq!(verified[0].explored(), 0);
+        assert_eq!(verified[1].statics.invalid, None);
+        assert!(crate::analyze::render_rows(&rows).contains(error));
+        assert!(render_verified(&verified).contains(error));
     }
 }

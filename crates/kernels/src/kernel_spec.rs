@@ -9,7 +9,9 @@
 //! (conflict sets, partition bases) while the spec is not. This is what
 //! makes experiments serialisable: an experiment file stores
 //! `KernelSpec`s, and the same spec builds the right program for every
-//! machine and core in a campaign grid.
+//! machine and core in a campaign grid. The file form of each variant (a
+//! `kind` tag such as `rsk-nop` plus the variant's fields) is declared
+//! once, in the kernel table of the `rrb` crate's `spec` module.
 //!
 //! ```
 //! use rrb_sim::{CoreId, MachineConfig};
@@ -200,22 +202,6 @@ impl KernelSpec {
             KernelSpec::Eembc { iterations, .. } | KernelSpec::Mixed { iterations } => {
                 iterations.is_some()
             }
-        }
-    }
-
-    /// The stable family tag (`rsk`, `rsk-nop`, `nop`, `eembc`,
-    /// `pointer-chase`, `mixed`, `capacity`, `l2-miss`) used by the
-    /// experiment-file schema and display labels.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            KernelSpec::Rsk { .. } => "rsk",
-            KernelSpec::RskNop { .. } => "rsk-nop",
-            KernelSpec::Nop { .. } => "nop",
-            KernelSpec::Eembc { .. } => "eembc",
-            KernelSpec::PointerChase { .. } => "pointer-chase",
-            KernelSpec::Mixed { .. } => "mixed",
-            KernelSpec::Capacity { .. } => "capacity",
-            KernelSpec::L2Miss => "l2-miss",
         }
     }
 }

@@ -485,7 +485,8 @@ fn contender_family(
 
 /// Computes the exact worst-case per-request delay for the observed core
 /// (core 0) at every arbitrated resource of `cfg`, given one demand
-/// profile per core (missing trailing cores are treated as idle).
+/// profile per core (missing trailing cores are treated as idle). A
+/// machine without cores has no observed core, so nothing is delayed.
 ///
 /// Contenders whose profile can request at a resource are modelled as
 /// saturating streams — the §3 measurement setup and the adversarial
@@ -516,7 +517,7 @@ pub fn exact_bounds(
                 pruned: 0,
                 reason: None,
             };
-            if !can_request(&padded[0], model.kind) {
+            if !padded.first().is_some_and(|scua| can_request(scua, model.kind)) {
                 row.exact = Some(0);
                 row.reason = Some(format!(
                     "observed core posts no {} requests; nothing to delay",
