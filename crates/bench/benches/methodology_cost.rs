@@ -2,6 +2,7 @@
 //! derivation costs, per platform size — serial vs campaign-parallel
 //! (std-only harness; `harness = false`).
 
+use rrb::campaign::clamped_jobs;
 use rrb::methodology::{derive_ubd, derive_ubd_repeated, MethodologyConfig};
 use rrb_bench::bench;
 use rrb_sim::MachineConfig;
@@ -19,7 +20,7 @@ fn main() {
 
     let cfg = MachineConfig::toy(4, 2);
     let mcfg = MethodologyConfig::fast();
-    let jobs = rrb_bench::default_jobs();
+    let jobs = clamped_jobs(None).0;
     bench("derive_ubd_repeated/3x_serial", 1, 5, || {
         std::hint::black_box(derive_ubd_repeated(&cfg, &mcfg, 3, 1).expect("runs"));
     });

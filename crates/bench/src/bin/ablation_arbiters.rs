@@ -12,6 +12,7 @@
 //! cargo run --release -p rrb-bench --bin ablation_arbiters
 //! ```
 
+use rrb::campaign::clamped_jobs;
 use rrb::spec::ExperimentSpec;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
         spec.name,
         spec.spec_hash()
     );
-    let result = spec.to_campaign(rrb_bench::default_jobs()).run();
+    let result = spec.to_campaign(clamped_jobs(None).0).run();
     print!("{}", result.render_text());
     println!(
         "\nexpected: only round-robin yields ubd_m = 6; every other policy is refused\n\

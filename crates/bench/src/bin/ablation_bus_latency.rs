@@ -8,13 +8,13 @@
 //! cargo run --release -p rrb-bench --bin ablation_bus_latency
 //! ```
 
-use rrb::campaign::Campaign;
+use rrb::campaign::{clamped_jobs, Campaign};
 use rrb::methodology::{MethodologyConfig, UbdScenario};
 use rrb_sim::MachineConfig;
 
 fn main() {
     println!("Nc = 4; sweeping the bus occupancy l_bus\n");
-    let mut builder = Campaign::builder().jobs(rrb_bench::default_jobs());
+    let mut builder = Campaign::builder().jobs(clamped_jobs(None).0);
     for l_bus in [2u64, 5, 9, 12] {
         let cfg = MachineConfig::toy(4, l_bus);
         let mut mcfg = MethodologyConfig::fast();

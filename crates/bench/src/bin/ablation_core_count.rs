@@ -8,7 +8,7 @@
 //! cargo run --release -p rrb-bench --bin ablation_core_count
 //! ```
 
-use rrb::campaign::Campaign;
+use rrb::campaign::{clamped_jobs, Campaign};
 use rrb::methodology::{MethodologyConfig, UbdScenario};
 use rrb_kernels::AccessKind;
 use rrb_sim::MachineConfig;
@@ -17,7 +17,7 @@ const L_BUS: u64 = 3;
 
 fn main() {
     println!("l_bus = {L_BUS}; sweeping core count\n");
-    let mut builder = Campaign::builder().jobs(rrb_bench::default_jobs());
+    let mut builder = Campaign::builder().jobs(clamped_jobs(None).0);
     for nc in 2..=4usize {
         let cfg = MachineConfig::toy(nc, L_BUS);
         let mut mcfg = MethodologyConfig::fast();

@@ -9,14 +9,14 @@
 //! cargo run --release -p rrb-bench --bin ablation_slow_nop
 //! ```
 
-use rrb::campaign::Campaign;
+use rrb::campaign::{clamped_jobs, Campaign};
 use rrb::methodology::{MethodologyConfig, UbdScenario};
 use rrb::scenario::MetricValue;
 use rrb_sim::MachineConfig;
 
 fn main() {
     println!("NGMP ref (true ubd = 27); sweeping the nop latency\n");
-    let mut builder = Campaign::builder().jobs(rrb_bench::default_jobs());
+    let mut builder = Campaign::builder().jobs(clamped_jobs(None).0);
     for nop_latency in [1u64, 2, 3] {
         let mut cfg = MachineConfig::ngmp_ref();
         cfg.nop_latency = nop_latency;

@@ -38,7 +38,7 @@
 //! ```
 
 use rrb::analyze::{tightness_ratio, CellStaticBound};
-use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
+use rrb::campaign::{clamped_jobs, Campaign, CampaignGrid, GridScenario};
 use rrb::json::Json;
 use rrb::statics::VerifyOptions;
 use rrb::verify::{replay_cell_witnesses, verify_grid};
@@ -75,7 +75,7 @@ fn main() {
             .iterations(vec![80])
             .max_k(16);
         let verified = verify_grid(&grid, &VerifyOptions::default());
-        let result = Campaign::builder().grid(&grid).jobs(rrb_bench::default_jobs()).build().run();
+        let result = Campaign::builder().grid(&grid).jobs(clamped_jobs(None).0).build().run();
         // One report per grid cell, in the grid's enumeration order.
         for (report, exact) in result.reports.iter().zip(&verified) {
             let cell = &exact.statics;

@@ -90,7 +90,7 @@ fn main() {
         ("cache_hits", Json::U64(serial.stats.cache_hits as u64)),
         ("serial_seconds", Json::F64(serial_s)),
         ("parallel_jobs", Json::U64(parallel_jobs as u64)),
-        ("available_parallelism", Json::U64(rrb_bench::default_jobs() as u64)),
+        ("available_parallelism", Json::U64(clamped_jobs(None).0 as u64)),
         ("runs_per_second_serial", Json::F64(runs_per_second_serial)),
         ("byte_identical_output", Json::Bool(byte_identical)),
         ("all_cells_correct", Json::Bool(all_derived)),

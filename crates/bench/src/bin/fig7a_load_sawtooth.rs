@@ -15,7 +15,7 @@
 //! the period, unlike the naive estimate, is robust to the platform's
 //! injection time.
 
-use rrb::campaign::Campaign;
+use rrb::campaign::{clamped_jobs, Campaign};
 use rrb::report::render_sawtooth;
 use rrb::scenario::{MetricValue, SweepScenario};
 use rrb_analysis::sawtooth::{peak_positions, peak_spacing};
@@ -28,7 +28,7 @@ fn main() {
     let result = Campaign::builder()
         .scenario(SweepScenario::new(MachineConfig::ngmp_ref(), MAX_K, ITERATIONS).named("ref"))
         .scenario(SweepScenario::new(MachineConfig::ngmp_var(), MAX_K, ITERATIONS).named("var"))
-        .jobs(rrb_bench::default_jobs())
+        .jobs(clamped_jobs(None).0)
         .build()
         .run();
 

@@ -7,9 +7,3 @@ pub mod gate;
 pub mod harness;
 
 pub use harness::{bench, BenchResult};
-
-/// The worker-thread count the figure regenerators hand to the campaign
-/// runner: every available core.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}

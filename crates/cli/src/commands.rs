@@ -680,7 +680,6 @@ fn cmd_serve(parsed: &Parsed) -> Result<String, CliError> {
     let config = rrb_serve::ServeConfig {
         addr: parsed.get("addr").unwrap_or("127.0.0.1:7077").to_string(),
         workers: parsed.get_u64("workers", 0)? as usize,
-        ..rrb_serve::ServeConfig::default()
     };
     let server = rrb_serve::Server::bind(config, store).map_err(tool)?;
     rrb_serve::trap_termination_signals();

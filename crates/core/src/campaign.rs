@@ -636,8 +636,8 @@ impl Campaign {
     /// workload) pairs — shared isolated baselines in particular —
     /// appear once in [`CampaignPlan::unique_specs`].
     ///
-    /// An external scheduler (the `rrb-serve` worker pool, a remote
-    /// queue) can execute the unique specs in any order and at any pace;
+    /// An external scheduler (the `rrb-serve` daemon's long-lived
+    /// [`WorkerPool`](crate::executor::WorkerPool), a remote queue) can execute the unique specs in any order and at any pace;
     /// [`CampaignPlan::walk`] then reassembles the whole-campaign output
     /// in plan order — the one reassembly path, which
     /// [`CampaignPlan::finish`] runs too.
@@ -830,11 +830,15 @@ fn scatter(
 ) -> impl Iterator<Item = (&RunSpec, RunOutcome)> {
     let specs = planned.runs.as_deref().unwrap_or(&[]);
     specs.iter().zip(&planned.indices).map(move |(spec, &idx)| {
-        let result = result(idx).unwrap_or_else(|| {
-            Err(RunError::Analysis(String::from("scheduler delivered no result for this run")))
-        });
+        let result = result(idx).unwrap_or_else(|| Err(undelivered()));
         (spec, RunOutcome { label: spec.label.clone(), result })
     })
+}
+
+/// The error of a run its scheduler never reported back (no path
+/// reaches it in normal operation).
+pub(crate) fn undelivered() -> RunError {
+    RunError::Analysis(String::from("scheduler delivered no result for this run"))
 }
 
 /// Clamps a requested worker count to the machine's available

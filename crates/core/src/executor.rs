@@ -5,7 +5,7 @@
 //! workload — and every run reaches the simulator the same way:
 //! [`Scenario::plan`](crate::scenario::Scenario::plan) (or a
 //! [`Campaign`](crate::campaign::Campaign) plan, which deduplicates
-//! across scenarios) → [`Executor`] (worker threads and an optional
+//! across scenarios) → [`Executor`] (a [`WorkerPool`] and an optional
 //! store) → one [`MachineArena`] per worker:
 //!
 //! ```
@@ -35,6 +35,25 @@
 //! runs reuse one warm machine per worker instead of paying an
 //! allocator round trip per run.
 //!
+//! ## The worker pool
+//!
+//! [`WorkerPool`] is the one place runs execute on worker threads. Its
+//! threads live as long as the pool, each keeps one warm
+//! [`MachineArena`], and all of them drain one shared queue in
+//! submission order. [`WorkerPool::submit`] queues a slice of specs and
+//! hands back a channel of outcomes tagged with their slice index, in
+//! completion order. [`Executor::execute`] builds a pool for one call
+//! when it has more than one job; the `rrb-serve` daemon keeps one for
+//! its lifetime and submits every campaign to it, so concurrent
+//! campaigns interleave at run granularity.
+//!
+//! Every run, on a worker or inline, goes through
+//! [`MachineArena::execute_stored`], which also contains panics: a run
+//! that panics becomes that run's error record, the arena drops the
+//! machine it may have left half-stepped, and the thread carries on. So
+//! a panicking run reads the same under every `--jobs` and in
+//! `rrb serve`.
+//!
 //! ## What the executor strips
 //!
 //! A [`RunMeasurement`] exposes aggregate counters and histograms only —
@@ -48,12 +67,15 @@
 //!
 //! [`RequestRecord`]: rrb_sim::RequestRecord
 
-use crate::campaign::{RunError, RunMeasurement, RunSource, RunSpec, StoreUsage};
+use crate::campaign::{undelivered, RunError, RunMeasurement, RunSource, RunSpec, StoreUsage};
 use crate::store::{ResultStore, StoreLookup};
 use rrb_analysis::Histogram;
 use rrb_sim::{CoreId, Machine, MachineConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// One run's full outcome against an optional persistent store: the
 /// measurement (or failure), where it came from, and any non-fatal
@@ -63,10 +85,9 @@ pub type StoredOutcome = (Result<RunMeasurement, RunError>, RunSource, Vec<Strin
 /// A reusable machine slot: executes [`RunSpec`]s back to back on one
 /// warm [`Machine`], rebuilding only when the slot is still empty.
 ///
-/// The arena is deliberately dumb — no scheduling, no store, no
-/// threads; one mutable slot. [`Executor`] composes arenas into worker
-/// pools; the `rrb-serve` daemon keeps one per worker thread across
-/// jobs.
+/// The arena is deliberately dumb — no scheduling, no threads; one
+/// mutable slot. Each [`WorkerPool`] thread keeps one across jobs, and
+/// [`Executor::execute`] drives one inline when it runs serially.
 #[derive(Debug, Default)]
 pub struct MachineArena {
     machine: Option<Machine>,
@@ -142,7 +163,15 @@ impl MachineArena {
     /// missing, corrupt, stale, or colliding entry simulates (recording
     /// a warning when the entry existed but could not be trusted) and
     /// persists the fresh measurement on success.
+    ///
+    /// This is the per-run function of every scheduler, so it also
+    /// contains panics: a run that panics becomes its own error record
+    /// and the arena drops its machine, whose state is then unknown.
     pub fn execute_stored(&mut self, spec: &RunSpec, store: Option<&ResultStore>) -> StoredOutcome {
+        self.contained(&spec.label, |arena| arena.lookup_or_execute(spec, store))
+    }
+
+    fn lookup_or_execute(&mut self, spec: &RunSpec, store: Option<&ResultStore>) -> StoredOutcome {
         let mut warnings = Vec::new();
         if let Some(store) = store {
             match store.lookup(spec) {
@@ -162,6 +191,30 @@ impl MachineArena {
         }
         (result, RunSource::Simulated { recorded }, warnings)
     }
+
+    /// Runs `run` on this arena, turning a panic into an error outcome
+    /// for the run labelled `label` and clearing the arena.
+    fn contained(
+        &mut self,
+        label: &str,
+        run: impl FnOnce(&mut Self) -> StoredOutcome,
+    ) -> StoredOutcome {
+        catch_unwind(AssertUnwindSafe(|| run(self))).unwrap_or_else(|panic| {
+            self.clear();
+            let why = format!("caught a panic executing `{label}`: {}", panic_message(&*panic));
+            (Err(RunError::Analysis(why)), RunSource::Simulated { recorded: false }, Vec::new())
+        })
+    }
+}
+
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s
+    } else {
+        "<non-string panic payload>"
+    }
 }
 
 /// The machine configuration a spec actually executes under: identical
@@ -172,6 +225,88 @@ fn execution_config(cfg: &MachineConfig) -> MachineConfig {
     cfg.record_requests = false;
     cfg.record_trace = false;
     cfg
+}
+
+/// One queued run: a copy of the submitted spec, its index in the
+/// submitted slice, the store to consult, and where the outcome goes.
+struct Job {
+    spec: RunSpec,
+    index: usize,
+    store: Option<Arc<ResultStore>>,
+    reply: Sender<(usize, StoredOutcome)>,
+}
+
+/// Long-lived worker threads draining one shared queue, each with one
+/// warm [`MachineArena`] (see the module docs).
+pub struct WorkerPool {
+    queue: Sender<Job>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl WorkerPool {
+    /// Spawns `workers` (at least 1) threads on an empty queue.
+    pub fn new(workers: usize) -> WorkerPool {
+        let (queue, jobs) = channel::<Job>();
+        let jobs = Arc::new(Mutex::new(jobs));
+        let workers = (0..workers.max(1))
+            .map(|_| {
+                let jobs = Arc::clone(&jobs);
+                std::thread::spawn(move || work(&jobs))
+            })
+            .collect();
+        WorkerPool { queue, workers }
+    }
+
+    /// Number of worker threads.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Queues every spec of `specs` against `store` (`None` executes
+    /// uncached) and returns the channel their outcomes arrive on, each
+    /// tagged with its index in `specs`, in completion order. The
+    /// channel disconnects once every queued run has reported; a
+    /// receiver dropped early only discards the outcomes, the runs
+    /// still execute (and land in the store).
+    pub fn submit(
+        &self,
+        specs: &[RunSpec],
+        store: Option<&Arc<ResultStore>>,
+    ) -> Receiver<(usize, StoredOutcome)> {
+        let (reply, outcomes) = channel();
+        for (index, spec) in specs.iter().enumerate() {
+            let job =
+                Job { spec: spec.clone(), index, store: store.cloned(), reply: reply.clone() };
+            // Sending fails only once every worker is gone; that run
+            // then never reports, and the caller records it undelivered.
+            let _ = self.queue.send(job);
+        }
+        outcomes
+    }
+
+    /// Graceful shutdown: closes the queue, lets the workers finish
+    /// everything already queued, and joins them.
+    pub fn shutdown(self) {
+        drop(self.queue);
+        for worker in self.workers {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// A worker thread: one warm arena, jobs in queue order, until the
+/// queue closes and runs dry.
+fn work(jobs: &Mutex<Receiver<Job>>) {
+    let mut arena = MachineArena::new();
+    loop {
+        // The lock is released at the end of this statement, before the
+        // run; a poisoned lock still guards an intact channel.
+        let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = job else { return };
+        let outcome = arena.execute_stored(&job.spec, job.store.as_deref());
+        // A submitter that stopped listening still got its run stored.
+        let _ = job.reply.send((job.index, outcome));
+    }
 }
 
 /// The unified batch executor: plans in, plan-ordered results out.
@@ -229,53 +364,32 @@ impl Executor {
     }
 
     /// Executes a plan under this executor's options: spreads `specs`
-    /// over the worker threads, one arena per worker, and returns the
-    /// results **indexed by plan position** with the [`StoreUsage`]
-    /// aggregated in plan order (independent of worker scheduling).
+    /// over a [`WorkerPool`] of `jobs` workers (or runs them inline on
+    /// one arena when serial) and returns the results **indexed by plan
+    /// position** with the [`StoreUsage`] aggregated in plan order
+    /// (independent of worker scheduling).
     pub fn execute(
         &self,
         specs: &[RunSpec],
     ) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
-        let store = self.store.as_deref();
         let jobs = self.jobs.min(specs.len().max(1));
         let outcomes: Vec<StoredOutcome> = if jobs == 1 {
             let mut arena = MachineArena::new();
-            specs.iter().map(|spec| arena.execute_stored(spec, store)).collect()
+            specs.iter().map(|spec| arena.execute_stored(spec, self.store.as_deref())).collect()
         } else {
-            let slots: Vec<Mutex<Option<StoredOutcome>>> =
-                specs.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| {
-                        let mut arena = MachineArena::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(spec) = specs.get(i) else { break };
-                            let outcome = arena.execute_stored(spec, store);
-                            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some(outcome);
-                        }
-                    });
+            let pool = WorkerPool::new(jobs);
+            let outcomes = pool.submit(specs, self.store.as_ref());
+            // Join before reading: a receiver blocked on the channel would
+            // be woken once per run, taking CPU from the workers.
+            pool.shutdown();
+            let mut slots: Vec<Option<StoredOutcome>> = specs.iter().map(|_| None).collect();
+            for (index, outcome) in outcomes {
+                if let Some(slot) = slots.get_mut(index) {
+                    *slot = Some(outcome);
                 }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    // A panicking worker propagates out of the scope
-                    // above, so every slot is filled here; the fallback
-                    // keeps this path panic-free regardless.
-                    slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
-                        (
-                            Err(RunError::Analysis(String::from(
-                                "worker delivered no result for this run",
-                            ))),
-                            RunSource::Simulated { recorded: false },
-                            Vec::new(),
-                        )
-                    })
-                })
-                .collect()
+            }
+            let missing = || (Err(undelivered()), RunSource::Simulated { recorded: false }, vec![]);
+            slots.into_iter().map(|slot| slot.unwrap_or_else(missing)).collect()
         };
         let mut usage = StoreUsage::default();
         let results = outcomes.into_iter().map(|outcome| usage.tally(outcome)).collect();
@@ -286,7 +400,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrb_kernels::{rsk, rsk_nop, AccessKind};
+    use rrb_kernels::{rsk, rsk_nop, AccessKind, KernelSpec};
     use rrb_sim::{ArbiterKind, SimError};
 
     fn toy() -> MachineConfig {
@@ -421,5 +535,46 @@ mod tests {
             arena.execute(good).expect("run"),
             MachineArena::new().execute(good).expect("run")
         );
+    }
+
+    fn nop_spec(label: &str, iterations: u64) -> RunSpec {
+        RunSpec::from_kernels(label, MachineConfig::toy(2, 2), &KernelSpec::Nop { iterations }, &[])
+    }
+
+    #[test]
+    fn pool_executes_and_reports_by_index() {
+        let pool = WorkerPool::new(2);
+        let specs: Vec<RunSpec> =
+            [10, 20, 30].iter().enumerate().map(|(i, &n)| nop_spec(&format!("r{i}"), n)).collect();
+        let mut done: Vec<(usize, StoredOutcome)> = pool.submit(&specs, None).iter().collect();
+        done.sort_by_key(|d| d.0);
+        assert_eq!(done.iter().map(|d| d.0).collect::<Vec<_>>(), [0, 1, 2]);
+        for (index, (result, _, _)) in &done {
+            assert_eq!(*result, MachineArena::new().execute(&specs[*index]));
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn shutdown_drains_queued_jobs() {
+        let pool = WorkerPool::new(1);
+        let specs: Vec<RunSpec> = (0..8).map(|i| nop_spec("q", 5 + i)).collect();
+        let outcomes = pool.submit(&specs, None);
+        pool.shutdown(); // must not lose the queued jobs
+        assert_eq!(outcomes.iter().count(), 8);
+    }
+
+    #[test]
+    fn a_panicking_run_becomes_its_error_record_and_clears_the_arena() {
+        let mut arena = MachineArena::new();
+        let good = &plan(1)[0];
+        let warm = arena.execute(good).expect("first run");
+        let (result, source, warnings) = arena.contained("boom", |_| panic!("injected"));
+        let Err(RunError::Analysis(why)) = result else { panic!("expected an error record") };
+        assert_eq!(why, "caught a panic executing `boom`: injected");
+        assert_eq!(source, RunSource::Simulated { recorded: false });
+        assert!(warnings.is_empty());
+        assert!(!arena.is_warm(), "a panicked machine must not be reused");
+        assert_eq!(arena.execute(good).expect("after the panic"), warm);
     }
 }

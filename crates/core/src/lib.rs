@@ -22,11 +22,11 @@
 //! * the **experiment layer**: every experiment is a [`Scenario`] (a
 //!   pure plan of machine runs plus an analysis) executed by the
 //!   [`Campaign`] batch runner ([`campaign`]), which expands parameter
-//!   grids, deduplicates shared runs, executes across a scoped thread
-//!   pool, and serialises structured records as JSON/CSV ([`json`]) —
+//!   grids, deduplicates shared runs, executes across a worker pool,
+//!   and serialises structured records as JSON/CSV ([`json`]) —
 //!   with output bit-identical between serial and parallel execution;
 //! * one **run path** ([`executor`]): a scenario's or campaign's plan
-//!   goes to an [`Executor`] (worker threads, optional store), whose
+//!   goes to an [`Executor`] (a [`WorkerPool`], optional store), whose
 //!   workers each reuse one warm [`MachineArena`] — a single run is
 //!   `Executor::new().run(&RunSpec::isolated(..))` — plus plain-text
 //!   reporting ([`report`]) used by the figure regenerators;
@@ -128,7 +128,7 @@ pub use campaign::{
     CampaignStats, GridCell, GridScenario, ParseGridScenarioError, PlannedScenario, RunError,
     RunMeasurement, RunRecord, RunSource, RunSpec, StoreUsage,
 };
-pub use executor::{Executor, MachineArena, StoredOutcome};
+pub use executor::{Executor, MachineArena, StoredOutcome, WorkerPool};
 pub use json::{fnv1a_64, Fnv64Hasher, Json, JsonParseError};
 pub use lint::{has_errors, lint_spec, LintFinding, LintSeverity};
 pub use mbta::{BoundValidation, MbtaAnalysis, TaskBound, TaskSpec};

@@ -10,7 +10,7 @@
 //! * [`Scenario::plan`] expands the experiment into [`RunSpec`]s — pure
 //!   data, no execution;
 //! * the [`Campaign`](crate::campaign::Campaign) runner executes the
-//!   specs (serially or across a scoped thread pool, with shared runs
+//!   specs (serially or across a worker pool, with shared runs
 //!   deduplicated) — or, for one scenario on its own,
 //!   [`Scenario::outcomes`] executes its plan on an [`Executor`];
 //! * [`Scenario::analyze`] folds the measurements into a

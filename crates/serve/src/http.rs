@@ -7,8 +7,8 @@
 //! * Responses: fixed-length bodies, or `Transfer-Encoding: chunked`
 //!   via [`ChunkedWriter`] for streaming campaign output.
 //! * Hard limits everywhere: the header section is capped at
-//!   [`MAX_HEADER_BYTES`], bodies at [`Limits::max_body_bytes`], and
-//!   every read sits behind the socket's read timeout. A malicious or
+//!   [`MAX_HEADER_BYTES`], bodies at [`MAX_BODY_BYTES`], and every read
+//!   sits behind the socket's [`READ_TIMEOUT`]. A malicious or
 //!   broken client can waste one connection, never the daemon.
 //!
 //! This module is on the lint-enforced no-panic path (see the
@@ -16,26 +16,18 @@
 //! connection handler turns into a status code or a dropped connection.
 
 use std::io::{ErrorKind, Read, Write};
+use std::time::Duration;
 
 /// Upper bound on the request line + headers, in bytes.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
-/// Default cap on request bodies (an `ExperimentSpec` is a few KiB;
+/// Largest accepted `Content-Length` (an `ExperimentSpec` is a few KiB;
 /// 8 MiB leaves two orders of magnitude of headroom).
-pub const DEFAULT_MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-/// Per-connection request limits.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Largest accepted `Content-Length`.
-    pub max_body_bytes: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits { max_body_bytes: DEFAULT_MAX_BODY_BYTES }
-    }
-}
+/// Socket read timeout: bounds idle keep-alive connections and so the
+/// shutdown drain.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed request: method, target path, connection intent, body.
 #[derive(Debug, Clone)]
@@ -59,8 +51,8 @@ pub enum HttpError {
     Timeout,
     /// The bytes were not a parseable HTTP/1.x request.
     BadRequest(String),
-    /// The declared body exceeds [`Limits::max_body_bytes`].
-    PayloadTooLarge(usize),
+    /// The declared body exceeds [`MAX_BODY_BYTES`].
+    PayloadTooLarge,
 }
 
 impl std::fmt::Display for HttpError {
@@ -69,8 +61,8 @@ impl std::fmt::Display for HttpError {
             HttpError::Io(e) => write!(f, "i/o error: {e}"),
             HttpError::Timeout => write!(f, "read timeout"),
             HttpError::BadRequest(why) => write!(f, "bad request: {why}"),
-            HttpError::PayloadTooLarge(limit) => {
-                write!(f, "request body exceeds the {limit}-byte limit")
+            HttpError::PayloadTooLarge => {
+                write!(f, "request body exceeds the {MAX_BODY_BYTES}-byte limit")
             }
         }
     }
@@ -90,7 +82,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// [`HttpError::Timeout`] when the socket's read timeout fires,
 /// [`HttpError::BadRequest`] / [`HttpError::PayloadTooLarge`] for
 /// malformed or oversized requests, [`HttpError::Io`] otherwise.
-pub fn read_request(stream: &mut impl Read, limits: Limits) -> Result<Option<Request>, HttpError> {
+pub fn read_request(stream: &mut impl Read) -> Result<Option<Request>, HttpError> {
     // Accumulate until the header terminator. `MAX_HEADER_BYTES` bounds
     // the buffer, the socket read timeout bounds the wait.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -140,8 +132,8 @@ pub fn read_request(stream: &mut impl Read, limits: Limits) -> Result<Option<Req
             close = value.eq_ignore_ascii_case("close");
         }
     }
-    if content_length > limits.max_body_bytes {
-        return Err(HttpError::PayloadTooLarge(limits.max_body_bytes));
+    if content_length > MAX_BODY_BYTES {
+        return Err(HttpError::PayloadTooLarge);
     }
 
     // The body: whatever followed the terminator, then the remainder.
@@ -272,7 +264,7 @@ mod tests {
 
     fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
         let mut cursor = std::io::Cursor::new(bytes.to_vec());
-        read_request(&mut cursor, Limits::default())
+        read_request(&mut cursor)
     }
 
     #[test]
@@ -320,10 +312,10 @@ mod tests {
 
     #[test]
     fn rejects_oversized_body_by_declared_length() {
-        let mut cursor =
-            std::io::Cursor::new(b"POST / HTTP/1.1\r\nContent-Length: 999\r\n\r\nxx".to_vec());
-        let got = read_request(&mut cursor, Limits { max_body_bytes: 8 });
-        assert!(matches!(got, Err(HttpError::PayloadTooLarge(8))));
+        // The limit is checked before the body is read, so none is sent.
+        let over = MAX_BODY_BYTES + 1;
+        let got = parse(format!("POST / HTTP/1.1\r\nContent-Length: {over}\r\n\r\n").as_bytes());
+        assert!(matches!(got, Err(HttpError::PayloadTooLarge)));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! scheduler over it.
 //!
 //! The daemon is std-only, like the rest of the workspace: a hand-rolled
-//! HTTP/1.1 subset ([`http`]), a fixed worker pool draining one
-//! process-wide job queue ([`pool`]), and a router ([`router`]) exposing:
+//! HTTP/1.1 subset ([`http`]), one long-lived [`WorkerPool`] (the pool
+//! `rrb run` executes on too) draining one process-wide job queue, and a
+//! router ([`router`]) exposing:
 //!
 //! | endpoint | what it does |
 //! |----------|--------------|
@@ -52,17 +53,16 @@
 
 pub mod client;
 pub mod http;
-pub mod pool;
 pub mod router;
 
-use pool::WorkerPool;
 use rrb::campaign::clamped_jobs;
+use rrb::executor::WorkerPool;
 use rrb::store::ResultStore;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::Scope;
 use std::time::Duration;
 
 /// How often the signal watcher looks at the SIGTERM/SIGINT flag. It
@@ -84,21 +84,11 @@ pub struct ServeConfig {
     /// oversubscribing a pure-CPU simulator pool only adds scheduling
     /// overhead.
     pub workers: usize,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
-    /// Socket read timeout (bounds idle keep-alive connections and the
-    /// shutdown drain).
-    pub read_timeout: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            addr: String::from("127.0.0.1:7077"),
-            workers: 0,
-            max_body_bytes: http::DEFAULT_MAX_BODY_BYTES,
-            read_timeout: Duration::from_secs(5),
-        }
+        ServeConfig { addr: String::from("127.0.0.1:7077"), workers: 0 }
     }
 }
 
@@ -115,12 +105,9 @@ pub struct ServeStats {
     pub runs_executed: u64,
 }
 
-/// Shared server state: the store, the limits, and the counters.
+/// Shared server state: the store, the drain flag, and the counters.
 pub(crate) struct ServerState {
     pub(crate) store: Arc<ResultStore>,
-    pub(crate) workers: usize,
-    pub(crate) limits: http::Limits,
-    pub(crate) read_timeout: Duration,
     shutdown: AtomicBool,
     /// Where [`ServerState::begin_drain`] connects to wake the accept
     /// loop: the bound address, with loopback for an unspecified IP.
@@ -186,13 +173,9 @@ impl Server {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
-        let requested = if config.workers == 0 { None } else { Some(config.workers) };
-        let (workers, _) = clamped_jobs(requested);
+        let (workers, _) = clamped_jobs(Some(config.workers));
         let state = Arc::new(ServerState {
             store,
-            workers,
-            limits: http::Limits { max_body_bytes: config.max_body_bytes },
-            read_timeout: config.read_timeout,
             shutdown: AtomicBool::new(false),
             wake_addr,
             campaigns: AtomicU64::new(0),
@@ -214,7 +197,7 @@ impl Server {
 
     /// Worker threads in the pool (after clamping).
     pub fn workers(&self) -> usize {
-        self.state.workers
+        self.pool.workers()
     }
 
     /// A shutdown handle for embedding code.
@@ -234,19 +217,23 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates listener failures; per-connection errors only drop
-    /// that connection.
+    /// Propagates listener failures, after the same drain; per-connection
+    /// errors only drop that connection.
     pub fn run(self) -> std::io::Result<ServeStats> {
         let (stop_watcher, stopped) = mpsc::channel::<()>();
-        let state = Arc::clone(&self.state);
-        let watcher = std::thread::spawn(move || watch_signals(&state, &stopped));
-        let accepted = self.accept_until_drain();
-        drop(stop_watcher);
-        let _ = watcher.join();
-        for connection in accepted? {
-            let _ = connection.join();
-        }
+        // The scope joins the signal watcher and every connection thread.
+        let state = &*self.state;
+        let accepted = std::thread::scope(|scope| {
+            scope.spawn(move || watch_signals(state, &stopped));
+            let accepted = self.accept_until_drain(scope);
+            // After an accept failure too, connections close once their
+            // current request is answered.
+            state.shutdown.store(true, Ordering::SeqCst);
+            drop(stop_watcher);
+            accepted
+        });
         self.pool.shutdown();
+        accepted?;
         Ok(ServeStats {
             campaigns: self.state.campaigns.load(Ordering::Relaxed),
             point_queries: self.state.point_queries.load(Ordering::Relaxed),
@@ -255,22 +242,17 @@ impl Server {
         })
     }
 
-    /// The accept loop: one thread per connection until the drain flag
-    /// is seen. Returns the connection threads still running.
-    fn accept_until_drain(&self) -> std::io::Result<Vec<JoinHandle<()>>> {
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    /// The accept loop: one thread per connection, spawned in `scope`,
+    /// until the drain flag is seen.
+    fn accept_until_drain<'s>(&'s self, scope: &'s Scope<'s, '_>) -> std::io::Result<()> {
+        let (state, pool) = (&*self.state, &self.pool);
         loop {
             let (stream, _) = self.listener.accept()?;
-            if self.state.draining() {
+            if state.draining() {
                 // The wake-up connection, or a client racing the drain.
-                return Ok(connections);
+                return Ok(());
             }
-            connections.retain(|c| !c.is_finished());
-            let state = Arc::clone(&self.state);
-            let submit = self.pool.handle();
-            connections.push(std::thread::spawn(move || {
-                router::handle_connection(stream, &state, &submit);
-            }));
+            scope.spawn(move || router::handle_connection(stream, state, pool));
         }
     }
 }

@@ -7,35 +7,33 @@
 //!
 //! This module is on the lint-enforced no-panic path (`lint_sources`):
 //! every request, however malformed, ends in a status code or a dropped
-//! connection, never a worker or connection-thread panic.
+//! connection, never a connection-thread panic.
 
 use crate::http::{self, ChunkedWriter, HttpError, Request};
-use crate::pool::{Job, PoolHandle, RunDone};
 use crate::ServerState;
 use rrb::campaign::{PlanItem, RunRecord, RunSpec, StoreUsage};
+use rrb::executor::WorkerPool;
 use rrb::json::Json;
 use rrb::lint::{has_errors, lint_spec, LintFinding};
 use rrb::scenario::ScenarioReport;
 use rrb::spec::ExperimentSpec;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::channel;
-use std::sync::Arc;
 
 /// Serves one accepted connection to completion. Never panics; errors
 /// drop the connection.
-pub(crate) fn handle_connection(stream: TcpStream, state: &Arc<ServerState>, pool: &PoolHandle) {
+pub(crate) fn handle_connection(stream: TcpStream, state: &ServerState, pool: &WorkerPool) {
     let _ = serve_connection(stream, state, pool);
 }
 
 fn serve_connection(
     mut stream: TcpStream,
-    state: &Arc<ServerState>,
-    pool: &PoolHandle,
+    state: &ServerState,
+    pool: &WorkerPool,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(state.read_timeout))?;
+    stream.set_read_timeout(Some(http::READ_TIMEOUT))?;
     loop {
-        match http::read_request(&mut stream, state.limits) {
+        match http::read_request(&mut stream) {
             Ok(Some(request)) => {
                 route(&mut stream, state, pool, &request)?;
                 if request.close || state.draining() {
@@ -47,9 +45,8 @@ fn serve_connection(
                 let _ = http::respond_json(&mut stream, 400, &error_json(&why));
                 return Ok(());
             }
-            Err(HttpError::PayloadTooLarge(limit)) => {
-                let why = format!("request body exceeds the {limit}-byte limit");
-                let _ = http::respond_json(&mut stream, 413, &error_json(&why));
+            Err(e @ HttpError::PayloadTooLarge) => {
+                let _ = http::respond_json(&mut stream, 413, &error_json(&e.to_string()));
                 return Ok(());
             }
         }
@@ -58,8 +55,8 @@ fn serve_connection(
 
 fn route(
     stream: &mut TcpStream,
-    state: &Arc<ServerState>,
-    pool: &PoolHandle,
+    state: &ServerState,
+    pool: &WorkerPool,
     request: &Request,
 ) -> std::io::Result<()> {
     match (request.method.as_str(), request.path.as_str()) {
@@ -67,7 +64,7 @@ fn route(
             let body = Json::obj(vec![("status", Json::str("ok"))]).render_compact();
             http::respond_json(stream, 200, &body)
         }
-        ("GET", "/v1/store/stats") => store_stats(stream, state),
+        ("GET", "/v1/store/stats") => store_stats(stream, state, pool.workers()),
         ("POST", "/v1/campaigns") => campaigns(stream, state, pool, &request.body),
         ("POST", "/v1/analyze") => analyze(stream, &request.body),
         ("POST", "/v1/shutdown") => {
@@ -90,7 +87,7 @@ fn route(
 // Simple endpoints
 // ---------------------------------------------------------------------
 
-fn store_stats(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
+fn store_stats(stream: &mut TcpStream, state: &ServerState, workers: usize) -> std::io::Result<()> {
     let stats = state.store.stats();
     let body = Json::obj(vec![
         ("dir", Json::str(stats.dir.display().to_string())),
@@ -102,7 +99,7 @@ fn store_stats(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Res
         (
             "server",
             Json::obj(vec![
-                ("workers", Json::U64(state.workers as u64)),
+                ("workers", Json::U64(workers as u64)),
                 ("campaigns", Json::U64(state.campaigns.load(Ordering::Relaxed))),
                 ("point_queries", Json::U64(state.point_queries.load(Ordering::Relaxed))),
                 ("runs_streamed", Json::U64(state.runs_streamed.load(Ordering::Relaxed))),
@@ -114,11 +111,7 @@ fn store_stats(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Res
     http::respond_json(stream, 200, &body)
 }
 
-fn point_query(
-    stream: &mut TcpStream,
-    state: &Arc<ServerState>,
-    path: &str,
-) -> std::io::Result<()> {
+fn point_query(stream: &mut TcpStream, state: &ServerState, path: &str) -> std::io::Result<()> {
     state.point_queries.fetch_add(1, Ordering::Relaxed);
     let hex = path.trim_start_matches("/v1/runs/");
     let Ok(hash) = u64::from_str_radix(hex, 16) else {
@@ -171,7 +164,7 @@ fn parse_spec(body: &[u8]) -> Result<ExperimentSpec, (u16, String)> {
 
 /// `POST /v1/campaigns`: validate, lint, shard, stream.
 ///
-/// Every deduplicated run becomes one pool job; the handler then streams
+/// Every deduplicated run is submitted to the pool; the handler then streams
 /// the plan through `CampaignPlan::walk` — the walk `Campaign::run`
 /// takes — writing each record and report as one HTTP chunk and waiting
 /// on the pool only when the next plan position is still in flight. A
@@ -179,8 +172,8 @@ fn parse_spec(body: &[u8]) -> Result<ExperimentSpec, (u16, String)> {
 /// already-queued runs still execute and land in the store.
 fn campaigns(
     stream: &mut TcpStream,
-    state: &Arc<ServerState>,
-    pool: &PoolHandle,
+    state: &ServerState,
+    pool: &WorkerPool,
     body: &[u8],
 ) -> std::io::Result<()> {
     let spec = match parse_spec(body) {
@@ -198,25 +191,11 @@ fn campaigns(
     }
     state.campaigns.fetch_add(1, Ordering::Relaxed);
 
-    // Shard: one job per deduplicated run, all into the shared queue.
+    // Shard: every deduplicated run into the shared queue.
     let campaign = spec.to_campaign_builder(1).build();
     let plan = campaign.plan();
     let unique = plan.unique_specs();
-    let (reply, done) = channel::<RunDone>();
-    let mut submitted = 0usize;
-    for (index, run) in unique.iter().enumerate() {
-        let job = Job {
-            spec: run.clone(),
-            index,
-            store: Some(Arc::clone(&state.store)),
-            reply: reply.clone(),
-        };
-        if pool.submit(job).is_err() {
-            break; // pool already shut down; missing runs become error records
-        }
-        submitted += 1;
-    }
-    drop(reply);
+    let done = pool.submit(unique, Some(&state.store));
 
     // Stream: header, the plan-order walk, then the summary and stats.
     let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
@@ -234,13 +213,13 @@ fn campaigns(
     let mut delivered = 0usize;
     let failed_runs = plan.walk(
         |idx| {
-            // Block until run `idx` lands; a pool that died or refused
-            // jobs leaves it missing, and the walk records an error.
+            // Block until run `idx` lands; a pool whose workers died
+            // leaves it missing, and the walk records an error.
             while results.get(idx).is_some_and(Option::is_none) {
-                let Ok(done) = done.recv() else { break };
-                if let Some(slot) = results.get_mut(done.index) {
+                let Ok((index, outcome)) = done.recv() else { break };
+                if let Some(slot) = results.get_mut(index) {
                     delivered += 1;
-                    *slot = Some(usage.tally(done.outcome));
+                    *slot = Some(usage.tally(outcome));
                 }
             }
             results.get(idx).cloned().flatten()
@@ -265,7 +244,7 @@ fn campaigns(
     ])))?;
     writer.chunk(&line(Json::obj(vec![
         ("type", Json::str("stats")),
-        ("submitted_runs", Json::U64(submitted as u64)),
+        ("submitted_runs", Json::U64(unique.len() as u64)),
         ("executed_runs", Json::U64(executed as u64)),
         ("store_hits", Json::U64(usage.hits as u64)),
         ("store_writes", Json::U64(usage.writes as u64)),

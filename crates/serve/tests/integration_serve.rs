@@ -46,8 +46,7 @@ impl Daemon {
     fn boot(tag: &str, workers: usize) -> Daemon {
         let dir = TempDir::new(tag);
         let store = Arc::new(ResultStore::open(dir.0.join("cache")).unwrap());
-        let config =
-            ServeConfig { addr: String::from("127.0.0.1:0"), workers, ..ServeConfig::default() };
+        let config = ServeConfig { addr: String::from("127.0.0.1:0"), workers };
         let server = Server::bind(config, Arc::clone(&store)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = server.handle();

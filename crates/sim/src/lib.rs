@@ -74,7 +74,7 @@
 //! behaviour. Batch experiments exploit both properties — the `rrb`
 //! crate's `Executor` describes each measurement as a `RunSpec` (one
 //! machine, one workload), executes many machines concurrently on a
-//! scoped thread pool, and still emits bit-identical results regardless
+//! worker pool, and still emits bit-identical results regardless
 //! of the thread count. For back-to-back runs, [`Machine::reset_to`]
 //! rewinds a machine to a just-built state without reallocating — the
 //! arena idiom the `rrb` crate's `MachineArena` wraps; the reset is

@@ -13,7 +13,7 @@
 //! non-RR cell does produce is *not* the RR bound — knowing the arbiter
 //! is round-robin is an input to the methodology.
 
-use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
+use rrb::campaign::{clamped_jobs, Campaign, CampaignGrid, GridScenario};
 use rrb_kernels::AccessKind;
 use rrb_sim::{ArbiterKind, MachineConfig};
 
@@ -27,8 +27,7 @@ fn main() {
         .iterations(vec![100]);
     println!("campaign: {} grid cells\n", grid.cell_count());
 
-    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let result = Campaign::builder().grid(&grid).jobs(jobs).build().run();
+    let result = Campaign::builder().grid(&grid).jobs(clamped_jobs(None).0).build().run();
 
     print!("{}", result.render_text());
     println!("\nfirst records as CSV:");

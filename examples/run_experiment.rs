@@ -11,6 +11,7 @@
 //! cargo run --release -p rrb --example run_experiment
 //! ```
 
+use rrb::campaign::clamped_jobs;
 use rrb::spec::ExperimentSpec;
 
 fn main() {
@@ -28,8 +29,7 @@ fn main() {
         spec.scenarios().len(),
         spec.machine.ubd(),
     );
-    let result =
-        spec.to_campaign(std::thread::available_parallelism().map_or(1, |n| n.get())).run();
+    let result = spec.to_campaign(clamped_jobs(None).0).run();
     print!("{}", result.render_text());
 
     // The 3- and 4-core cells must rediscover ubd = (Nc - 1) * 9 exactly.
