@@ -1,14 +1,14 @@
 //! Simulator-core throughput benchmark: event-driven quiescence
-//! skipping vs naive per-cycle stepping, written to `BENCH_simspeed.json`
-//! so the perf trajectory of the hot loop is tracked like the campaign
-//! runner's.
+//! skipping vs naive per-cycle stepping, and period skip vs none,
+//! written to `BENCH_simspeed.json` so the perf trajectory of the hot
+//! loop is tracked like the campaign runner's.
 //!
 //! ```sh
 //! cargo run --release -p rrb-bench --bin simspeed            # full run
 //! cargo run --release -p rrb-bench --bin simspeed -- --quick # CI smoke
 //! ```
 //!
-//! Three workloads bracket the skip's leverage:
+//! Four workloads bracket the skips' leverage:
 //!
 //! * **dram-bound** — four cores streaming L2-missing loads through the
 //!   two-level topology: almost every cycle is a DRAM/queue wait, the
@@ -16,14 +16,21 @@
 //!   cycles/sec over per-cycle stepping).
 //! * **bus-saturated** — four saturating rsk kernels: the bus is busy
 //!   every cycle, so the skip can only jump grant-to-completion gaps.
+//! * **fp-starved** — a finite rsk scua on core 0 of the reference
+//!   machine with a fixed-priority bus and three endless rsk contenders,
+//!   the lowest of which starves, run to completion through
+//!   `Machine::run` with period skip on vs off. The two workloads above
+//!   use `run_for` on endless programs, where period skip never arms;
+//!   here it must fire through the starved request (the gated quantity
+//!   is its stepped share of the simulated cycles).
 //! * **campaign** — the toy derivation grid of `campaign_throughput`,
 //!   run serially, reporting end-to-end methodology runs/sec (which
 //!   inherit the skip through the default configuration).
 
 use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
 use rrb::json::Json;
-use rrb_kernels::{rsk, rsk_l2_miss, AccessKind};
-use rrb_sim::{CoreId, Cycle, Machine, MachineConfig, Program};
+use rrb_kernels::{rsk, rsk_l2_miss, AccessKind, RskBuilder};
+use rrb_sim::{ArbiterKind, CoreId, Cycle, Machine, MachineConfig, Program};
 use std::time::Instant;
 
 /// The two-level reference machine with DDR2-667 timed against a 1 GHz
@@ -80,6 +87,13 @@ fn compare(
     let _ = simulate(&step_cfg, cycles / 4, prog_of);
     let (skip_s, steps) = simulate(&skip_cfg, cycles, prog_of);
     let (step_s, _) = simulate(&step_cfg, cycles, prog_of);
+    record(name, cycles, steps, skip_s, step_s)
+}
+
+/// Prints one comparison and returns (speedup, json record): `cycles`
+/// simulated in `skip_s` seconds with `steps` stepped, against `step_s`
+/// seconds without the skip.
+fn record(name: &str, cycles: Cycle, steps: u64, skip_s: f64, step_s: f64) -> (f64, Json) {
     let skip_cps = cycles as f64 / skip_s;
     let step_cps = cycles as f64 / step_s;
     let speedup = skip_cps / step_cps;
@@ -100,6 +114,35 @@ fn compare(
         ("speedup", Json::F64(speedup)),
     ]);
     (speedup, record)
+}
+
+/// The fp-starved workload: the finite scua runs about `cycles` cycles
+/// to completion, once with period skip and once without (quiescence
+/// skip on in both).
+fn fp_starved(cycles: Cycle) -> (f64, Json) {
+    let mut cfg = MachineConfig::ngmp_ref();
+    cfg.topology.bus.arbiter = ArbiterKind::FixedPriority;
+    cfg.record_requests = false;
+    // The top-priority scua takes about 90 cycles per iteration here.
+    let scua =
+        RskBuilder::new(AccessKind::Load).iterations(cycles / 90).build(&cfg, CoreId::new(0));
+    let run = |period_skip: bool| {
+        let mut m = Machine::new(MachineConfig { period_skip, ..cfg.clone() }).expect("config");
+        m.load_program(CoreId::new(0), scua.clone());
+        for i in 1..cfg.num_cores {
+            let id = CoreId::new(i);
+            m.load_program(id, rsk(AccessKind::Load, &cfg, id));
+        }
+        let start = Instant::now();
+        m.run().expect("the scua completes within the budget");
+        (start.elapsed().as_secs_f64(), m.steps_executed(), m.now())
+    };
+    // Warm up (allocator, caches), then measure.
+    let _ = (run(true), run(false));
+    let (skip_s, steps, simulated) = run(true);
+    let (step_s, _, stepped_simulated) = run(false);
+    assert_eq!(simulated, stepped_simulated, "period skip must not change the run");
+    record("fp-starved", simulated, steps, skip_s, step_s)
 }
 
 /// The campaign grid of `campaign_throughput`, timed serially.
@@ -126,13 +169,14 @@ fn main() {
         compare("bus-saturated", MachineConfig::ngmp_ref(), cycles, |cfg, core| {
             rsk(AccessKind::Load, cfg, core)
         });
+    let (_, starved_record) = fp_starved(cycles);
     let (campaign_rps, campaign_runs) = campaign_runs_per_second();
     println!("{:<14} {campaign_rps:>12.1} runs/s serial ({campaign_runs} runs)", "campaign");
 
     let artifact = Json::obj(vec![
         ("bench", Json::str("simspeed")),
         ("quick", Json::Bool(quick)),
-        ("workloads", Json::Arr(vec![dram_record, bus_record])),
+        ("workloads", Json::Arr(vec![dram_record, bus_record, starved_record])),
         ("campaign_runs", Json::U64(campaign_runs)),
         ("campaign_runs_per_second_serial", Json::F64(campaign_rps)),
     ]);

@@ -67,6 +67,23 @@ impl fmt::Display for ArbiterKind {
     }
 }
 
+impl ArbiterKind {
+    /// Whether the policy reads a pending request's `ready` cycle beyond
+    /// the test `ready <= now`, so that how long a ready request has
+    /// waited can change a grant. Only FIFO does: it orders the ready
+    /// requests by `ready` itself. Every other policy sees a waiting
+    /// request only as "ready", whatever its age.
+    ///
+    /// Period skip's fingerprint ([`SharedResource`]'s `ff_signature`)
+    /// and the model checker's state key in `rrb-static` both hide a
+    /// waiting request's age exactly when this is false.
+    ///
+    /// [`SharedResource`]: crate::resource::SharedResource
+    pub fn reads_ready_age(self) -> bool {
+        self == ArbiterKind::Fifo
+    }
+}
+
 /// An arbiter token that [`ArbiterKind::from_str`] could not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseArbiterError {
@@ -198,6 +215,11 @@ pub trait Arbiter: fmt::Debug + Send {
     /// identical future request patterns — the property the steady-state
     /// fast-forward detector relies on. Stateless, time-free policies
     /// (fixed priority, FIFO) append nothing.
+    ///
+    /// The requests themselves are not arbiter state: the resource
+    /// fingerprints each pending slot, and it hides a ready request's
+    /// waiting time for every policy whose
+    /// [`ArbiterKind::reads_ready_age`] is false.
     fn ff_signature(&self, now: Cycle, out: &mut Vec<u64>) {
         let _ = (now, out);
     }

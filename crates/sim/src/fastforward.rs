@@ -26,23 +26,66 @@
 //!   the static must/may replay detects cycles on too; rank order, not
 //!   absolute clocks, is what LRU/FIFO behaviour depends on; random
 //!   replacement depends on the absolute clock, so it disables the skip);
-//! * per shared resource: pending and active transactions and the
-//!   arbiter's schedule state — a TDMA arbiter contributes its slot
-//!   phase, so a period only matches when it is a multiple of the TDMA
-//!   frame ([`SharedResource::ff_signature`]);
+//! * per shared resource: pending and active transactions (a waiting
+//!   request's age aside, see below) and the arbiter's schedule state —
+//!   a TDMA arbiter contributes its slot phase, so a period only matches
+//!   when it is a multiple of the TDMA frame
+//!   ([`SharedResource::ff_signature`]);
 //! * the DRAM controller: open rows, queue, in-flight access
 //!   ([`Dram::ff_signature`]).
 //!
 //! Two equal fingerprints at cycles `t₁ < t₂` evolve identically from
 //! their respective `now`s, so every future iteration boundary recurs
-//! with period `t₂ − t₁`. The skip count is clamped so that (a) no
+//! with period `P = t₂ − t₁`. The skip count is clamped so that (a) no
 //! finite core completes inside a skipped period — the final approach
 //! to completion is always stepped live — and (b) the cycle budget is
 //! never overshot, preserving exact budget-exhaustion behaviour.
 //!
+//! ### Waiting requests
+//!
+//! One stamp is not encoded relative to `now`: the age `now − ready` of
+//! a *waiting* request, one that is pending and ready at a resource
+//! whose arbiter does not read its age
+//! ([`ArbiterKind::reads_ready_age`] is false for every policy but
+//! FIFO). Such a policy only asks `ready <= now`, so until the request
+//! is granted its age is invisible; at the grant it becomes the
+//! request's γ. A starved contender — the lowest-priority core of a
+//! fixed-priority bus — waits from its first request to the end of the
+//! run, its age grows every period, and a fingerprint carrying that age
+//! would never recur. The slot therefore writes a marker, and the
+//! snapshot keeps the slot's [`Waiting`] age and absolute `ready` on the
+//! side. Two snapshots match when their fingerprints are equal and every
+//! waiting slot matches in one of two ways:
+//!
+//! * **equal age** — a fresh request at the same phase of the period. It
+//!   is shifted by `k · P` like every other stamp, and if it is granted
+//!   in a later period it records the same γ at the same phase.
+//! * **equal absolute `ready`** — the same request, pending through the
+//!   whole period: posts always carry `ready = now`, so a request
+//!   granted inside the period would be replaced by one with a later
+//!   `ready`. Every decision in the period depends on it only through
+//!   `ready <= now`, so the next period replays without granting it
+//!   either, and so on for every skipped period. Its `ready` is left
+//!   unshifted, which is exactly where stepping leaves it; when it is
+//!   finally granted, its γ counts the whole wait.
+//!
+//! FIFO is excluded because it orders ready requests by `ready`: a
+//! request that keeps waiting grows older relative to the fresh ones
+//! each period, so the same fingerprint would not mean the same future
+//! grant order. Two simpler rules fail. Hiding the age and matching on
+//! the fingerprint alone is unsound: two different requests of different
+//! ages, each granted inside the period, record different γ (a
+//! tdma-bus / fifo-mc case of the period-equivalence property read a
+//! contender's total γ of 4,838 against 4,858 stepped). Hiding every age
+//! and then demanding an equal absolute `ready` loses the ordinary
+//! matches, where each period's requests are fresh: only 253 of 369
+//! round-robin runs of a cold derive sweep skipped, against all of them
+//! with the age compared.
+//!
 //! The skip is a pure optimisation: `run` with and without it is
-//! cycle-identical, pinned by the period-equivalence property test in
-//! `tests/prop_arena_reset.rs` and the golden-trace tests (trace
+//! cycle-identical, pinned by the period-equivalence property and the
+//! fixed-priority starvation family in `tests/prop_arena_reset.rs`, the
+//! unit tests below and the golden-trace tests (trace
 //! recording disables the skip, so traces are always exact).
 //!
 //! [`Machine::run`]: crate::Machine::run
@@ -51,6 +94,7 @@
 //! [`Cache::reachable_sets`]: crate::cache::Cache::reachable_sets
 //! [`SharedResource::ff_signature`]: crate::resource::SharedResource
 //! [`Dram::ff_signature`]: crate::dram::Dram
+//! [`ArbiterKind::reads_ready_age`]: crate::bus::ArbiterKind::reads_ready_age
 
 use crate::cache::CacheStats;
 use crate::config::Replacement;
@@ -70,10 +114,24 @@ const MAX_BOUNDARIES: usize = 256;
 /// with a larger reachable footprint run without the skip.
 const MAX_FOOTPRINT_SETS: usize = 4096;
 
+/// A waiting request whose age the fingerprint hides: pending and ready
+/// at a resource whose arbiter only asks `ready <= now` (see §Waiting
+/// requests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Waiting {
+    /// `now − ready` at the snapshot.
+    pub(crate) age: Cycle,
+    /// The absolute cycle the request became ready.
+    pub(crate) ready: Cycle,
+}
+
 /// One fingerprinted iteration boundary: the relative-time signature
 /// plus a copy of every monotone counter, for per-period delta scaling.
 struct Snapshot {
     sig: Vec<u64>,
+    /// The waiting slots of the bus, then of the memory controller, in
+    /// slot order; `sig` holds a marker for each.
+    waiting: Vec<Waiting>,
     now: Cycle,
     iterations: Vec<u64>,
     instructions: Vec<u64>,
@@ -196,7 +254,7 @@ impl PeriodSkip {
             return;
         }
         let snap = self.snapshot(m);
-        if let Some(prev) = self.history.iter().rev().find(|p| p.sig == snap.sig) {
+        if let Some(prev) = self.history.iter().rev().find(|p| p.recurs_in(&snap)) {
             let period = snap.now - prev.now;
             let k = skippable_periods(m, prev, &snap, period, budget);
             if k > 0 {
@@ -243,14 +301,16 @@ impl PeriodSkip {
             m.cores[i].il1.rank_signature(&self.il1_sets[i], &mut sig);
             m.l2.partition(id).rank_signature(&self.l2_sets[i], &mut sig);
         }
-        m.bus.ff_signature(now, &mut sig);
+        let mut waiting = Vec::new();
+        m.bus.ff_signature(now, &mut sig, &mut waiting);
         if let Some(mc) = &m.mc {
-            mc.ff_signature(now, &mut sig);
+            mc.ff_signature(now, &mut sig, &mut waiting);
         }
         m.dram.ff_signature(now, &mut sig);
 
         Snapshot {
             sig,
+            waiting,
             now,
             iterations: m.cores.iter().map(|c| c.iteration()).collect(),
             instructions: m.cores.iter().map(|c| c.instructions()).collect(),
@@ -263,6 +323,20 @@ impl PeriodSkip {
             mc_stats: m.mc.as_ref().map(|mc| mc.stats().clone()),
             dram_stats: m.dram.stats(),
         }
+    }
+}
+
+impl Snapshot {
+    /// Whether `later` is this state one period on: equal fingerprints,
+    /// and every waiting slot either a fresh request of equal age or the
+    /// same request (equal absolute `ready`).
+    fn recurs_in(&self, later: &Snapshot) -> bool {
+        self.sig == later.sig
+            && self
+                .waiting
+                .iter()
+                .zip(&later.waiting)
+                .all(|(p, s)| p.age == s.age || p.ready == s.ready)
     }
 }
 
@@ -303,8 +377,9 @@ fn skippable_periods(
 }
 
 /// Jumps the machine `k` whole periods ahead: shifts every live cycle
-/// stamp, credits per-core progress, and adds `k` copies of every
-/// per-period counter delta.
+/// stamp but the `ready` of a request that waited through the period,
+/// credits per-core progress, and adds `k` copies of every per-period
+/// counter delta.
 fn apply(m: &mut Machine, prev: &Snapshot, snap: &Snapshot, period: Cycle, k: u64) {
     let delta = k * period;
     m.now += delta;
@@ -331,10 +406,11 @@ fn apply(m: &mut Machine, prev: &Snapshot, snap: &Snapshot, period: Cycle, k: u6
         );
         scale_core_pmc(m.pmc.core_mut(id), &prev.pmc[i], &snap.pmc[i], k);
     }
-    m.bus.ff_shift(delta);
+    let mut held = prev.waiting.iter().zip(&snap.waiting).map(|(p, s)| p.ready == s.ready);
+    m.bus.ff_shift(snap.now, delta, &mut held);
     m.bus.ff_scale_stats(&stats_delta(&prev.bus_stats, &snap.bus_stats), k);
     if let Some(mc) = &mut m.mc {
-        mc.ff_shift(delta);
+        mc.ff_shift(snap.now, delta, &mut held);
         if let (Some(p), Some(s)) = (&prev.mc_stats, &snap.mc_stats) {
             mc.ff_scale_stats(&stats_delta(p, s), k);
         }
@@ -404,5 +480,125 @@ fn scale_hist<K: Ord + Copy>(
         if d > 0 {
             *cur.entry(key).or_insert(0) += k * d;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bus::{ArbiterKind, BusOpKind};
+    use crate::config::MachineConfig;
+    use crate::instr::{Instr, Program};
+    use crate::resource::{ResourceId, ResourceKind, SharedResource};
+
+    /// Loads to six lines of one DL1 set: each misses the DL1 and hits
+    /// the core's L2 partition, so every load is a bus request.
+    fn thrashing_loads() -> Vec<Instr> {
+        (0..6).map(|i| Instr::load(32 * 1024 + i * 4096)).collect()
+    }
+
+    /// A four-core fixed-priority machine with a finite scua on core 0
+    /// and endless contenders behind it, run to completion.
+    fn starved_run(period_skip: bool) -> Machine {
+        let mut cfg = MachineConfig::ngmp_ref();
+        cfg.num_cores = 4;
+        cfg.topology.bus.arbiter = ArbiterKind::FixedPriority;
+        cfg.record_requests = false;
+        cfg.period_skip = period_skip;
+        let mut m = Machine::new(cfg).expect("config");
+        m.load_program(CoreId::new(0), Program::from_body(thrashing_loads(), 2_000));
+        for i in 1..4 {
+            m.load_program(CoreId::new(i), Program::endless(thrashing_loads()));
+        }
+        m.run().expect("the scua completes");
+        m
+    }
+
+    /// The waiting slots of a machine's bus at its current cycle.
+    fn bus_waiting(m: &Machine) -> Vec<Waiting> {
+        let mut waiting = Vec::new();
+        m.bus.ff_signature(m.now, &mut Vec::new(), &mut waiting);
+        waiting
+    }
+
+    #[test]
+    fn a_starved_request_keeps_its_ready_through_a_skip() {
+        let skip = starved_run(true);
+        let full = starved_run(false);
+        assert!(
+            skip.steps_executed() * 10 <= full.steps_executed(),
+            "the skip must fire (stepped {} of {})",
+            skip.steps_executed(),
+            full.steps_executed()
+        );
+        assert_eq!(skip.now, full.now);
+        let starved = CoreId::new(3);
+        assert!(full.bus.has_outstanding(starved), "core 3 starves for the whole run");
+        let waiting = bus_waiting(&full);
+        assert!(
+            waiting.iter().any(|w| w.ready < 1_000),
+            "a request posted in the first period still waits at the end: {waiting:?}"
+        );
+        assert_eq!(bus_waiting(&skip), waiting, "pending bus requests diverged");
+        for i in 0..4 {
+            let id = CoreId::new(i);
+            assert_eq!(skip.pmc.core(id), full.pmc.core(id), "core {i} PMC diverged");
+        }
+    }
+
+    #[test]
+    fn only_age_blind_arbiters_hide_a_waiting_requests_age() {
+        let arbiters = [
+            ArbiterKind::RoundRobin,
+            ArbiterKind::FixedPriority,
+            ArbiterKind::Fifo,
+            ArbiterKind::Tdma { slot_cycles: 8 },
+            ArbiterKind::GroupedRoundRobin { group_size: 1 },
+        ];
+        for arbiter in arbiters {
+            let mut r = SharedResource::new(ResourceId::BUS, ResourceKind::Bus, arbiter, 4, 2);
+            r.post(CoreId::new(1), BusOpKind::Load, 0x40, 3);
+            // Two cycles a whole TDMA frame (2 × 8) apart.
+            let at = |now| {
+                let (mut sig, mut waiting) = (Vec::new(), Vec::new());
+                r.ff_signature(now, &mut sig, &mut waiting);
+                (sig, waiting)
+            };
+            let ((sig_a, wait_a), (sig_b, wait_b)) = (at(5), at(21));
+            if arbiter.reads_ready_age() {
+                assert_ne!(sig_a, sig_b, "{arbiter}: FIFO orders by age, so the age is state");
+                assert!(wait_a.is_empty() && wait_b.is_empty(), "{arbiter}");
+            } else {
+                assert_eq!(sig_a, sig_b, "{arbiter}: the age must not enter the signature");
+                assert_eq!(wait_a, vec![Waiting { age: 2, ready: 3 }], "{arbiter}");
+                assert_eq!(wait_b, vec![Waiting { age: 18, ready: 3 }], "{arbiter}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_waiting_slot_matches_by_equal_age_or_equal_ready() {
+        let snap = |now, waiting: Vec<Waiting>| Snapshot {
+            sig: vec![7],
+            waiting,
+            now,
+            iterations: Vec::new(),
+            instructions: Vec::new(),
+            pmc: Vec::new(),
+            dl1_stats: Vec::new(),
+            il1_stats: Vec::new(),
+            l2_stats: Vec::new(),
+            sb_full_stalls: Vec::new(),
+            bus_stats: ResourceStats::default(),
+            mc_stats: None,
+            dram_stats: DramStats::default(),
+        };
+        let prev = snap(100, vec![Waiting { age: 4, ready: 96 }, Waiting { age: 90, ready: 10 }]);
+        // A fresh request at the same phase, and the same request still waiting.
+        let same = snap(150, vec![Waiting { age: 4, ready: 146 }, Waiting { age: 140, ready: 10 }]);
+        assert!(prev.recurs_in(&same));
+        // A different request of a different age.
+        let other = snap(150, vec![Waiting { age: 4, ready: 146 }, Waiting { age: 7, ready: 143 }]);
+        assert!(!prev.recurs_in(&other));
     }
 }

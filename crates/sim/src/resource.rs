@@ -22,8 +22,14 @@
 
 use crate::bus::{build_arbiter, ActiveTxn, Arbiter, ArbiterKind, BusOpKind, Pending, RequestView};
 use crate::config::{BusConfig, McQueueConfig};
+use crate::fastforward::Waiting;
 use crate::types::{Addr, CoreId, Cycle};
 use std::fmt;
+
+/// The signature word of a pending slot whose waiting time is hidden
+/// ([`SharedResource::ff_signature`]). No kind word takes this value, so
+/// the slot encodings stay prefix-free.
+const WAITING: u64 = u64::MAX - 1;
 
 /// Identifies one shared resource on the request path.
 ///
@@ -363,12 +369,28 @@ impl SharedResource {
 
     /// Appends a time-relative signature of the in-flight state to `out`
     /// (pending slots, active transaction, arbiter state), encoding every
-    /// cycle stamp relative to `now`. Two resources with equal signatures
-    /// evolve identically from their respective `now`s.
-    pub(crate) fn ff_signature(&self, now: Cycle, out: &mut Vec<u64>) {
+    /// cycle stamp relative to `now`.
+    ///
+    /// A ready pending request's age `now − ready` enters `out` only when
+    /// the arbiter reads it ([`ArbiterKind::reads_ready_age`], FIFO).
+    /// Under every other policy the slot writes the [`WAITING`] marker
+    /// instead and appends its age and absolute `ready` to `waiting`, in
+    /// slot order: a starved request's age grows every period, so writing
+    /// it would keep a periodic machine from ever matching. The period
+    /// matcher compares those entries itself (see the fast-forward
+    /// module's §Soundness). Two resources with equal signatures whose
+    /// `waiting` entries match evolve identically from their `now`s.
+    pub(crate) fn ff_signature(&self, now: Cycle, out: &mut Vec<u64>, waiting: &mut Vec<Waiting>) {
+        let hides_age = !self.arbiter.kind().reads_ready_age();
         for p in &self.pending {
             match p {
                 None => out.push(u64::MAX),
+                Some(p) if hides_age && p.ready <= now => {
+                    out.push(WAITING);
+                    out.push(p.kind as u64);
+                    out.push(p.addr);
+                    waiting.push(Waiting { age: now - p.ready, ready: p.ready });
+                }
                 Some(p) => {
                     out.push(p.kind as u64);
                     out.push(p.addr);
@@ -394,10 +416,24 @@ impl SharedResource {
         self.arbiter.ff_signature(now, out);
     }
 
-    /// Shifts every live cycle stamp forward by `delta` (fast-forward).
-    pub(crate) fn ff_shift(&mut self, delta: Cycle) {
+    /// Shifts every live cycle stamp forward by `delta` (fast-forward),
+    /// except the `ready` of a waiting request for which `held` yields
+    /// true: that request waited through the whole period, and stepping
+    /// would leave it waiting with the same `ready`. `held` is consumed
+    /// one entry per slot [`SharedResource::ff_signature`] reported as
+    /// waiting at `now`, in the same order.
+    pub(crate) fn ff_shift(
+        &mut self,
+        now: Cycle,
+        delta: Cycle,
+        held: &mut impl Iterator<Item = bool>,
+    ) {
+        let hides_age = !self.arbiter.kind().reads_ready_age();
         for p in self.pending.iter_mut().flatten() {
-            p.ready += delta;
+            let waiting = hides_age && p.ready <= now;
+            if !(waiting && held.next().unwrap_or(false)) {
+                p.ready += delta;
+            }
         }
         if let Some(a) = &mut self.active {
             a.ready += delta;

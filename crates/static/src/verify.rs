@@ -261,8 +261,9 @@ struct LassoSearch {
     occupancy: u64,
     layout: Option<KeyLayout>,
     /// Whether a contender's waiting time is invisible to the arbiter,
-    /// so its `ready` clamps to `now` in the key. True for every policy
-    /// that only asks `ready <= now`; FIFO orders by `ready` itself.
+    /// so its `ready` clamps to `now` in the key: the negation of
+    /// [`ArbiterKind::reads_ready_age`], the same rule period skip's
+    /// fingerprint hides a waiting request's age by.
     clamp_waiting: bool,
     /// Pending request per core: the arbiter's view and the state.
     view: Vec<Option<RequestView>>,
@@ -287,7 +288,7 @@ impl LassoSearch {
             arb,
             occupancy: occupancy.max(1),
             layout: KeyLayout::new(num_cores, sig.len(), period.max(num_cores as u64)),
-            clamp_waiting: arbiter != ArbiterKind::Fifo,
+            clamp_waiting: !arbiter.reads_ready_age(),
             view: Vec::with_capacity(num_cores),
             sig,
             path: Vec::new(),

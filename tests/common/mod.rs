@@ -31,6 +31,21 @@ pub fn random_arbiter(rng: &mut KernelRng, num_cores: usize, worst_occ: u64) -> 
     }
 }
 
+/// One of the five arbitration policies for a resource whose longest
+/// transaction takes `worst_occupancy` cycles: TDMA slots always fit it
+/// (otherwise validation rejects them), grouped round-robin groups hold
+/// one to three cores. The simulator equivalence properties draw every
+/// bus and controller policy from here.
+pub fn random_policy(rng: &mut KernelRng, worst_occupancy: u64) -> ArbiterKind {
+    match rng.gen_below(5) {
+        0 => ArbiterKind::RoundRobin,
+        1 => ArbiterKind::FixedPriority,
+        2 => ArbiterKind::Fifo,
+        3 => ArbiterKind::Tdma { slot_cycles: worst_occupancy + rng.gen_below(12) },
+        _ => ArbiterKind::GroupedRoundRobin { group_size: 1 + rng.gen_below(3) as usize },
+    }
+}
+
 /// A random machine: 2-4 cores, bus latency 1-4, one of the five bus
 /// arbiters, and — when the `chain_mc` draw says so — a chained
 /// memory-controller queue with a service occupancy of 1 to

@@ -18,24 +18,15 @@
 //! through the workspace's own deterministic [`KernelRng`], so
 //! failures reproduce exactly.
 
+mod common;
+
+use common::random_policy;
 use rrb::campaign::RunSpec;
 use rrb::executor::MachineArena;
-use rrb_kernels::{rsk_l2_miss, KernelRng};
+use rrb_kernels::{rsk, rsk_l2_miss, AccessKind::Load, AccessKind::Store, KernelRng, RskBuilder};
 use rrb_sim::{
     ArbiterKind, CoreId, Instr, Machine, MachineConfig, McQueueConfig, Program, ResourceId,
 };
-
-/// Draws one of the five arbitration policies; TDMA slots always fit the
-/// longest transaction of `cfg` (otherwise validation rejects them).
-fn random_arbiter(rng: &mut KernelRng, worst_occupancy: u64) -> ArbiterKind {
-    match rng.gen_below(5) {
-        0 => ArbiterKind::RoundRobin,
-        1 => ArbiterKind::FixedPriority,
-        2 => ArbiterKind::Fifo,
-        3 => ArbiterKind::Tdma { slot_cycles: worst_occupancy + rng.gen_below(12) },
-        _ => ArbiterKind::GroupedRoundRobin { group_size: 1 + rng.gen_below(3) as usize },
-    }
-}
 
 /// A random machine over the reference substrate: 2–4 cores, any bus
 /// arbiter, optionally a chained memory-controller queue. Unlike the
@@ -56,12 +47,12 @@ fn random_config(rng: &mut KernelRng) -> MachineConfig {
         .l2_hit_occupancy
         .max(cfg.topology.bus.transfer_occupancy)
         .max(cfg.topology.bus.store_occupancy);
-    cfg.topology.bus.arbiter = random_arbiter(rng, worst_bus);
+    cfg.topology.bus.arbiter = random_policy(rng, worst_bus);
     if cfg.topology.mc.is_none() && rng.gen_below(2) == 1 {
         let service_occupancy = 2 + rng.gen_below(8);
         cfg.topology.mc = Some(McQueueConfig {
             service_occupancy,
-            arbiter: random_arbiter(rng, service_occupancy),
+            arbiter: random_policy(rng, service_occupancy),
         });
     }
     cfg.store_buffer.entries = 1 + rng.gen_below(8) as usize;
@@ -257,4 +248,59 @@ fn period_skip_matches_full_simulation() {
             "{what}: the skipping run must never step more than the full one"
         );
     });
+}
+
+/// Period skip through starvation: on a four-core fixed-priority bus the
+/// lower-priority load contenders' first requests wait for the whole
+/// run, so their ages grow every period. The skip must still fire —
+/// matching each such request by its absolute `ready` — and stay
+/// cycle-identical to the full simulation, on a single bus and with an
+/// rr or a fifo memory controller behind it.
+#[test]
+fn period_skip_fires_through_fixed_priority_starvation() {
+    let mcs = [
+        None,
+        Some(McQueueConfig { service_occupancy: 4, arbiter: ArbiterKind::RoundRobin }),
+        Some(McQueueConfig { service_occupancy: 4, arbiter: ArbiterKind::Fifo }),
+    ];
+    for mc in mcs {
+        for contenders in [[Load, Load, Load], [Store, Load, Load]] {
+            for (scua, nops) in [(Load, 0), (Load, 5), (Store, 3)] {
+                let mut cfg = MachineConfig::ngmp_ref();
+                cfg.num_cores = 4;
+                cfg.topology.bus.arbiter = ArbiterKind::FixedPriority;
+                cfg.topology.mc = mc;
+                cfg.record_requests = false;
+                cfg.validate().expect("fp starvation config must validate");
+                let what =
+                    format!("mc {mc:?}, contenders {contenders:?}, scua {scua:?} + {nops} nops");
+                let mut programs = vec![RskBuilder::new(scua)
+                    .nops(nops)
+                    .iterations(1_000)
+                    .build(&cfg, CoreId::new(0))];
+                for (i, &access) in contenders.iter().enumerate() {
+                    programs.push(rsk(access, &cfg, CoreId::new(i + 1)));
+                }
+
+                cfg.period_skip = true;
+                let mut skip = Machine::new(cfg.clone()).expect("config");
+                cfg.period_skip = false;
+                let mut full = Machine::new(cfg).expect("config");
+                for (core, prog) in programs.iter().enumerate() {
+                    skip.load_program(CoreId::new(core), prog.clone());
+                    full.load_program(CoreId::new(core), prog.clone());
+                }
+                let a = skip.run();
+                let b = full.run();
+                assert_eq!(a, b, "{what}: run results diverged");
+                assert_machines_identical(&skip, &full, &what);
+                assert!(
+                    skip.steps_executed() * 10 <= full.steps_executed(),
+                    "{what}: the skip must fire through starvation (stepped {} of {})",
+                    skip.steps_executed(),
+                    full.steps_executed()
+                );
+            }
+        }
+    }
 }

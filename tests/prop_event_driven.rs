@@ -12,22 +12,11 @@
 //! The case generator is the workspace's own deterministic
 //! [`KernelRng`] (std-only, fixed seeds), so failures reproduce exactly.
 
-use rrb_kernels::{rsk_l2_miss, KernelRng};
-use rrb_sim::{
-    ArbiterKind, CoreId, Instr, Machine, MachineConfig, McQueueConfig, Program, ResourceId,
-};
+mod common;
 
-/// Draws one of the five arbitration policies; TDMA slots always fit the
-/// longest transaction of `cfg` (otherwise validation rejects them).
-fn random_arbiter(rng: &mut KernelRng, worst_occupancy: u64) -> ArbiterKind {
-    match rng.gen_below(5) {
-        0 => ArbiterKind::RoundRobin,
-        1 => ArbiterKind::FixedPriority,
-        2 => ArbiterKind::Fifo,
-        3 => ArbiterKind::Tdma { slot_cycles: worst_occupancy + rng.gen_below(12) },
-        _ => ArbiterKind::GroupedRoundRobin { group_size: 1 + rng.gen_below(3) as usize },
-    }
-}
+use common::random_policy;
+use rrb_kernels::{rsk_l2_miss, KernelRng};
+use rrb_sim::{CoreId, Instr, Machine, MachineConfig, McQueueConfig, Program, ResourceId};
 
 /// A random machine over the reference substrate: 2–4 cores, any bus
 /// arbiter, optionally a chained memory-controller queue.
@@ -44,12 +33,12 @@ fn random_config(rng: &mut KernelRng) -> MachineConfig {
         .l2_hit_occupancy
         .max(cfg.topology.bus.transfer_occupancy)
         .max(cfg.topology.bus.store_occupancy);
-    cfg.topology.bus.arbiter = random_arbiter(rng, worst_bus);
+    cfg.topology.bus.arbiter = random_policy(rng, worst_bus);
     if rng.gen_below(2) == 1 {
         let service_occupancy = 2 + rng.gen_below(8);
         cfg.topology.mc = Some(McQueueConfig {
             service_occupancy,
-            arbiter: random_arbiter(rng, service_occupancy),
+            arbiter: random_policy(rng, service_occupancy),
         });
     }
     cfg.store_buffer.entries = 1 + rng.gen_below(8) as usize;

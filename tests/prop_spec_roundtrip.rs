@@ -21,6 +21,10 @@ fn random_access(rng: &mut KernelRng) -> AccessKind {
     }
 }
 
+/// Any arbiter token the spec layer can carry, valid or not: unlike
+/// `common::random_policy`, this draws the out-of-range `tdma:0` and
+/// `grr:0` on purpose, because a spec must round-trip before validation
+/// rejects its machine.
 fn random_arbiter(rng: &mut KernelRng) -> ArbiterKind {
     match rng.gen_below(5) {
         0 => ArbiterKind::RoundRobin,
