@@ -8,7 +8,7 @@
 //! cargo run --release -p rrb-bench --bin simspeed -- --quick # CI smoke
 //! ```
 //!
-//! Four workloads bracket the skips' leverage:
+//! Five workloads bracket the skips' leverage:
 //!
 //! * **dram-bound** — four cores streaming L2-missing loads through the
 //!   two-level topology: almost every cycle is a DRAM/queue wait, the
@@ -23,6 +23,11 @@
 //!   use `run_for` on endless programs, where period skip never arms;
 //!   here it must fire through the starved request (the gated quantity
 //!   is its stepped share of the simulated cycles).
+//! * **nop-padded** — the paper's saw-tooth probe on the reference
+//!   machine: an endless rsk-nop with k = 40 nops per load on core 0
+//!   against three rsk contenders, through `run_for` so period skip stays
+//!   out of it. Each run of 40 IL1-hitting nops is one event of the
+//!   quiescence skip, so its stepped share (gated) falls with it.
 //! * **campaign** — the toy derivation grid of `campaign_throughput`,
 //!   run serially, reporting end-to-end methodology runs/sec (which
 //!   inherit the skip through the default configuration).
@@ -170,13 +175,17 @@ fn main() {
             rsk(AccessKind::Load, cfg, core)
         });
     let (_, starved_record) = fp_starved(cycles);
+    let (_, nop_record) = compare("nop-padded", MachineConfig::ngmp_ref(), cycles, |cfg, core| {
+        let nops = if core.index() == 0 { 40 } else { 0 };
+        RskBuilder::new(AccessKind::Load).nops(nops).endless().build(cfg, core)
+    });
     let (campaign_rps, campaign_runs) = campaign_runs_per_second();
     println!("{:<14} {campaign_rps:>12.1} runs/s serial ({campaign_runs} runs)", "campaign");
 
     let artifact = Json::obj(vec![
         ("bench", Json::str("simspeed")),
         ("quick", Json::Bool(quick)),
-        ("workloads", Json::Arr(vec![dram_record, bus_record, starved_record])),
+        ("workloads", Json::Arr(vec![dram_record, bus_record, starved_record, nop_record])),
         ("campaign_runs", Json::U64(campaign_runs)),
         ("campaign_runs_per_second_serial", Json::F64(campaign_rps)),
     ]);

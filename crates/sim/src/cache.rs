@@ -254,6 +254,35 @@ impl Cache {
         Access::Miss
     }
 
+    /// Accesses `addr` `n` times in a row, exactly as `n` calls of
+    /// [`Cache::touch`] would, and returns the first access's outcome.
+    /// On a resident line that is one lookup: the clock advances by `n`,
+    /// the hit count by `n`, and an LRU line ends stamped with the last
+    /// access. Otherwise the first access misses and fills the line, and
+    /// the other `n − 1` hit it.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `n` is zero.
+    pub(crate) fn touch_n(&mut self, addr: Addr, n: u64) -> Access {
+        debug_assert!(n > 0, "touch_n needs at least one access");
+        let (tag, base) = (self.tag(addr), self.set_index(addr) * self.ways);
+        let set = &mut self.lines[base..base + self.ways];
+        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+            self.clock += n;
+            if self.cfg.replacement == Replacement::Lru {
+                line.stamp = self.clock;
+            }
+            self.stats.hits += n;
+            return Access::Hit;
+        }
+        self.touch(addr);
+        if n > 1 {
+            self.touch_n(addr, n - 1);
+        }
+        Access::Miss
+    }
+
     /// Invalidates the whole cache (e.g. between warm-up and measurement).
     pub fn invalidate_all(&mut self) {
         for line in &mut self.lines {
@@ -443,6 +472,28 @@ mod tests {
             each.sort_unstable();
             each.dedup();
             assert_eq!(c.reachable_sets(&[], range), each, "{start:#x}+{len}");
+        }
+    }
+
+    #[test]
+    fn touch_n_equals_n_touches() {
+        for repl in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            let (mut batched, mut single) = (small(2, repl), small(2, repl));
+            // Runs over five lines of one 2-way set, so runs both hit
+            // and miss, and misses evict by the replacement state the
+            // earlier runs left.
+            for i in 0..60u64 {
+                let (addr, n) = ((i * 7 % 5) * 64, 1 + i % 4);
+                let first = batched.touch_n(addr, n);
+                let each: Vec<Access> = (0..n).map(|_| single.touch(addr)).collect();
+                assert_eq!(first, each[0], "{repl:?} access {i}");
+                assert_eq!(batched.stats(), single.stats(), "{repl:?} access {i}");
+                assert_eq!(batched.clock, single.clock, "{repl:?} access {i}");
+                let lines = |c: &Cache| -> Vec<(bool, u64, u64)> {
+                    c.lines.iter().map(|l| (l.valid, l.tag, l.stamp)).collect()
+                };
+                assert_eq!(lines(&batched), lines(&single), "{repl:?} access {i}");
+            }
         }
     }
 

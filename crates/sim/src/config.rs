@@ -562,15 +562,20 @@ pub struct MachineConfig {
     /// Whether to record a bus-event trace (used by timeline figures).
     pub record_trace: bool,
     /// Whether [`Machine::run`]/[`Machine::run_for`] may jump `now`
-    /// straight to the next component event horizon when no component
-    /// can act this cycle (all cores stalled on DRAM/bus waits), instead
-    /// of stepping every quiescent cycle.
+    /// straight to the next cross-component event horizon when no
+    /// component can act on another this cycle, instead of stepping
+    /// every such cycle. That covers cycles where every core is stalled
+    /// on a DRAM/bus wait, and cycles where a core only dispatches a
+    /// quiet run — IL1-hitting `nop`/`alu`/`branch` instructions, whose
+    /// dispatches the core applies late, each as of its own cycle (see
+    /// [`crate::core_model`]).
     ///
-    /// The two modes are cycle-identical — skipping elides only provable
-    /// no-op cycles, and the golden-trace and equivalence property tests
-    /// pin that — so this stays `true` everywhere except when forcing
-    /// naive per-cycle stepping to debug the simulator itself (or to
-    /// benchmark the skip, as `simspeed` does).
+    /// The two modes are cycle-identical — skipping elides only cycles
+    /// no other component can observe, and the golden-trace and
+    /// equivalence property tests pin that — so this stays `true`
+    /// everywhere except when forcing naive per-cycle stepping (every
+    /// cycle stepped, every core ticked) to debug the simulator itself
+    /// (or to benchmark the skip, as `simspeed` does).
     ///
     /// [`Machine::run`]: crate::Machine::run
     /// [`Machine::run_for`]: crate::Machine::run_for

@@ -17,6 +17,31 @@
 //! The core is a single bus master: at most one of {demand load, fetch
 //! miss, refill, store drain} is posted at a time, with refills first,
 //! then demand misses, then store drains.
+//!
+//! ## Quiet runs
+//!
+//! A *quiet* instruction is a `nop`, an `alu` or a `branch` of non-zero
+//! latency: it touches nothing but the core's own pc, retired-instruction
+//! counter and IL1. A *quiet run* is a stretch of consecutive quiet
+//! instructions whose fetch lines are resident in the IL1 and which stops
+//! short of the body's last instruction, so the iteration wrap and the
+//! program's completion are always dispatched live. Nothing outside the
+//! core can observe a run before it ends: the run's fetches all hit, and
+//! only this core's own accesses touch its IL1, so the residency probed
+//! when the run is planned holds to its end.
+//!
+//! The core therefore treats a whole run as one event of the machine's
+//! quiescence skip. [`CoreModel::load_program`] builds a per-program
+//! table of run ends and latency prefix sums; whenever the pipeline
+//! resumes, the core plans the run starting at its pc (one IL1 probe per
+//! fetch line), and `CoreModel::next_event` reports the dispatch cycle
+//! of the first instruction after the run, in O(1). The run's own
+//! dispatches are applied late, each as of its own cycle, by
+//! `CoreModel::catch_up` — from `tick` at the next live cycle, or by the
+//! machine before anything reads the core's state — with one
+//! `Cache::touch_n` per fetch line. Stepping every cycle
+//! (`MachineConfig::quiescence_skip = false`) catches up one dispatch per
+//! tick, so both modes leave the same state at every cycle.
 
 use crate::bus::BusOpKind;
 use crate::cache::{Access, Cache};
@@ -55,6 +80,45 @@ pub(crate) struct PendingPost {
     pub ready: Cycle,
 }
 
+/// The quiet runs of one program: a table built once per
+/// [`CoreModel::load_program`], so planning a run costs one lookup plus
+/// one IL1 probe per fetch line.
+#[derive(Debug, Clone, Default)]
+struct QuietRuns {
+    /// `end[pc]`: the first index `>= pc` that is not quiet or is the
+    /// body's last instruction — where a run starting at `pc` stops.
+    end: Vec<usize>,
+    /// `cycles[pc]`: the summed latency of the quiet instructions before
+    /// `pc` (memory instructions count zero). Within a run the dispatch
+    /// cycle of instruction `j` is the run's start plus
+    /// `cycles[j] − cycles[start]`.
+    cycles: Vec<Cycle>,
+}
+
+impl QuietRuns {
+    /// Rebuilds the table for `body`, reusing the allocations;
+    /// `latency(instr)` is an instruction's fixed latency, and an
+    /// instruction is quiet when that is non-zero.
+    fn rebuild(&mut self, body: &[Instr], latency: impl Fn(Instr) -> Cycle) {
+        self.cycles.clear();
+        self.cycles.push(0);
+        let mut sum = 0;
+        for &instr in body {
+            sum += latency(instr);
+            self.cycles.push(sum);
+        }
+        self.end.clear();
+        self.end.resize(body.len(), 0);
+        let mut end = body.len();
+        for pc in (0..body.len()).rev() {
+            if pc + 1 == body.len() || latency(body[pc]) == 0 {
+                end = pc;
+            }
+            self.end[pc] = end;
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// Next instruction dispatches once `resume_at` is reached.
@@ -75,6 +139,15 @@ pub struct CoreModel {
     pc: usize,
     iteration: u64,
     state: State,
+    /// The quiet-run table of the installed program.
+    runs: QuietRuns,
+    /// While `Idle`: the instructions `pc..run_end` form the current
+    /// quiet run, dispatching from `resume_at`, and the instruction at
+    /// `run_end` dispatches live at `run_end_at`. Only `load_program`
+    /// leaves `Done`, and it rebuilds `runs` and plans the run, so none
+    /// of the three is read before it is set.
+    run_end: usize,
+    run_end_at: Cycle,
     /// Demand request waiting for the bus slot (fetch/load miss, refill).
     want_post: Option<PendingPost>,
     /// Private data cache.
@@ -101,6 +174,9 @@ impl CoreModel {
             pc: 0,
             iteration: 0,
             state: State::Done,
+            runs: QuietRuns::default(),
+            run_end: 0,
+            run_end_at: 0,
             want_post: None,
             dl1: Cache::new(cfg.dl1),
             il1: Cache::new(cfg.il1),
@@ -149,6 +225,8 @@ impl CoreModel {
             Iterations::Finite(n) => n == 0 || program.body().is_empty(),
             Iterations::Infinite => program.body().is_empty(),
         };
+        let (nop, branch) = (self.nop_lat, self.branch_lat);
+        self.runs.rebuild(program.body(), |instr| fixed_latency(instr, nop, branch));
         self.program = program;
         self.pc = 0;
         self.iteration = 0;
@@ -157,7 +235,7 @@ impl CoreModel {
             self.state = State::Done;
             self.completed_at = Some(start);
         } else {
-            self.state = State::Idle { resume_at: start };
+            self.resume(start, true);
             self.completed_at = None;
         }
     }
@@ -177,13 +255,69 @@ impl CoreModel {
         self.instructions
     }
 
-    /// The address of the instruction at `pc` in this core's fetch region.
-    fn pc_addr(&self) -> Addr {
-        fetch_addr(self.id, self.pc)
-    }
-
     fn line_of(&self, addr: Addr) -> Addr {
         addr / self.line_bytes * self.line_bytes
+    }
+
+    /// The fetch line of the instruction at `pc`.
+    fn fetch_line(&self, pc: usize) -> Addr {
+        self.line_of(fetch_addr(self.id, pc))
+    }
+
+    /// The first pc after `pc` whose fetch line is not `line`, the fetch
+    /// line of `pc`.
+    fn pc_after_line(&self, line: Addr, pc: usize) -> usize {
+        let next = (line + self.line_bytes).saturating_sub(fetch_addr(self.id, 0));
+        (next.div_ceil(INSTR_BYTES) as usize).max(pc + 1)
+    }
+
+    /// Idles the pipeline until `resume_at` and plans the quiet run that
+    /// dispatches from there. With `run` false the run is left empty, so
+    /// the next instruction dispatches live.
+    fn resume(&mut self, resume_at: Cycle, run: bool) {
+        self.state = State::Idle { resume_at };
+        let mut end = if run { self.runs.end[self.pc] } else { self.pc };
+        // One probe per fetch line: the run stops at the first line that
+        // would miss, whose first instruction then fetches live.
+        let mut pc = self.pc;
+        while pc < end {
+            let line = self.fetch_line(pc);
+            if !self.il1.probe(line) {
+                end = pc;
+                break;
+            }
+            pc = self.pc_after_line(line, pc);
+        }
+        self.run_end = end;
+        self.run_end_at = resume_at + self.runs.cycles[end] - self.runs.cycles[self.pc];
+    }
+
+    /// Dispatches every instruction of the current quiet run that is due
+    /// before `limit`, each as of its own cycle: the pc, the retired count
+    /// and the IL1 end exactly where per-cycle ticking would leave them
+    /// at `limit`. The machine calls it before it reads the core's state
+    /// at a cycle it reached by skipping; `tick` calls it first thing.
+    pub(crate) fn catch_up(&mut self, limit: Cycle) {
+        let State::Idle { resume_at } = self.state else {
+            return;
+        };
+        if self.pc == self.run_end || resume_at >= limit {
+            return;
+        }
+        let from = self.runs.cycles[self.pc];
+        let window = limit - resume_at;
+        let due = self.runs.cycles[self.pc..self.run_end].partition_point(|&c| c - from < window);
+        let to = self.pc + due;
+        let mut pc = self.pc;
+        while pc < to {
+            let line = self.fetch_line(pc);
+            let next = self.pc_after_line(line, pc).min(to);
+            self.il1.touch_n(line, (next - pc) as u64);
+            pc = next;
+        }
+        self.state = State::Idle { resume_at: resume_at + self.runs.cycles[to] - from };
+        self.instructions += due as u64;
+        self.pc = to;
     }
 
     /// Advances the program counter, wrapping at the body end and counting
@@ -229,7 +363,7 @@ impl CoreModel {
             State::WaitIfetch => {
                 self.il1.touch(addr);
                 // Fetch satisfied: dispatch the fetched instruction now.
-                self.state = State::Idle { resume_at: now };
+                self.resume(now, true);
             }
             State::WaitLoad => {
                 // The DL1 line was already allocated by the dispatch-time
@@ -237,17 +371,19 @@ impl CoreModel {
                 // The load retires as the data arrives.
                 self.advance_pc(now);
                 if !self.is_done() {
-                    self.state = State::Idle { resume_at: now };
+                    self.resume(now, true);
                 }
             }
             s => unreachable!("data return in state {s:?}"),
         }
     }
 
-    /// Advances the pipeline at cycle `now`. Dispatches at most one
-    /// instruction (every instruction costs at least one cycle). Returns
-    /// the number of store-buffer stall cycles incurred this tick.
+    /// Advances the pipeline at cycle `now`: catches up the quiet run,
+    /// then dispatches the instruction due at `now`, if any (every
+    /// instruction costs at least one cycle, so there is at most one).
+    /// Returns the number of store-buffer stall cycles incurred this tick.
     pub(crate) fn tick(&mut self, now: Cycle) -> u64 {
+        self.catch_up(now + 1);
         let State::Idle { resume_at } = self.state else {
             return 0;
         };
@@ -255,7 +391,7 @@ impl CoreModel {
             return 0;
         }
         // Instruction fetch.
-        let fetch_line = self.line_of(self.pc_addr());
+        let fetch_line = self.fetch_line(self.pc);
         if self.il1.probe(fetch_line) {
             self.il1.touch(fetch_line);
         } else {
@@ -268,35 +404,10 @@ impl CoreModel {
             return 0;
         }
         let instr = self.program.body()[self.pc];
-        match instr {
-            Instr::Nop => {
-                self.advance_pc(now + self.nop_lat);
-                if !self.is_done() {
-                    self.state = State::Idle { resume_at: now + self.nop_lat };
-                }
-            }
-            Instr::Alu { latency } => {
-                let done = now + latency.max(1);
-                self.advance_pc(done);
-                if !self.is_done() {
-                    self.state = State::Idle { resume_at: done };
-                }
-            }
-            Instr::Branch => {
-                self.advance_pc(now + self.branch_lat);
-                if !self.is_done() {
-                    self.state = State::Idle { resume_at: now + self.branch_lat };
-                }
-            }
+        let done = match instr {
             Instr::Load(addr) => {
                 let line = self.line_of(addr);
-                if self.dl1.touch(line) == Access::Hit {
-                    let done = now + self.dl1_lat;
-                    self.advance_pc(done);
-                    if !self.is_done() {
-                        self.state = State::Idle { resume_at: done };
-                    }
-                } else {
+                if self.dl1.touch(line) == Access::Miss {
                     // Miss known after the DL1 lookup: request ready then.
                     self.state = State::WaitLoad;
                     self.want_post = Some(PendingPost {
@@ -304,27 +415,32 @@ impl CoreModel {
                         addr: line,
                         ready: now + self.dl1_lat,
                     });
+                    return 0;
                 }
+                now + self.dl1_lat
             }
             Instr::Store(addr) => {
                 let line = self.line_of(addr);
-                if self.store_buffer.try_push(line, now + self.dl1_lat) {
-                    // Write-through, write-no-allocate DL1: refresh on hit
-                    // only.
-                    if self.dl1.probe(line) {
-                        self.dl1.touch(line);
-                    }
-                    let done = now + self.dl1_lat;
-                    self.advance_pc(done);
-                    if !self.is_done() {
-                        self.state = State::Idle { resume_at: done };
-                    }
-                } else {
+                if !self.store_buffer.try_push(line, now + self.dl1_lat) {
                     // Full buffer: stall one cycle and retry.
-                    self.state = State::Idle { resume_at: now + 1 };
+                    self.resume(now + 1, true);
                     return 1;
                 }
+                // Write-through, write-no-allocate DL1: refresh on hit only.
+                if self.dl1.probe(line) {
+                    self.dl1.touch(line);
+                }
+                now + self.dl1_lat
             }
+            Instr::Nop | Instr::Alu { .. } | Instr::Branch => {
+                now + fixed_latency(instr, self.nop_lat, self.branch_lat)
+            }
+        };
+        self.advance_pc(done);
+        if !self.is_done() {
+            // A zero-latency branch resumes at `now`, but its successor
+            // still dispatches a tick later: that one runs live.
+            self.resume(done, done > now);
         }
         0
     }
@@ -362,7 +478,9 @@ impl CoreModel {
     /// (pc, execution state, pending post), with cycle stamps relative to
     /// `now`. Iteration and instruction counters are deliberately
     /// excluded: they advance monotonically and are scaled separately
-    /// when a period is skipped.
+    /// when a period is skipped. The quiet run is not signed: it follows
+    /// from the pc, the program and the IL1, all signed. The caller
+    /// catches the core up to `now` first.
     pub(crate) fn ff_signature(&self, now: Cycle, out: &mut Vec<u64>) {
         out.push(self.pc as u64);
         match self.state {
@@ -391,6 +509,7 @@ impl CoreModel {
     pub(crate) fn ff_shift(&mut self, delta: Cycle) {
         if let State::Idle { resume_at } = &mut self.state {
             *resume_at += delta;
+            self.run_end_at += delta;
         }
         if let Some(p) = &mut self.want_post {
             p.ready += delta;
@@ -405,12 +524,13 @@ impl CoreModel {
         self.instructions += instructions;
     }
 
-    /// The earliest cycle `>= now` at which this core can act on its own:
-    /// dispatch its next instruction (`Idle` resume deadline) or present
-    /// a request to the machine's posting phase (demand/refill post
-    /// readiness, store-buffer drain readiness). `None` when the core is
-    /// passive — `Done`, or stalled waiting for a data return, which the
-    /// bus completion horizon accounts for.
+    /// The earliest cycle `>= now` at which this core can act on anything
+    /// outside itself: dispatch the first instruction after its quiet run
+    /// (the run's own dispatches are caught up later, see the module
+    /// docs) or present a request to the machine's posting phase
+    /// (demand/refill post readiness, store-buffer drain readiness).
+    /// `None` when the core is passive — `Done`, or stalled waiting for a
+    /// data return, which the bus completion horizon accounts for.
     ///
     /// `may_post` is whether the machine would accept a post this cycle
     /// (the core has no transaction outstanding at the bus); while one is
@@ -419,8 +539,8 @@ impl CoreModel {
     /// the horizon.
     pub(crate) fn next_event(&self, now: Cycle, may_post: bool) -> Option<Cycle> {
         let mut horizon: Option<Cycle> = None;
-        if let State::Idle { resume_at } = self.state {
-            horizon = Some(resume_at.max(now));
+        if let State::Idle { .. } = self.state {
+            horizon = Some(self.run_end_at.max(now));
         }
         if may_post {
             let post_ready = match self.want_post {
@@ -433,6 +553,19 @@ impl CoreModel {
             }
         }
         horizon
+    }
+}
+
+/// The cycles a `nop`, `alu` or `branch` occupies the pipeline, given
+/// the configured nop and branch latencies; 0 for a memory instruction,
+/// whose time depends on the caches. An instruction is quiet when this
+/// is non-zero.
+fn fixed_latency(instr: Instr, nop: Cycle, branch: Cycle) -> Cycle {
+    match instr {
+        Instr::Nop => nop,
+        Instr::Alu { latency } => latency.max(1),
+        Instr::Branch => branch,
+        Instr::Load(_) | Instr::Store(_) => 0,
     }
 }
 
@@ -604,11 +737,121 @@ mod tests {
         assert_eq!(c.next_event(20, true), Some(20), "overdue drains are imminent");
     }
 
+    /// A core running `body` whose first fetch miss is resolved at
+    /// cycle 10, so the first line is resident and the pipeline resumes
+    /// there.
+    fn warmed(cfg: &MachineConfig, body: Vec<Instr>, iterations: u64) -> CoreModel {
+        let mut c = core(cfg);
+        c.load_program(Program::from_body(body, iterations), 0);
+        c.tick(0);
+        let f = c.take_post().expect("cold IL1 misses");
+        c.on_data_return(f.addr, 10);
+        c
+    }
+
+    #[test]
+    fn quiet_run_horizon_is_the_first_dispatch_after_the_run() {
+        let cfg = MachineConfig::ngmp_ref();
+        let body = vec![
+            Instr::Nop,
+            Instr::Nop,
+            Instr::Alu { latency: 3 },
+            Instr::Branch,
+            Instr::load(0x8000),
+            Instr::Nop,
+            Instr::Nop,
+        ];
+        let mut c = warmed(&cfg, body, 2);
+        // nop, nop, alu(3), branch dispatch at 10, 11, 12, 15: the load
+        // is the first non-quiet instruction, due at 16.
+        assert_eq!(c.next_event(10, true), Some(16));
+        assert_eq!(c.next_event(14, false), Some(16), "the run is not an event");
+        // The load's miss ends the run; its data returns at 40.
+        c.tick(16);
+        assert_eq!((c.pc, c.instructions()), (4, 4), "tick(16) caught up the whole run");
+        let p = c.take_post().expect("the load misses DL1");
+        c.on_data_return(p.addr, 40);
+        // The body's last nop is never part of a run: the run from pc 5
+        // is the one nop at 40, and the last one dispatches live at 41,
+        // where the iteration wraps.
+        assert_eq!(c.next_event(40, true), Some(41));
+        c.tick(40);
+        assert_eq!((c.pc, c.iteration()), (6, 0));
+        c.tick(41);
+        assert_eq!((c.pc, c.iteration()), (0, 1), "the wrap is a live dispatch");
+    }
+
+    #[test]
+    fn quiet_run_stops_at_the_first_fetch_line_that_would_miss() {
+        let cfg = MachineConfig::ngmp_ref();
+        // 20 nops and a load span three 32-byte fetch lines; only the
+        // first is resident after the cold fetch.
+        let mut body = vec![Instr::Nop; 20];
+        body.push(Instr::load(0x8000));
+        let mut c = warmed(&cfg, body, 1);
+        assert_eq!(c.next_event(10, true), Some(18), "eight nops fit the first line");
+        c.tick(18);
+        let f = c.take_post().expect("pc 8 misses the IL1 live");
+        assert_eq!((f.kind, c.pc, c.instructions()), (BusOpKind::Ifetch, 8, 8));
+        c.on_data_return(f.addr, 30);
+        assert_eq!(c.next_event(30, true), Some(38), "the next line's eight nops");
+    }
+
+    #[test]
+    fn catch_up_dispatches_each_instruction_at_its_own_cycle() {
+        let mut cfg = MachineConfig::ngmp_ref();
+        cfg.nop_latency = 2;
+        let body = vec![
+            Instr::Nop,
+            Instr::Alu { latency: 5 },
+            Instr::Nop,
+            Instr::Branch,
+            Instr::store(0x9000),
+        ];
+        // Dispatches at 10 (nop), 12 (alu), 17 (nop), 19 (branch); the
+        // store is due at 20.
+        let mut c = warmed(&cfg, body.clone(), 1);
+        let mut stepped = warmed(&cfg, body, 1);
+        let mut ticked = 10;
+        for (limit, pc, resume_at) in [(10, 0, 10), (11, 1, 12), (13, 2, 17), (18, 3, 19)] {
+            c.catch_up(limit);
+            for now in ticked..limit {
+                stepped.tick(now);
+            }
+            ticked = limit;
+            assert_eq!(c.pc, pc, "pc before cycle {limit}");
+            assert_eq!(stepped.pc, pc, "per-cycle ticks before cycle {limit}");
+            assert_eq!(c.state, State::Idle { resume_at }, "resume before cycle {limit}");
+            assert_eq!(c.instructions(), pc as u64);
+            assert_eq!(c.il1.stats(), stepped.il1.stats(), "one IL1 hit per dispatch");
+        }
+        assert_eq!(c.next_event(18, true), Some(20));
+        c.tick(20);
+        assert_eq!(c.instructions(), 5);
+        assert!(c.is_done());
+        assert_eq!(c.completed_at(), Some(21));
+    }
+
+    #[test]
+    fn a_zero_latency_branch_leaves_its_successor_live() {
+        let mut cfg = MachineConfig::ngmp_ref();
+        cfg.branch_latency = 0;
+        let body = vec![Instr::Branch, Instr::Nop, Instr::Nop, Instr::load(0x8000)];
+        let mut c = warmed(&cfg, body, 1);
+        assert_eq!(c.next_event(10, true), Some(10), "the branch is not quiet");
+        c.tick(10);
+        // Per-cycle ticking dispatches the first nop at 11, not 10.
+        assert_eq!(c.next_event(11, true), Some(11));
+        c.tick(11);
+        assert_eq!(c.pc, 2);
+        assert_eq!(c.next_event(12, true), Some(13), "the second nop, then the load");
+    }
+
     #[test]
     fn pc_addresses_are_per_core_disjoint() {
         let cfg = MachineConfig::ngmp_ref();
         let a = CoreModel::new(CoreId::new(0), &cfg);
         let b = CoreModel::new(CoreId::new(1), &cfg);
-        assert_ne!(a.pc_addr(), b.pc_addr());
+        assert_ne!(a.fetch_line(0), b.fetch_line(0));
     }
 }

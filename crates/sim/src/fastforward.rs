@@ -14,7 +14,8 @@
 //! ## Soundness
 //!
 //! The detector fingerprints the *complete* observable machine state
-//! with every cycle stamp encoded relative to `now`:
+//! with every cycle stamp encoded relative to `now`, after catching every
+//! core's quiet run up to `now` (see [`crate::core_model`]):
 //!
 //! * per core: pc, pipeline state, pending post, store buffer
 //!   ([`CoreModel::ff_signature`]), plus the captured contender counts
@@ -128,7 +129,7 @@ pub(crate) struct Waiting {
 /// One fingerprinted iteration boundary: the relative-time signature
 /// plus a copy of every monotone counter, for per-period delta scaling.
 struct Snapshot {
-    sig: Vec<u64>,
+    sig: Box<[u64]>,
     /// The waiting slots of the bus, then of the memory controller, in
     /// slot order; `sig` holds a marker for each.
     waiting: Vec<Waiting>,
@@ -160,6 +161,9 @@ pub(crate) struct PeriodSkip {
     il1_sets: Vec<Vec<usize>>,
     l2_sets: Vec<Vec<usize>>,
     history: Vec<Snapshot>,
+    /// The buffer every fingerprint is built in, kept across boundaries
+    /// so it grows once per run; each snapshot keeps an exact-size copy.
+    sig_buf: Vec<u64>,
 }
 
 impl PeriodSkip {
@@ -178,6 +182,7 @@ impl PeriodSkip {
             il1_sets: Vec::new(),
             l2_sets: Vec::new(),
             history: Vec::new(),
+            sig_buf: Vec::new(),
         };
         let cfg = &m.cfg;
         if !cfg.period_skip || cfg.record_trace || cfg.record_requests {
@@ -253,6 +258,8 @@ impl PeriodSkip {
             self.history = Vec::new();
             return;
         }
+        // Quiet runs lag behind `now`; the fingerprint reads every core.
+        m.catch_up();
         let snap = self.snapshot(m);
         if let Some(prev) = self.history.iter().rev().find(|p| p.recurs_in(&snap)) {
             let period = snap.now - prev.now;
@@ -275,10 +282,11 @@ impl PeriodSkip {
     }
 
     /// Fingerprints the machine at the current cycle.
-    fn snapshot(&self, m: &Machine) -> Snapshot {
+    fn snapshot(&mut self, m: &Machine) -> Snapshot {
         let now = m.now;
         let n = m.cfg.num_cores;
-        let mut sig = Vec::new();
+        let mut sig = std::mem::take(&mut self.sig_buf);
+        sig.clear();
         sig.push(m.unfinished_count as u64);
         for i in 0..n {
             let id = CoreId::new(i);
@@ -307,9 +315,11 @@ impl PeriodSkip {
             mc.ff_signature(now, &mut sig, &mut waiting);
         }
         m.dram.ff_signature(now, &mut sig);
+        let exact = sig.as_slice().into();
+        self.sig_buf = sig;
 
         Snapshot {
-            sig,
+            sig: exact,
             waiting,
             now,
             iterations: m.cores.iter().map(|c| c.iteration()).collect(),
@@ -579,7 +589,7 @@ mod tests {
     #[test]
     fn a_waiting_slot_matches_by_equal_age_or_equal_ready() {
         let snap = |now, waiting: Vec<Waiting>| Snapshot {
-            sig: vec![7],
+            sig: Box::new([7]),
             waiting,
             now,
             iterations: Vec::new(),

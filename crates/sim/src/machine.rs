@@ -43,14 +43,20 @@
 //!   requests ([`Arbiter::earliest_grant`], which for TDMA folds in the
 //!   slot schedule);
 //! * the DRAM reports its in-flight access's `done` cycle;
-//! * each core reports its pipeline resume deadline and, when it holds
-//!   no bus transaction, its post/store-drain readiness.
+//! * each core reports the dispatch cycle of the first instruction after
+//!   its quiet run (IL1-hitting `nop`/`alu`/`branch` instructions, see
+//!   [`crate::core_model`]) and, when it holds no bus transaction, its
+//!   post/store-drain readiness.
 //!
 //! `now` then jumps straight to the minimum horizon
 //! ([`Machine::next_event`]). Every horizon is a sound lower bound on
-//! its component's next state change, so the elided cycles are provable
-//! no-ops and both modes are cycle-identical — pinned by the
-//! golden-trace test and the `prop_event_driven` equivalence property.
+//! its component's next state change visible to another component, so
+//! the elided cycles change nothing outside a core. A core's quiet-run
+//! dispatches are caught up, each as of its own cycle, when it next
+//! ticks, and before the state is read at a cycle reached by a jump: a
+//! `run_for` end, the cycle budget, a period-skip fingerprint. Both
+//! modes are cycle-identical — pinned by the golden-trace test and the
+//! `prop_event_driven` equivalence property.
 //! Set [`MachineConfig::quiescence_skip`] to `false` (or
 //! [`MachineBuilder::quiescence_skip`]) to force naive per-cycle
 //! stepping when debugging.
@@ -312,6 +318,11 @@ impl Machine {
         self.cores[core.index()].dl1.stats()
     }
 
+    /// IL1 statistics of one core.
+    pub fn il1_stats(&self, core: CoreId) -> crate::cache::CacheStats {
+        self.cores[core.index()].il1.stats()
+    }
+
     /// Store-buffer stall count of one core.
     pub fn store_buffer_stalls(&self, core: CoreId) -> u64 {
         self.cores[core.index()].store_buffer.full_stalls()
@@ -397,20 +408,38 @@ impl Machine {
     /// never backwards. A fully quiescent machine (no event at all: a
     /// deadlock unless every finite core is done) jumps straight to
     /// `horizon`, exactly as per-cycle stepping would idle up to it.
+    /// Landing on `horizon` ends the run (or `run_for`) there, so every
+    /// core's quiet run is caught up to it before anyone reads the state.
     fn skip_quiescence(&mut self, horizon: Cycle) {
         if !self.cfg.quiescence_skip || self.now >= horizon {
             return;
         }
-        let target = self.next_event().unwrap_or(horizon).min(horizon);
-        if target > self.now {
-            self.now = target;
+        match self.next_event() {
+            Some(target) if target < horizon => self.now = target.max(self.now),
+            _ => {
+                self.now = horizon;
+                self.catch_up();
+            }
         }
     }
 
-    /// The earliest cycle `>= now` at which any component can act — the
-    /// minimum of the per-component event horizons — or `None` when the
-    /// whole machine is quiescent (nothing in flight anywhere, so no
-    /// amount of stepping will change its state).
+    /// Applies every quiet-run dispatch due before `now` on every core
+    /// ([`CoreModel::catch_up`]): after it the cores' state is what
+    /// per-cycle stepping would hold at `now`.
+    pub(crate) fn catch_up(&mut self) {
+        for core in &mut self.cores {
+            core.catch_up(self.now);
+        }
+    }
+
+    /// The earliest cycle `>= now` at which any component can act on
+    /// another — the minimum of the per-component event horizons — or
+    /// `None` when the whole machine is quiescent (nothing in flight
+    /// anywhere, so no amount of stepping will change its state). A
+    /// core's quiet run (IL1-hitting `nop`/`alu`/`branch` instructions,
+    /// see [`crate::core_model`]) touches nothing outside the core, so
+    /// its dispatches are not events: the core's horizon is the dispatch
+    /// cycle of the first instruction after the run.
     pub fn next_event(&self) -> Option<Cycle> {
         let now = self.now;
         let mut horizon = self.bus.next_event(now);

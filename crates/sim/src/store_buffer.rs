@@ -154,17 +154,26 @@ impl StoreBuffer {
     /// Appends a time-relative signature of the buffered state to `out`
     /// (entries, drain deadline, peak occupancy), with cycle stamps
     /// relative to `now`.
+    ///
+    /// Only the future part of a stamp is state. A stamp is read through
+    /// [`StoreBuffer::head_ready`] alone, and the machine only asks
+    /// `head_ready() <= now` (a drain posts at `now`) or takes
+    /// `.max(now)`; an entry behind the head is read only after a later
+    /// drain, whose stamp is at least `now`. So every stamp at or before
+    /// `now` signs as 0: a buffer a starved store contender keeps full
+    /// recurs even though its entries' ages grow every period. A future
+    /// stamp — `try_push` stamps `now + dl1.latency` — signs exactly.
     pub(crate) fn ff_signature(&self, now: Cycle, out: &mut Vec<u64>) {
         out.push(self.entries.len() as u64);
         for e in &self.entries {
             out.push(e.addr);
-            out.push(now.wrapping_sub(e.pushed_at));
+            out.push(e.pushed_at.saturating_sub(now));
         }
         // The drain deadline only gates entries already buffered (a future
         // push is always later than a past drain), so an empty buffer's
         // deadline is unobservable and must not block a period match.
         let drain = match (self.entries.is_empty(), self.last_drain_done) {
-            (false, Some(d)) => now.wrapping_sub(d),
+            (false, Some(d)) => d.saturating_sub(now),
             _ => u64::MAX,
         };
         out.push(drain);

@@ -251,11 +251,12 @@ fn period_skip_matches_full_simulation() {
 }
 
 /// Period skip through starvation: on a four-core fixed-priority bus the
-/// lower-priority load contenders' first requests wait for the whole
-/// run, so their ages grow every period. The skip must still fire —
-/// matching each such request by its absolute `ready` — and stay
-/// cycle-identical to the full simulation, on a single bus and with an
-/// rr or a fifo memory controller behind it.
+/// lower-priority contenders' first requests wait for the whole run, so
+/// their ages grow every period. The skip must still fire — matching
+/// each such request by its absolute `ready`, and a starved store
+/// contender's full buffer by the future part of its stamps alone — and
+/// stay cycle-identical to the full simulation, on a single bus and with
+/// an rr or a fifo memory controller behind it.
 #[test]
 fn period_skip_fires_through_fixed_priority_starvation() {
     let mcs = [
@@ -264,7 +265,9 @@ fn period_skip_fires_through_fixed_priority_starvation() {
         Some(McQueueConfig { service_occupancy: 4, arbiter: ArbiterKind::Fifo }),
     ];
     for mc in mcs {
-        for contenders in [[Load, Load, Load], [Store, Load, Load]] {
+        for contenders in
+            [[Load, Load, Load], [Store, Load, Load], [Load, Store, Load], [Load, Load, Store]]
+        {
             for (scua, nops) in [(Load, 0), (Load, 5), (Store, 3)] {
                 let mut cfg = MachineConfig::ngmp_ref();
                 cfg.num_cores = 4;

@@ -15,7 +15,7 @@
 mod common;
 
 use common::random_policy;
-use rrb_kernels::{rsk_l2_miss, KernelRng};
+use rrb_kernels::{rsk_l2_miss, AccessKind, KernelRng, RskBuilder};
 use rrb_sim::{CoreId, Instr, Machine, MachineConfig, McQueueConfig, Program, ResourceId};
 
 /// A random machine over the reference substrate: 2–4 cores, any bus
@@ -119,6 +119,7 @@ fn assert_machines_identical(skip: &Machine, step: &Machine, what: &str) {
         assert_eq!(a.contender_histogram, b.contender_histogram, "{what}: core {i} contenders");
         assert_eq!(a.sb_stall_cycles, b.sb_stall_cycles, "{what}: core {i} store stalls");
         assert_eq!(skip.dl1_stats(id), step.dl1_stats(id), "{what}: core {i} dl1 stats");
+        assert_eq!(skip.il1_stats(id), step.il1_stats(id), "{what}: core {i} il1 stats");
         assert_eq!(skip.l2().stats(id), step.l2().stats(id), "{what}: core {i} l2 stats");
     }
 }
@@ -223,4 +224,146 @@ fn event_driven_matches_on_ngmp_two_level_miss_storm() {
         skip.pmc().core(CoreId::new(0)).requests_at(ResourceId::MEMORY_CONTROLLER) > 0,
         "the workload must actually exercise the controller queue"
     );
+}
+
+/// A quiet run of `len` instructions: rsk-nop padding, ALU padding of
+/// random latencies, or a mix with branches.
+fn quiet_run(rng: &mut KernelRng, len: u64) -> Vec<Instr> {
+    let style = rng.gen_below(3);
+    (0..len)
+        .map(|_| match (style, rng.gen_below(3)) {
+            (0, _) | (2, 0) => Instr::Nop,
+            (1, _) | (2, 1) => Instr::Alu { latency: 1 + rng.gen_below(4) },
+            _ => Instr::Branch,
+        })
+        .collect()
+}
+
+/// A body of long quiet runs: one to four memory instructions (L2-hitting
+/// or L2-missing loads, stores), each followed by a run of 0–80 quiet
+/// instructions. Half the bodies also start with 1–40 nops and end with
+/// a nop, so the nops on both sides of the iteration boundary form one
+/// stretch that the body's live last instruction splits.
+fn quiet_run_body(rng: &mut KernelRng, core: usize) -> Vec<Instr> {
+    let mut body = Vec::new();
+    let nop_edged = rng.gen_below(2) == 1;
+    if nop_edged {
+        body.extend(std::iter::repeat_n(Instr::Nop, 1 + rng.gen_below(40) as usize));
+    }
+    for slot in 0..1 + rng.gen_below(4) {
+        body.push(match rng.gen_below(4) {
+            0 | 1 => Instr::load(32 * 1024 + (slot % 6) * 4096),
+            2 => Instr::load(0x4000_0000 + 0x0400_0000 * core as u64 + rng.gen_below(64) * 4096),
+            _ => Instr::store(0x0009_0000 + rng.gen_below(16) * 32),
+        });
+        let len = rng.gen_below(81);
+        body.extend(quiet_run(rng, len));
+    }
+    if nop_edged {
+        body.push(Instr::Nop);
+    }
+    body
+}
+
+/// A machine for the quiet-run family: the event-driven presets with
+/// random nop and branch latencies (a zero-latency branch never joins a
+/// run), and in a third of the cases an IL1 of four 64-byte sets, so long
+/// bodies overflow it and runs stop at evicted fetch lines on every lap,
+/// not only on the cold first one.
+fn quiet_run_config(rng: &mut KernelRng) -> MachineConfig {
+    let mut cfg = random_config(rng);
+    cfg.nop_latency = 1 + rng.gen_below(3);
+    cfg.branch_latency = rng.gen_below(3);
+    if rng.gen_below(3) == 0 {
+        cfg.il1.size_bytes = 256;
+        cfg.il1.ways = 2;
+    }
+    cfg.validate().expect("quiet-run config must validate");
+    cfg
+}
+
+/// Loads one quiet-run workload onto both machines: a finite scua on
+/// core 0 — an rsk-nop with up to 80 nops per load, or a quiet-run body —
+/// and endless contenders of either kind behind it.
+fn load_quiet_run_workload(rng: &mut KernelRng, pair: [&mut Machine; 2]) {
+    let cfg = pair[0].config().clone();
+    let program = |rng: &mut KernelRng, core: usize, iterations: Option<u64>| {
+        let body = if rng.gen_below(3) == 0 {
+            let kind = if rng.gen_below(4) == 0 { AccessKind::Store } else { AccessKind::Load };
+            let nops = rng.gen_below(81) as usize;
+            RskBuilder::new(kind).nops(nops).build(&cfg, CoreId::new(core)).body().to_vec()
+        } else {
+            quiet_run_body(rng, core)
+        };
+        match iterations {
+            Some(n) => Program::from_body(body, n),
+            None => Program::endless(body),
+        }
+    };
+    let iterations = 5 + rng.gen_below(30);
+    let mut programs = vec![program(rng, 0, Some(iterations))];
+    for core in 1..cfg.num_cores {
+        programs.push(program(rng, core, None));
+    }
+    for m in pair {
+        for (core, prog) in programs.iter().enumerate() {
+            m.load_program(CoreId::new(core), prog.clone());
+        }
+    }
+}
+
+/// Long quiet runs, run to completion: the skipping machine jumps each
+/// run as one event and catches it up later, and must end identical to
+/// per-cycle stepping. Half the cases record nothing, so period skip
+/// arms in the skipping machine and fingerprints cores caught up from
+/// mid-run; the stepping reference runs with it off.
+#[test]
+fn quiet_runs_run_equals_per_cycle_stepping() {
+    for_cases(0xED05, 24, |case, rng| {
+        let mut cfg = quiet_run_config(rng);
+        let recorded = case % 2 == 0;
+        cfg.record_requests = recorded;
+        cfg.record_trace = recorded;
+        let what = format!("case {case} ({cfg:?})");
+        let (mut skip, mut step) = paired(cfg);
+        load_quiet_run_workload(rng, [&mut skip, &mut step]);
+        let a = skip.run();
+        let b = step.run();
+        assert_eq!(a, b, "{what}: run results diverged");
+        assert_machines_identical(&skip, &step, &what);
+        assert!(
+            skip.steps_executed() <= step.steps_executed(),
+            "{what}: skipping must never step more"
+        );
+    });
+}
+
+/// `run_for` in short random slices and cycle budgets: both end at a
+/// cycle chosen without regard to the runs, so they mostly land inside
+/// one, and every observable must match per-cycle stepping there.
+#[test]
+fn quiet_runs_stop_exactly_inside_a_run() {
+    for_cases(0xED06, 16, |case, rng| {
+        let cfg = quiet_run_config(rng);
+        let what = format!("case {case} ({cfg:?})");
+        let (mut skip, mut step) = paired(cfg.clone());
+        load_quiet_run_workload(rng, [&mut skip, &mut step]);
+        for slice in 0..8 {
+            let cycles = 1 + rng.gen_below(700);
+            let a = skip.run_for(cycles);
+            let b = step.run_for(cycles);
+            assert_eq!(a, b, "{what}: slice {slice} summaries diverged");
+            assert_machines_identical(&skip, &step, &format!("{what} slice {slice}"));
+        }
+
+        let mut cfg = cfg;
+        cfg.max_cycles = 50 + rng.gen_below(3_000);
+        let (mut skip, mut step) = paired(cfg);
+        load_quiet_run_workload(rng, [&mut skip, &mut step]);
+        let a = skip.run();
+        let b = step.run();
+        assert_eq!(a, b, "{what}: budgeted run results diverged");
+        assert_eq!(skip.summary(), step.summary(), "{what}: state at the budget diverged");
+        assert_machines_identical(&skip, &step, &format!("{what} budget"));
+    });
 }
