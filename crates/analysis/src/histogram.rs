@@ -61,13 +61,6 @@ impl Histogram {
         self.bins.keys().next().copied()
     }
 
-    /// Observations strictly above `threshold` — e.g. per-request delays
-    /// exceeding a static bound when cross-checking analyzer soundness.
-    pub fn count_above(&self, threshold: u64) -> u64 {
-        use std::ops::Bound;
-        self.bins.range((Bound::Excluded(threshold), Bound::Unbounded)).map(|(_, &n)| n).sum()
-    }
-
     /// Most frequent value (ties break toward the larger value, matching
     /// the conservative reading a timing analyst would take).
     pub fn mode(&self) -> Option<u64> {
@@ -189,17 +182,6 @@ mod tests {
     fn mode_ties_break_high() {
         let h: Histogram = [1u64, 1, 5, 5].into_iter().collect();
         assert_eq!(h.mode(), Some(5));
-    }
-
-    #[test]
-    fn count_above_is_a_strict_tail_count() {
-        let h: Histogram = [1u64, 1, 2, 9].into_iter().collect();
-        assert_eq!(h.count_above(0), 4);
-        assert_eq!(h.count_above(1), 2);
-        assert_eq!(h.count_above(2), 1);
-        assert_eq!(h.count_above(9), 0);
-        assert_eq!(h.count_above(u64::MAX), 0);
-        assert_eq!(Histogram::new().count_above(0), 0);
     }
 
     #[test]

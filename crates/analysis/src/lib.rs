@@ -9,7 +9,6 @@
 //!   from a measured slowdown series `d_bus(k)`, including the
 //!   `δ_nop > 1` sampled case of §4.2;
 //! * [`histogram`] — integer histograms for the Fig. 6 plots;
-//! * [`stats`] — small summary-statistics helpers;
 //! * [`etb`] — execution-time-bound padding (`pad = nr × ubd_m`, §4.3).
 //!
 //! ## Example: the γ(δ) saw-tooth
@@ -40,14 +39,11 @@
     clippy::cast_sign_loss
 )]
 
-pub mod consensus;
 pub mod etb;
 pub mod gamma;
 pub mod histogram;
 pub mod sawtooth;
-pub mod stats;
 
-pub use consensus::{period_consensus, Consensus};
 pub use etb::EtbPadding;
 pub use gamma::{ubd_from_parameters, GammaModel};
 pub use histogram::Histogram;
@@ -55,4 +51,3 @@ pub use sawtooth::{
     detect_period, first_tooth_length, peak_positions, peak_spacing, ubd_candidates,
     PeriodEstimate, PeriodMethod,
 };
-pub use stats::{max_u64, mean, min_u64, percentile, variance};

@@ -19,7 +19,7 @@ fn main() {
             }
             std::hint::black_box(m.run_for(cycles));
         });
-        let cps = cycles as f64 / r.mean_seconds();
+        let cps = cycles as f64 / r.median_seconds();
         println!("    -> {cps:.0} simulated cycles/s");
     }
 

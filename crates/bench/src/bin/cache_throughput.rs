@@ -14,14 +14,22 @@
 //! store's two contracts — a warm re-run simulates **nothing**, and
 //! output is byte-identical to the cold run — so the benchmark doubles
 //! as an end-to-end smoke test.
+//!
+//! Each mode records the median of [`PASSES`] timed passes (plus the
+//! p10/p90 spread): every cold pass simulates into a fresh store
+//! directory, and the warm passes replay the last cold pass's store.
 
 use rrb::campaign::{Campaign, CampaignGrid, CampaignResult, GridScenario};
 use rrb::json::Json;
 use rrb::store::ResultStore;
+use rrb_bench::bench_timed;
 use rrb_kernels::AccessKind;
 use rrb_sim::MachineConfig;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Timed passes per mode, after one warm-up pass.
+const PASSES: u32 = 7;
 
 /// The same fixed grid as `campaign_throughput`, so run counts match
 /// across the two artifacts.
@@ -32,24 +40,38 @@ fn grid() -> CampaignGrid {
         .max_k(18)
 }
 
-fn timed_run(store: &Arc<ResultStore>) -> (f64, CampaignResult) {
+fn timed_run(store: &Arc<ResultStore>) -> (Duration, CampaignResult) {
     let campaign = Campaign::builder().grid(&grid()).jobs(1).store(store.clone()).build();
     let start = Instant::now();
     let result = campaign.run();
-    (start.elapsed().as_secs_f64(), result)
+    (start.elapsed(), result)
 }
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("rrb-cache-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Warm-up pass (allocator, code pages) against a throwaway store.
-    let warmup = Arc::new(ResultStore::open(dir.join("warmup")).expect("open warmup store"));
-    let _ = timed_run(&warmup);
-
-    let store = Arc::new(ResultStore::open(dir.join("store")).expect("open store"));
-    let (cold_s, cold) = timed_run(&store);
-    let (warm_s, warm) = timed_run(&store);
+    // Cold: every pass, the warm-up included, simulates into a fresh
+    // store; opening the store is setup, not part of the pass.
+    let mut pass = 0;
+    let mut last_cold = None;
+    let cold_t = bench_timed("cache/cold", 1, PASSES, || {
+        pass += 1;
+        let store = ResultStore::open(dir.join(format!("cold-{pass}"))).expect("open store");
+        let store = Arc::new(store);
+        let (elapsed, result) = timed_run(&store);
+        last_cold = Some((store, result));
+        elapsed
+    });
+    let (store, cold) = last_cold.expect("at least one cold pass");
+    let mut last_warm = None;
+    let warm_t = bench_timed("cache/warm", 1, PASSES, || {
+        let (elapsed, result) = timed_run(&store);
+        last_warm = Some(result);
+        elapsed
+    });
+    let warm = last_warm.expect("at least one warm pass");
+    let (cold_s, warm_s) = (cold_t.median_seconds(), warm_t.median_seconds());
 
     let unique = cold.stats.executed_runs + cold.stats.store_hits;
     let byte_identical = cold.to_json() == warm.to_json()
@@ -81,8 +103,13 @@ fn main() {
         ("warm_store_hits", Json::U64(warm.stats.store_hits as u64)),
         ("store_entries", Json::U64(entries.entries)),
         ("store_bytes", Json::U64(entries.bytes)),
+        ("passes", Json::U64(u64::from(PASSES))),
         ("cold_seconds", Json::F64(cold_s)),
+        ("cold_seconds_p10", Json::F64(cold_t.p10_seconds())),
+        ("cold_seconds_p90", Json::F64(cold_t.p90_seconds())),
         ("warm_seconds", Json::F64(warm_s)),
+        ("warm_seconds_p10", Json::F64(warm_t.p10_seconds())),
+        ("warm_seconds_p90", Json::F64(warm_t.p90_seconds())),
         ("runs_per_second_cold", Json::F64(unique as f64 / cold_s)),
         ("runs_per_second_warm", Json::F64(unique as f64 / warm_s)),
         ("warm_speedup", Json::F64(speedup)),

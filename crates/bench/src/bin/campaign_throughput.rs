@@ -14,19 +14,26 @@
 //!
 //! The gated metric is `runs_per_second_serial` — the cold-path
 //! throughput of one thread driving one warm [`MachineArena`] through
-//! the whole plan. The parallel pass exists for the byte-identity
-//! check and an informational speedup number: jobs are resolved via
-//! [`clamped_jobs`], so on a 1-CPU container the parallel timing is
-//! skipped entirely instead of reporting a meaningless speedup.
+//! the whole plan, over the median of [`PASSES`] timed passes (one pass
+//! takes ~20 ms, so a single shot records host noise; the artifact
+//! keeps the p10/p90 spread too). The parallel passes exist for the
+//! byte-identity check and an informational speedup number: jobs are
+//! resolved via [`clamped_jobs`], so on a 1-CPU container the parallel
+//! timing is skipped entirely instead of reporting a meaningless
+//! speedup.
 //!
 //! [`MachineArena`]: rrb::executor::MachineArena
 //! [`clamped_jobs`]: rrb::campaign::clamped_jobs
 
-use rrb::campaign::{clamped_jobs, Campaign, CampaignGrid, GridScenario};
+use rrb::campaign::{clamped_jobs, Campaign, CampaignGrid, CampaignResult, GridScenario};
 use rrb::json::Json;
+use rrb_bench::{bench_timed, BenchResult};
 use rrb_kernels::AccessKind;
 use rrb_sim::MachineConfig;
 use std::time::Instant;
+
+/// Timed passes per mode, after one warm-up pass.
+const PASSES: u32 = 7;
 
 /// The benchmark grid: 4 cells, shared isolated baselines across the
 /// contender-access dimension.
@@ -37,11 +44,19 @@ fn grid() -> CampaignGrid {
         .max_k(18)
 }
 
-fn timed_run(jobs: usize) -> (f64, rrb::campaign::CampaignResult) {
-    let campaign = Campaign::builder().grid(&grid()).jobs(jobs).build();
-    let start = Instant::now();
-    let result = campaign.run();
-    (start.elapsed().as_secs_f64(), result)
+/// Times [`PASSES`] runs of the grid on `jobs` workers, returning the
+/// timing and the last pass's result.
+fn timed_runs(name: &str, jobs: usize) -> (BenchResult, CampaignResult) {
+    let mut last = None;
+    let timing = bench_timed(name, 1, PASSES, || {
+        let campaign = Campaign::builder().grid(&grid()).jobs(jobs).build();
+        let start = Instant::now();
+        let result = campaign.run();
+        let elapsed = start.elapsed();
+        last = Some(result);
+        elapsed
+    });
+    (timing, last.expect("at least one pass"))
 }
 
 fn main() {
@@ -52,10 +67,12 @@ fn main() {
         println!("note: {note}");
     }
 
-    // Warm-up (page in code and allocator state), then timed runs.
-    let _ = timed_run(1);
-    let (serial_s, serial) = timed_run(1);
-    let parallel = (parallel_jobs > 1).then(|| timed_run(parallel_jobs));
+    let (serial_t, serial) = timed_runs("campaign/serial", 1);
+    let serial_s = serial_t.median_seconds();
+    let parallel = (parallel_jobs > 1).then(|| {
+        let (t, result) = timed_runs(&format!("campaign/jobs{parallel_jobs}"), parallel_jobs);
+        (t.median_seconds(), result)
+    });
 
     let byte_identical = parallel.as_ref().is_none_or(|(_, p)| p.to_json() == serial.to_json());
     let total_runs = serial.stats.planned_runs;
@@ -88,7 +105,10 @@ fn main() {
         ("planned_runs", Json::U64(total_runs as u64)),
         ("executed_runs", Json::U64(executed_runs as u64)),
         ("cache_hits", Json::U64(serial.stats.cache_hits as u64)),
+        ("passes", Json::U64(u64::from(PASSES))),
         ("serial_seconds", Json::F64(serial_s)),
+        ("serial_seconds_p10", Json::F64(serial_t.p10_seconds())),
+        ("serial_seconds_p90", Json::F64(serial_t.p90_seconds())),
         ("parallel_jobs", Json::U64(parallel_jobs as u64)),
         ("available_parallelism", Json::U64(clamped_jobs(None).0 as u64)),
         ("runs_per_second_serial", Json::F64(runs_per_second_serial)),

@@ -6,4 +6,4 @@
 pub mod gate;
 pub mod harness;
 
-pub use harness::{bench, BenchResult};
+pub use harness::{bench, bench_timed, BenchResult};

@@ -367,7 +367,7 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// A success record for one measured run.
-    fn ok(scenario: &str, label: &str, m: &RunMeasurement) -> Self {
+    pub(crate) fn ok(scenario: &str, label: &str, m: &RunMeasurement) -> Self {
         RunRecord {
             scenario: scenario.to_string(),
             label: label.to_string(),
@@ -720,20 +720,6 @@ impl CampaignPlan<'_> {
         self.planned_runs
     }
 
-    /// Builds scenario `index`'s [`RunOutcome`]s by scattering
-    /// per-unique-run `results` back into that scenario's plan order, as
-    /// [`CampaignPlan::walk`] does. A result never delivered surfaces as
-    /// a failed outcome, never a panic; an out-of-range `index` or a
-    /// failed plan yields no outcomes.
-    pub fn outcomes(
-        &self,
-        index: usize,
-        results: &[Result<RunMeasurement, RunError>],
-    ) -> Vec<RunOutcome> {
-        let Some(planned) = self.scenarios.get(index) else { return Vec::new() };
-        scatter(planned, |idx| results.get(idx).cloned()).map(|(_, outcome)| outcome).collect()
-    }
-
     /// Walks the plan in scenario order and hands `sink` every run record
     /// (with its spec) and then every scenario report, returning the
     /// number of failed runs.
@@ -756,15 +742,19 @@ impl CampaignPlan<'_> {
     ) -> Result<usize, E> {
         let mut failed_runs = 0usize;
         for (scenario, planned) in self.campaign.scenarios.iter().zip(&self.scenarios) {
-            if let Err(e) = &planned.runs {
-                failed_runs += 1;
-                sink(PlanItem::Run(RunRecord::failed(&planned.name, "<plan>", e), None))?;
-                sink(PlanItem::Scenario(ScenarioReport::failure(planned.name.clone(), e)))?;
-                continue;
-            }
-            let mut outcomes = Vec::with_capacity(planned.indices.len());
-            for (spec, outcome) in scatter(planned, &mut result) {
-                let record = match &outcome.result {
+            let specs = match &planned.runs {
+                Ok(specs) => specs,
+                Err(e) => {
+                    failed_runs += 1;
+                    sink(PlanItem::Run(RunRecord::failed(&planned.name, "<plan>", e), None))?;
+                    sink(PlanItem::Scenario(ScenarioReport::failure(planned.name.clone(), e)))?;
+                    continue;
+                }
+            };
+            let mut outcomes = Vec::with_capacity(specs.len());
+            for (spec, &idx) in specs.iter().zip(&planned.indices) {
+                let result = result(idx).unwrap_or_else(|| Err(undelivered()));
+                let record = match &result {
                     Ok(m) => RunRecord::ok(&planned.name, &spec.label, m),
                     Err(e) => {
                         failed_runs += 1;
@@ -772,7 +762,7 @@ impl CampaignPlan<'_> {
                     }
                 };
                 sink(PlanItem::Run(record, Some(spec)))?;
-                outcomes.push(outcome);
+                outcomes.push(RunOutcome { label: spec.label.clone(), result });
             }
             sink(PlanItem::Scenario(scenario.analyze(&outcomes)))?;
         }
@@ -819,20 +809,6 @@ impl CampaignPlan<'_> {
             warnings: usage.warnings,
         }
     }
-}
-
-/// Pairs each of `planned`'s runs with its outcome, asking `result` for
-/// the run's unique index as the iterator advances. A run `result` never
-/// delivers becomes a failed outcome.
-fn scatter(
-    planned: &PlannedScenario,
-    mut result: impl FnMut(usize) -> Option<Result<RunMeasurement, RunError>>,
-) -> impl Iterator<Item = (&RunSpec, RunOutcome)> {
-    let specs = planned.runs.as_deref().unwrap_or(&[]);
-    specs.iter().zip(&planned.indices).map(move |(spec, &idx)| {
-        let result = result(idx).unwrap_or_else(|| Err(undelivered()));
-        (spec, RunOutcome { label: spec.label.clone(), result })
-    })
 }
 
 /// The error of a run its scheduler never reported back (no path
@@ -1201,10 +1177,16 @@ mod tests {
         assert_eq!(plan.planned_runs(), 12);
         assert_eq!(plan.unique_specs().len(), 6, "the second copy is fully deduplicated");
         let results = Executor::new().jobs(2).execute(plan.unique_specs()).0;
-        let plain = campaign.scenarios[0].outcomes(&Executor::new()).expect("plan");
-        assert_eq!(plan.outcomes(0, &results), plain);
-        assert_eq!(plan.outcomes(1, &results), plain);
-        assert!(plain.iter().all(|o| o.result.is_ok()));
+        let finished = plan.finish(&results, StoreUsage::default(), 2);
+        let scenario = &campaign.scenarios[0];
+        let plain = scenario.outcomes(&Executor::new()).expect("plan");
+        let records: Vec<RunRecord> = plain
+            .iter()
+            .map(|o| RunRecord::ok(&scenario.name(), &o.label, o.measurement().expect("run")))
+            .collect();
+        assert_eq!(finished.records, [records.clone(), records].concat());
+        let report = scenario.analyze(&plain);
+        assert_eq!(finished.reports, [report.clone(), report]);
     }
 
     #[test]

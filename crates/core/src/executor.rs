@@ -467,7 +467,7 @@ mod tests {
     fn dedup_scatters_shared_results() {
         // Deduplication lives in the campaign plan: the executor runs the
         // unique specs and the plan scatters them back per scenario.
-        use crate::campaign::Campaign;
+        use crate::campaign::{Campaign, RunRecord};
         use crate::naive::NaiveScenario;
         use crate::scenario::Scenario;
         let cfg = toy();
@@ -478,10 +478,17 @@ mod tests {
         let plan = campaign.plan();
         assert_eq!(plan.unique_specs().len(), 3, "one shared isolated baseline");
         let results = Executor::new().jobs(2).execute(plan.unique_specs()).0;
+        let finished = plan.finish(&results, StoreUsage::default(), 2);
+        let mut records = Vec::new();
         for (index, scenario) in [a, b].iter().enumerate() {
             let plain = scenario.outcomes(&Executor::new()).expect("plan");
-            assert_eq!(plan.outcomes(index, &results), plain);
+            let name = scenario.name();
+            records.extend(
+                plain.iter().map(|o| RunRecord::ok(&name, &o.label, o.measurement().expect("run"))),
+            );
+            assert_eq!(finished.reports[index], scenario.analyze(&plain));
         }
+        assert_eq!(finished.records, records);
     }
 
     #[test]

@@ -102,15 +102,6 @@ impl Json {
         }
     }
 
-    /// The signed integer, widening from [`Json::U64`] when it fits.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::I64(v) => Some(*v),
-            Json::U64(v) => i64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
     /// The float, widening from either integer class.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -746,8 +737,7 @@ mod tests {
             ("a", Json::Arr(vec![Json::Null])),
         ]);
         assert_eq!(v.get("u").and_then(Json::as_u64), Some(7));
-        assert_eq!(v.get("u").and_then(Json::as_i64), Some(7));
-        assert_eq!(v.get("i").and_then(Json::as_i64), Some(-7));
+        assert_eq!(v.get("i"), Some(&Json::I64(-7)));
         assert_eq!(v.get("i").and_then(Json::as_u64), None);
         assert_eq!(v.get("f").and_then(Json::as_f64), Some(0.5));
         assert_eq!(v.get("u").and_then(Json::as_f64), Some(7.0));

@@ -110,11 +110,11 @@ pub mod store;
 pub mod validation;
 pub mod verify;
 
-/// Re-export of the simulator substrate.
+/// Re-export of the analytic layer.
 pub use rrb_analysis as analysis;
 /// Re-export of the kernel generators.
 pub use rrb_kernels as kernels;
-/// Re-export of the analytic layer.
+/// Re-export of the simulator substrate.
 pub use rrb_sim as sim;
 /// Re-export of the static contention analyzer.
 pub use rrb_static as statics;
@@ -133,8 +133,8 @@ pub use json::{fnv1a_64, Fnv64Hasher, Json, JsonParseError};
 pub use lint::{has_errors, lint_spec, LintFinding, LintSeverity};
 pub use mbta::{BoundValidation, MbtaAnalysis, TaskBound, TaskSpec};
 pub use methodology::{
-    derive_ubd, derive_ubd_repeated, store_tooth_check, MethodologyConfig, MethodologyError,
-    RepeatedDerivation, ResourceContribution, StoreToothCheck, UbdDerivation, UbdScenario,
+    derive_ubd, store_tooth_check, MethodologyConfig, MethodologyError, ResourceContribution,
+    StoreToothCheck, UbdDerivation, UbdScenario,
 };
 pub use naive::{naive_rsk_vs_rsk, naive_scua_vs_rsk, NaiveEstimate, NaiveScenario};
 pub use scenario::{
@@ -145,9 +145,7 @@ pub use store::{
     sim_fingerprint, write_file_atomic, GcReport, ResultStore, StoreError, StoreLookup, StoreStats,
     VerifyReport, STORE_FORMAT_VERSION,
 };
-pub use validation::{
-    validate_gamma_model, GammaComparison, GammaValidationScenario, ValidationReport,
-};
+pub use validation::{GammaComparison, GammaValidationScenario, ValidationReport};
 pub use verify::{
     render_verified, replay_cell_witnesses, replay_witness, verify_grid, verify_grid_cell,
     verify_spec, verify_workload, VerifiedCell, WitnessReplay,

@@ -121,12 +121,6 @@ impl MbtaAnalysis {
         Ok(MbtaAnalysis { cfg: cfg.clone(), derivation })
     }
 
-    /// Builds an analysis from an existing derivation (e.g. to reuse one
-    /// characterisation across many task sets).
-    pub fn from_derivation(cfg: MachineConfig, derivation: UbdDerivation) -> Self {
-        MbtaAnalysis { cfg, derivation }
-    }
-
     /// The platform bound in use — the bus share of the derivation.
     pub fn ubd_m(&self) -> u64 {
         self.derivation.ubd_m
@@ -172,15 +166,6 @@ impl MbtaAnalysis {
             pad: padding.pad(),
             etb: padding.etb(isolated.execution_time),
         })
-    }
-
-    /// Bounds a whole task set.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first task whose isolation run fails.
-    pub fn bound_tasks(&self, tasks: &[TaskSpec]) -> Result<Vec<TaskBound>, RunError> {
-        tasks.iter().map(|t| self.bound_task(t)).collect()
     }
 
     /// Empirically validates a task's bound: runs it against `trials`
@@ -279,21 +264,14 @@ mod tests {
     fn task_set_bounds_are_per_task() {
         let a = toy_analysis();
         let cfg = MachineConfig::toy(4, 2);
-        let tasks = vec![
+        let tasks = [
             TaskSpec::new("t1", rsk_nop(AccessKind::Load, 1, &cfg, CoreId::new(0), 50)),
             TaskSpec::new("t2", rsk_nop(AccessKind::Load, 4, &cfg, CoreId::new(0), 50)),
         ];
-        let bounds = a.bound_tasks(&tasks).expect("bounds");
+        let bounds: Vec<TaskBound> =
+            tasks.iter().map(|t| a.bound_task(t).expect("bound")).collect();
         assert_eq!(bounds.len(), 2);
         assert_eq!(bounds[0].name, "t1");
         assert!(bounds[1].isolation_time > bounds[0].isolation_time);
-    }
-
-    #[test]
-    fn from_derivation_reuses_characterisation() {
-        let a = toy_analysis();
-        let cfg = MachineConfig::toy(4, 2);
-        let b = MbtaAnalysis::from_derivation(cfg, a.derivation().clone());
-        assert_eq!(b.ubd_m(), 6);
     }
 }

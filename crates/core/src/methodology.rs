@@ -17,11 +17,11 @@
 //! The whole procedure is packaged as [`UbdScenario`], a
 //! [`Scenario`]: the measurement plan
 //! (calibration + one isolated/contended pair per `k`) is pure data, so
-//! a [`Campaign`] can run many derivations in parallel and deduplicate
-//! shared runs. [`derive_ubd`] is the single-scenario convenience
-//! wrapper over the same code path.
+//! a [`Campaign`](crate::campaign::Campaign) can run many derivations
+//! in parallel and deduplicate shared runs. [`derive_ubd`] is the
+//! single-scenario convenience wrapper over the same code path.
 
-use crate::campaign::{Campaign, RunError, RunMeasurement, RunSpec};
+use crate::campaign::{RunError, RunMeasurement, RunSpec};
 use crate::executor::Executor;
 use crate::scenario::{
     plan_k_sweep, sweep_points, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport,
@@ -424,7 +424,7 @@ impl Scenario for UbdScenario {
 /// user would.
 ///
 /// This is the serial convenience wrapper over [`UbdScenario`]; a
-/// [`Campaign`] runs the same plan in parallel.
+/// [`Campaign`](crate::campaign::Campaign) runs the same plan in parallel.
 ///
 /// # Errors
 ///
@@ -486,77 +486,10 @@ pub fn store_tooth_check(
     }
 }
 
-/// A derivation repeated under perturbed measurement conditions, with the
-/// consensus verdict across repeats — the confidence amplifier the
-/// paper's title calls for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepeatedDerivation {
-    /// Each repeat's full derivation.
-    pub runs: Vec<UbdDerivation>,
-    /// Agreement across the repeats' period estimates.
-    pub consensus: rrb_analysis::Consensus,
-}
-
-impl RepeatedDerivation {
-    /// The consensus `ubd_m`, if the repeats agree.
-    pub fn ubd_m(&self) -> Option<u64> {
-        // All runs that voted for the consensus period carry the same
-        // disambiguated ubd; take it from the first matching run.
-        let period = self.consensus.period()?;
-        self.runs.iter().find(|r| r.k_period == period).map(|r| r.ubd_m)
-    }
-}
-
-/// Runs the methodology `repeats` times, perturbing the per-run iteration
-/// count (which shifts every kernel's phase relative to the contenders),
-/// and aggregates the period estimates into a consensus.
-///
-/// A production measurement campaign would use this instead of a single
-/// sweep: a lone estimate can be corrupted by an unlucky alignment, while
-/// agreement across perturbed runs is strong evidence the saw-tooth is
-/// real (§1's "increasing confidence"). The repeats are independent
-/// [`UbdScenario`]s batched through one deduplicated
-/// [`Campaign`] plan (the calibration run, for instance, executes once)
-/// over `jobs` worker threads; the result is identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates the first failing repeat's [`MethodologyError`].
-pub fn derive_ubd_repeated(
-    cfg: &MachineConfig,
-    mcfg: &MethodologyConfig,
-    repeats: u32,
-    jobs: usize,
-) -> Result<RepeatedDerivation, MethodologyError> {
-    let scenarios: Vec<UbdScenario> = (0..repeats.max(1))
-        .map(|r| {
-            let mut varied = mcfg.clone();
-            // Vary the measurement length; the period must not care.
-            varied.iterations = mcfg.iterations + u64::from(r) * (mcfg.iterations / 4).max(1);
-            UbdScenario::new(cfg.clone(), varied).named(format!("repeat-{r}"))
-        })
-        .collect();
-    let campaign = scenarios.iter().fold(Campaign::builder(), |b, s| b.scenario(s.clone())).build();
-    let plan = campaign.plan();
-    for planned in plan.scenarios() {
-        if let Err(e) = &planned.runs {
-            return Err(e.clone().into());
-        }
-    }
-    let results = Executor::new().jobs(jobs).execute(plan.unique_specs()).0;
-    let runs = scenarios
-        .iter()
-        .enumerate()
-        .map(|(index, scenario)| scenario.derivation(&plan.outcomes(index, &results)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let estimates: Vec<_> = runs.iter().map(|r| r.period_estimate).collect();
-    let consensus = rrb_analysis::period_consensus(&estimates);
-    Ok(RepeatedDerivation { runs, consensus })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{Campaign, CampaignGrid, GridScenario};
 
     #[test]
     fn derives_ubd_on_toy_bus() {
@@ -628,25 +561,37 @@ mod tests {
         );
     }
 
+    /// Derive repeats at perturbed iteration counts, as
+    /// `rrb campaign --scenario derive --iterations i,i+i/4,…` plans them.
+    fn repeats(m: &MethodologyConfig) -> CampaignGrid {
+        let i = m.iterations;
+        CampaignGrid::new(GridScenario::Derive, MachineConfig::toy(4, 2))
+            .methodology(m.clone())
+            .max_k(m.max_k)
+            .iterations(vec![i, i + i / 4, i + 2 * (i / 4)])
+    }
+
     #[test]
     fn repeated_derivation_is_unanimous_on_toy_bus() {
-        let cfg = MachineConfig::toy(4, 2);
-        let r = derive_ubd_repeated(&cfg, &MethodologyConfig::fast(), 3, 1).expect("runs");
-        assert_eq!(r.runs.len(), 3);
-        assert!(matches!(r.consensus, rrb_analysis::Consensus::Unanimous { period: 6, votes: 3 }));
-        assert_eq!(r.ubd_m(), Some(6));
+        let result = Campaign::builder().grid(&repeats(&MethodologyConfig::fast())).build().run();
+        assert_eq!(result.reports.len(), 3);
+        for report in &result.reports {
+            assert_eq!(report.metric_u64("k_period"), Some(6), "{report:?}");
+            assert_eq!(report.metric_u64("ubd_m"), Some(6));
+        }
     }
 
     #[test]
     fn repeated_derivation_is_identical_across_jobs() {
-        let cfg = MachineConfig::toy(4, 2);
         let mut m = MethodologyConfig::fast();
         m.max_k = 14;
         m.iterations = 60;
-        let serial = derive_ubd_repeated(&cfg, &m, 2, 1).expect("serial");
-        let parallel = derive_ubd_repeated(&cfg, &m, 2, 4).expect("parallel");
-        assert_eq!(serial.runs, parallel.runs);
-        assert_eq!(serial.consensus, parallel.consensus);
+        let grid = repeats(&m);
+        let serial = Campaign::builder().grid(&grid).jobs(1).build().run();
+        let parallel = Campaign::builder().grid(&grid).jobs(4).build().run();
+        assert!(serial.reports.iter().all(ScenarioReport::is_ok), "{:?}", serial.reports);
+        assert_eq!(serial.records, parallel.records);
+        assert_eq!(serial.reports, parallel.reports);
     }
 
     #[test]

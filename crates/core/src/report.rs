@@ -37,16 +37,6 @@ pub fn render_derivation(d: &UbdDerivation) -> String {
     out
 }
 
-/// Renders the slowdown series as an indexed table (`k`, `d_bus`), the
-/// raw material of Fig. 7.
-pub fn render_slowdown_series(slowdowns: &[u64]) -> String {
-    let mut out = String::from("  k  d_bus(k)\n");
-    for (k, d) in slowdowns.iter().enumerate() {
-        let _ = writeln!(out, "{k:>3}  {d}");
-    }
-    out
-}
-
 /// Renders an ASCII saw-tooth plot of the slowdown series (Fig. 7 shape),
 /// `height` rows tall.
 pub fn render_sawtooth(slowdowns: &[u64], height: usize) -> String {
@@ -151,13 +141,6 @@ mod tests {
         d.resource_contributions.truncate(1);
         let r = render_derivation(&d);
         assert!(!r.contains("per-resource"));
-    }
-
-    #[test]
-    fn series_table_has_one_row_per_k() {
-        let r = render_slowdown_series(&[5, 4, 3]);
-        assert_eq!(r.lines().count(), 4);
-        assert!(r.contains("  2  3"));
     }
 
     #[test]

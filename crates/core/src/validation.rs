@@ -7,11 +7,9 @@
 //! The sweep is packaged as [`GammaValidationScenario`], a
 //! [`Scenario`] of one contended run per `k`,
 //! so a [`Campaign`](crate::campaign::Campaign) can validate many
-//! configurations in parallel; [`validate_gamma_model`] is the serial
-//! wrapper.
+//! configurations in parallel.
 
 use crate::campaign::{RunError, RunSpec};
-use crate::executor::Executor;
 use crate::scenario::{
     plan_k_sweep, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport,
 };
@@ -177,34 +175,21 @@ impl Scenario for GammaValidationScenario {
     }
 }
 
-/// Sweeps `k = 0..=max_k` with `rsk-nop(load, k)` against saturating load
-/// rsk on a machine built from `cfg`, comparing the machine's dominant γ
-/// against Eq. 2 at every point.
-///
-/// Uses the configuration's ground-truth `ubd` for the model — this is a
-/// *white-box* validation of the simulator, not a blind derivation. The
-/// serial wrapper over [`GammaValidationScenario`].
-///
-/// # Errors
-///
-/// Returns [`RunError`] if any run fails.
-pub fn validate_gamma_model(
-    cfg: &MachineConfig,
-    max_k: u64,
-    iterations: u64,
-) -> Result<ValidationReport, RunError> {
-    let scenario = GammaValidationScenario::new(cfg.clone(), max_k, iterations);
-    scenario.report(&scenario.outcomes(&Executor::new())?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
+
+    /// White-box validation against the configuration's own `ubd`.
+    fn validate(cfg: MachineConfig, max_k: u64, iterations: u64) -> ValidationReport {
+        let scenario = GammaValidationScenario::new(cfg, max_k, iterations);
+        scenario.report(&scenario.outcomes(&Executor::new()).expect("plan")).expect("sweep")
+    }
 
     #[test]
     fn toy_machine_matches_model_over_two_periods() {
         let cfg = MachineConfig::toy(4, 2);
-        let r = validate_gamma_model(&cfg, 13, 250).expect("sweep");
+        let r = validate(cfg, 13, 250);
         assert!(r.all_agree(), "disagreements: {:?}", r.disagreements());
         assert!(r.min_mode_fraction() > 0.9, "synchrony must dominate");
     }
@@ -214,7 +199,7 @@ mod tests {
         // Full 0..=80 sweeps live in the bench target; unit tests check
         // the tooth's edges.
         let cfg = MachineConfig::ngmp_ref();
-        let r = validate_gamma_model(&cfg, 2, 150).expect("sweep");
+        let r = validate(cfg, 2, 150);
         assert!(r.all_agree(), "disagreements: {:?}", r.disagreements());
         assert_eq!(r.points[0].predicted, 26);
     }
@@ -222,7 +207,7 @@ mod tests {
     #[test]
     fn report_renders_table() {
         let cfg = MachineConfig::toy(4, 2);
-        let r = validate_gamma_model(&cfg, 3, 100).expect("sweep");
+        let r = validate(cfg, 3, 100);
         let text = r.to_string();
         assert!(text.contains("predicted"));
         assert!(text.contains("yes"));
@@ -231,7 +216,7 @@ mod tests {
     #[test]
     fn variant_delta_includes_dl1_latency() {
         let cfg = MachineConfig::ngmp_var();
-        let r = validate_gamma_model(&cfg, 1, 100).expect("sweep");
+        let r = validate(cfg, 1, 100);
         assert_eq!(r.points[0].delta, 4);
         assert_eq!(r.points[1].delta, 5);
         assert!(r.all_agree());

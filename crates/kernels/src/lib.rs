@@ -14,8 +14,8 @@
 //! * [`eembc`] — seeded synthetic workloads whose memory-access profiles
 //!   mimic the EEMBC Autobench suite used in the paper's Fig. 6(a) (see
 //!   DESIGN.md for the substitution argument);
-//! * [`workload`] — helpers assembling multi-core workloads (a scua plus
-//!   `Nc - 1` contenders, random EEMBC task sets, …).
+//! * [`workload`] — multi-core workloads: one program per core around a
+//!   designated scua, and random EEMBC task sets.
 //!
 //! ## Example: a load rsk-nop with 3 nops against three load rsk
 //!
@@ -62,4 +62,4 @@ pub use nop_kernel::{estimate_delta_nop, nop_kernel};
 pub use rng::KernelRng;
 pub use rsk::{rsk, rsk_nop, AccessKind, ParseAccessError, RskBuilder};
 pub use rsk_variants::{rsk_capacity, rsk_l2_miss, rsk_l2_miss_nop, rsk_mixed, rsk_pointer_chase};
-pub use workload::{random_eembc_workload, scua_vs_contenders, WorkloadError, WorkloadSpec};
+pub use workload::{random_eembc_workload, WorkloadError, WorkloadSpec};

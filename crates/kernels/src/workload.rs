@@ -86,23 +86,6 @@ impl WorkloadSpec {
     }
 }
 
-/// Builds the measurement workload of §4.2: `scua_program` on core 0 and
-/// `Nc - 1` copies of `contender_program(core)` on the remaining cores.
-pub fn scua_vs_contenders<F>(
-    cfg: &MachineConfig,
-    scua_program: Program,
-    mut contender_program: F,
-) -> WorkloadSpec
-where
-    F: FnMut(CoreId) -> Program,
-{
-    let mut programs = vec![scua_program];
-    for i in 1..cfg.num_cores {
-        programs.push(contender_program(CoreId::new(i)));
-    }
-    WorkloadSpec::try_new(programs, CoreId::new(0)).expect("core 0 always holds a program")
-}
-
 /// Draws a random `Nc`-task EEMBC workload (Fig. 6(a)'s "8 randomly
 /// generated 4-task workloads"): distinct kernels, the scua on core 0
 /// finite with `scua_iterations`, contenders endless.
@@ -130,25 +113,11 @@ mod tests {
     use crate::rsk::{rsk, rsk_nop, AccessKind};
 
     #[test]
-    fn scua_vs_contenders_fills_every_core() {
-        let cfg = MachineConfig::ngmp_ref();
-        let w =
-            scua_vs_contenders(&cfg, rsk_nop(AccessKind::Load, 2, &cfg, CoreId::new(0), 10), |c| {
-                rsk(AccessKind::Load, &cfg, c)
-            });
-        assert_eq!(w.programs().len(), 4);
-        assert_eq!(w.scua, CoreId::new(0));
-        assert!(w.programs()[0].iterations().finite().is_some());
-        assert!(w.programs()[1].iterations().finite().is_none());
-    }
-
-    #[test]
     fn workload_runs_on_machine() {
         let cfg = MachineConfig::ngmp_ref();
-        let w =
-            scua_vs_contenders(&cfg, rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 50), |c| {
-                rsk(AccessKind::Load, &cfg, c)
-            });
+        let mut programs = vec![rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 50)];
+        programs.extend((1..cfg.num_cores).map(|i| rsk(AccessKind::Load, &cfg, CoreId::new(i))));
+        let w = WorkloadSpec::try_new(programs, CoreId::new(0)).expect("scua core");
         let mut m = w.into_machine(&cfg).expect("machine");
         let s = m.run().expect("run");
         assert!(s.core(CoreId::new(0)).completed());

@@ -125,11 +125,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Adds a pre-computed delta to the counters (fast-forward scaling).
     pub(crate) fn ff_add_stats(&mut self, hits: u64, misses: u64) {
         self.stats.hits += hits;
@@ -381,7 +376,6 @@ mod tests {
         for &a in &lines {
             c.touch(a);
         }
-        c.reset_stats();
         for round in 0..10 {
             for &a in &lines {
                 assert_eq!(c.touch(a), Access::Miss, "round {round} addr {a:#x}");

@@ -320,25 +320,6 @@ impl Topology {
         Topology { bus, mc: None }
     }
 
-    /// Bus chained into a memory-controller queue.
-    pub fn bus_with_mc(bus: BusConfig, mc: McQueueConfig) -> Self {
-        Topology { bus, mc: Some(mc) }
-    }
-
-    /// Number of contention points on the request path.
-    pub fn resource_count(&self) -> usize {
-        1 + usize::from(self.mc.is_some())
-    }
-
-    /// The kinds of the chained resources, in request-path order.
-    pub fn resource_kinds(&self) -> Vec<ResourceKind> {
-        let mut kinds = vec![ResourceKind::Bus];
-        if self.mc.is_some() {
-            kinds.push(ResourceKind::MemoryController);
-        }
-        kinds
-    }
-
     /// The per-resource Eq. 1 terms for `num_cores` requesters, in
     /// request-path order. Their sum is the machine's total `ubd`.
     pub fn ubd_breakdown(&self, num_cores: usize) -> Vec<ResourceUbd> {
@@ -658,11 +639,6 @@ impl MachineConfig {
         &self.topology.bus
     }
 
-    /// Mutable access to the bus configuration.
-    pub fn bus_mut(&mut self) -> &mut BusConfig {
-        &mut self.topology.bus
-    }
-
     /// The memory-controller queue, if this topology chains one.
     pub fn mc(&self) -> Option<&McQueueConfig> {
         self.topology.mc.as_ref()
@@ -847,12 +823,15 @@ mod tests {
 
     #[test]
     fn topology_constructors_chain_resources() {
+        let kinds = |t: &Topology| -> Vec<ResourceKind> {
+            t.ubd_breakdown(4).iter().map(|term| term.resource).collect()
+        };
         let single = Topology::single_bus(BusConfig::ngmp());
-        assert_eq!(single.resource_count(), 1);
-        assert_eq!(single.resource_kinds(), vec![ResourceKind::Bus]);
-        let two = Topology::bus_with_mc(BusConfig::ngmp(), McQueueConfig::ngmp());
-        assert_eq!(two.resource_count(), 2);
-        assert_eq!(two.resource_kinds(), vec![ResourceKind::Bus, ResourceKind::MemoryController]);
+        assert_eq!(single, MachineConfig::ngmp_ref().topology);
+        assert_eq!(kinds(&single), vec![ResourceKind::Bus]);
+        let two = MachineConfig::ngmp_two_level().topology;
+        assert_eq!(two, Topology { mc: Some(McQueueConfig::ngmp()), ..single });
+        assert_eq!(kinds(&two), vec![ResourceKind::Bus, ResourceKind::MemoryController]);
     }
 
     #[test]

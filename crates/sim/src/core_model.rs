@@ -162,7 +162,10 @@ pub struct CoreModel {
     il1_lat: u64,
     nop_lat: u64,
     branch_lat: u64,
+    /// DL1 line size: the granule of load and store addresses.
     line_bytes: Addr,
+    /// IL1 line size: the granule of instruction fetch.
+    fetch_line_bytes: Addr,
 }
 
 impl CoreModel {
@@ -188,6 +191,7 @@ impl CoreModel {
             nop_lat: cfg.nop_latency,
             branch_lat: cfg.branch_latency,
             line_bytes: cfg.dl1.line_bytes,
+            fetch_line_bytes: cfg.il1.line_bytes,
         }
     }
 
@@ -217,6 +221,7 @@ impl CoreModel {
         self.nop_lat = cfg.nop_latency;
         self.branch_lat = cfg.branch_latency;
         self.line_bytes = cfg.dl1.line_bytes;
+        self.fetch_line_bytes = cfg.il1.line_bytes;
     }
 
     /// Installs `program` and restarts execution from cycle `start`.
@@ -255,19 +260,20 @@ impl CoreModel {
         self.instructions
     }
 
+    /// The DL1 line of `addr` (line sizes are validated powers of two).
     fn line_of(&self, addr: Addr) -> Addr {
-        addr / self.line_bytes * self.line_bytes
+        addr & !(self.line_bytes - 1)
     }
 
-    /// The fetch line of the instruction at `pc`.
+    /// The IL1 line of the instruction at `pc`.
     fn fetch_line(&self, pc: usize) -> Addr {
-        self.line_of(fetch_addr(self.id, pc))
+        fetch_addr(self.id, pc) & !(self.fetch_line_bytes - 1)
     }
 
     /// The first pc after `pc` whose fetch line is not `line`, the fetch
     /// line of `pc`.
     fn pc_after_line(&self, line: Addr, pc: usize) -> usize {
-        let next = (line + self.line_bytes).saturating_sub(fetch_addr(self.id, 0));
+        let next = (line + self.fetch_line_bytes).saturating_sub(fetch_addr(self.id, 0));
         (next.div_ceil(INSTR_BYTES) as usize).max(pc + 1)
     }
 
@@ -443,11 +449,6 @@ impl CoreModel {
             self.resume(done, done > now);
         }
         0
-    }
-
-    /// Whether the pipeline is stalled waiting for a bus transaction.
-    pub fn is_waiting_for_bus(&self) -> bool {
-        matches!(self.state, State::WaitLoad | State::WaitIfetch)
     }
 
     /// Completed loop iterations so far.
@@ -626,7 +627,7 @@ mod tests {
         let p = c.take_post().expect("DL1 miss must request the bus");
         assert_eq!(p.kind, BusOpKind::Load);
         assert_eq!(p.ready, 24, "ready = dispatch + dl1 latency (4)");
-        assert!(c.is_waiting_for_bus());
+        assert!(matches!(c.state, State::WaitLoad));
         c.on_data_return(p.addr, 40);
         assert!(c.is_done());
         assert_eq!(c.completed_at(), Some(40));

@@ -48,16 +48,14 @@
 //!
 //! ## Quick example
 //!
-//! Build machines with [`MachineBuilder`], chaining resources along the
-//! request path:
+//! A [`MachineConfig`] is plain data: start from a preset, write the
+//! fields to change, and build with [`Machine::new`]:
 //!
 //! ```
-//! use rrb_sim::{MachineBuilder, McQueueConfig, Program, Instr, CoreId};
+//! use rrb_sim::{Machine, MachineConfig, Program, Instr, CoreId};
 //!
 //! # fn main() -> Result<(), rrb_sim::SimError> {
-//! let mut machine = MachineBuilder::new()            // ngmp_ref base
-//!     .then_memory_controller(McQueueConfig::ngmp()) // two-level path
-//!     .build()?;
+//! let mut machine = Machine::new(MachineConfig::ngmp_two_level())?; // bus + mc queue
 //! // A two-instruction program on core 0: one load and one nop.
 //! let prog = Program::from_body(vec![Instr::load(0x1000), Instr::Nop], 100);
 //! machine.load_program(CoreId::new(0), prog);
@@ -122,7 +120,7 @@ pub use config::{
 pub use core_model::fetch_addr;
 pub use error::{ConfigError, SimError};
 pub use instr::{Instr, Iterations, Program, ProgramBuilder};
-pub use machine::{CoreSummary, Machine, MachineBuilder, RunSummary};
+pub use machine::{CoreSummary, Machine, RunSummary};
 pub use pmc::{Pmc, RequestRecord};
 pub use resource::{ResourceId, ResourceKind, ResourceStats, SharedResource};
 pub use trace::{Trace, TraceEvent};

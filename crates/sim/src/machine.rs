@@ -57,15 +57,14 @@
 //! `run_for` end, the cycle budget, a period-skip fingerprint. Both
 //! modes are cycle-identical — pinned by the golden-trace test and the
 //! `prop_event_driven` equivalence property.
-//! Set [`MachineConfig::quiescence_skip`] to `false` (or
-//! [`MachineBuilder::quiescence_skip`]) to force naive per-cycle
-//! stepping when debugging.
+//! Set [`MachineConfig::quiescence_skip`] to `false` to force naive
+//! per-cycle stepping when debugging.
 //!
 //! [`Arbiter::earliest_grant`]: crate::bus::Arbiter::earliest_grant
 
-use crate::bus::{ActiveTxn, ArbiterKind, BusOpKind};
+use crate::bus::{ActiveTxn, BusOpKind};
 use crate::cache::Access;
-use crate::config::{BusConfig, MachineConfig, McQueueConfig, Topology};
+use crate::config::MachineConfig;
 use crate::core_model::CoreModel;
 use crate::dram::Dram;
 use crate::error::SimError;
@@ -111,12 +110,10 @@ pub struct RunSummary {
     /// Cycle at which stepping stopped.
     pub cycles: Cycle,
     cores: Vec<CoreSummary>,
-    /// Overall bus utilisation over the measurement window (the whole
-    /// run, or since the last [`Machine::reset_measurements`]), in
-    /// `[0, 1]`.
+    /// Overall bus utilisation over the whole run, in `[0, 1]`.
     pub bus_utilization: f64,
-    /// Memory-controller-queue utilisation over the measurement window,
-    /// when the topology chains one.
+    /// Memory-controller-queue utilisation over the whole run, when the
+    /// topology chains one.
     pub mc_utilization: Option<f64>,
 }
 
@@ -165,11 +162,6 @@ pub struct Machine {
     /// on load and on completion so the run loop never materialises the
     /// core list just to test emptiness.
     pub(crate) unfinished_count: usize,
-    /// Cycle of the last [`Machine::reset_measurements`]: the start of
-    /// the current measurement window. Utilisations divide by
-    /// `now - measure_start`, not absolute `now`, so statistics stay
-    /// meaningful after the warm-up idiom.
-    measure_start: Cycle,
     /// Number of [`Machine::step`] calls executed — `now` minus the
     /// cycles elided by quiescence skipping. Diagnostics only.
     steps_executed: u64,
@@ -197,15 +189,9 @@ impl Machine {
             mc_contenders_at_post: vec![0; cfg.num_cores],
             finite: vec![false; cfg.num_cores],
             unfinished_count: 0,
-            measure_start: 0,
             steps_executed: 0,
             cfg,
         })
-    }
-
-    /// Starts a [`MachineBuilder`] over the reference configuration.
-    pub fn builder() -> MachineBuilder {
-        MachineBuilder::new()
     }
 
     /// Rewinds the machine to the just-built state of `cfg`, reusing
@@ -257,7 +243,6 @@ impl Machine {
         self.finite.resize(cfg.num_cores, false);
         self.unfinished_count = 0;
         self.now = 0;
-        self.measure_start = 0;
         self.steps_executed = 0;
         self.cfg = cfg;
         Ok(())
@@ -321,11 +306,6 @@ impl Machine {
     /// IL1 statistics of one core.
     pub fn il1_stats(&self, core: CoreId) -> crate::cache::CacheStats {
         self.cores[core.index()].il1.stats()
-    }
-
-    /// Store-buffer stall count of one core.
-    pub fn store_buffer_stalls(&self, core: CoreId) -> u64 {
-        self.cores[core.index()].store_buffer.full_stalls()
     }
 
     /// Installs `program` on `core`, (re)starting it at the current cycle.
@@ -454,21 +434,8 @@ impl Machine {
         horizon
     }
 
-    /// First cycle of the current measurement window (0 until
-    /// [`Machine::reset_measurements`] moves it).
-    pub fn measure_start(&self) -> Cycle {
-        self.measure_start
-    }
-
-    /// Cycles elapsed in the current measurement window — the
-    /// denominator of the summary's utilisations.
-    pub fn measured_cycles(&self) -> Cycle {
-        self.now - self.measure_start
-    }
-
     /// Builds the current run summary. Utilisations are computed over
-    /// the current measurement window (since the last
-    /// [`Machine::reset_measurements`], or the whole run without one).
+    /// the whole run.
     pub fn summary(&self) -> RunSummary {
         let cores = (0..self.cfg.num_cores)
             .map(|i| {
@@ -483,28 +450,13 @@ impl Machine {
                 }
             })
             .collect();
-        let window = self.measured_cycles().max(1);
+        let window = self.now.max(1);
         RunSummary {
             cycles: self.now,
             cores,
             bus_utilization: self.bus.stats().utilization(window),
             mc_utilization: self.mc.as_ref().map(|mc| mc.stats().utilization(window)),
         }
-    }
-
-    /// Clears every measurement (PMCs, per-resource statistics, trace)
-    /// without touching architectural state — the warm-up idiom — and
-    /// starts a new measurement window at the current cycle, so the
-    /// summary's utilisations divide by the cycles actually measured
-    /// rather than the absolute cycle count.
-    pub fn reset_measurements(&mut self) {
-        self.pmc.reset();
-        self.bus.reset_stats();
-        if let Some(mc) = &mut self.mc {
-            mc.reset_stats();
-        }
-        self.trace.clear();
-        self.measure_start = self.now;
     }
 
     /// Number of cycles actually stepped so far — `now()` minus the
@@ -723,143 +675,11 @@ fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
-/// Chained builder for a [`Machine`]: start from a base configuration,
-/// adjust the cores and caches, and compose the request-path topology
-/// resource by resource.
-///
-/// ```
-/// use rrb_sim::{MachineBuilder, BusConfig, McQueueConfig};
-///
-/// # fn main() -> Result<(), rrb_sim::SimError> {
-/// let machine = MachineBuilder::new()
-///     .cores(4)
-///     .bus(BusConfig::ngmp())
-///     .then_memory_controller(McQueueConfig::ngmp())
-///     .build()?;
-/// assert_eq!(machine.config().ubd_breakdown().len(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct MachineBuilder {
-    cfg: MachineConfig,
-}
-
-impl MachineBuilder {
-    /// A builder over the reference configuration
-    /// ([`MachineConfig::ngmp_ref`]).
-    pub fn new() -> Self {
-        MachineBuilder { cfg: MachineConfig::ngmp_ref() }
-    }
-
-    /// A builder over an explicit base configuration.
-    pub fn from_config(cfg: MachineConfig) -> Self {
-        MachineBuilder { cfg }
-    }
-
-    /// Sets the core count.
-    #[must_use]
-    pub fn cores(mut self, num_cores: usize) -> Self {
-        self.cfg.num_cores = num_cores;
-        if (self.cfg.l2.ways as usize) < num_cores {
-            self.cfg.l2.ways = num_cores as u32;
-        }
-        self
-    }
-
-    /// Replaces the whole request-path topology.
-    #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
-    /// Sets the bus (resource 0) and drops any chained resource — the
-    /// start of a fresh request path.
-    #[must_use]
-    pub fn bus(mut self, bus: BusConfig) -> Self {
-        self.cfg.topology = Topology::single_bus(bus);
-        self
-    }
-
-    /// Sets the bus arbitration policy in place.
-    #[must_use]
-    pub fn bus_arbiter(mut self, arbiter: ArbiterKind) -> Self {
-        self.cfg.topology.bus.arbiter = arbiter;
-        self
-    }
-
-    /// Chains a memory-controller queue behind the bus (resource 1).
-    #[must_use]
-    pub fn then_memory_controller(mut self, mc: McQueueConfig) -> Self {
-        self.cfg.topology.mc = Some(mc);
-        self
-    }
-
-    /// Enables or disables the per-request record log.
-    #[must_use]
-    pub fn record_requests(mut self, on: bool) -> Self {
-        self.cfg.record_requests = on;
-        self
-    }
-
-    /// Enables or disables the resource-event trace.
-    #[must_use]
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.cfg.record_trace = on;
-        self
-    }
-
-    /// Enables or disables quiescence skipping in `run`/`run_for`
-    /// (cycle-identical either way; disable to force per-cycle stepping
-    /// when debugging the simulator itself).
-    #[must_use]
-    pub fn quiescence_skip(mut self, on: bool) -> Self {
-        self.cfg.quiescence_skip = on;
-        self
-    }
-
-    /// Enables or disables steady-state period skipping in `run`
-    /// (cycle-identical either way; the skip also disables itself when
-    /// it cannot be proven sound — see
-    /// [`MachineConfig::period_skip`]).
-    #[must_use]
-    pub fn period_skip(mut self, on: bool) -> Self {
-        self.cfg.period_skip = on;
-        self
-    }
-
-    /// The configuration built so far.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Consumes the builder, returning the configuration (e.g. to hand
-    /// to a campaign instead of a single machine).
-    pub fn into_config(self) -> MachineConfig {
-        self.cfg
-    }
-
-    /// Validates the configuration and builds the machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] when the composed configuration is
-    /// invalid.
-    pub fn build(self) -> Result<Machine, SimError> {
-        Machine::new(self.cfg)
-    }
-}
-
-impl Default for MachineBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::ArbiterKind;
+    use crate::config::McQueueConfig;
     use crate::instr::Instr;
 
     /// DL1-thrashing load addresses: `count` lines, all mapping to the
@@ -900,6 +720,20 @@ mod tests {
         let stats = m.dl1_stats(CoreId::new(0));
         assert_eq!(stats.hits, 0, "every rsk load must miss DL1");
         assert_eq!(stats.misses, 500);
+    }
+
+    #[test]
+    fn ifetch_uses_the_il1_line_size() {
+        // A 64-instruction (256-byte) body spans 16 IL1 lines of 16
+        // bytes — the count `rrb_static`'s profile derives — even when
+        // the DL1 uses 32-byte lines: one pass misses each line once.
+        let mut cfg = MachineConfig::ngmp_ref();
+        cfg.il1.line_bytes = 16;
+        assert_eq!(cfg.dl1.line_bytes, 32);
+        let mut m = Machine::new(cfg).expect("config");
+        m.load_program(CoreId::new(0), Program::from_body(vec![Instr::Nop; 64], 1));
+        m.run().expect("run");
+        assert_eq!(m.il1_stats(CoreId::new(0)).misses, 16);
     }
 
     #[test]
@@ -1030,17 +864,6 @@ mod tests {
         let pmc = m.pmc().core(CoreId::new(0));
         let (mode, _) = pmc.mode_gamma().expect("requests");
         assert_eq!(mode, 27, "gamma histogram: {:?}", pmc.gamma_histogram);
-    }
-
-    #[test]
-    fn reset_measurements_clears_counters_keeps_state() {
-        let mut m = Machine::new(MachineConfig::ngmp_ref()).expect("config");
-        m.load_program(CoreId::new(0), Program::from_body(rsk_load_body(0), 10));
-        m.run().expect("run");
-        assert!(m.pmc().core(CoreId::new(0)).bus_requests() > 0);
-        m.reset_measurements();
-        assert_eq!(m.pmc().core(CoreId::new(0)).bus_requests(), 0);
-        assert_eq!(m.bus().stats().grants, 0);
     }
 
     #[test]
@@ -1189,18 +1012,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_composes_topologies() {
-        use crate::config::McQueueConfig;
-        let m = Machine::builder()
-            .cores(3)
-            .bus_arbiter(crate::bus::ArbiterKind::Fifo)
-            .then_memory_controller(McQueueConfig {
-                service_occupancy: 4,
-                arbiter: ArbiterKind::Fifo,
-            })
-            .record_trace(true)
-            .build()
-            .expect("build");
+    fn config_composes_topologies() {
+        let mut cfg = MachineConfig::ngmp_ref();
+        cfg.num_cores = 3;
+        cfg.topology.bus.arbiter = ArbiterKind::Fifo;
+        cfg.topology.mc = Some(McQueueConfig { service_occupancy: 4, arbiter: ArbiterKind::Fifo });
+        cfg.record_trace = true;
+        let m = Machine::new(cfg).expect("build");
         assert_eq!(m.config().num_cores, 3);
         assert_eq!(m.bus().arbiter_kind(), ArbiterKind::Fifo);
         assert_eq!(m.memory_controller().expect("mc").arbiter_kind(), ArbiterKind::Fifo);
@@ -1279,35 +1097,6 @@ mod tests {
         assert_eq!(m.next_event(), Some(0), "a loaded core dispatches at its start cycle");
         m.run().expect("run");
         assert_eq!(m.next_event(), None, "all work drained: quiescent again");
-    }
-
-    #[test]
-    fn utilization_uses_measurement_window_after_reset() {
-        // Warm-up idiom: idle warm-up, reset, then saturate the bus. The
-        // absolute-cycle denominator would under-report utilisation by
-        // the warm-up share; the window denominator must not.
-        let mut m = Machine::new(MachineConfig::ngmp_ref()).expect("config");
-        m.run_for(50_000); // long idle warm-up, no programs loaded
-        for i in 0..4 {
-            m.load_program(CoreId::new(i), Program::endless(rsk_load_body(0)));
-        }
-        m.run_for(2_000); // let the rsk reach steady state
-        m.reset_measurements();
-        assert_eq!(m.measure_start(), 52_000);
-        let s = m.run_for(10_000);
-        assert_eq!(m.measured_cycles(), 10_000);
-        assert!(
-            s.bus_utilization > 0.99,
-            "saturated window must report ~full utilisation (got {})",
-            s.bus_utilization
-        );
-    }
-
-    #[test]
-    fn builder_forces_per_cycle_stepping() {
-        let m = Machine::builder().quiescence_skip(false).build().expect("build");
-        assert!(!m.config().quiescence_skip);
-        assert!(Machine::builder().build().expect("build").config().quiescence_skip);
     }
 
     #[test]

@@ -342,12 +342,6 @@ impl SharedResource {
         horizon
     }
 
-    /// Resets arbitration statistics (not pending requests).
-    pub fn reset_stats(&mut self) {
-        let n = self.pending.len();
-        self.stats = ResourceStats::new(n);
-    }
-
     /// Rewinds the resource to its just-built state for a possibly
     /// different policy: drops pending and active transactions, resets
     /// arbitration state and statistics, and re-targets the arbiter,
@@ -512,8 +506,6 @@ mod tests {
         assert_eq!(q.stats().busy_cycles, 3);
         assert_eq!(q.stats().per_core_busy, vec![0, 3]);
         assert!((q.stats().utilization(6) - 0.5).abs() < 1e-12);
-        q.reset_stats();
-        assert_eq!(q.stats().grants, 0);
     }
 
     #[test]

@@ -35,17 +35,6 @@ impl CoreId {
     pub fn index(self) -> usize {
         self.0
     }
-
-    /// Returns the core that follows this one in round-robin order on a
-    /// machine with `num_cores` cores.
-    ///
-    /// ```
-    /// use rrb_sim::CoreId;
-    /// assert_eq!(CoreId::new(3).next_in_rotation(4), CoreId::new(0));
-    /// ```
-    pub fn next_in_rotation(self, num_cores: usize) -> Self {
-        CoreId((self.0 + 1) % num_cores)
-    }
 }
 
 impl fmt::Display for CoreId {
@@ -70,13 +59,6 @@ mod tests {
             assert_eq!(CoreId::new(i).index(), i);
             assert_eq!(usize::from(CoreId::new(i)), i);
         }
-    }
-
-    #[test]
-    fn rotation_wraps() {
-        assert_eq!(CoreId::new(0).next_in_rotation(4), CoreId::new(1));
-        assert_eq!(CoreId::new(3).next_in_rotation(4), CoreId::new(0));
-        assert_eq!(CoreId::new(0).next_in_rotation(1), CoreId::new(0));
     }
 
     #[test]

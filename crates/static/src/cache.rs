@@ -88,11 +88,6 @@ impl LevelClasses {
     pub fn total(&self) -> u64 {
         self.always_hit + self.always_miss + self.unknown
     }
-
-    /// Whether every access at this level has a proven verdict.
-    pub fn proven(&self) -> bool {
-        self.unknown == 0
-    }
 }
 
 /// The classified access stream of one program on one core.

@@ -37,7 +37,7 @@
 //! measured composed γ  ≤  flow composed  ≤  saturating sum
 //! ```
 
-use crate::bounds::{analyze, can_request, requests_at, StaticBound};
+use crate::bounds::{analyze, can_request, StaticBound};
 use crate::profile::CoreProfile;
 use rrb_sim::{ArbiterKind, MachineConfig, ResourceKind};
 
@@ -91,11 +91,6 @@ impl ComposedBound {
             total = total.saturating_add(t.sum?);
         }
         Some(total)
-    }
-
-    /// Total provable slack between the sum and the flow composition.
-    pub fn slack_total(&self) -> Option<u64> {
-        Some(self.sum_total()?.saturating_sub(self.flow_total()?))
     }
 
     /// The term for a specific resource kind, if present.
@@ -210,15 +205,6 @@ fn mc_flow_term(
     (observed_bound, "queue can back up; observed core's machine bound".to_string())
 }
 
-/// Convenience: the total MC demand a profile set can pose, for reports.
-pub fn foreign_mc_requesters(profiles: &[CoreProfile]) -> u64 {
-    profiles
-        .iter()
-        .skip(1)
-        .filter(|p| requests_at(p, ResourceKind::MemoryController) != Some(0))
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +229,6 @@ mod tests {
         assert_eq!(c.terms.len(), 1);
         assert_eq!(c.flow_total(), Some(5), "(4-1)*2 - 1");
         assert_eq!(c.sum_total(), Some(6));
-        assert_eq!(c.slack_total(), Some(1));
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl CoreProfile {
         }
     }
 
-    /// Whether the core can issue any shared-resource request at all.
-    pub fn issues_requests(&self) -> bool {
-        self.bus_requests != Some(0)
-    }
-
     /// Whether the program is finite (bounded request count and makespan).
     pub fn is_finite(&self) -> bool {
         self.bus_requests.is_some() && self.isolated_cycles.is_some()
@@ -267,7 +262,7 @@ mod tests {
     #[test]
     fn idle_profile_never_requests() {
         let p = CoreProfile::idle();
-        assert!(!p.issues_requests());
+        assert_eq!(p.bus_requests, Some(0));
         assert!(p.is_finite());
     }
 
@@ -279,7 +274,7 @@ mod tests {
         let bus = p.bus_requests.expect("finite");
         assert!(bus >= 20, "at least the data transactions: {bus}");
         assert!(p.is_finite());
-        assert!(p.issues_requests());
+        assert_ne!(p.bus_requests, Some(0));
         // 3 nops between the load and itself (circularly: nops + branch).
         assert!(p.min_gap >= 3, "gap covers the nops: {}", p.min_gap);
     }
@@ -291,7 +286,7 @@ mod tests {
         assert_eq!(p.bus_requests, None);
         assert_eq!(p.isolated_cycles, None);
         assert!(!p.is_finite());
-        assert!(p.issues_requests());
+        assert_ne!(p.bus_requests, Some(0));
     }
 
     #[test]

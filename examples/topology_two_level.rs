@@ -1,5 +1,5 @@
-//! Quickstart for the composable resource-topology API: chain the
-//! memory-controller queue behind the bus with [`MachineBuilder`], watch
+//! Quickstart for the resource topology of a `MachineConfig`: chain the
+//! memory-controller queue behind the bus (`ngmp_two_level`), watch
 //! both contention points in the per-resource counters, and derive a
 //! bound whose per-resource contributions sum to the total.
 //!
@@ -15,14 +15,12 @@
 
 use rrb::methodology::{derive_ubd, MethodologyConfig};
 use rrb::report;
-use rrb_sim::{CoreId, Instr, MachineBuilder, MachineConfig, McQueueConfig, Program, ResourceId};
+use rrb_sim::{CoreId, Instr, Machine, MachineConfig, McQueueConfig, Program, ResourceId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Compose the topology resource by resource: the ngmp_ref base,
-    //    then the FIFO admission queue of the memory controller.
-    let mut machine = MachineBuilder::new() // ngmp_ref base
-        .then_memory_controller(McQueueConfig::ngmp())
-        .build()?;
+    // 1. The ngmp_ref bus with the memory controller's FIFO admission
+    //    queue chained behind it (`topology.mc`).
+    let mut machine = Machine::new(MachineConfig::ngmp_two_level())?;
 
     println!("request-path topology and its Eq. 1 decomposition:");
     for term in machine.config().ubd_breakdown() {
