@@ -1,7 +1,10 @@
 //! Simulator-core throughput benchmark: event-driven quiescence
 //! skipping vs naive per-cycle stepping, and period skip vs none,
 //! written to `BENCH_simspeed.json` so the perf trajectory of the hot
-//! loop is tracked like the campaign runner's.
+//! loop is tracked like the campaign runner's. Every timing is the
+//! median of [`PASSES`] timed passes after one warm-up pass, with the
+//! p10/p90 spread beside it ([`rrb_bench::harness`]); a speedup is the
+//! ratio of two medians, and the baselines gate those.
 //!
 //! ```sh
 //! cargo run --release -p rrb-bench --bin simspeed            # full run
@@ -34,9 +37,13 @@
 
 use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
 use rrb::json::Json;
+use rrb_bench::{bench_timed, BenchResult};
 use rrb_kernels::{rsk, rsk_l2_miss, AccessKind, RskBuilder};
 use rrb_sim::{ArbiterKind, CoreId, Cycle, Machine, MachineConfig, Program};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Timed passes per measured side, after one warm-up pass.
+const PASSES: u32 = 7;
 
 /// The two-level reference machine with DDR2-667 timed against a 1 GHz
 /// core instead of the NGMP's 200 MHz — every DRAM parameter scales by
@@ -53,13 +60,31 @@ fn stall_heavy_config() -> MachineConfig {
     cfg
 }
 
+/// Times [`PASSES`] passes of `pass` after one warm-up pass. Each pass
+/// times its own simulation and returns (elapsed, steps executed,
+/// cycles simulated), so building the machine stays out of the sample;
+/// the step and cycle counts are deterministic, and the last pass's are
+/// returned.
+fn timed(
+    name: &str,
+    mut pass: impl FnMut() -> (Duration, u64, Cycle),
+) -> (BenchResult, u64, Cycle) {
+    let mut counts = (0, 0);
+    let timing = bench_timed(name, 1, PASSES, || {
+        let (elapsed, steps, cycles) = pass();
+        counts = (steps, cycles);
+        elapsed
+    });
+    (timing, counts.0, counts.1)
+}
+
 /// Simulates `cycles` of `cfg` with every core running `prog_of(core)`,
-/// returning (wall seconds, steps actually executed).
+/// returning (wall time of the simulation, steps executed, cycles).
 fn simulate(
     cfg: &MachineConfig,
     cycles: Cycle,
     prog_of: impl Fn(&MachineConfig, CoreId) -> Program,
-) -> (f64, u64) {
+) -> (Duration, u64, Cycle) {
     let mut m = Machine::new(cfg.clone()).expect("config");
     for i in 0..cfg.num_cores {
         let id = CoreId::new(i);
@@ -67,13 +92,12 @@ fn simulate(
     }
     let start = Instant::now();
     let s = m.run_for(cycles);
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = start.elapsed();
     assert_eq!(s.cycles, cycles);
-    (elapsed, m.steps_executed())
+    (elapsed, m.steps_executed(), cycles)
 }
 
-/// One skip-vs-step comparison: returns (skip cps, step cps, speedup,
-/// json record).
+/// One skip-vs-step comparison: returns (median speedup, json record).
 fn compare(
     name: &'static str,
     base: MachineConfig,
@@ -87,18 +111,23 @@ fn compare(
     skip_cfg.record_requests = false;
     let mut step_cfg = skip_cfg.clone();
     step_cfg.quiescence_skip = false;
-    // Warm up (allocator, caches), then measure.
-    let _ = simulate(&skip_cfg, cycles / 4, prog_of);
-    let _ = simulate(&step_cfg, cycles / 4, prog_of);
-    let (skip_s, steps) = simulate(&skip_cfg, cycles, prog_of);
-    let (step_s, _) = simulate(&step_cfg, cycles, prog_of);
-    record(name, cycles, steps, skip_s, step_s)
+    let (skip, steps, _) = timed(&format!("{name}/skip"), || simulate(&skip_cfg, cycles, prog_of));
+    let (step, _, _) = timed(&format!("{name}/step"), || simulate(&step_cfg, cycles, prog_of));
+    record(name, cycles, steps, skip, step)
 }
 
 /// Prints one comparison and returns (speedup, json record): `cycles`
-/// simulated in `skip_s` seconds with `steps` stepped, against `step_s`
-/// seconds without the skip.
-fn record(name: &str, cycles: Cycle, steps: u64, skip_s: f64, step_s: f64) -> (f64, Json) {
+/// simulated in the `skip` passes with `steps` stepped, against the
+/// `step` passes without the skip. Rates and the speedup are taken from
+/// the medians.
+fn record(
+    name: &str,
+    cycles: Cycle,
+    steps: u64,
+    skip: BenchResult,
+    step: BenchResult,
+) -> (f64, Json) {
+    let (skip_s, step_s) = (skip.median_seconds(), step.median_seconds());
     let skip_cps = cycles as f64 / skip_s;
     let step_cps = cycles as f64 / step_s;
     let speedup = skip_cps / step_cps;
@@ -112,8 +141,13 @@ fn record(name: &str, cycles: Cycle, steps: u64, skip_s: f64, step_s: f64) -> (f
         ("workload", Json::str(name)),
         ("simulated_cycles", Json::U64(cycles)),
         ("stepped_cycles", Json::U64(steps)),
+        ("passes", Json::U64(u64::from(PASSES))),
         ("skip_seconds", Json::F64(skip_s)),
+        ("skip_seconds_p10", Json::F64(skip.p10_seconds())),
+        ("skip_seconds_p90", Json::F64(skip.p90_seconds())),
         ("step_seconds", Json::F64(step_s)),
+        ("step_seconds_p10", Json::F64(step.p10_seconds())),
+        ("step_seconds_p90", Json::F64(step.p90_seconds())),
         ("cycles_per_second_skip", Json::F64(skip_cps)),
         ("cycles_per_second_step", Json::F64(step_cps)),
         ("speedup", Json::F64(speedup)),
@@ -140,28 +174,31 @@ fn fp_starved(cycles: Cycle) -> (f64, Json) {
         }
         let start = Instant::now();
         m.run().expect("the scua completes within the budget");
-        (start.elapsed().as_secs_f64(), m.steps_executed(), m.now())
+        (start.elapsed(), m.steps_executed(), m.now())
     };
-    // Warm up (allocator, caches), then measure.
-    let _ = (run(true), run(false));
-    let (skip_s, steps, simulated) = run(true);
-    let (step_s, _, stepped_simulated) = run(false);
+    let (skip, steps, simulated) = timed("fp-starved/skip", || run(true));
+    let (step, _, stepped_simulated) = timed("fp-starved/step", || run(false));
     assert_eq!(simulated, stepped_simulated, "period skip must not change the run");
-    record("fp-starved", simulated, steps, skip_s, step_s)
+    record("fp-starved", simulated, steps, skip, step)
 }
 
-/// The campaign grid of `campaign_throughput`, timed serially.
+/// The campaign grid of `campaign_throughput`, timed serially: the
+/// median runs/s and the unique run count.
 fn campaign_runs_per_second() -> (f64, u64) {
     let grid = CampaignGrid::new(GridScenario::Derive, MachineConfig::toy(4, 2))
         .contender_accesses(vec![AccessKind::Load, AccessKind::Store])
         .iterations(vec![150, 200])
         .max_k(18);
-    let campaign = Campaign::builder().grid(&grid).jobs(1).build();
-    let start = Instant::now();
-    let result = campaign.run();
-    let elapsed = start.elapsed().as_secs_f64();
-    let runs = result.stats.executed_runs as u64;
-    (runs as f64 / elapsed, runs)
+    let mut runs = 0;
+    let timing = bench_timed("campaign/serial", 1, PASSES, || {
+        let campaign = Campaign::builder().grid(&grid).jobs(1).build();
+        let start = Instant::now();
+        let result = campaign.run();
+        let elapsed = start.elapsed();
+        runs = result.stats.executed_runs as u64;
+        elapsed
+    });
+    (runs as f64 / timing.median_seconds(), runs)
 }
 
 fn main() {

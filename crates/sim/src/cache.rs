@@ -4,9 +4,19 @@
 //! replacement. Used for the private IL1/DL1 caches and for each core's
 //! L2 partition.
 //!
-//! Lines live in one contiguous allocation (`sets × ways`), so building
-//! or resetting a cache touches exactly one buffer — this is what makes
+//! Lines live in one contiguous allocation (`sets × ways`). Each cache
+//! also lists the sets it filled since its last reset, a sparse set
+//! after Briggs and Torczon, so a reset rewrites only those: its cost
+//! follows the sets a run filled, not the geometry. That is what makes
 //! the batched-execution arena's reset-not-rebuild path cheap.
+//!
+//! Lines only ever become valid between two resets, and a miss fills
+//! the first invalid way, so a set holds its valid lines in a prefix of
+//! its ways, every way after them is still cold, and it keeps every line
+//! until an eviction replaces it. A set's first way is therefore its
+//! flag in the list: a fill into way 0 is the set's first. The
+//! period-skip fingerprint (`Cache::ff_signature`) leans on the same
+//! invariant.
 
 use crate::config::CacheConfig;
 pub use crate::config::Replacement;
@@ -82,6 +92,11 @@ pub struct Cache {
     set_mask: u64,
     tag_shift: u32,
     ways: usize,
+    /// The sets holding a valid line, in first-fill order:
+    /// [`Cache::reset`] rewrites only them.
+    filled_sets: Vec<usize>,
+    /// Valid lines over all sets.
+    resident: u64,
     stats: CacheStats,
     /// Monotonic access counter; doubles as the xorshift seed for random
     /// replacement so the model stays deterministic.
@@ -110,6 +125,8 @@ impl Cache {
             set_mask: sets - 1,
             tag_shift,
             ways,
+            filled_sets: Vec::new(),
+            resident: 0,
             stats: CacheStats::default(),
             clock: 0,
         }
@@ -125,16 +142,28 @@ impl Cache {
         self.stats
     }
 
-    /// Adds a pre-computed delta to the counters (fast-forward scaling).
-    pub(crate) fn ff_add_stats(&mut self, hits: u64, misses: u64) {
-        self.stats.hits += hits;
-        self.stats.misses += misses;
+    /// Hands each monotone counter to `f`, in a fixed order (fast-forward
+    /// snapshots and scales them).
+    pub(crate) fn ff_counters(&mut self, f: &mut impl FnMut(&mut u64)) {
+        f(&mut self.stats.hits);
+        f(&mut self.stats.misses);
     }
 
     /// Rewinds the cache to its just-built state — cold lines, zeroed
-    /// counters and replacement clock — without reallocating.
+    /// counters and replacement clock — without reallocating. Only the
+    /// valid lines of the sets filled since the last reset are rewritten:
+    /// every other line is still cold.
     pub fn reset(&mut self) {
-        self.lines.fill(COLD);
+        for &s in &self.filled_sets {
+            for line in &mut self.lines[s * self.ways..(s + 1) * self.ways] {
+                if !line.valid {
+                    break;
+                }
+                *line = COLD;
+            }
+        }
+        self.filled_sets.clear();
+        self.resident = 0;
         self.stats = CacheStats::default();
         self.clock = 0;
     }
@@ -166,8 +195,7 @@ impl Cache {
 
     /// The set index an address maps to. Kernel construction uses it to
     /// engineer same-set conflict misses; [`Cache::reachable_sets`] maps
-    /// addresses through it for both signature consumers, period skip and
-    /// the static must/may replay.
+    /// addresses through it for the static must/may replay's signature.
     pub fn set_of(&self, addr: Addr) -> usize {
         self.set_index(addr)
     }
@@ -175,9 +203,11 @@ impl Cache {
     /// The sets a static program can reach, ascending and deduplicated:
     /// the set of each address in `data` and of each line the `fetch`
     /// range overlaps (listed line by line, one lap of the sets at most).
-    /// Both [`Cache::rank_signature`] consumers sign exactly these sets: a
-    /// set outside them is cold in every state, so leaving it out keeps
-    /// the signature's equality test the all-sets one.
+    /// The static must/may replay signs exactly these sets with
+    /// [`Cache::rank_signature`]: a set outside them is cold in every
+    /// state, so leaving it out keeps the signature's equality test the
+    /// all-sets one. Period skip splits the same sets with
+    /// `Cache::overflowing_sets`.
     pub fn reachable_sets(&self, data: &[Addr], fetch: Range<Addr>) -> Vec<usize> {
         let mut sets: Vec<usize> = data.iter().map(|&a| self.set_of(a)).collect();
         if !fetch.is_empty() {
@@ -207,7 +237,8 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let tag = self.tag(addr);
-        let base = self.set_index(addr) * self.ways;
+        let index = self.set_index(addr);
+        let base = index * self.ways;
         let replacement = self.cfg.replacement;
         let set = &mut self.lines[base..base + self.ways];
 
@@ -221,6 +252,10 @@ impl Cache {
 
         // Miss: pick a victim.
         let victim = if let Some(pos) = set.iter().position(|l| !l.valid) {
+            self.resident += 1;
+            if pos == 0 {
+                self.filled_sets.push(index);
+            }
             pos
         } else {
             match replacement {
@@ -278,23 +313,17 @@ impl Cache {
         Access::Miss
     }
 
-    /// Invalidates the whole cache (e.g. between warm-up and measurement).
-    pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
-    }
-
     /// Appends a time-free signature of the named sets to `out`: per way,
     /// validity, tag, and the line's *relative* stamp rank within its set.
     /// Two caches with equal signatures behave identically on any future
     /// LRU/FIFO access pattern confined to those sets, regardless of the
     /// absolute clock values. (Random replacement depends on the absolute
-    /// clock, which is why both consumers refuse it.) The consumers sign
-    /// the sets [`Cache::reachable_sets`] lists: period skip fingerprints
-    /// the machine with it at iteration boundaries, and the static must/may
-    /// replay (`rrb_static::classify_accesses`) proves a loop's cache
-    /// outcomes periodic once it repeats.
+    /// clock, which is why both consumers refuse it.) The static must/may
+    /// replay (`rrb_static::classify_accesses`) signs every set
+    /// [`Cache::reachable_sets`] lists to prove a loop's cache outcomes
+    /// periodic once it repeats; period skip signs the overflowing ones
+    /// (`Cache::ff_signature`) to fingerprint the machine at iteration
+    /// boundaries.
     pub fn rank_signature(&self, sets: &[usize], out: &mut Vec<u64>) {
         for &s in sets {
             let base = s * self.ways;
@@ -312,6 +341,58 @@ impl Cache {
                 out.push(rank);
             }
         }
+    }
+
+    /// Splits the sets a static program can reach (the sets
+    /// [`Cache::reachable_sets`] lists for the same `data` and `fetch`)
+    /// by whether its run can evict from them. Returns the *overflowing*
+    /// ones, ascending, and the number of reachable sets. A reachable set
+    /// overflows when more distinct reachable lines map to it than it has
+    /// ways, or when it holds a resident line the program cannot reach
+    /// (one left behind by another program). Every other reachable set
+    /// *fits*: a miss there always finds an invalid way, so nothing in it
+    /// is ever evicted and its recency order is never read. The fetch
+    /// range is counted line by line at this cache's line size, which may
+    /// over-count the lines a narrower fetch touches: that can only make a
+    /// set overflow, never make one fit.
+    pub(crate) fn overflowing_sets(
+        &self,
+        data: &[Addr],
+        fetch: Range<Addr>,
+    ) -> (Vec<usize>, usize) {
+        let mut lines: Vec<u64> = data.iter().map(|&a| a >> self.line_shift).collect();
+        if !fetch.is_empty() {
+            lines.extend((fetch.start >> self.line_shift)..=((fetch.end - 1) >> self.line_shift));
+        }
+        lines.sort_unstable_by_key(|&l| (l & self.set_mask, l));
+        lines.dedup();
+        let line_of_tag = self.tag_shift - self.line_shift;
+        let mut overflowing = Vec::new();
+        let mut reachable = 0;
+        for group in lines.chunk_by(|a, b| a & self.set_mask == b & self.set_mask) {
+            let s = (group[0] & self.set_mask) as usize;
+            reachable += 1;
+            let foreign = self.lines[s * self.ways..(s + 1) * self.ways]
+                .iter()
+                .any(|l| l.valid && !group.contains(&(l.tag << line_of_tag | s as u64)));
+            if group.len() > self.ways || foreign {
+                overflowing.push(s);
+            }
+        }
+        (overflowing, reachable)
+    }
+
+    /// Appends the period-skip signature of this cache to `out`: the
+    /// [`Cache::rank_signature`] of the `overflowing` sets
+    /// ([`Cache::overflowing_sets`]), then one word, the number of valid
+    /// lines in the whole cache. Within one run, sets the program cannot
+    /// reach never change, so an equal word at two boundaries with equal
+    /// overflowing-set signatures means equal resident counts over the
+    /// fitting sets — and since fitting sets only gain lines, equal
+    /// contents (see the fast-forward module's §Soundness).
+    pub(crate) fn ff_signature(&self, overflowing: &[usize], out: &mut Vec<u64>) {
+        self.rank_signature(overflowing, out);
+        out.push(self.resident);
     }
 }
 
@@ -414,14 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_empties_cache() {
-        let mut c = small(2, Replacement::Lru);
-        c.touch(0x0);
-        c.invalidate_all();
-        assert!(!c.probe(0x0));
-    }
-
-    #[test]
     fn random_replacement_is_deterministic() {
         let run = || {
             let mut c = small(2, Replacement::Random);
@@ -483,9 +556,6 @@ mod tests {
                 assert_eq!(first, each[0], "{repl:?} access {i}");
                 assert_eq!(batched.stats(), single.stats(), "{repl:?} access {i}");
                 assert_eq!(batched.clock, single.clock, "{repl:?} access {i}");
-                let lines = |c: &Cache| -> Vec<(bool, u64, u64)> {
-                    c.lines.iter().map(|l| (l.valid, l.tag, l.stamp)).collect()
-                };
                 assert_eq!(lines(&batched), lines(&single), "{repl:?} access {i}");
             }
         }
@@ -547,6 +617,125 @@ mod tests {
         assert_eq!(*c.config(), bigger);
         let mut fresh = Cache::new(bigger);
         assert_eq!(workload(&mut c), workload(&mut fresh));
+    }
+
+    /// Every line's (valid, tag, stamp), set-major.
+    fn lines(c: &Cache) -> Vec<(bool, u64, u64)> {
+        c.lines.iter().map(|l| (l.valid, l.tag, l.stamp)).collect()
+    }
+
+    #[test]
+    fn reset_after_touching_every_set_equals_new_line_for_line() {
+        for repl in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            // 4 ways of 8 sets of 32-byte lines; three laps of 6 lines
+            // per set fill every way of every set and evict in each.
+            let cfg = CacheConfig {
+                size_bytes: 1024,
+                ways: 4,
+                line_bytes: 32,
+                latency: 1,
+                replacement: repl,
+            };
+            let mut c = Cache::new(cfg);
+            for lap in 0..3 {
+                for line in 0..48u64 {
+                    c.touch((line * 7 + lap) % 48 * 32);
+                }
+            }
+            assert_eq!(c.filled_sets.len(), 8, "{repl:?}: every set filled");
+            assert!(c.stats().misses > 48, "{repl:?}: evictions happened");
+            c.reset();
+            let fresh = Cache::new(cfg);
+            assert_eq!(lines(&c), lines(&fresh), "{repl:?}");
+            assert!(c.filled_sets.is_empty(), "{repl:?}");
+            assert_eq!((c.resident, c.stats, c.clock), (0, CacheStats::default(), 0), "{repl:?}");
+        }
+    }
+
+    #[test]
+    fn reset_rewrites_only_the_filled_sets() {
+        let mut c = small(2, Replacement::Lru); // 2 sets
+        c.touch(0x40); // set 0
+        c.touch(0x80); // set 0
+        assert_eq!(c.filled_sets, [0]);
+        assert_eq!(c.resident, 2);
+        c.touch(0x20); // set 1
+        c.touch(0xc0); // set 0, evicts: no new resident line
+        assert_eq!(c.filled_sets, [0, 1]);
+        assert_eq!(c.resident, 3);
+        c.reset();
+        assert_eq!(lines(&c), lines(&small(2, Replacement::Lru)));
+    }
+
+    /// 4 ways of 8 sets of 32-byte lines; line `i` of set `s` is at
+    /// `(i * 8 + s) * 32`.
+    fn four_way() -> Cache {
+        Cache::new(CacheConfig {
+            size_bytes: 1024,
+            ways: 4,
+            line_bytes: 32,
+            latency: 1,
+            replacement: Replacement::Lru,
+        })
+    }
+
+    fn at(set: u64, i: u64) -> Addr {
+        (i * 8 + set) * 32
+    }
+
+    #[test]
+    fn a_fitting_set_signs_its_resident_count() {
+        // Set 1 reaches two lines (fits); set 2 reaches the rsk
+        // construction's W + 1 = 5 lines (overflows).
+        let data: Vec<Addr> =
+            [at(1, 0), at(1, 3)].into_iter().chain((0..5).map(|i| at(2, i))).collect();
+        let (mut a, mut b) = (four_way(), four_way());
+        assert_eq!(a.overflowing_sets(&data, 0..0), (vec![2], 2));
+        let sig = |c: &Cache| {
+            let mut out = Vec::new();
+            c.ff_signature(&[2], &mut out);
+            out
+        };
+        assert_eq!(sig(&a).len(), 4 * 3 + 1, "ranks of the W+1 set, then one count");
+        // The fitting set's recency order does not enter the signature,
+        // its resident count does.
+        a.touch(at(1, 0));
+        a.touch(at(1, 3));
+        b.touch(at(1, 3));
+        b.touch(at(1, 0));
+        assert_eq!(sig(&a), sig(&b));
+        assert_eq!(*sig(&a).last().unwrap(), 2);
+        b.touch(at(5, 0)); // a set the program cannot reach
+        assert_ne!(sig(&a), sig(&b));
+        // The overflowing set still signs recency ranks.
+        let (mut c, mut d) = (four_way(), four_way());
+        for i in 0..5 {
+            c.touch(at(2, i));
+            d.touch(at(2, i));
+        }
+        assert_eq!(sig(&c), sig(&d));
+        d.touch(at(2, 2));
+        assert_ne!(sig(&c), sig(&d), "a hit reorders the W+1 set's ranks");
+    }
+
+    #[test]
+    fn a_resident_line_the_program_cannot_reach_makes_its_set_overflow() {
+        let mut c = four_way();
+        // A fetch range of three lines in sets 0-2, and a data line in set 3.
+        let fetch = at(0, 0)..at(3, 0);
+        assert_eq!(c.overflowing_sets(&[at(3, 1)], fetch.clone()), (vec![], 4));
+        c.touch(at(3, 1)); // reachable: still fits
+        c.touch(at(1, 0)); // reachable fetch line
+        assert_eq!(c.overflowing_sets(&[at(3, 1)], fetch.clone()), (vec![], 4));
+        c.touch(at(1, 6)); // another program's line in set 1
+        c.touch(at(6, 2)); // and one in a set this program cannot reach
+        assert_eq!(c.overflowing_sets(&[at(3, 1)], fetch.clone()), (vec![1], 4));
+        // More than one lap of fetch lines: 12 lines over 8 sets put two
+        // in each of sets 0-3, and five distinct lines overflow a 4-way set.
+        let long = 0..12 * 32;
+        let two = [at(0, 2), at(0, 3)];
+        assert_eq!(four_way().overflowing_sets(&two, long.clone()), (vec![], 8));
+        assert_eq!(four_way().overflowing_sets(&[at(0, 4), two[0], two[1]], long), (vec![0], 8));
     }
 
     #[test]

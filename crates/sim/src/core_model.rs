@@ -518,11 +518,21 @@ impl CoreModel {
         self.store_buffer.ff_shift(delta);
     }
 
-    /// Credits `iterations` loop iterations and `instructions` retired
-    /// instructions for the skipped periods (fast-forward).
-    pub(crate) fn ff_add_progress(&mut self, iterations: u64, instructions: u64) {
-        self.iteration += iterations;
-        self.instructions += instructions;
+    /// The loop iteration counter, which fast-forward credits for the
+    /// skipped periods.
+    pub(crate) fn iteration_mut(&mut self) -> &mut u64 {
+        &mut self.iteration
+    }
+
+    /// Hands each monotone counter but the iteration count to `f`, in a
+    /// fixed order: retired instructions, then the DL1's, the IL1's and
+    /// the store buffer's counters (fast-forward snapshots and scales
+    /// them).
+    pub(crate) fn ff_counters(&mut self, f: &mut impl FnMut(&mut u64)) {
+        f(&mut self.instructions);
+        self.dl1.ff_counters(f);
+        self.il1.ff_counters(f);
+        self.store_buffer.ff_counters(f);
     }
 
     /// The earliest cycle `>= now` at which this core can act on anything

@@ -197,12 +197,13 @@ impl Dram {
         }
     }
 
-    /// Adds `k` copies of the per-period statistics delta (fast-forward).
-    pub(crate) fn ff_scale_stats(&mut self, delta: DramStats, k: u64) {
-        self.stats.requests += k * delta.requests;
-        self.stats.row_hits += k * delta.row_hits;
-        self.stats.row_conflicts += k * delta.row_conflicts;
-        self.stats.queue_wait_cycles += k * delta.queue_wait_cycles;
+    /// Hands each monotone counter to `f`, in a fixed order (fast-forward
+    /// snapshots and scales them).
+    pub(crate) fn ff_counters(&mut self, f: &mut impl FnMut(&mut u64)) {
+        f(&mut self.stats.requests);
+        f(&mut self.stats.row_hits);
+        f(&mut self.stats.row_conflicts);
+        f(&mut self.stats.queue_wait_cycles);
     }
 
     /// Advances the controller to cycle `now`; returns a completion if one

@@ -21,12 +21,15 @@
 //!   ([`CoreModel::ff_signature`]), plus the captured contender counts
 //!   when (and only when) a transaction that will read them is still
 //!   outstanding;
-//! * per cache: validity, tags, and within-set recency *ranks* over the
-//!   sets reachable from the programs' static addresses
-//!   ([`Cache::rank_signature`] over [`Cache::reachable_sets`] — the key
-//!   the static must/may replay detects cycles on too; rank order, not
-//!   absolute clocks, is what LRU/FIFO behaviour depends on; random
-//!   replacement depends on the absolute clock, so it disables the skip);
+//! * per cache: the sets reachable from the programs' static addresses,
+//!   split by [`Cache::overflowing_sets`] when `run` starts. Each
+//!   *overflowing* set signs validity, tags, and within-set recency
+//!   *ranks* ([`Cache::rank_signature`] — the key the static must/may
+//!   replay detects cycles on too; rank order, not absolute clocks, is
+//!   what LRU/FIFO behaviour depends on; random replacement depends on
+//!   the absolute clock, so it disables the skip). The *fitting* sets
+//!   sign together as one word, the cache's resident-line count
+//!   ([`Cache::ff_signature`], see §Fitting sets below);
 //! * per shared resource: pending and active transactions (a waiting
 //!   request's age aside, see below) and the arbiter's schedule state —
 //!   a TDMA arbiter contributes its slot phase, so a period only matches
@@ -41,6 +44,42 @@
 //! finite core completes inside a skipped period — the final approach
 //! to completion is always stepped live — and (b) the cycle budget is
 //! never overshot, preserving exact budget-exhaustion behaviour.
+//!
+//! ### Fitting sets
+//!
+//! A reachable set *fits* when no more distinct reachable lines map to
+//! it than it has ways, and every line resident in it when `run` starts
+//! is one the program can reach. The second condition is the
+//! foreign-line precondition: a `run_for` of another program, or an
+//! earlier `run`, can leave lines behind, and a set holding one is
+//! signed as overflowing. In a fitting set every miss finds an invalid
+//! way, since the lines it holds are distinct reachable lines other than
+//! the missing one, so at most `ways − 1` of them. Nothing in a fitting
+//! set is evicted during the run: its residency only grows, and victim
+//! selection, the only reader of recency stamps, never runs there. So:
+//!
+//! * **An equal count means equal contents.** Sets a cache's program
+//!   cannot reach never change during the run (every cache is private
+//!   to its core), and the overflowing sets are signed in
+//!   full, so two boundaries with equal fingerprints hold equally many
+//!   lines in the fitting sets. Each fitting set's lines at the later
+//!   boundary include those at the earlier one, so equal totals mean
+//!   equal contents, set by set. This holds between two boundaries of
+//!   one run only, which is all the history ever compares.
+//! * **Recency order recurs without being signed.** Inside the run no
+//!   eviction reads it. From `t₁` on, each period makes the same
+//!   accesses to each cache in the same order; a period's accesses put
+//!   the lines they touch above the others, in touch order, and leave
+//!   the others in their old order (under FIFO the order moves only on
+//!   fills, and a fitting set fills nothing between equal counts).
+//!   Doing that twice is doing it once, so the fitting sets' order at
+//!   `t₂` is their order at every later boundary, and a skip from `t₂`
+//!   leaves the order stepping would. A later run that overflows such a
+//!   set evicts exactly as after a stepped run.
+//!
+//! Without the foreign-line precondition the count would lie: a set
+//! full of another program's lines, which the loaded program reaches
+//! once, evicts one of them and holds as many lines as before.
 //!
 //! ### Waiting requests
 //!
@@ -86,24 +125,22 @@
 //! The skip is a pure optimisation: `run` with and without it is
 //! cycle-identical, pinned by the period-equivalence property and the
 //! fixed-priority starvation family in `tests/prop_arena_reset.rs`, the
-//! unit tests below and the golden-trace tests (trace
-//! recording disables the skip, so traces are always exact).
+//! unit tests below (among them a run over another program's leftover
+//! lines) and the golden-trace tests (trace recording disables the
+//! skip, so traces are always exact).
 //!
 //! [`Machine::run`]: crate::Machine::run
 //! [`CoreModel::ff_signature`]: crate::core_model::CoreModel
 //! [`Cache::rank_signature`]: crate::cache::Cache::rank_signature
-//! [`Cache::reachable_sets`]: crate::cache::Cache::reachable_sets
+//! [`Cache::overflowing_sets`]: crate::cache::Cache::overflowing_sets
+//! [`Cache::ff_signature`]: crate::cache::Cache::ff_signature
 //! [`SharedResource::ff_signature`]: crate::resource::SharedResource
 //! [`Dram::ff_signature`]: crate::dram::Dram
 //! [`ArbiterKind::reads_ready_age`]: crate::bus::ArbiterKind::reads_ready_age
 
-use crate::cache::CacheStats;
 use crate::config::Replacement;
-use crate::dram::DramStats;
 use crate::instr::Iterations;
 use crate::machine::Machine;
-use crate::pmc::CorePmc;
-use crate::resource::ResourceStats;
 use crate::types::{CoreId, Cycle};
 use std::collections::BTreeMap;
 
@@ -111,8 +148,8 @@ use std::collections::BTreeMap;
 const MAX_HISTORY: usize = 64;
 /// Iteration boundaries observed before the detector gives up.
 const MAX_BOUNDARIES: usize = 256;
-/// Cap on fingerprinted cache sets (summed over every cache); programs
-/// with a larger reachable footprint run without the skip.
+/// Cap on reachable cache sets (summed over every cache); programs with a
+/// larger reachable footprint run without the skip.
 const MAX_FOOTPRINT_SETS: usize = 4096;
 
 /// A waiting request whose age the fingerprint hides: pending and ready
@@ -127,23 +164,17 @@ pub(crate) struct Waiting {
 }
 
 /// One fingerprinted iteration boundary: the relative-time signature
-/// plus a copy of every monotone counter, for per-period delta scaling.
+/// plus every monotone counter, flat, for per-period delta scaling.
 struct Snapshot {
     sig: Box<[u64]>,
     /// The waiting slots of the bus, then of the memory controller, in
     /// slot order; `sig` holds a marker for each.
     waiting: Vec<Waiting>,
     now: Cycle,
-    iterations: Vec<u64>,
-    instructions: Vec<u64>,
-    pmc: Vec<CorePmc>,
-    dl1_stats: Vec<CacheStats>,
-    il1_stats: Vec<CacheStats>,
-    l2_stats: Vec<CacheStats>,
-    sb_full_stalls: Vec<u64>,
-    bus_stats: ResourceStats,
-    mc_stats: Option<ResourceStats>,
-    dram_stats: DramStats,
+    /// Every counter [`visit_counters`] hands out, in its order (core
+    /// `i`'s iteration count is word `i`), then each core's three PMC
+    /// histograms, each as a length and that many (key, count) runs.
+    counters: Box<[u64]>,
 }
 
 /// The steady-state detector driven by [`Machine::run`].
@@ -156,14 +187,19 @@ pub(crate) struct PeriodSkip {
     anchor: usize,
     last_iteration: u64,
     boundaries: usize,
-    /// Reachable cache sets per core, sorted and deduplicated.
+    /// Overflowing reachable cache sets per core, ascending
+    /// ([`Cache::overflowing_sets`]); the fitting ones sign as a count.
+    ///
+    /// [`Cache::overflowing_sets`]: crate::cache::Cache::overflowing_sets
     dl1_sets: Vec<Vec<usize>>,
     il1_sets: Vec<Vec<usize>>,
     l2_sets: Vec<Vec<usize>>,
     history: Vec<Snapshot>,
-    /// The buffer every fingerprint is built in, kept across boundaries
-    /// so it grows once per run; each snapshot keeps an exact-size copy.
+    /// The buffers every fingerprint and counter copy are built in, kept
+    /// across boundaries so they grow once per run; each snapshot keeps
+    /// exact-size copies.
     sig_buf: Vec<u64>,
+    counter_buf: Vec<u64>,
 }
 
 impl PeriodSkip {
@@ -183,6 +219,7 @@ impl PeriodSkip {
             l2_sets: Vec::new(),
             history: Vec::new(),
             sig_buf: Vec::new(),
+            counter_buf: Vec::new(),
         };
         let cfg = &m.cfg;
         if !cfg.period_skip || cfg.record_trace || cfg.record_requests {
@@ -207,10 +244,10 @@ impl PeriodSkip {
             data.clear();
             let core = &m.cores[i];
             let fetch = core.ff_footprint(&mut data);
-            let dl1 = core.dl1.reachable_sets(&data, 0..0);
-            let il1 = core.il1.reachable_sets(&[], fetch.clone());
-            let l2 = m.l2.partition(CoreId::new(i)).reachable_sets(&data, fetch);
-            total += dl1.len() + il1.len() + l2.len();
+            let (dl1, dl1_reachable) = core.dl1.overflowing_sets(&data, 0..0);
+            let (il1, il1_reachable) = core.il1.overflowing_sets(&[], fetch.clone());
+            let (l2, l2_reachable) = m.l2.partition(CoreId::new(i)).overflowing_sets(&data, fetch);
+            total += dl1_reachable + il1_reachable + l2_reachable;
             dl1_sets.push(dl1);
             il1_sets.push(il1);
             l2_sets.push(l2);
@@ -282,7 +319,7 @@ impl PeriodSkip {
     }
 
     /// Fingerprints the machine at the current cycle.
-    fn snapshot(&mut self, m: &Machine) -> Snapshot {
+    fn snapshot(&mut self, m: &mut Machine) -> Snapshot {
         let now = m.now;
         let n = m.cfg.num_cores;
         let mut sig = std::mem::take(&mut self.sig_buf);
@@ -305,9 +342,9 @@ impl PeriodSkip {
                 }
                 _ => sig.push(u64::MAX),
             }
-            m.cores[i].dl1.rank_signature(&self.dl1_sets[i], &mut sig);
-            m.cores[i].il1.rank_signature(&self.il1_sets[i], &mut sig);
-            m.l2.partition(id).rank_signature(&self.l2_sets[i], &mut sig);
+            m.cores[i].dl1.ff_signature(&self.dl1_sets[i], &mut sig);
+            m.cores[i].il1.ff_signature(&self.il1_sets[i], &mut sig);
+            m.l2.partition(id).ff_signature(&self.l2_sets[i], &mut sig);
         }
         let mut waiting = Vec::new();
         m.bus.ff_signature(now, &mut sig, &mut waiting);
@@ -315,24 +352,22 @@ impl PeriodSkip {
             mc.ff_signature(now, &mut sig, &mut waiting);
         }
         m.dram.ff_signature(now, &mut sig);
-        let exact = sig.as_slice().into();
+        let sig_copy = sig.as_slice().into();
         self.sig_buf = sig;
 
-        Snapshot {
-            sig: exact,
-            waiting,
-            now,
-            iterations: m.cores.iter().map(|c| c.iteration()).collect(),
-            instructions: m.cores.iter().map(|c| c.instructions()).collect(),
-            pmc: (0..n).map(|i| m.pmc.core(CoreId::new(i)).clone()).collect(),
-            dl1_stats: m.cores.iter().map(|c| c.dl1.stats()).collect(),
-            il1_stats: m.cores.iter().map(|c| c.il1.stats()).collect(),
-            l2_stats: (0..n).map(|i| m.l2.partition(CoreId::new(i)).stats()).collect(),
-            sb_full_stalls: m.cores.iter().map(|c| c.store_buffer.full_stalls()).collect(),
-            bus_stats: m.bus.stats().clone(),
-            mc_stats: m.mc.as_ref().map(|mc| mc.stats().clone()),
-            dram_stats: m.dram.stats(),
+        let mut counters = std::mem::take(&mut self.counter_buf);
+        counters.clear();
+        visit_counters(m, &mut |c| counters.push(*c));
+        for i in 0..n {
+            let pmc = m.pmc.core(CoreId::new(i));
+            push_runs(&pmc.gamma_histogram, &mut counters);
+            push_runs(&pmc.mc_gamma_histogram, &mut counters);
+            push_runs(&pmc.contender_histogram, &mut counters);
         }
+        let counters_copy = counters.as_slice().into();
+        self.counter_buf = counters;
+
+        Snapshot { sig: sig_copy, waiting, now, counters: counters_copy }
     }
 }
 
@@ -369,7 +404,7 @@ fn skippable_periods(
         if !m.finite[i] || m.cores[i].is_done() {
             continue;
         }
-        let d_iter = snap.iterations[i] - prev.iterations[i];
+        let d_iter = snap.counters[i] - prev.counters[i];
         if d_iter == 0 {
             // This core makes no progress per period: it will exhaust
             // the budget, which the budget clamp above already handles.
@@ -380,7 +415,7 @@ fn skippable_periods(
         };
         // After skipping, the core must still have at least one whole
         // period to go: iterations + k * d_iter <= n - 1.
-        let headroom = n.saturating_sub(1).saturating_sub(snap.iterations[i]);
+        let headroom = n.saturating_sub(1).saturating_sub(snap.counters[i]);
         k = k.min(headroom / d_iter);
     }
     k
@@ -388,106 +423,100 @@ fn skippable_periods(
 
 /// Jumps the machine `k` whole periods ahead: shifts every live cycle
 /// stamp but the `ready` of a request that waited through the period,
-/// credits per-core progress, and adds `k` copies of every per-period
-/// counter delta.
+/// and adds `k` copies of every per-period counter delta (per-core
+/// progress among them).
 fn apply(m: &mut Machine, prev: &Snapshot, snap: &Snapshot, period: Cycle, k: u64) {
     let delta = k * period;
     m.now += delta;
-    for i in 0..m.cfg.num_cores {
-        let id = CoreId::new(i);
-        let core = &mut m.cores[i];
+    for core in &mut m.cores {
         core.ff_shift(delta);
-        core.ff_add_progress(
-            k * (snap.iterations[i] - prev.iterations[i]),
-            k * (snap.instructions[i] - prev.instructions[i]),
-        );
-        core.dl1.ff_add_stats(
-            k * (snap.dl1_stats[i].hits - prev.dl1_stats[i].hits),
-            k * (snap.dl1_stats[i].misses - prev.dl1_stats[i].misses),
-        );
-        core.il1.ff_add_stats(
-            k * (snap.il1_stats[i].hits - prev.il1_stats[i].hits),
-            k * (snap.il1_stats[i].misses - prev.il1_stats[i].misses),
-        );
-        core.store_buffer.ff_add_full_stalls(k * (snap.sb_full_stalls[i] - prev.sb_full_stalls[i]));
-        m.l2.partition_mut(id).ff_add_stats(
-            k * (snap.l2_stats[i].hits - prev.l2_stats[i].hits),
-            k * (snap.l2_stats[i].misses - prev.l2_stats[i].misses),
-        );
-        scale_core_pmc(m.pmc.core_mut(id), &prev.pmc[i], &snap.pmc[i], k);
     }
     let mut held = prev.waiting.iter().zip(&snap.waiting).map(|(p, s)| p.ready == s.ready);
     m.bus.ff_shift(snap.now, delta, &mut held);
-    m.bus.ff_scale_stats(&stats_delta(&prev.bus_stats, &snap.bus_stats), k);
     if let Some(mc) = &mut m.mc {
         mc.ff_shift(snap.now, delta, &mut held);
-        if let (Some(p), Some(s)) = (&prev.mc_stats, &snap.mc_stats) {
-            mc.ff_scale_stats(&stats_delta(p, s), k);
-        }
     }
     m.dram.ff_shift(delta);
-    m.dram.ff_scale_stats(dram_delta(prev.dram_stats, snap.dram_stats), k);
-}
 
-fn stats_delta(prev: &ResourceStats, snap: &ResourceStats) -> ResourceStats {
-    ResourceStats {
-        busy_cycles: snap.busy_cycles - prev.busy_cycles,
-        grants: snap.grants - prev.grants,
-        per_core_busy: snap
-            .per_core_busy
-            .iter()
-            .zip(&prev.per_core_busy)
-            .map(|(s, p)| s - p)
-            .collect(),
-        per_core_grants: snap
-            .per_core_grants
-            .iter()
-            .zip(&prev.per_core_grants)
-            .map(|(s, p)| s - p)
-            .collect(),
+    let mut scalars = 0;
+    visit_counters(m, &mut |c| {
+        *c += k * (snap.counters[scalars] - prev.counters[scalars]);
+        scalars += 1;
+    });
+    let (mut p, mut s) = (&prev.counters[scalars..], &snap.counters[scalars..]);
+    for i in 0..m.cfg.num_cores {
+        let pmc = m.pmc.core_mut(CoreId::new(i));
+        scale_runs(&mut pmc.gamma_histogram, take_runs(&mut p), take_runs(&mut s), k);
+        scale_runs(&mut pmc.mc_gamma_histogram, take_runs(&mut p), take_runs(&mut s), k);
+        scale_runs(&mut pmc.contender_histogram, take_runs(&mut p), take_runs(&mut s), k);
     }
 }
 
-fn dram_delta(prev: DramStats, snap: DramStats) -> DramStats {
-    DramStats {
-        requests: snap.requests - prev.requests,
-        row_hits: snap.row_hits - prev.row_hits,
-        row_conflicts: snap.row_conflicts - prev.row_conflicts,
-        queue_wait_cycles: snap.queue_wait_cycles - prev.queue_wait_cycles,
+/// Hands every monotone scalar counter of the machine to `f`, in one
+/// fixed order: each core's iteration count first (so word `i` of a
+/// snapshot's counters is core `i`'s), then per core its own counters,
+/// its L2 partition's and its PMC scalars, then the bus's, the memory
+/// controller's and the DRAM's. Snapshots copy them in this order and
+/// [`apply`] scales them in it.
+fn visit_counters(m: &mut Machine, f: &mut impl FnMut(&mut u64)) {
+    for core in &mut m.cores {
+        f(core.iteration_mut());
+    }
+    for i in 0..m.cfg.num_cores {
+        let id = CoreId::new(i);
+        m.cores[i].ff_counters(f);
+        m.l2.partition_mut(id).ff_counters(f);
+        m.pmc.core_mut(id).ff_counters(f);
+    }
+    m.bus.ff_counters(f);
+    if let Some(mc) = &mut m.mc {
+        mc.ff_counters(f);
+    }
+    m.dram.ff_counters(f);
+}
+
+/// Appends a histogram to `out` as its length and its (key, count) runs
+/// in key order.
+fn push_runs<K: Copy + Into<u64>>(hist: &BTreeMap<K, u64>, out: &mut Vec<u64>) {
+    out.push(hist.len() as u64);
+    for (&key, &n) in hist {
+        out.push(key.into());
+        out.push(n);
     }
 }
 
-/// Adds `k` copies of the per-period delta to one core's counters.
-/// Histogram keys never disappear and counts never decrease, so the
-/// per-key delta is `snap − prev` with absent keys reading as zero.
-fn scale_core_pmc(cur: &mut CorePmc, prev: &CorePmc, snap: &CorePmc, k: u64) {
-    scale_hist(&mut cur.gamma_histogram, &prev.gamma_histogram, &snap.gamma_histogram, k);
-    scale_hist(&mut cur.mc_gamma_histogram, &prev.mc_gamma_histogram, &snap.mc_gamma_histogram, k);
-    scale_hist(
-        &mut cur.contender_histogram,
-        &prev.contender_histogram,
-        &snap.contender_histogram,
-        k,
-    );
-    cur.instructions += k * (snap.instructions - prev.instructions);
-    cur.loads += k * (snap.loads - prev.loads);
-    cur.stores += k * (snap.stores - prev.stores);
-    cur.dl1_hits += k * (snap.dl1_hits - prev.dl1_hits);
-    cur.dl1_misses += k * (snap.dl1_misses - prev.dl1_misses);
-    cur.l2_hits += k * (snap.l2_hits - prev.l2_hits);
-    cur.l2_misses += k * (snap.l2_misses - prev.l2_misses);
-    cur.sb_stall_cycles += k * (snap.sb_stall_cycles - prev.sb_stall_cycles);
+/// Takes one histogram's runs, as [`push_runs`] wrote them, off the front
+/// of `rest`.
+fn take_runs<'a>(rest: &mut &'a [u64]) -> &'a [u64] {
+    let Some((&len, tail)) = rest.split_first() else {
+        return &[];
+    };
+    let (runs, tail) = tail.split_at(2 * len as usize);
+    *rest = tail;
+    runs
 }
 
-fn scale_hist<K: Ord + Copy>(
+/// Adds `k` copies of the per-period delta between two histograms'
+/// runs to `cur`. Histogram keys never disappear and counts never
+/// decrease, so the per-key delta is `snap − prev` with absent keys
+/// reading as zero.
+fn scale_runs<K: Ord + TryFrom<u64>>(
     cur: &mut BTreeMap<K, u64>,
-    prev: &BTreeMap<K, u64>,
-    snap: &BTreeMap<K, u64>,
+    prev: &[u64],
+    snap: &[u64],
     k: u64,
 ) {
-    for (&key, &n) in snap {
-        let d = n - prev.get(&key).copied().unwrap_or(0);
-        if d > 0 {
+    let mut prev = prev.chunks_exact(2).peekable();
+    for run in snap.chunks_exact(2) {
+        let (key, n) = (run[0], run[1]);
+        let mut before = 0;
+        while let Some(p) = prev.next_if(|p| p[0] <= key) {
+            if p[0] == key {
+                before = p[1];
+            }
+        }
+        // Every key was written from a `K`, so the conversion holds.
+        if let (d @ 1.., Ok(key)) = (n - before, K::try_from(key)) {
             *cur.entry(key).or_insert(0) += k * d;
         }
     }
@@ -586,22 +615,65 @@ mod tests {
         }
     }
 
+    /// Program B, eight instructions with two stores, run on core 0 of
+    /// the reference machine after a `run_for` of program A on the same
+    /// core. A is longer than one IL1 lap (1,024 instructions), so its
+    /// fetch lines wrap into the IL1 set of B's one fetch line, and it
+    /// loads the line one L2-partition span (64 KB) above B's last
+    /// store, so that line sits in the L2 set and the DL1 set the store
+    /// reaches. Each set holds a line B cannot reach, so none of them may
+    /// sign as fitting. B's last store drains just after each iteration
+    /// boundary; the first drain evicts A's L2 line and leaves the
+    /// partition's line count as it was, and nothing else tells the first
+    /// two boundaries apart. Signing that L2 set by the count alone
+    /// matches them and scales the drain's miss into every skipped period.
+    fn run_after_another_program(period_skip: bool) -> Machine {
+        const STORE: u64 = 0x0009_2000;
+        let mut cfg = MachineConfig::ngmp_ref();
+        cfg.record_requests = false;
+        cfg.period_skip = period_skip;
+        let mut m = Machine::new(cfg).expect("config");
+        let core = CoreId::new(0);
+        let mut a = vec![Instr::load(STORE + 64 * 1024)];
+        a.extend(std::iter::repeat_n(Instr::Nop, 1_100));
+        m.load_program(core, Program::endless(a));
+        m.run_for(60_000);
+        let mut b = vec![Instr::Nop; 3];
+        b.push(Instr::store(STORE + 32));
+        b.extend([Instr::Nop, Instr::Nop, Instr::Nop, Instr::store(STORE)]);
+        m.load_program(core, Program::from_body(b, 3_000));
+        m.run().expect("B completes");
+        m
+    }
+
+    #[test]
+    fn lines_another_program_left_behind_keep_their_sets_signed_in_full() {
+        let skip = run_after_another_program(true);
+        let full = run_after_another_program(false);
+        assert!(
+            skip.steps_executed() * 10 <= full.steps_executed(),
+            "the skip must fire (stepped {} of {})",
+            skip.steps_executed(),
+            full.steps_executed()
+        );
+        assert_eq!(skip.now, full.now);
+        let core = CoreId::new(0);
+        assert_eq!(skip.pmc.core(core), full.pmc.core(core), "PMC diverged");
+        assert_eq!(skip.dl1_stats(core), full.dl1_stats(core), "DL1 stats diverged");
+        assert_eq!(skip.il1_stats(core), full.il1_stats(core), "IL1 stats diverged");
+        assert_eq!(skip.l2.stats(core), full.l2.stats(core), "L2 stats diverged");
+        // A's 138 fetch lines and its load, then B's first drain of each
+        // store: every later drain hits the line it left.
+        assert_eq!(full.l2.stats(core).misses, 141);
+    }
+
     #[test]
     fn a_waiting_slot_matches_by_equal_age_or_equal_ready() {
         let snap = |now, waiting: Vec<Waiting>| Snapshot {
             sig: Box::new([7]),
             waiting,
             now,
-            iterations: Vec::new(),
-            instructions: Vec::new(),
-            pmc: Vec::new(),
-            dl1_stats: Vec::new(),
-            il1_stats: Vec::new(),
-            l2_stats: Vec::new(),
-            sb_full_stalls: Vec::new(),
-            bus_stats: ResourceStats::default(),
-            mc_stats: None,
-            dram_stats: DramStats::default(),
+            counters: Box::new([]),
         };
         let prev = snap(100, vec![Waiting { age: 4, ready: 96 }, Waiting { age: 90, ready: 10 }]);
         // A fresh request at the same phase, and the same request still waiting.

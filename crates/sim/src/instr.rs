@@ -8,7 +8,7 @@
 
 use crate::types::Addr;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// One instruction of a simulated program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,9 +115,12 @@ impl Program {
         Program { body: body.into(), iterations: Iterations::Infinite }
     }
 
-    /// An empty program (the core idles immediately).
+    /// An empty program (the core idles immediately). Every empty program
+    /// shares one body, so the one each core gets on a machine reset
+    /// costs no allocation.
     pub fn empty() -> Self {
-        Program { body: Vec::new().into(), iterations: Iterations::Finite(0) }
+        static EMPTY: LazyLock<Arc<[Instr]>> = LazyLock::new(|| Arc::from([]));
+        Program { body: Arc::clone(&EMPTY), iterations: Iterations::Finite(0) }
     }
 
     /// The loop body.

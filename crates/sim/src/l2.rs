@@ -56,13 +56,6 @@ impl L2 {
         self.partitions[0].config().size_bytes
     }
 
-    /// Invalidates every partition.
-    pub fn invalidate_all(&mut self) {
-        for p in &mut self.partitions {
-            p.invalidate_all();
-        }
-    }
-
     /// Rewinds every partition to its just-built state (cold lines, zero
     /// counters) without reallocating.
     pub fn reset(&mut self) {
@@ -151,14 +144,6 @@ mod tests {
         assert_eq!(l2.stats(CoreId::new(1)).hits, 1);
         assert_eq!(l2.stats(CoreId::new(1)).misses, 1);
         assert_eq!(l2.stats(CoreId::new(0)).accesses(), 0);
-    }
-
-    #[test]
-    fn invalidate_all_cools_every_partition() {
-        let mut l2 = l2();
-        l2.touch(CoreId::new(2), 0x40);
-        l2.invalidate_all();
-        assert!(!l2.probe(CoreId::new(2), 0x40));
     }
 
     #[test]

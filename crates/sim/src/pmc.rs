@@ -130,6 +130,22 @@ impl CorePmc {
     pub fn mode_gamma(&self) -> Option<(u64, u64)> {
         self.gamma_histogram.iter().max_by_key(|&(g, n)| (*n, *g)).map(|(&g, &n)| (g, n))
     }
+
+    /// Hands each scalar counter to `f`, in a fixed order (fast-forward
+    /// snapshots and scales them; it handles the histograms itself).
+    pub(crate) fn ff_counters(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let scalars = [
+            &mut self.instructions,
+            &mut self.loads,
+            &mut self.stores,
+            &mut self.dl1_hits,
+            &mut self.dl1_misses,
+            &mut self.l2_hits,
+            &mut self.l2_misses,
+            &mut self.sb_stall_cycles,
+        ];
+        scalars.into_iter().for_each(f);
+    }
 }
 
 /// The machine-wide monitoring unit.

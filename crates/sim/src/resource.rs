@@ -112,6 +112,17 @@ impl ResourceStats {
         }
     }
 
+    /// Zeroes every counter for `num_cores` requesters, keeping the
+    /// per-core allocations.
+    fn reset(&mut self, num_cores: usize) {
+        self.busy_cycles = 0;
+        self.grants = 0;
+        for v in [&mut self.per_core_busy, &mut self.per_core_grants] {
+            v.clear();
+            v.resize(num_cores, 0);
+        }
+    }
+
     /// Overall utilisation over `elapsed` cycles, in `[0, 1]`.
     pub fn utilization(&self, elapsed: Cycle) -> f64 {
         if elapsed == 0 {
@@ -357,7 +368,7 @@ impl SharedResource {
         self.pending.clear();
         self.pending.resize(num_cores, None);
         self.active = None;
-        self.stats = ResourceStats::new(num_cores);
+        self.stats.reset(num_cores);
         self.view_buf.clear();
     }
 
@@ -436,16 +447,13 @@ impl SharedResource {
         }
     }
 
-    /// Adds `k` copies of the per-period statistics delta (fast-forward).
-    pub(crate) fn ff_scale_stats(&mut self, delta: &ResourceStats, k: u64) {
-        self.stats.busy_cycles += k * delta.busy_cycles;
-        self.stats.grants += k * delta.grants;
-        for (s, d) in self.stats.per_core_busy.iter_mut().zip(&delta.per_core_busy) {
-            *s += k * d;
-        }
-        for (s, d) in self.stats.per_core_grants.iter_mut().zip(&delta.per_core_grants) {
-            *s += k * d;
-        }
+    /// Hands each statistics counter to `f`, in a fixed order
+    /// (fast-forward snapshots and scales them).
+    pub(crate) fn ff_counters(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let s = &mut self.stats;
+        f(&mut s.busy_cycles);
+        f(&mut s.grants);
+        s.per_core_busy.iter_mut().chain(&mut s.per_core_grants).for_each(f);
     }
 }
 

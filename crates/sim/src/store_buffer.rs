@@ -190,9 +190,10 @@ impl StoreBuffer {
         }
     }
 
-    /// Adds to the full-stall counter (fast-forward statistics scaling).
-    pub(crate) fn ff_add_full_stalls(&mut self, n: u64) {
-        self.full_stalls += n;
+    /// Hands each monotone counter to `f`, in a fixed order (fast-forward
+    /// snapshots and scales them).
+    pub(crate) fn ff_counters(&mut self, f: &mut impl FnMut(&mut u64)) {
+        f(&mut self.full_stalls);
     }
 }
 

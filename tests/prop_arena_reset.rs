@@ -164,6 +164,60 @@ fn reset_machine_matches_fresh_build_across_random_configs() {
     });
 }
 
+/// Loads striding one L2 line apart from a per-core base: `lines`
+/// distinct lines, so as many distinct L2 sets while `lines` is at most
+/// the partition's set count, and every load misses the DL1 and the L2
+/// on its first pass.
+fn strided_loads(core: usize, lines: u64) -> Vec<Instr> {
+    let base = 0x4000_0000 + 0x0400_0000 * core as u64;
+    (0..lines).map(|i| Instr::load(base + i * 32)).collect()
+}
+
+/// A reset after a run that filled many L2 sets: each case runs
+/// L2-missing strided loads on every core until core 0 alone has touched
+/// at least 512 distinct L2 sets, resets the machine to the same
+/// configuration, and replays the strided program and then a random
+/// workload against a fresh build. A line a touched-set reset missed
+/// would turn one of the replay's first-pass misses into a hit.
+#[test]
+fn reset_after_touching_many_l2_sets_matches_fresh_build() {
+    for_cases(0xA4E4, 4, |case, rng| {
+        let mut cfg = random_config(rng);
+        cfg.record_trace = false;
+        let what = format!("case {case} ({cfg:?})");
+        let lines = 640;
+        let strided = |core| Program::from_body(strided_loads(core, lines), 1);
+        let mut m = Machine::new(cfg.clone()).expect("config");
+        for core in 0..cfg.num_cores {
+            m.load_program(CoreId::new(core), strided(core));
+        }
+        m.run().expect("the strided pass completes");
+        let touched = m.l2().stats(CoreId::new(0)).misses;
+        assert!(touched >= 512, "{what}: core 0 filled only {touched} L2 lines");
+
+        m.reset_to(cfg.clone()).expect("reset to the same config");
+        let mut fresh = Machine::new(cfg.clone()).expect("config");
+        for mm in [&mut m, &mut fresh] {
+            for core in 0..cfg.num_cores {
+                mm.load_program(CoreId::new(core), strided(core));
+            }
+        }
+        assert_eq!(m.run(), fresh.run(), "{what}: strided replay diverged");
+        assert_machines_identical(&m, &fresh, &what);
+
+        let next = random_config(rng);
+        let programs = random_workload(rng, next.num_cores);
+        m.reset_to(next.clone()).expect("reset to a random config");
+        let mut fresh = Machine::new(next).expect("config");
+        for (core, prog) in programs.iter().enumerate() {
+            m.load_program(CoreId::new(core), prog.clone());
+            fresh.load_program(CoreId::new(core), prog.clone());
+        }
+        assert_eq!(m.run(), fresh.run(), "{what}: random workload after the reset diverged");
+        assert_machines_identical(&m, &fresh, &what);
+    });
+}
+
 /// A failed reset (invalid config) must leave the machine fully usable:
 /// the next valid reset still matches a fresh build.
 #[test]
