@@ -17,7 +17,10 @@
 //!
 //! Each mode records the median of [`PASSES`] timed passes (plus the
 //! p10/p90 spread): every cold pass simulates into a fresh store
-//! directory, and the warm passes replay the last cold pass's store.
+//! directory, the warm passes replay the last cold pass's store, and
+//! the no-store passes run the same grid with no store at all. Their
+//! ratio, `store_overhead = cold_seconds / nocache_seconds`, is what
+//! recording every run costs on top of simulating it.
 
 use rrb::campaign::{Campaign, CampaignGrid, CampaignResult, GridScenario};
 use rrb::json::Json;
@@ -40,8 +43,12 @@ fn grid() -> CampaignGrid {
         .max_k(18)
 }
 
-fn timed_run(store: &Arc<ResultStore>) -> (Duration, CampaignResult) {
-    let campaign = Campaign::builder().grid(&grid()).jobs(1).store(store.clone()).build();
+fn timed_run(store: Option<&Arc<ResultStore>>) -> (Duration, CampaignResult) {
+    let mut builder = Campaign::builder().grid(&grid()).jobs(1);
+    if let Some(store) = store {
+        builder = builder.store(store.clone());
+    }
+    let campaign = builder.build();
     let start = Instant::now();
     let result = campaign.run();
     (start.elapsed(), result)
@@ -59,24 +66,35 @@ fn main() {
         pass += 1;
         let store = ResultStore::open(dir.join(format!("cold-{pass}"))).expect("open store");
         let store = Arc::new(store);
-        let (elapsed, result) = timed_run(&store);
+        let (elapsed, result) = timed_run(Some(&store));
         last_cold = Some((store, result));
         elapsed
     });
     let (store, cold) = last_cold.expect("at least one cold pass");
     let mut last_warm = None;
     let warm_t = bench_timed("cache/warm", 1, PASSES, || {
-        let (elapsed, result) = timed_run(&store);
+        let (elapsed, result) = timed_run(Some(&store));
         last_warm = Some(result);
         elapsed
     });
     let warm = last_warm.expect("at least one warm pass");
+    let mut last_nocache = None;
+    let nocache_t = bench_timed("cache/nocache", 1, PASSES, || {
+        let (elapsed, result) = timed_run(None);
+        last_nocache = Some(result);
+        elapsed
+    });
+    let nocache = last_nocache.expect("at least one no-store pass");
     let (cold_s, warm_s) = (cold_t.median_seconds(), warm_t.median_seconds());
+    let nocache_s = nocache_t.median_seconds();
+    let store_overhead = cold_s / nocache_s;
 
     let unique = cold.stats.executed_runs + cold.stats.store_hits;
-    let byte_identical = cold.to_json() == warm.to_json()
-        && cold.to_csv() == warm.to_csv()
-        && cold.render_text() == warm.render_text();
+    let byte_identical = [&warm, &nocache].iter().all(|other| {
+        cold.to_json() == other.to_json()
+            && cold.to_csv() == other.to_csv()
+            && cold.render_text() == other.render_text()
+    });
     let entries = store.stats();
     let speedup = cold_s / warm_s;
 
@@ -89,7 +107,12 @@ fn main() {
         "  warm (store hits only)         : {warm_s:.3} s ({:.1} runs/s)",
         unique as f64 / warm_s
     );
+    println!(
+        "  no store (simulate only)       : {nocache_s:.3} s ({:.1} runs/s)",
+        unique as f64 / nocache_s
+    );
     println!("  warm speedup                   : {speedup:.2}x");
+    println!("  store overhead (cold/no store) : {store_overhead:.2}x");
     println!("  warm runs simulated            : {}", warm.stats.executed_runs);
     println!("  byte-identical output          : {byte_identical}");
     println!("  entries on disk                : {} ({} bytes)", entries.entries, entries.bytes);
@@ -110,9 +133,13 @@ fn main() {
         ("warm_seconds", Json::F64(warm_s)),
         ("warm_seconds_p10", Json::F64(warm_t.p10_seconds())),
         ("warm_seconds_p90", Json::F64(warm_t.p90_seconds())),
+        ("nocache_seconds", Json::F64(nocache_s)),
+        ("nocache_seconds_p10", Json::F64(nocache_t.p10_seconds())),
+        ("nocache_seconds_p90", Json::F64(nocache_t.p90_seconds())),
         ("runs_per_second_cold", Json::F64(unique as f64 / cold_s)),
         ("runs_per_second_warm", Json::F64(unique as f64 / warm_s)),
         ("warm_speedup", Json::F64(speedup)),
+        ("store_overhead", Json::F64(store_overhead)),
         ("byte_identical_output", Json::Bool(byte_identical)),
     ]);
     let path = "BENCH_cache.json";
@@ -124,5 +151,5 @@ fn main() {
 
     assert_eq!(warm.stats.executed_runs, 0, "a warm store must answer every run");
     assert_eq!(warm.stats.store_hits, unique);
-    assert!(byte_identical, "warm output must be byte-identical to cold");
+    assert!(byte_identical, "warm and no-store output must be byte-identical to cold");
 }

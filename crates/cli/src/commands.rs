@@ -625,13 +625,13 @@ fn cmd_cache(parsed: &Parsed) -> Result<String, CliError> {
                  sim fingerprint  : {:016x}\n\
                  entries          : {}\n\
                  entry bytes      : {}\n\
-                 temp files       : {}\n",
+                 segments         : {}\n",
                 s.dir.display(),
                 s.format,
                 s.fingerprint,
                 s.entries,
                 s.bytes,
-                s.temp_files,
+                s.segments,
             ))
         }
         "verify" => {
@@ -971,20 +971,24 @@ mod tests {
         let verify = run(&format!("cache verify --cache-dir {}", cache.as_str())).expect("verify");
         assert!(verify.contains("all valid"), "{verify}");
 
-        // Corrupt one entry: verify must fail and name the file.
-        let entries = cache.0.join("entries");
-        let entry = std::fs::read_dir(&entries)
-            .expect("entries dir")
+        // Corrupt one record (the last payload byte of the segment):
+        // verify must fail and name the segment.
+        let segment = std::fs::read_dir(cache.0.join("segments"))
+            .expect("segments dir")
             .flatten()
             .next()
-            .expect("an entry")
+            .expect("a segment")
             .path();
-        std::fs::write(&entry, "{ truncated").expect("corrupt");
+        let mut bytes = std::fs::read(&segment).expect("read segment");
+        *bytes.last_mut().expect("a record") ^= 0x01;
+        std::fs::write(&segment, bytes).expect("corrupt");
         let e =
             run(&format!("cache verify --cache-dir {}", cache.as_str())).expect_err("must fail");
         assert!(e.to_string().contains("problem(s)"), "{e}");
+        let name = segment.file_name().and_then(|n| n.to_str()).expect("segment name");
+        assert!(e.to_string().contains(name), "{e}");
 
-        // gc with no limits removes only the corrupt entry…
+        // gc with no limits removes only the corrupt record…
         let gc = run(&format!("cache gc --cache-dir {}", cache.as_str())).expect("gc");
         assert!(gc.contains("removed 1"), "{gc}");
         // …and --max-age 0 expires the rest.

@@ -267,12 +267,16 @@ impl WorkerPool {
     /// tagged with its index in `specs`, in completion order. The
     /// channel disconnects once every queued run has reported; a
     /// receiver dropped early only discards the outcomes, the runs
-    /// still execute (and land in the store).
+    /// still execute (and land in the store). The store is refreshed
+    /// first, so the runs find what other processes recorded.
     pub fn submit(
         &self,
         specs: &[RunSpec],
         store: Option<&Arc<ResultStore>>,
     ) -> Receiver<(usize, StoredOutcome)> {
+        if let Some(store) = store {
+            store.refresh();
+        }
         let (reply, outcomes) = channel();
         for (index, spec) in specs.iter().enumerate() {
             let job =
@@ -367,13 +371,17 @@ impl Executor {
     /// over a [`WorkerPool`] of `jobs` workers (or runs them inline on
     /// one arena when serial) and returns the results **indexed by plan
     /// position** with the [`StoreUsage`] aggregated in plan order
-    /// (independent of worker scheduling).
+    /// (independent of worker scheduling). The store, if any, is
+    /// refreshed once before the first lookup.
     pub fn execute(
         &self,
         specs: &[RunSpec],
     ) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
         let jobs = self.jobs.min(specs.len().max(1));
         let outcomes: Vec<StoredOutcome> = if jobs == 1 {
+            if let Some(store) = &self.store {
+                store.refresh();
+            }
             let mut arena = MachineArena::new();
             specs.iter().map(|spec| arena.execute_stored(spec, self.store.as_deref())).collect()
         } else {

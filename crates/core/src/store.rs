@@ -1,36 +1,85 @@
 //! Persistent, content-addressed result store: `RunSpec` → measurement.
 //!
 //! The methodology is a campaign of *fully deterministic* simulations,
-//! so a run's result is a pure function of its [`RunSpec`]. PR 4 gave
-//! every spec a stable FNV digest ([`RunSpec::spec_hash`]); this module
-//! turns that digest into a durable cache key: a [`ResultStore`] is a
-//! directory (`.rrb-cache/` by default) holding one compact binary entry
-//! per executed run, so re-running a campaign — after a crash, in the next
-//! CI job, with one more grid axis — only simulates what changed.
+//! so a run's result is a pure function of its [`RunSpec`]. Every spec
+//! has a stable FNV digest ([`RunSpec::spec_hash`]); this module turns
+//! that digest into a durable cache key: a [`ResultStore`] is a
+//! directory (`.rrb-cache/` by default) holding one compact binary
+//! record per executed run, so re-running a campaign — after a crash, in
+//! the next CI job, with one more grid axis — only simulates what
+//! changed.
+//!
+//! ## Layout
+//!
+//! ```text
+//! .rrb-cache/
+//!   manifest.json          {"format": 3, "fingerprint": <u64>}
+//!   segments/<pid>-<n>.seg append-only logs of records
+//! ```
+//!
+//! A record is a 4-byte magic, five little-endian `u64` header words
+//! (format, simulator fingerprint, content address, payload hash,
+//! payload length) and the payload: the canonical spec encoding, then
+//! the measurement. Records are appended back to back; nothing else is
+//! in a segment. An open store keeps an in-memory index from content
+//! address to (segment, offset, length), built by reading every segment
+//! once, front to back, at [`ResultStore::open`]. A later record for the
+//! same address supersedes an earlier one. Inserting is one `write` to
+//! the store's own segment; a lookup is one positioned read on a file
+//! handle that stays open. The design is Bitcask's (Sheehy & Smith,
+//! 2010): an append-only log plus a hash index in memory.
+//!
+//! ## Trust
 //!
 //! Safety properties, in the order they are enforced on a lookup:
 //!
 //! 1. **Invalidation**: the store manifest records a *simulator
 //!    fingerprint* ([`sim_fingerprint`]) — a golden-trace-style digest
 //!    of two probe simulations, recomputed by the running binary —
-//!    plus the entry-format version. Entries written by a build with
-//!    different simulator semantics are purged wholesale at open.
-//! 2. **Integrity**: every entry carries `payload_hash`, the
+//!    plus the record-format version. Records written by a build with
+//!    different simulator semantics, or in an older format (format 2's
+//!    `entries/` directory of one file per run, format 1's JSON
+//!    entries), are purged wholesale at open.
+//! 2. **Integrity**: every record carries `payload_hash`, the
 //!    [`fnv1a_64`] of its payload bytes exactly as stored, and the
-//!    payload length. Truncated, bit-flipped, or half-written files fail
-//!    the check and are reported as a warning, never reused.
-//! 3. **Structural confirmation**: the entry stores the *complete*
+//!    payload length. The scan checks it before indexing a record and
+//!    every lookup checks it again on the bytes it read, so a
+//!    bit-flipped, spliced or stale record is reported as a warning and
+//!    re-executes, never reused.
+//! 3. **Structural confirmation**: the record stores the *complete*
 //!    canonical encoding of its spec (machine, scua, contenders —
 //!    labels excluded, exactly like campaign dedup). A hash hit is only
 //!    a hit if the stored spec bytes equal the queried spec's encoding
 //!    byte for byte, so an FNV collision costs one re-execution, never a
 //!    wrong result.
 //!
-//! Writes are atomic (unique temp file in the same directory, then
-//! `rename`), so concurrent campaigns sharing a store can only observe
-//! complete entries or no entry. Failed runs are never cached: errors
-//! re-execute, which keeps a transiently bad environment from poisoning
-//! the store.
+//! Failed runs are never cached: errors re-execute, which keeps a
+//! transiently bad environment from poisoning the store.
+//!
+//! ## Writers and the refresh point
+//!
+//! Each open store appends only to its own segment, created on its
+//! first insert under a name no other writer holds (`<pid>-<n>.seg`,
+//! created exclusively), so two writers — threads of one process or
+//! separate processes — never share a file. Records other stores write
+//! after this one opened become visible at [`ResultStore::refresh`],
+//! which reads new segments and the new tails of grown ones; every
+//! campaign calls it once, before its lookups ([`Executor::execute`]
+//! and [`WorkerPool::submit`]), so a long-running daemon sees what
+//! other processes cached. Nothing is fsynced.
+//!
+//! ## Torn tails
+//!
+//! A record whose header or payload runs past the end of its segment is
+//! a *torn tail*: a writer killed mid-append, or one still appending.
+//! The scan of that segment stops there without a warning (the run
+//! simply misses) and resumes from the same offset at the next refresh,
+//! so a record another process was still writing is picked up once
+//! complete. The store never truncates a segment — its writer may be
+//! alive. [`ResultStore::gc`] drops torn tails (and damaged,
+//! superseded, expired records) by copying the live records into a
+//! fresh segment and removing the old ones; [`ResultStore::verify`]
+//! reports them.
 //!
 //! ```
 //! use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
@@ -47,6 +96,9 @@
 //! assert_eq!(cold.to_json(), warm.to_json());
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
+//!
+//! [`Executor::execute`]: crate::executor::Executor::execute
+//! [`WorkerPool::submit`]: crate::executor::WorkerPool::submit
 
 use crate::campaign::{RunMeasurement, RunSpec};
 use crate::json::{fnv1a_64, Json};
@@ -54,21 +106,27 @@ use crate::spec::Schema;
 use rrb_analysis::Histogram;
 use rrb_kernels::{rsk, rsk_nop, AccessKind};
 use rrb_sim::{BusOpKind, CoreId, Instr, Machine, MachineConfig, Program, TraceEvent};
+use std::collections::HashMap;
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::SystemTime;
 
-/// The on-disk entry/manifest format version. Bump on any layout change
+/// The on-disk record/manifest format version. Bump on any layout change
 /// so older stores are purged instead of misread.
-pub const STORE_FORMAT_VERSION: u64 = 2;
+pub const STORE_FORMAT_VERSION: u64 = 3;
 
 /// Environment variable overriding the default store directory.
 pub const CACHE_DIR_ENV: &str = "RRB_CACHE_DIR";
 
 /// The default store directory, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".rrb-cache";
+
+/// File-name extension of a segment.
+const SEGMENT_EXT: &str = "seg";
 
 // ---------------------------------------------------------------------
 // Simulator fingerprint
@@ -82,7 +140,7 @@ pub const DEFAULT_CACHE_DIR: &str = ".rrb-cache";
 /// streams, cycle counts, and utilisations folded into one FNV-1a
 /// digest. Any change to simulation *semantics* (arbitration, timing,
 /// cache behaviour, γ accounting) moves the fingerprint and thereby
-/// invalidates every store entry; pure performance work (e.g. better
+/// invalidates every store record; pure performance work (e.g. better
 /// quiescence skipping) leaves it unchanged, because only architectural
 /// outputs are hashed.
 ///
@@ -96,12 +154,14 @@ pub fn sim_fingerprint() -> u64 {
         for cfg in [MachineConfig::toy(4, 2), MachineConfig::ngmp_two_level()] {
             let mut cfg = cfg;
             cfg.record_trace = true;
+            // lint_sources: allow (construction-time probe of a preset config)
             let mut m = Machine::new(cfg.clone()).expect("probe config is valid");
             m.load_program(CoreId::new(0), rsk_nop(AccessKind::Load, 2, &cfg, CoreId::new(0), 20));
             for i in 1..cfg.num_cores {
                 let id = CoreId::new(i);
                 m.load_program(id, rsk(AccessKind::Load, &cfg, id));
             }
+            // lint_sources: allow (construction-time probe of a preset config)
             let summary = m.run().expect("probe run succeeds");
             for ev in m.trace().events() {
                 match *ev {
@@ -183,11 +243,11 @@ fn io_err(action: impl Into<String>) -> impl FnOnce(std::io::Error) -> StoreErro
 /// The outcome of a [`ResultStore::lookup`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreLookup {
-    /// A valid, structurally confirmed entry.
+    /// A valid, structurally confirmed record.
     Hit(RunMeasurement),
-    /// No entry for this spec.
+    /// No record for this spec.
     Miss,
-    /// An entry exists but cannot be trusted (truncated, bit-flipped,
+    /// A record exists but cannot be trusted (bit-flipped, truncated,
     /// wrong version, stale fingerprint, or a hash collision). The run
     /// re-executes and the reason is surfaced as a campaign warning.
     Rejected(String),
@@ -198,37 +258,39 @@ pub enum StoreLookup {
 pub struct StoreStats {
     /// The store directory.
     pub dir: PathBuf,
-    /// Entry-format version of this build.
+    /// Record-format version of this build.
     pub format: u64,
     /// Simulator fingerprint of this build.
     pub fingerprint: u64,
-    /// Number of entry files.
+    /// Number of distinct content addresses with a valid record.
     pub entries: u64,
-    /// Total size of entry files in bytes.
+    /// Total size of the segment files in bytes.
     pub bytes: u64,
-    /// Leftover temporary files (in-flight or abandoned writers).
-    pub temp_files: u64,
+    /// Number of segment files.
+    pub segments: u64,
 }
 
 /// The outcome of a full `rrb cache verify` sweep.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VerifyReport {
-    /// Entries that passed every check.
+    /// Records that passed every check.
     pub ok: u64,
-    /// `(file name, problem)` for every entry that failed.
+    /// `(segment@offset, problem)` for every record that failed and
+    /// every torn or unreadable tail, by segment name, then offset.
     pub problems: Vec<(String, String)>,
 }
 
 /// What `rrb cache gc` did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GcReport {
-    /// Entries examined.
+    /// Records examined, counting each torn or unreadable tail as one.
     pub examined: u64,
-    /// Files removed (invalid entries, expired entries, temp files).
+    /// Records dropped (damaged, superseded, expired, over the size cap)
+    /// and tails dropped.
     pub removed: u64,
     /// Bytes freed.
     pub removed_bytes: u64,
-    /// Entries kept.
+    /// Records kept.
     pub kept: u64,
     /// Bytes still in the store.
     pub kept_bytes: u64,
@@ -244,9 +306,86 @@ pub struct GcReport {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    entries: PathBuf,
+    segments: PathBuf,
     fingerprint: u64,
-    tmp_counter: AtomicU64,
+    index: RwLock<Index>,
+    /// This store's own segment, opened on the first insert.
+    writer: Mutex<Option<Writer>>,
+}
+
+/// One segment file, open for positioned reads.
+#[derive(Debug)]
+struct Segment {
+    name: String,
+    file: File,
+}
+
+/// What the index knows about one segment.
+#[derive(Debug)]
+struct SegmentState {
+    segment: Arc<Segment>,
+    /// Where the next scan of this segment starts: the end of its last
+    /// complete record.
+    resume: u64,
+    /// The segment's length when it was last scanned; it is scanned
+    /// again only once it has grown past this.
+    seen_len: u64,
+    /// This store's own segment, which it indexes as it appends.
+    own: bool,
+}
+
+/// Where one record lives.
+#[derive(Debug, Clone, Copy)]
+struct Loc {
+    segment: usize,
+    offset: u64,
+    len: usize,
+}
+
+/// The in-memory index over every segment.
+#[derive(Debug, Default)]
+struct Index {
+    records: HashMap<u64, Loc>,
+    /// Content addresses whose only complete records failed the
+    /// integrity check, with the reason: a lookup reports them as
+    /// rejected, not missing, until a valid record supersedes them.
+    damaged: HashMap<u64, String>,
+    segments: Vec<SegmentState>,
+    by_name: HashMap<String, usize>,
+}
+
+impl Index {
+    /// Folds one scan of `segments[segment]` (its bytes from `base` on)
+    /// into the index.
+    fn absorb(&mut self, segment: usize, base: u64, scan: &Scan) {
+        for &(hash, start, len) in &scan.records {
+            self.records.insert(hash, Loc { segment, offset: base + start as u64, len });
+            self.damaged.remove(&hash);
+        }
+        let Some(state) = self.segments.get(segment) else { return };
+        let name = &state.segment.name;
+        for (hash, start, why) in &scan.damaged {
+            if !self.records.contains_key(hash) {
+                self.damaged.insert(*hash, format!("{name}@{}: {why}", base + *start as u64));
+            }
+        }
+    }
+}
+
+/// The append side of this store's own segment.
+#[derive(Debug)]
+struct Writer {
+    segment: Arc<Segment>,
+    /// Its position in [`Index::segments`].
+    at: usize,
+}
+
+/// A segment file as listed on disk.
+struct Listed {
+    name: String,
+    path: PathBuf,
+    len: u64,
+    modified: SystemTime,
 }
 
 impl ResultStore {
@@ -263,12 +402,13 @@ impl ResultStore {
         }
     }
 
-    /// Opens (creating if needed) the store at `dir`.
+    /// Opens (creating if needed) the store at `dir` and indexes every
+    /// segment.
     ///
-    /// The manifest is checked against this build's entry format and
-    /// simulator fingerprint; on mismatch every existing entry is purged
-    /// — they describe a different simulator — and a fresh manifest is
-    /// written atomically.
+    /// The manifest is checked against this build's record format and
+    /// simulator fingerprint; on mismatch every existing record is
+    /// purged — they describe a different simulator or layout — and a
+    /// fresh manifest is written atomically.
     ///
     /// # Errors
     ///
@@ -276,25 +416,27 @@ impl ResultStore {
     /// created.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        let entries = dir.join("entries");
-        std::fs::create_dir_all(&entries)
-            .map_err(io_err(format!("create `{}`", entries.display())))?;
+        let segments = dir.join("segments");
+        std::fs::create_dir_all(&segments)
+            .map_err(io_err(format!("create `{}`", segments.display())))?;
         let store = ResultStore {
             dir,
-            entries,
+            segments,
             fingerprint: sim_fingerprint(),
-            tmp_counter: AtomicU64::new(0),
+            index: RwLock::default(),
+            writer: Mutex::new(None),
         };
         let manifest = store.manifest_json().render_pretty();
         let manifest_path = store.dir.join("manifest.json");
         let current = std::fs::read_to_string(&manifest_path).unwrap_or_default();
         if current != manifest {
             if !current.is_empty() {
-                // A manifest from another build: its entries are stale.
-                store.purge_entries();
+                // A manifest from another build: its records are stale.
+                store.purge();
             }
-            store.write_atomic_in_dir(&manifest_path, manifest.as_bytes())?;
+            write_file_atomic(&manifest_path, &manifest)?;
         }
+        store.refresh();
         Ok(store)
     }
 
@@ -303,7 +445,7 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The simulator fingerprint entries are keyed under.
+    /// The simulator fingerprint records are keyed under.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -315,74 +457,185 @@ impl ResultStore {
         ])
     }
 
-    fn entry_path(&self, spec_hash: u64) -> PathBuf {
-        self.entries.join(format!("{spec_hash:016x}.bin"))
+    /// Removes every segment, and the `entries/` directory of a format-1
+    /// or format-2 store.
+    fn purge(&self) {
+        let _ = std::fs::remove_dir_all(self.dir.join("entries"));
+        for listed in self.segment_files() {
+            let _ = std::fs::remove_file(listed.path);
+        }
     }
 
-    fn purge_entries(&self) {
-        if let Ok(read) = std::fs::read_dir(&self.entries) {
+    /// Every segment file, by name.
+    fn segment_files(&self) -> Vec<Listed> {
+        let mut out = Vec::new();
+        if let Ok(read) = std::fs::read_dir(&self.segments) {
             for file in read.flatten() {
-                let _ = std::fs::remove_file(file.path());
+                let path = file.path();
+                if path.extension().and_then(|e| e.to_str()) != Some(SEGMENT_EXT) {
+                    continue;
+                }
+                let (Some(name), Ok(meta)) =
+                    (path.file_name().and_then(|n| n.to_str()), file.metadata())
+                else {
+                    continue;
+                };
+                let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                out.push(Listed { name: name.to_string(), len: meta.len(), modified, path });
+            }
+        }
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    fn read_index(&self) -> std::sync::RwLockReadGuard<'_, Index> {
+        self.index.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_index(&self) -> std::sync::RwLockWriteGuard<'_, Index> {
+        self.index.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Brings the index up to date with what other writers appended
+    /// since this store opened (or last refreshed): new segments are
+    /// scanned from the start, grown ones from where their last scan
+    /// stopped. Costs one directory listing when nothing changed.
+    /// Campaigns call it once, before their lookups.
+    pub fn refresh(&self) {
+        let listed = self.segment_files();
+        {
+            // A gc elsewhere removed this store's segment: appending to
+            // the unlinked file would lose every record, so start anew.
+            let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            if writer.as_ref().is_some_and(|w| listed.iter().all(|l| l.name != w.segment.name)) {
+                *writer = None;
+            }
+        }
+        let stale = |index: &Index, l: &Listed| match index.by_name.get(&l.name) {
+            None => true,
+            Some(&i) => index.segments.get(i).is_some_and(|s| !s.own && l.len > s.seen_len),
+        };
+        let any_stale = {
+            let index = self.read_index();
+            listed.iter().any(|l| stale(&index, l))
+        };
+        if !any_stale {
+            return;
+        }
+        let mut index = self.write_index();
+        for l in &listed {
+            if !stale(&index, l) {
+                continue;
+            }
+            let at = match index.by_name.get(&l.name) {
+                Some(&at) => at,
+                None => {
+                    // An unreadable segment stays unindexed: its runs miss.
+                    let Ok(file) = File::open(&l.path) else { continue };
+                    let segment = Arc::new(Segment { name: l.name.clone(), file });
+                    let at = index.segments.len();
+                    index.segments.push(SegmentState {
+                        segment,
+                        resume: 0,
+                        seen_len: 0,
+                        own: false,
+                    });
+                    index.by_name.insert(l.name.clone(), at);
+                    at
+                }
+            };
+            let Some(state) = index.segments.get(at) else { continue };
+            let (base, segment) = (state.resume, Arc::clone(&state.segment));
+            let Ok(len) = usize::try_from(l.len.saturating_sub(base)) else { continue };
+            let mut bytes = vec![0; len];
+            if read_exact_at(&segment.file, &mut bytes, base).is_err() {
+                continue;
+            }
+            let scan = scan_segment(&bytes, self.fingerprint);
+            index.absorb(at, base, &scan);
+            if let Some(state) = index.segments.get_mut(at) {
+                state.resume = base + scan.end as u64;
+                state.seen_len = l.len;
             }
         }
     }
 
-    /// Writes `contents` to `path` atomically: a uniquely named temp
-    /// file in the same directory, flushed, then renamed over the
-    /// destination. Readers only ever observe complete files.
-    fn write_atomic_in_dir(&self, path: &Path, contents: &[u8]) -> Result<(), StoreError> {
-        let tmp = path.with_extension(format!(
-            "tmp-{}-{}",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        write_atomic_via(&tmp, path, contents)
+    /// Reads the record indexed under `spec_hash` and hands its bytes to
+    /// `decode`. `Ok(None)` when there is none; `Err` with the reason
+    /// when the record was damaged at scan time, cannot be read, or
+    /// `decode` refuses it.
+    fn with_record<T>(
+        &self,
+        spec_hash: u64,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let (segment, loc) = {
+            let index = self.read_index();
+            let found = index.records.get(&spec_hash).and_then(|&loc| {
+                index.segments.get(loc.segment).map(|s| (Arc::clone(&s.segment), loc))
+            });
+            match found {
+                Some(found) => found,
+                None => return index.damaged.get(&spec_hash).cloned().map_or(Ok(None), Err),
+            }
+        };
+        let at = || format!("{}@{}", segment.name, loc.offset);
+        let mut bytes = vec![0; loc.len];
+        match read_exact_at(&segment.file, &mut bytes, loc.offset) {
+            Ok(()) => {}
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                return Err(format!("{}: truncated record: the segment ends inside it", at()))
+            }
+            Err(e) => return Err(format!("{}: unreadable record: {e}", at())),
+        }
+        decode(&bytes).map(Some).map_err(|why| format!("{}: {why}", at()))
     }
 
     /// Looks `spec` up. Never panics and never errors: anything short of
-    /// a valid, structurally confirmed entry is a [`StoreLookup::Miss`]
+    /// a valid, structurally confirmed record is a [`StoreLookup::Miss`]
     /// or a [`StoreLookup::Rejected`] with the reason.
     pub fn lookup(&self, spec: &RunSpec) -> StoreLookup {
         let spec_hash = spec.spec_hash();
-        let path = self.entry_path(spec_hash);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return StoreLookup::Miss,
-            Err(e) => return StoreLookup::Rejected(format!("unreadable entry: {e}")),
-        };
-        match self.decode_entry(&bytes, Some(spec_hash), Some(spec)) {
-            Ok(measurement) => StoreLookup::Hit(measurement),
-            Err(reason) => StoreLookup::Rejected(format!("{}: {reason}", file_name(&path))),
+        let decoded = self.with_record(spec_hash, |bytes| {
+            decode_entry(bytes, self.fingerprint, Some(spec_hash), Some(spec))
+        });
+        match decoded {
+            Ok(Some(measurement)) => StoreLookup::Hit(measurement),
+            Ok(None) => StoreLookup::Miss,
+            Err(reason) => StoreLookup::Rejected(reason),
         }
     }
 
     /// Answers a point query by content address: reads and fully
-    /// validates the entry stored under `spec_hash` (format version,
+    /// validates the record stored under `spec_hash` (format version,
     /// simulator fingerprint, content address, integrity hash) and
     /// returns its payload — the canonical spec plus the measurement —
     /// as JSON. This is the `rrb serve` `GET /v1/runs/{hash}` backend;
-    /// the JSON is the same whatever the on-disk entry format.
+    /// the JSON is the same whatever the on-disk record format. An
+    /// address the index lacks triggers one [`ResultStore::refresh`], so
+    /// records other processes wrote are found.
     ///
-    /// Returns `Ok(None)` when no entry exists under that address.
+    /// Returns `Ok(None)` when no record exists under that address.
     ///
     /// # Errors
     ///
-    /// Returns the human-readable reason when an entry exists but
+    /// Returns the human-readable reason when a record exists but
     /// cannot be trusted (unreadable, corrupt, stale fingerprint, or
     /// mis-addressed).
     pub fn entry_payload(&self, spec_hash: u64) -> Result<Option<Json>, String> {
-        let path = self.entry_path(spec_hash);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("unreadable entry: {e}")),
-        };
-        decode_payload_json(&bytes, self.fingerprint, spec_hash)
-            .map(Some)
-            .map_err(|reason| format!("{}: {reason}", file_name(&path)))
+        let decode = |bytes: &[u8]| decode_payload_json(bytes, self.fingerprint, spec_hash);
+        match self.with_record(spec_hash, decode)? {
+            Some(payload) => Ok(Some(payload)),
+            None => {
+                self.refresh();
+                self.with_record(spec_hash, decode)
+            }
+        }
     }
 
-    /// Records a successful run. Failed runs are never inserted.
+    /// Records a successful run: one append to this store's own segment
+    /// (created on the first insert), then an index update. Failed runs
+    /// are never inserted.
     ///
     /// Returns `false` (without writing) when the measurement contains a
     /// non-finite float: the point-query JSON renders it as `null`, and a
@@ -391,199 +644,289 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when the entry cannot be written; callers
+    /// Returns [`StoreError`] when the record cannot be written; callers
     /// downgrade this to a warning (a broken cache must never fail a
     /// run that already succeeded).
     pub fn insert(&self, spec: &RunSpec, m: &RunMeasurement) -> Result<bool, StoreError> {
         if !m.bus_utilization.is_finite() || m.mc_utilization.is_some_and(|u| !u.is_finite()) {
             return Ok(false);
         }
-        let entry = encode_entry(self.fingerprint, spec, m);
-        self.write_atomic_in_dir(&self.entry_path(spec.spec_hash()), &entry)?;
+        let spec_hash = spec.spec_hash();
+        let record = encode_entry(self.fingerprint, spec_hash, spec, m);
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        if writer.is_none() {
+            *writer = Some(self.create_segment()?);
+        }
+        let Some(w) = writer.as_ref() else { return Ok(false) };
+        let (segment, at) = (Arc::clone(&w.segment), w.at);
+        let mut file = &segment.file;
+        // In append mode the write lands at the end of the file, and the
+        // file position then sits right after it.
+        let end = file.write_all(&record).and_then(|()| file.stream_position());
+        let end = match end {
+            Ok(end) => end,
+            Err(e) => {
+                // A partial record is a torn tail: retire this segment
+                // so the next insert starts a fresh one after it.
+                *writer = None;
+                return Err(io_err(format!("append to `{}`", segment.name))(e));
+            }
+        };
+        let offset = end.saturating_sub(record.len() as u64);
+        let loc = Loc { segment: at, offset, len: record.len() };
+        let mut index = self.write_index();
+        index.records.insert(spec_hash, loc);
+        index.damaged.remove(&spec_hash);
         Ok(true)
     }
 
-    /// Decodes and fully validates one entry against this store's
-    /// fingerprint (see the free [`decode_entry`] for the pure logic).
-    fn decode_entry(
-        &self,
-        bytes: &[u8],
-        expect_hash: Option<u64>,
-        confirm: Option<&RunSpec>,
-    ) -> Result<RunMeasurement, String> {
-        decode_entry(bytes, self.fingerprint, expect_hash, confirm)
+    /// Creates this store's own segment under a fresh name and registers
+    /// it in the index.
+    fn create_segment(&self) -> Result<Writer, StoreError> {
+        let (name, file) = create_unique(&self.segments)?;
+        let segment = Arc::new(Segment { name, file });
+        let mut index = self.write_index();
+        let at = index.segments.len();
+        let state =
+            SegmentState { segment: Arc::clone(&segment), resume: 0, seen_len: 0, own: true };
+        index.segments.push(state);
+        index.by_name.insert(segment.name.clone(), at);
+        Ok(Writer { segment, at })
     }
 
-    /// Facts for `rrb cache stats`.
+    /// Facts for `rrb cache stats`, after a [`ResultStore::refresh`].
     pub fn stats(&self) -> StoreStats {
-        let mut stats = StoreStats {
+        self.refresh();
+        let listed = self.segment_files();
+        StoreStats {
             dir: self.dir.clone(),
             format: STORE_FORMAT_VERSION,
             fingerprint: self.fingerprint,
-            entries: 0,
-            bytes: 0,
-            temp_files: 0,
-        };
-        for (path, len, _) in self.entry_files() {
-            if is_temp(&path) {
-                stats.temp_files += 1;
-            } else {
-                stats.entries += 1;
-                stats.bytes += len;
-            }
+            entries: self.read_index().records.len() as u64,
+            bytes: listed.iter().map(|l| l.len).sum(),
+            segments: listed.len() as u64,
         }
-        stats
     }
 
-    /// Validates every entry (integrity, version, fingerprint, content
-    /// address — everything except structural confirmation, which needs
-    /// a querying spec).
+    /// Reads every segment from disk and checks every record (integrity,
+    /// version, fingerprint — everything except structural
+    /// confirmation, which needs a querying spec). Torn tails and
+    /// unreadable segments are problems too.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::default();
-        for (path, _, _) in self.entry_files() {
-            if is_temp(&path) {
-                report.problems.push((file_name(&path), String::from("leftover temporary file")));
-                continue;
-            }
-            let named_hash = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-            let result = match (std::fs::read(&path), named_hash) {
-                (Err(e), _) => Err(format!("unreadable: {e}")),
-                (_, None) => Err(String::from("file name is not a 64-bit content address")),
-                (Ok(bytes), Some(hash)) => self.decode_entry(&bytes, Some(hash), None).map(|_| ()),
+        for listed in self.segment_files() {
+            let bytes = match std::fs::read(&listed.path) {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    report.problems.push((listed.name, format!("unreadable segment: {e}")));
+                    continue;
+                }
             };
-            match result {
-                Ok(()) => report.ok += 1,
-                Err(problem) => report.problems.push((file_name(&path), problem)),
+            let scan = scan_segment(&bytes, self.fingerprint);
+            report.ok += scan.records.len() as u64;
+            for (_, start, why) in scan.damaged {
+                report.problems.push((format!("{}@{start}", listed.name), why));
+            }
+            if let Some(stop) = scan.stopped {
+                let problem = stop.describe(bytes.len() - scan.end);
+                report.problems.push((format!("{}@{}", listed.name, scan.end), problem));
             }
         }
-        report.problems.sort();
         report
     }
 
-    /// Removes invalid entries and temp files, then entries older than
-    /// `max_age_secs`, then the oldest entries until the store is within
-    /// `max_size_bytes`.
+    /// Compacts the store: keeps the newest valid record per content
+    /// address, drops records in segments older than `max_age_secs`,
+    /// then the oldest records until the kept bytes fit
+    /// `max_size_bytes`. Survivors are copied, oldest first, into one
+    /// new segment, whose modification time is set to that of the
+    /// newest segment they came from (so a compaction never makes a
+    /// record look younger than its segment was), and the old segments
+    /// are removed. Records other processes append while `gc` runs may
+    /// be lost; they re-execute.
     pub fn gc(&self, max_age_secs: Option<u64>, max_size_bytes: Option<u64>) -> GcReport {
+        // Held throughout, so no insert of this store lands in a segment
+        // about to be removed.
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut report = GcReport::default();
         let now = SystemTime::now();
-        let mut live: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
-        for (path, len, modified) in self.entry_files() {
-            report.examined += 1;
-            let invalid = is_temp(&path)
-                || match std::fs::read(&path) {
-                    Ok(bytes) => self.decode_entry(&bytes, None, None).is_err(),
-                    Err(_) => true,
-                };
+        let mut listed = self.segment_files();
+        // Oldest segment first, so later records supersede earlier ones
+        // and the size cap evicts the oldest.
+        listed.sort_by(|a, b| (a.modified, &a.name).cmp(&(b.modified, &b.name)));
+        let mut contents = Vec::with_capacity(listed.len());
+        let mut total_bytes = 0;
+        // (segment, start, len) of every surviving record, oldest first.
+        let mut live: Vec<Option<(usize, usize, usize)>> = Vec::new();
+        let mut newest: HashMap<u64, usize> = HashMap::new();
+        for (i, l) in listed.iter().enumerate() {
+            let bytes = std::fs::read(&l.path).unwrap_or_default();
+            total_bytes += l.len;
+            let scan = scan_segment(&bytes, self.fingerprint);
+            report.examined += (scan.records.len() + scan.damaged.len()) as u64
+                + u64::from(scan.end < bytes.len());
             let expired = max_age_secs.is_some_and(|max| {
-                now.duration_since(modified).ok().is_none_or(|age| age.as_secs() >= max)
+                now.duration_since(l.modified).ok().is_none_or(|age| age.as_secs() >= max)
             });
-            if invalid || expired {
-                remove(&path, len, &mut report);
-            } else {
-                live.push((path, len, modified));
-            }
-        }
-        if let Some(max) = max_size_bytes {
-            // Oldest first, so the survivors are the freshest entries.
-            live.sort_by_key(|&(_, _, modified)| modified);
-            let mut total: u64 = live.iter().map(|&(_, len, _)| len).sum();
-            let mut keep = Vec::new();
-            for (path, len, modified) in live {
-                if total > max {
-                    total -= len;
-                    remove(&path, len, &mut report);
-                } else {
-                    keep.push((path, len, modified));
+            if !expired {
+                for &(hash, start, len) in &scan.records {
+                    if let Some(older) = newest.insert(hash, live.len()) {
+                        if let Some(slot) = live.get_mut(older) {
+                            *slot = None;
+                        }
+                    }
+                    live.push(Some((i, start, len)));
                 }
             }
-            live = keep;
+            contents.push(bytes);
+        }
+        let mut live: Vec<(usize, usize, usize)> = live.into_iter().flatten().collect();
+        if let Some(max) = max_size_bytes {
+            let mut kept: u64 = live.iter().map(|&(_, _, len)| len as u64).sum();
+            let evict = live
+                .iter()
+                .take_while(|&&(_, _, len)| {
+                    let over = kept > max;
+                    if over {
+                        kept -= len as u64;
+                    }
+                    over
+                })
+                .count();
+            live.drain(..evict);
         }
         report.kept = live.len() as u64;
-        report.kept_bytes = live.iter().map(|&(_, len, _)| len).sum();
-        report
-    }
-
-    /// Every file in the entries directory as `(path, len, mtime)`.
-    fn entry_files(&self) -> Vec<(PathBuf, u64, SystemTime)> {
-        let mut out = Vec::new();
-        if let Ok(read) = std::fs::read_dir(&self.entries) {
-            for file in read.flatten() {
-                let path = file.path();
-                if let Ok(meta) = file.metadata() {
-                    let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                    out.push((path, meta.len(), modified));
+        report.kept_bytes = live.iter().map(|&(_, _, len)| len as u64).sum();
+        report.removed = report.examined - report.kept;
+        report.removed_bytes = total_bytes.saturating_sub(report.kept_bytes);
+        if report.removed_bytes == 0 && listed.len() <= 1 {
+            return report; // already compact
+        }
+        if !live.is_empty() {
+            let mut out = Vec::with_capacity(report.kept_bytes as usize);
+            for &(i, start, len) in &live {
+                if let Some(record) = contents.get(i).and_then(|b| b.get(start..start + len)) {
+                    out.extend_from_slice(record);
                 }
             }
+            let written = create_unique(&self.segments).and_then(|(name, mut file)| {
+                file.write_all(&out).map_err(io_err(format!("write `{name}`")))?;
+                let youngest = live.iter().rev().find_map(|&(i, _, _)| listed.get(i));
+                if let Some(l) = youngest {
+                    let _ = file.set_modified(l.modified);
+                }
+                Ok(())
+            });
+            if written.is_err() {
+                // Keep the old segments rather than lose the records.
+                let (examined, kept_bytes) = (report.examined, total_bytes);
+                return GcReport { examined, kept: examined, kept_bytes, ..GcReport::default() };
+            }
         }
-        out.sort();
-        out
+        for l in &listed {
+            let _ = std::fs::remove_file(&l.path);
+        }
+        // The old segments, this store's own among them, are gone: start
+        // a fresh index (and a fresh segment on the next insert).
+        *writer = None;
+        *self.write_index() = Index::default();
+        drop(writer);
+        self.refresh();
+        report
     }
 }
 
-fn remove(path: &Path, len: u64, report: &mut GcReport) {
-    if std::fs::remove_file(path).is_ok() {
-        report.removed += 1;
-        report.removed_bytes += len;
+/// Creates `<pid>-<n>.seg` in `dir` for the smallest `n` no file holds
+/// yet, open for appending and positioned reads. Exclusive creation is
+/// what keeps two writers off one segment.
+fn create_unique(dir: &Path) -> Result<(String, File), StoreError> {
+    std::fs::create_dir_all(dir).map_err(io_err(format!("create `{}`", dir.display())))?;
+    let pid = std::process::id();
+    let mut n = 0u64;
+    loop {
+        let name = format!("{pid}-{n}.{SEGMENT_EXT}");
+        let path = dir.join(&name);
+        match OpenOptions::new().read(true).append(true).create_new(true).open(&path) {
+            Ok(file) => return Ok((name, file)),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => n += 1,
+            Err(e) => return Err(io_err(format!("create `{}`", path.display()))(e)),
+        }
     }
 }
 
-fn is_temp(path: &Path) -> bool {
-    path.extension().and_then(|e| e.to_str()).is_some_and(|e| e.starts_with("tmp-"))
+/// Fills `buf` from `file` at `offset` without moving the file position.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
 }
 
-fn file_name(path: &Path) -> String {
-    path.file_name().and_then(|n| n.to_str()).unwrap_or("<entry>").to_string()
+/// Fills `buf` from `file` at `offset`.
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
-/// Writes `contents` to `path` via `tmp` (same directory) and an atomic
-/// rename, cleaning the temp file up on failure.
-fn write_atomic_via(tmp: &Path, path: &Path, contents: &[u8]) -> Result<(), StoreError> {
-    std::fs::write(tmp, contents).map_err(|e| {
-        // A partial temp (disk full, kill mid-write) is garbage: best-
-        // effort removal so it cannot linger as a verify/gc problem.
-        let _ = std::fs::remove_file(tmp);
-        io_err(format!("write `{}`", tmp.display()))(e)
-    })?;
-    std::fs::rename(tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(tmp);
-        io_err(format!("rename `{}` into place", tmp.display()))(e)
-    })
-}
-
-/// Writes `contents` to `path` atomically (temp file alongside the
-/// destination, then rename) — the write discipline every result file
-/// in this workspace uses, so an interrupted process never leaves a
-/// half-written artifact at a published path.
+/// Writes `contents` to `path` atomically (a uniquely named temp file
+/// alongside the destination, then rename) — the write discipline the
+/// store manifest and every result file in this workspace use, so an
+/// interrupted process never leaves a half-written artifact at a
+/// published path, and concurrent writers of one path never share a
+/// temp file.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError`] when the temp file cannot be written or the
 /// rename fails.
 pub fn write_file_atomic(path: impl AsRef<Path>, contents: &str) -> Result<(), StoreError> {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    write_atomic_via(&tmp, path, contents.as_bytes())
+    let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp-{}-{n}", std::process::id()));
+    std::fs::write(&tmp, contents).map_err(|e| {
+        // A partial temp (disk full, kill mid-write) is garbage.
+        let _ = std::fs::remove_file(&tmp);
+        io_err(format!("write `{}`", tmp.display()))(e)
+    })?;
+    std::fs::rename(&tmp, path).map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        io_err(format!("rename `{}` into place", tmp.display()))(e)
+    })
 }
 
 // ---------------------------------------------------------------------
 // Entry codec: pure functions (no filesystem), unit-testable under Miri
 // ---------------------------------------------------------------------
 
-/// First bytes of every entry file.
+/// First bytes of every record.
 const ENTRY_MAGIC: &[u8; 4] = b"RRBE";
 
 /// Magic plus five little-endian `u64` header words.
 const ENTRY_HEADER_LEN: usize = ENTRY_MAGIC.len() + 5 * 8;
+
+/// Header offset of the content address.
+const SPEC_HASH_AT: usize = ENTRY_MAGIC.len() + 2 * 8;
+
+/// Header offset of the payload length.
+const PAYLOAD_LEN_AT: usize = ENTRY_MAGIC.len() + 4 * 8;
 
 /// Encodes one complete entry: the fixed header (magic, format version,
 /// simulator fingerprint, content address, integrity hash, payload
 /// length; integers little-endian) followed by the payload, which is the
 /// length-prefixed canonical spec encoding ([`encode_spec`]) and then the
 /// measurement.
-fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> Vec<u8> {
+fn encode_entry(fingerprint: u64, spec_hash: u64, spec: &RunSpec, m: &RunMeasurement) -> Vec<u8> {
     let mut spec_bytes = Vec::with_capacity(1024);
     encode_spec(spec, &mut spec_bytes);
     let mut payload = Vec::with_capacity(spec_bytes.len() + 128);
@@ -592,13 +935,9 @@ fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> Vec<u8>
     encode_measurement(m, &mut payload);
     let mut out = Vec::with_capacity(ENTRY_HEADER_LEN + payload.len());
     out.extend_from_slice(ENTRY_MAGIC);
-    for word in [
-        STORE_FORMAT_VERSION,
-        fingerprint,
-        spec.spec_hash(),
-        fnv1a_64(&payload),
-        payload.len() as u64,
-    ] {
+    for word in
+        [STORE_FORMAT_VERSION, fingerprint, spec_hash, fnv1a_64(&payload), payload.len() as u64]
+    {
         out.extend_from_slice(&word.to_le_bytes());
     }
     out.extend_from_slice(&payload);
@@ -704,6 +1043,85 @@ fn decode_payload_json(bytes: &[u8], fingerprint: u64, spec_hash: u64) -> Result
     ]);
     let m = decode_measurement(entry.measurement)?;
     Ok(Json::obj(vec![("spec", spec), ("measurement", measurement_to_json(&m))]))
+}
+
+/// Why a segment scan stopped before the end of the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// The next record's header or payload runs past the end.
+    TornTail,
+    /// The next bytes do not start with the record magic.
+    BadMagic,
+}
+
+impl Stop {
+    /// The problem `rrb cache verify` reports for the `tail` bytes the
+    /// scan could not read.
+    fn describe(self, tail: usize) -> String {
+        match self {
+            Stop::TornTail => format!("torn tail: a truncated record ({tail} bytes)"),
+            Stop::BadMagic => {
+                format!("corrupt segment: the {tail} bytes from here do not start with a record")
+            }
+        }
+    }
+}
+
+/// What one front-to-back pass of [`scan_segment`] found. Offsets are
+/// relative to the scanned bytes.
+#[derive(Debug, Default)]
+struct Scan {
+    /// `(content address, start, length)` of every record that passed
+    /// [`check_entry`].
+    records: Vec<(u64, usize, usize)>,
+    /// `(content address, start, reason)` of every complete record that
+    /// failed it.
+    damaged: Vec<(u64, usize, String)>,
+    /// The end of the last complete record: where the next scan resumes.
+    end: usize,
+    /// Why the scan stopped short of the end, if it did.
+    stopped: Option<Stop>,
+}
+
+/// Splits segment bytes into records. A record is complete when its
+/// header and the payload length the header declares fit in `bytes`;
+/// each complete record is checked with [`check_entry`] (format,
+/// fingerprint, integrity hash) and lands in [`Scan::records`] or
+/// [`Scan::damaged`]. The scan stops at a torn tail or at bytes without
+/// the record magic, since past either it cannot find the next record.
+fn scan_segment(bytes: &[u8], fingerprint: u64) -> Scan {
+    let mut scan = Scan::default();
+    while let Some(rest) = bytes.get(scan.end..).filter(|rest| !rest.is_empty()) {
+        let Some(header) = rest.get(..ENTRY_HEADER_LEN) else {
+            scan.stopped = Some(Stop::TornTail);
+            break;
+        };
+        if !header.starts_with(ENTRY_MAGIC) {
+            scan.stopped = Some(Stop::BadMagic);
+            break;
+        }
+        let record = word_at(header, PAYLOAD_LEN_AT)
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| n.checked_add(ENTRY_HEADER_LEN))
+            .and_then(|len| rest.get(..len));
+        let Some(record) = record else {
+            scan.stopped = Some(Stop::TornTail);
+            break;
+        };
+        let spec_hash = word_at(header, SPEC_HASH_AT).unwrap_or_default();
+        match check_entry(record, fingerprint, None) {
+            Ok(_) => scan.records.push((spec_hash, scan.end, record.len())),
+            Err(why) => scan.damaged.push((spec_hash, scan.end, why)),
+        }
+        scan.end += record.len();
+    }
+    scan
+}
+
+/// The little-endian `u64` at `at`, if `bytes` holds all of it.
+fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
+    let word: [u8; 8] = bytes.get(at..at.checked_add(8)?)?.try_into().ok()?;
+    Some(u64::from_le_bytes(word))
 }
 
 // ---------------------------------------------------------------------
@@ -1013,9 +1431,8 @@ mod tests {
         (spec, m)
     }
 
-    // Header offsets of the two words the damage tests forge.
+    // Header offset of the format word the damage tests forge.
     const FORMAT_AT: usize = 4;
-    const SPEC_HASH_AT: usize = 20;
 
     fn set_word(bytes: &mut [u8], at: usize, word: u64) {
         bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
@@ -1028,7 +1445,7 @@ mod tests {
     #[test]
     fn entry_codec_round_trips_without_touching_disk() {
         for (spec, m) in [(toy_spec(1), toy_measurement()), rich_spec_and_measurement()] {
-            let bytes = encode_entry(0xfeed, &spec, &m);
+            let bytes = encode_entry(0xfeed, spec.spec_hash(), &spec, &m);
             let back = decode_entry(&bytes, 0xfeed, Some(spec.spec_hash()), Some(&spec))
                 .expect("valid entry");
             assert_eq!(back, m);
@@ -1049,7 +1466,7 @@ mod tests {
     #[test]
     fn entry_decode_rejects_stale_fingerprint_and_wrong_address() {
         let spec = toy_spec(1);
-        let bytes = encode_entry(0xfeed, &spec, &toy_measurement());
+        let bytes = encode_entry(0xfeed, spec.spec_hash(), &spec, &toy_measurement());
         let e = decode_entry(&bytes, 0xbeef, None, None).expect_err("stale fingerprint");
         assert!(e.contains("fingerprint"), "{e}");
         let e = decode_entry(&bytes, 0xfeed, Some(spec.spec_hash() ^ 1), None)
@@ -1060,7 +1477,7 @@ mod tests {
     #[test]
     fn entry_decode_rejects_corruption_and_collisions() {
         let spec = toy_spec(1);
-        let bytes = encode_entry(0xfeed, &spec, &toy_measurement());
+        let bytes = encode_entry(0xfeed, spec.spec_hash(), &spec, &toy_measurement());
         // Bit flip inside the payload: the integrity hash must catch it.
         let mut flipped = bytes.clone();
         *flipped.last_mut().expect("non-empty") ^= 0x10;
@@ -1079,7 +1496,7 @@ mod tests {
         let mut old = bytes.clone();
         set_word(&mut old, FORMAT_AT, 1);
         let e = decode_entry(&old, 0xfeed, None, None).expect_err("format 1");
-        assert!(e.contains("entry format 1 but this build writes 2"), "{e}");
+        assert!(e.contains("entry format 1 but this build writes 3"), "{e}");
         let e = decode_entry(b"{\"format\": 1}", 0xfeed, None, None).expect_err("v1 JSON");
         assert!(e.contains("magic"), "{e}");
     }
@@ -1094,7 +1511,7 @@ mod tests {
         let mut rng = KernelRng::seed_from_u64(0x5eed_0e17);
         for (spec, m) in [(toy_spec(1), toy_measurement()), rich_spec_and_measurement()] {
             let hash = spec.spec_hash();
-            let bytes = encode_entry(0xfeed, &spec, &m);
+            let bytes = encode_entry(0xfeed, spec.spec_hash(), &spec, &m);
             let payload = decode_payload_json(&bytes, 0xfeed, hash).expect("intact payload");
             // Returns whether the mutated entry was accepted.
             let check = |mutated: &[u8]| {
@@ -1131,6 +1548,83 @@ mod tests {
                 check(&mutated);
             }
         }
+
+        // The segment scanner, over both entries back to back, under the
+        // same mutations: it never panics, keeps every offset inside the
+        // bytes, and never indexes a record that fails the integrity
+        // check or carries another measurement.
+        let runs = [(toy_spec(1), toy_measurement()), rich_spec_and_measurement()];
+        let segment: Vec<u8> =
+            runs.iter().flat_map(|(s, m)| encode_entry(0xfeed, s.spec_hash(), s, m)).collect();
+        let intact = scan_segment(&segment, 0xfeed);
+        assert_eq!(intact.records.len(), 2, "{intact:?}");
+        assert!(intact.damaged.is_empty() && intact.stopped.is_none(), "{intact:?}");
+        assert_eq!(intact.end, segment.len());
+        let first_len = intact.records[0].2;
+        let scan = |mutated: &[u8]| {
+            let scan = scan_segment(mutated, 0xfeed);
+            assert!(scan.end <= mutated.len(), "{scan:?}");
+            for &(hash, start, len) in &scan.records {
+                let record = mutated.get(start..start + len).expect("record inside the bytes");
+                let back = decode_entry(record, 0xfeed, Some(hash), None)
+                    .expect("an indexed record passes the integrity check");
+                assert!(runs.iter().any(|(_, m)| *m == back), "indexed a foreign measurement");
+            }
+            scan
+        };
+        let truncation_stride = if cfg!(miri) { 53 } else { 1 };
+        for len in (0..segment.len()).step_by(truncation_stride) {
+            // A cut is a torn tail: the complete records before it index,
+            // and the cut record is neither indexed nor damage.
+            let cut = scan(&segment[..len]);
+            assert_eq!(cut.records.len(), usize::from(len >= first_len), "cut at {len}");
+            assert!(cut.damaged.is_empty(), "cut at {len}: {cut:?}");
+            let torn = len != 0 && len != first_len;
+            assert_eq!(cut.stopped, torn.then_some(Stop::TornTail), "cut at {len}");
+        }
+        for bit in (0..segment.len() * 8).step_by(bit_stride) {
+            let mut mutated = segment.clone();
+            mutated[bit / 8] ^= 1 << (bit % 8);
+            scan(&mutated);
+        }
+        for _ in 0..spans {
+            let mut mutated = segment.clone();
+            let start = rng.gen_below(segment.len() as u64) as usize;
+            let len = 1 + rng.gen_below(24) as usize;
+            for b in mutated.iter_mut().skip(start).take(len) {
+                *b = rng.next_u64() as u8;
+            }
+            scan(&mutated);
+        }
+    }
+
+    /// The store's segment files, by name.
+    fn segment_paths(store: &ResultStore) -> Vec<PathBuf> {
+        store.segment_files().into_iter().map(|l| l.path).collect()
+    }
+
+    /// `(start, len)` of every valid record in a segment, in file order.
+    fn record_spans(path: &Path) -> Vec<(usize, usize)> {
+        let bytes = std::fs::read(path).expect("read segment");
+        scan_segment(&bytes, sim_fingerprint()).records.iter().map(|&(_, s, l)| (s, l)).collect()
+    }
+
+    /// Rewrites a segment through `f`.
+    fn edit(path: &Path, f: impl FnOnce(&mut Vec<u8>)) {
+        let mut bytes = std::fs::read(path).expect("read segment");
+        f(&mut bytes);
+        std::fs::write(path, bytes).expect("write segment");
+    }
+
+    /// Opens a store at `dir` and inserts the toy runs `ks`.
+    fn filled(dir: &Path, ks: impl IntoIterator<Item = usize>) -> ResultStore {
+        let store = ResultStore::open(dir).expect("open");
+        for k in ks {
+            let spec = toy_spec(k);
+            let m = Executor::new().run(&spec).expect("run");
+            assert!(store.insert(&spec, &m).expect("insert"));
+        }
+        store
     }
 
     #[test]
@@ -1167,26 +1661,31 @@ mod tests {
 
     #[test]
     fn forged_content_address_fails_structural_confirmation() {
-        // A valid entry copied to the wrong content address simulates a
-        // spec-hash collision: the claimed hash matches the query, the
-        // payload is intact, but the stored spec differs structurally.
+        // A valid record appended again under the wrong content address
+        // simulates a spec-hash collision: the claimed hash matches the
+        // query, the payload is intact, but the stored spec differs
+        // structurally.
         let dir = scratch("collision");
-        let store = ResultStore::open(&dir).expect("open");
         let stored = toy_spec(1);
-        let m = Executor::new().run(&stored).expect("run");
-        store.insert(&stored, &m).expect("insert");
+        let store = filled(&dir, [1]);
         let queried = toy_spec(4);
-        let mut forged = std::fs::read(store.entry_path(stored.spec_hash())).expect("read");
-        set_word(&mut forged, SPEC_HASH_AT, queried.spec_hash());
-        std::fs::write(store.entry_path(queried.spec_hash()), forged).expect("write");
+        let segments = segment_paths(&store);
+        assert_eq!(segments.len(), 1, "one writer, one segment");
+        edit(&segments[0], |b| {
+            let mut forged = b.clone();
+            set_word(&mut forged, SPEC_HASH_AT, queried.spec_hash());
+            b.extend_from_slice(&forged);
+        });
+        let store = ResultStore::open(&dir).expect("reopen");
+        assert!(matches!(store.lookup(&stored), StoreLookup::Hit(_)));
         match store.lookup(&queried) {
             StoreLookup::Rejected(reason) => {
                 // The content address sits outside the payload, so the
                 // integrity hash still holds: structural confirmation is
-                // what refuses the forged entry.
+                // what refuses the forged record.
                 assert!(reason.contains("collision"), "{reason}");
             }
-            other => panic!("forged entry must be rejected, got {other:?}"),
+            other => panic!("forged record must be rejected, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -1200,6 +1699,7 @@ mod tests {
         m.bus_utilization = f64::NAN;
         assert!(!store.insert(&spec, &m).expect("insert refuses politely"));
         assert_eq!(store.lookup(&spec), StoreLookup::Miss);
+        assert_eq!(store.stats().segments, 0, "nothing written, no segment created");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -1212,14 +1712,9 @@ mod tests {
     #[test]
     fn reopening_with_matching_manifest_keeps_entries() {
         let dir = scratch("reopen");
-        let spec = toy_spec(1);
-        {
-            let store = ResultStore::open(&dir).expect("open");
-            let m = Executor::new().run(&spec).expect("run");
-            store.insert(&spec, &m).expect("insert");
-        }
+        drop(filled(&dir, [1]));
         let store = ResultStore::open(&dir).expect("reopen");
-        assert!(matches!(store.lookup(&spec), StoreLookup::Hit(_)));
+        assert!(matches!(store.lookup(&toy_spec(1)), StoreLookup::Hit(_)));
         assert_eq!(store.stats().entries, 1);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -1227,80 +1722,113 @@ mod tests {
     #[test]
     fn foreign_manifest_purges_stale_entries() {
         let dir = scratch("purge");
-        let spec = toy_spec(1);
-        {
-            let store = ResultStore::open(&dir).expect("open");
-            let m = Executor::new().run(&spec).expect("run");
-            store.insert(&spec, &m).expect("insert");
-        }
-        // Simulate a build with different simulator semantics.
+        drop(filled(&dir, [1]));
+        // A format-2 entry file, and a build with other simulator
+        // semantics.
+        std::fs::create_dir_all(dir.join("entries")).expect("entries dir");
+        std::fs::write(dir.join("entries/0000000000000001.bin"), "RRBE").expect("old entry");
         std::fs::write(
             dir.join("manifest.json"),
-            "{\n  \"format\": 1,\n  \"fingerprint\": 12345\n}\n",
+            "{\n  \"format\": 2,\n  \"fingerprint\": 12345\n}\n",
         )
         .expect("write manifest");
         let store = ResultStore::open(&dir).expect("reopen");
-        assert_eq!(store.stats().entries, 0, "stale entries are purged at open");
-        assert_eq!(store.lookup(&spec), StoreLookup::Miss);
+        let stats = store.stats();
+        assert_eq!((stats.entries, stats.segments), (0, 0), "stale records are purged at open");
+        assert!(!dir.join("entries").exists(), "the format-2 entries directory goes too");
+        assert_eq!(store.lookup(&toy_spec(1)), StoreLookup::Miss);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn gc_removes_expired_and_oversized_entries() {
         let dir = scratch("gc");
-        let store = ResultStore::open(&dir).expect("open");
-        for k in 0..3 {
-            let spec = toy_spec(k);
-            let m = Executor::new().run(&spec).expect("run");
-            store.insert(&spec, &m).expect("insert");
-        }
-        // Drop a junk temp file and a corrupt entry into the store.
-        std::fs::write(store.entries.join("dead.tmp-999"), "partial").expect("write");
-        std::fs::write(store.entries.join("0000000000000bad.json"), "{").expect("write");
+        let store = filled(&dir, 0..3);
+        // A fourth record with a flipped payload byte, then junk: a
+        // damaged record and a torn tail.
+        let segment = &segment_paths(&store)[0];
+        edit(segment, |b| {
+            let spec = toy_spec(3);
+            let mut damaged =
+                encode_entry(sim_fingerprint(), spec.spec_hash(), &spec, &toy_measurement());
+            *damaged.last_mut().expect("non-empty") ^= 0x01;
+            b.extend_from_slice(&damaged);
+            b.extend_from_slice(b"RRBE partial");
+        });
         let report = store.gc(None, None);
-        assert_eq!(report.removed, 2, "temp + corrupt files go first: {report:?}");
+        assert_eq!(report.examined, 5, "{report:?}");
+        assert_eq!(report.removed, 2, "the damaged record and the torn tail go first: {report:?}");
         assert_eq!(report.kept, 3);
+        assert_eq!(store.verify(), VerifyReport { ok: 3, problems: vec![] });
+        for k in 0..3 {
+            assert!(matches!(store.lookup(&toy_spec(k)), StoreLookup::Hit(_)), "k={k}");
+        }
 
         // Size pressure evicts oldest-first down to the cap: one byte
-        // under the current total forces out exactly the oldest entry.
+        // under the current total forces out exactly the oldest record.
         let report = store.gc(None, Some(report.kept_bytes - 1));
         assert_eq!(report.kept, 2, "{report:?}");
         assert_eq!(report.removed, 1, "{report:?}");
+        assert_eq!(store.lookup(&toy_spec(0)), StoreLookup::Miss);
+        assert!(matches!(store.lookup(&toy_spec(2)), StoreLookup::Hit(_)));
 
         // max-age 0 expires everything that remains.
         let report = store.gc(Some(0), None);
         assert_eq!(report.kept, 0, "{report:?}");
         assert_eq!(store.stats().entries, 0);
+        assert_eq!(store.stats().segments, 0);
+        // The store keeps working: the next insert opens a new segment.
+        let spec = toy_spec(5);
+        store.insert(&spec, &toy_measurement()).expect("insert after gc");
+        assert!(matches!(store.lookup(&spec), StoreLookup::Hit(_)));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn gc_leaves_a_compact_store_alone_and_merges_segments() {
+        let dir = scratch("gc-merge");
+        let first = filled(&dir, [1, 2]);
+        let [segment] = &segment_paths(&first)[..] else { panic!("one segment") };
+        let before = std::fs::metadata(segment).expect("stat").modified().expect("mtime");
+        let report = first.gc(None, None);
+        assert_eq!((report.kept, report.removed, report.removed_bytes), (2, 0, 0));
+        assert!(segment.exists(), "a compact store is not rewritten");
+        // A second writer's segment, holding one run again and one new.
+        let second = filled(&dir, [2, 3]);
+        assert_eq!(segment_paths(&second).len(), 2);
+        let report = second.gc(None, None);
+        assert_eq!((report.examined, report.kept, report.removed), (4, 3, 1), "{report:?}");
+        let merged = segment_paths(&second);
+        assert_eq!(merged.len(), 1, "{merged:?}");
+        let after = std::fs::metadata(&merged[0]).expect("stat").modified().expect("mtime");
+        assert!(after >= before, "the merged segment keeps its youngest source's age");
+        for k in 1..=3 {
+            assert!(matches!(second.lookup(&toy_spec(k)), StoreLookup::Hit(_)), "k={k}");
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn verify_reports_each_kind_of_damage() {
         let dir = scratch("verify");
-        let store = ResultStore::open(&dir).expect("open");
-        let mut damage = Vec::new();
-        for k in 1..=5 {
-            let spec = toy_spec(k);
-            let m = Executor::new().run(&spec).expect("run");
-            store.insert(&spec, &m).expect("insert");
-            damage.push(store.entry_path(spec.spec_hash()));
-        }
-        let rewrite = |path: &Path, f: &dyn Fn(&mut Vec<u8>)| {
-            let mut bytes = std::fs::read(path).expect("read");
-            f(&mut bytes);
-            std::fs::write(path, bytes).expect("write");
-        };
-        // Entry 0 stays intact; the others take one kind of damage each,
-        // in place, so the content address still matches.
-        // Truncation, a payload bit flip, a wrong version, and a torn
-        // write: the full length on disk, but only the first half of the
-        // payload made it (the rest never left the page cache).
-        rewrite(&damage[1], &|b| b.truncate(b.len() / 2));
-        rewrite(&damage[2], &|b| b[ENTRY_HEADER_LEN + 7] ^= 0x04);
-        rewrite(&damage[3], &|b| set_word(b, FORMAT_AT, 99));
-        rewrite(&damage[4], &|b| {
-            let half = ENTRY_HEADER_LEN + (b.len() - ENTRY_HEADER_LEN) / 2;
-            b[half..].fill(0);
+        let store = filled(&dir, 1..=5);
+        let segment = &segment_paths(&store)[0];
+        let spans = record_spans(segment);
+        assert_eq!(spans.len(), 5);
+        // Record 0 stays intact; the others take one kind of damage each,
+        // in place, so the framing still holds: a payload bit flip, a
+        // wrong version, a torn write (the full length on disk, but only
+        // the first half of the payload made it), and — on the last
+        // record, where a cut can only be — truncation.
+        edit(segment, |b| {
+            let (s1, _) = spans[1];
+            b[s1 + ENTRY_HEADER_LEN + 7] ^= 0x04;
+            set_word(&mut b[spans[2].0..], FORMAT_AT, 99);
+            let (s3, l3) = spans[3];
+            let half = s3 + ENTRY_HEADER_LEN + (l3 - ENTRY_HEADER_LEN) / 2;
+            b[half..s3 + l3].fill(0);
+            let (s4, l4) = spans[4];
+            b.truncate(s4 + l4 / 2);
         });
 
         let report = store.verify();
@@ -1310,6 +1838,47 @@ mod tests {
         assert!(reasons.iter().any(|r| r.contains("truncated")), "{reasons:?}");
         assert_eq!(reasons.iter().filter(|r| r.contains("integrity hash")).count(), 2);
         assert!(reasons.iter().any(|r| r.contains("format 99")), "{reasons:?}");
+        // Each problem names its segment and offset.
+        let name = segment.file_name().and_then(|n| n.to_str()).expect("name");
+        assert!(report.problems.iter().all(|(at, _)| at.starts_with(name)), "{report:?}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_store_sees_records_another_store_appends_at_its_next_refresh() {
+        let dir = scratch("refresh");
+        let reader = ResultStore::open(&dir).expect("open");
+        let writer = filled(&dir, [1, 2]);
+        assert_eq!(reader.lookup(&toy_spec(1)), StoreLookup::Miss, "not before the refresh");
+        reader.refresh();
+        for k in [1, 2] {
+            assert!(matches!(reader.lookup(&toy_spec(k)), StoreLookup::Hit(_)), "k={k}");
+        }
+        // A grown segment is read from where its last scan stopped.
+        let spec = toy_spec(3);
+        writer.insert(&spec, &Executor::new().run(&spec).expect("run")).expect("insert");
+        reader.refresh();
+        assert!(matches!(reader.lookup(&spec), StoreLookup::Hit(_)));
+        // A point query refreshes on its own when the index lacks the address.
+        let spec = toy_spec(4);
+        writer.insert(&spec, &Executor::new().run(&spec).expect("run")).expect("insert");
+        assert!(matches!(reader.entry_payload(spec.spec_hash()), Ok(Some(_))));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_record_still_being_appended_is_picked_up_once_complete() {
+        let dir = scratch("torn-then-whole");
+        let reader = ResultStore::open(&dir).expect("open");
+        let spec = toy_spec(1);
+        let record = encode_entry(sim_fingerprint(), spec.spec_hash(), &spec, &toy_measurement());
+        let path = dir.join("segments").join("other.seg");
+        std::fs::write(&path, &record[..record.len() - 3]).expect("half a record");
+        reader.refresh();
+        assert_eq!(reader.lookup(&spec), StoreLookup::Miss, "a torn tail misses silently");
+        std::fs::write(&path, &record).expect("the rest lands");
+        reader.refresh();
+        assert!(matches!(reader.lookup(&spec), StoreLookup::Hit(_)));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

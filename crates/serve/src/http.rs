@@ -207,8 +207,11 @@ pub fn respond_json(stream: &mut impl Write, status: u16, json: &str) -> std::io
 /// A `Transfer-Encoding: chunked` response in progress. Every
 /// [`ChunkedWriter::chunk`] becomes exactly one HTTP chunk, so a
 /// line-per-chunk writer gives clients whole NDJSON lines as they land.
+/// Each chunk (size line, data, CRLF) goes out in one `write`.
 pub struct ChunkedWriter<'a, W: Write> {
     stream: &'a mut W,
+    /// The chunk being framed, kept across chunks to reuse its capacity.
+    frame: Vec<u8>,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
@@ -228,7 +231,7 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
             reason(status),
         );
         stream.write_all(head.as_bytes())?;
-        Ok(ChunkedWriter { stream })
+        Ok(ChunkedWriter { stream, frame: Vec::new() })
     }
 
     /// Writes one chunk and flushes it to the client.
@@ -241,9 +244,11 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if data.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        self.frame.clear();
+        write!(self.frame, "{:x}\r\n", data.len())?;
+        self.frame.extend_from_slice(data);
+        self.frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&self.frame)?;
         self.stream.flush()
     }
 
@@ -339,5 +344,39 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"));
         assert!(text.contains("8\r\n{\"a\":1}\n\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_chunk_is_one_write() {
+        let mut out = CountingWriter::default();
+        let mut w = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson").unwrap();
+        let line = [b'x'; 340];
+        for _ in 0..3 {
+            w.chunk(&line).unwrap();
+        }
+        drop(w);
+        let head = out.bytes.len() - 3 * (line.len() + 7);
+        assert_eq!(out.writes, 1 + 3, "the head, then one write per chunk");
+        assert_eq!(&out.bytes[head..head + 5], b"154\r\n");
+        assert_eq!(&out.bytes[head + 5 + 340..head + 347], b"\r\n");
     }
 }

@@ -95,7 +95,7 @@ fn store_stats(stream: &mut TcpStream, state: &ServerState, workers: usize) -> s
         ("fingerprint", Json::str(format!("{:016x}", stats.fingerprint))),
         ("entries", Json::U64(stats.entries)),
         ("bytes", Json::U64(stats.bytes)),
-        ("temp_files", Json::U64(stats.temp_files)),
+        ("segments", Json::U64(stats.segments)),
         (
             "server",
             Json::obj(vec![

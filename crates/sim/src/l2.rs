@@ -56,14 +56,6 @@ impl L2 {
         self.partitions[0].config().size_bytes
     }
 
-    /// Rewinds every partition to its just-built state (cold lines, zero
-    /// counters) without reallocating.
-    pub fn reset(&mut self) {
-        for p in &mut self.partitions {
-            p.reset();
-        }
-    }
-
     /// Re-targets the L2 at `cfg` for `num_cores` cores, reusing the
     /// partition buffers when the per-partition geometry and core count
     /// are unchanged. Equivalent to `L2::new(cfg, num_cores)`.

@@ -10,8 +10,9 @@ use rrb::spec::ExperimentSpec;
 use rrb::store::{ResultStore, StoreLookup};
 use rrb_kernels::AccessKind;
 use rrb_sim::MachineConfig;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// A scratch store directory, removed on drop.
 struct ScratchDir(PathBuf);
@@ -46,16 +47,40 @@ fn run_with(store: &Arc<ResultStore>, jobs: usize) -> CampaignResult {
     Campaign::builder().grid(&small_grid()).jobs(jobs).store(store.clone()).build().run()
 }
 
-/// Every entry file currently in the store, newest path order not
-/// guaranteed — used by the damage tests.
-fn entry_files(dir: &ScratchDir) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.0.join("entries"))
-        .expect("entries dir")
+/// The store's segment files, by name.
+fn segments(dir: &ScratchDir) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.0.join("segments"))
+        .expect("segments dir")
         .flatten()
         .map(|f| f.path())
         .collect();
     files.sort();
     files
+}
+
+/// A record's byte range in a segment. A record is a 4-byte magic, then
+/// little-endian u64 words (format, fingerprint, content address,
+/// payload hash, payload length), then the payload from byte 44.
+fn records(segment: &[u8]) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at + 44 <= segment.len() {
+        let len = u64::from_le_bytes(segment[at + 36..at + 44].try_into().expect("8 bytes"));
+        let end = at + 44 + len as usize;
+        if end > segment.len() {
+            break;
+        }
+        out.push(at..end);
+        at = end;
+    }
+    out
+}
+
+/// Rewrites a file through `f`.
+fn edit(path: &Path, f: impl FnOnce(&mut Vec<u8>)) {
+    let mut bytes = std::fs::read(path).expect("read segment");
+    f(&mut bytes);
+    std::fs::write(path, bytes).expect("write segment");
 }
 
 #[test]
@@ -115,36 +140,31 @@ fn damaged_entries_reexecute_with_a_warning_and_heal() {
     let dir = ScratchDir::new("damage");
     let store = open(&dir);
     let cold = run_with(&store, 1);
-    let files = entry_files(&dir);
-    assert_eq!(files.len(), cold.stats.store_writes, "one entry per recorded run");
-    assert!(files.len() >= 5, "need four entries to damage and one to splice from");
+    let [segment] = &segments(&dir)[..] else { panic!("one writer, one segment") };
+    let spans = records(&std::fs::read(segment).expect("read segment"));
+    assert_eq!(spans.len(), cold.stats.store_writes, "one record per recorded run");
+    assert!(spans.len() >= 5, "need four records to damage and one to splice from");
 
-    // Four kinds of damage, one entry each, as byte edits of the binary
-    // entry (a 4-byte magic, then little-endian u64 words: format,
-    // fingerprint, content address, payload hash, payload length, and
-    // the payload from byte 44): truncation, a bit flip in the payload,
-    // a wrong format version, and a torn file — the head of this entry
-    // spliced onto the tail of another, what a concurrent writer without
-    // atomic rename would leave.
-    let rewrite = |path: &Path, f: &dyn Fn(Vec<u8>) -> Vec<u8>| {
-        let bytes = std::fs::read(path).expect("read entry");
-        std::fs::write(path, f(bytes)).expect("write damage");
-    };
-    let other = std::fs::read(&files[4]).expect("read entry");
-    rewrite(&files[0], &|b| b[..b.len() / 3].to_vec());
-    rewrite(&files[1], &|mut b| {
-        b[44 + 5] ^= 0x01;
-        b
+    // Four kinds of damage, one record each, as byte edits of the
+    // segment under the open store: truncation (of the last record, the
+    // only one a cut can reach), a bit flip in the payload, a wrong
+    // format version, and a torn record — the head of this record with
+    // the rest of its bytes taken from another, what an interleaved
+    // writer would leave.
+    let last = spans.len() - 1;
+    edit(segment, |b| {
+        let other = b[spans[4].clone()].to_vec();
+        b[spans[1].start + 44 + 5] ^= 0x01;
+        b[spans[2].start + 4..spans[2].start + 12].copy_from_slice(&77u64.to_le_bytes());
+        let torn = spans[3].start + 60..spans[3].end.min(spans[3].start + other.len());
+        let from = 60..60 + torn.len();
+        b[torn].copy_from_slice(&other[from]);
+        b.truncate(spans[last].start + spans[last].len() / 3);
     });
-    rewrite(&files[2], &|mut b| {
-        b[4..12].copy_from_slice(&77u64.to_le_bytes());
-        b
-    });
-    rewrite(&files[3], &|b| [&b[..60], &other[60..]].concat());
 
     let healed = run_with(&store, 4);
     assert_eq!(healed.stats.executed_runs, 4, "all four damaged runs re-execute");
-    assert_eq!(healed.warnings.len(), 4, "one warning per rejected entry: {:?}", healed.warnings);
+    assert_eq!(healed.warnings.len(), 4, "one warning per rejected record: {:?}", healed.warnings);
     for warning in &healed.warnings {
         assert!(warning.contains("re-executing"), "{warning}");
     }
@@ -154,12 +174,118 @@ fn damaged_entries_reexecute_with_a_warning_and_heal() {
     assert_eq!(healed.to_json(), cold.to_json(), "damage never changes results");
     assert_eq!(healed.to_csv(), cold.to_csv());
 
-    // The re-execution rewrote the damaged entries: a further run is
-    // fully warm and warning-free again.
+    // The re-execution appended fresh records that supersede the
+    // damaged ones: a further run is fully warm and warning-free again.
     let warm = run_with(&store, 1);
     assert_eq!(warm.stats.executed_runs, 0, "{:?}", warm.stats);
     assert!(warm.warnings.is_empty(), "{:?}", warm.warnings);
     assert_eq!(warm.to_json(), cold.to_json());
+}
+
+#[test]
+fn a_torn_tail_misses_silently_and_gc_drops_it() {
+    let dir = ScratchDir::new("torn-tail");
+    let cold = run_with(&open(&dir), 1);
+    let [segment] = &segments(&dir)[..] else { panic!("one segment") };
+    let spans = records(&std::fs::read(segment).expect("read segment"));
+    let last = spans.last().expect("a record").clone();
+    // A writer killed mid-append: the last record ends mid-payload.
+    edit(segment, |b| b.truncate(last.start + 44 + (last.len() - 44) / 2));
+
+    let store = open(&dir);
+    assert_eq!(store.stats().entries as usize, spans.len() - 1, "the torn record is not indexed");
+    let rerun = run_with(&store, 1);
+    assert_eq!(rerun.stats.executed_runs, 1, "only the torn run misses: {:?}", rerun.stats);
+    assert_eq!(rerun.stats.store_hits, spans.len() - 1, "{:?}", rerun.stats);
+    assert!(rerun.warnings.is_empty(), "a torn tail is a miss, not damage: {:?}", rerun.warnings);
+    assert_eq!(rerun.to_json(), cold.to_json());
+
+    let report = store.verify();
+    assert_eq!(report.problems.len(), 1, "{report:?}");
+    assert!(report.problems[0].1.contains("torn tail"), "{report:?}");
+    let gc = store.gc(None, None);
+    assert_eq!(gc.removed, 1, "gc drops the tail and nothing else: {gc:?}");
+    assert_eq!(gc.kept as usize, spans.len(), "{gc:?}");
+    assert!(store.verify().problems.is_empty());
+    assert_eq!(run_with(&open(&dir), 1).stats.executed_runs, 0);
+}
+
+#[test]
+fn a_flipped_payload_byte_is_rejected_then_superseded() {
+    let dir = ScratchDir::new("flip");
+    let cold = run_with(&open(&dir), 1);
+    let [segment] = &segments(&dir)[..] else { panic!("one segment") };
+    let spans = records(&std::fs::read(segment).expect("read segment"));
+    edit(segment, |b| b[spans[2].start + 44 + 9] ^= 0x80);
+
+    // A store opened on the damaged segment: the scan leaves the record
+    // out of the index, and its run is rejected, not missed.
+    let store = open(&dir);
+    let healed = run_with(&store, 2);
+    assert_eq!(healed.stats.executed_runs, 1, "{:?}", healed.stats);
+    assert_eq!(healed.warnings.len(), 1, "{:?}", healed.warnings);
+    assert!(healed.warnings[0].contains("integrity hash"), "{:?}", healed.warnings);
+    assert_eq!(healed.to_json(), cold.to_json());
+    // The fresh record, in the healing store's own segment, supersedes
+    // the damaged one — in this store and in the next one opened.
+    assert_eq!(segments(&dir).len(), 2);
+    for store in [store, open(&dir)] {
+        let warm = run_with(&store, 1);
+        assert_eq!(warm.stats.executed_runs, 0, "{:?}", warm.stats);
+        assert!(warm.warnings.is_empty(), "{:?}", warm.warnings);
+    }
+}
+
+#[test]
+fn two_stores_on_one_directory_append_at_once() {
+    let dir = ScratchDir::new("two-writers");
+    let reference = Campaign::builder().grid(&small_grid()).jobs(1).build().run().to_json();
+    let (a, b) = (open(&dir), open(&dir));
+    // Each store appends one run before the race, so both hold an open
+    // segment when the campaigns start together at the barrier.
+    let campaign = Campaign::builder().grid(&small_grid()).build();
+    let plan = campaign.plan();
+    let mut arena = rrb::executor::MachineArena::new();
+    for (store, spec) in [(&a, &plan.unique_specs()[0]), (&b, &plan.unique_specs()[1])] {
+        assert!(store.insert(spec, &arena.execute(spec).expect("run")).expect("insert"));
+    }
+    let start = Barrier::new(2);
+    let outputs: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = [(&a, 1), (&b, 2)]
+            .into_iter()
+            .map(|(store, jobs)| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    run_with(store, jobs).to_json()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("campaign thread")).collect()
+    });
+    for output in &outputs {
+        assert_eq!(output, &reference, "racing stores must agree byte for byte");
+    }
+    let report = open(&dir).verify();
+    assert!(report.problems.is_empty(), "{report:?}");
+    let warm = run_with(&open(&dir), 2);
+    assert_eq!(warm.stats.executed_runs, 0, "{:?}", warm.stats);
+    assert_eq!(warm.to_json(), reference);
+    assert_eq!(segments(&dir).len(), 2, "each store appends to a segment of its own");
+}
+
+#[test]
+fn a_long_lived_store_sees_another_writer_at_its_next_campaign() {
+    // A daemon-style store, opened before any other process wrote: the
+    // other writer's records show up at the daemon's next campaign.
+    let dir = ScratchDir::new("daemon");
+    let daemon = open(&dir);
+    let other = run_with(&open(&dir), 2);
+    assert_eq!(other.stats.store_writes, other.stats.executed_runs);
+    let next = run_with(&daemon, 1);
+    assert_eq!(next.stats.executed_runs, 0, "{:?}", next.stats);
+    assert_eq!(next.stats.store_hits, other.stats.executed_runs, "{:?}", next.stats);
+    assert_eq!(next.to_json(), other.to_json());
 }
 
 #[test]
