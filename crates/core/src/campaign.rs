@@ -184,15 +184,23 @@ struct DedupTable {
 }
 
 impl DedupTable {
-    /// Returns the index of `spec` in `unique`, appending it if no
+    /// Returns the index of `spec` in `unique`, appending it (and its
+    /// hash to `hashes`, which runs parallel to `unique`) if no
     /// equal-measurement spec is present yet.
-    fn intern(&mut self, spec: &RunSpec, unique: &mut Vec<RunSpec>) -> usize {
-        let candidates = self.by_hash.entry(spec.spec_hash()).or_default();
+    fn intern(
+        &mut self,
+        spec: &RunSpec,
+        unique: &mut Vec<RunSpec>,
+        hashes: &mut Vec<u64>,
+    ) -> usize {
+        let hash = spec.spec_hash();
+        let candidates = self.by_hash.entry(hash).or_default();
         if let Some(&idx) = candidates.iter().find(|&&idx| unique[idx].same_measurement(spec)) {
             return idx;
         }
         let idx = unique.len();
         unique.push(spec.clone());
+        hashes.push(hash);
         candidates.push(idx);
         idx
     }
@@ -643,6 +651,7 @@ impl Campaign {
     /// [`CampaignPlan::finish`] runs too.
     pub fn plan(&self) -> CampaignPlan<'_> {
         let mut unique: Vec<RunSpec> = Vec::new();
+        let mut hashes = Vec::new();
         let mut seen = DedupTable::default();
         let mut scenarios = Vec::with_capacity(self.scenarios.len());
         let mut planned_runs = 0usize;
@@ -651,11 +660,12 @@ impl Campaign {
             let mut indices = Vec::new();
             if let Ok(specs) = &runs {
                 planned_runs += specs.len();
-                indices.extend(specs.iter().map(|spec| seen.intern(spec, &mut unique)));
+                indices
+                    .extend(specs.iter().map(|spec| seen.intern(spec, &mut unique, &mut hashes)));
             }
             scenarios.push(PlannedScenario { name: scenario.name(), runs, indices });
         }
-        CampaignPlan { campaign: self, scenarios, unique, planned_runs }
+        CampaignPlan { campaign: self, scenarios, unique, hashes, planned_runs }
     }
 }
 
@@ -688,6 +698,8 @@ pub struct CampaignPlan<'a> {
     campaign: &'a Campaign,
     scenarios: Vec<PlannedScenario>,
     unique: Vec<RunSpec>,
+    /// `unique[i].spec_hash()`, computed once by the dedup.
+    hashes: Vec<u64>,
     planned_runs: usize,
 }
 
@@ -695,9 +707,10 @@ pub struct CampaignPlan<'a> {
 /// of a scenario, then that scenario's report.
 #[derive(Debug)]
 pub enum PlanItem<'p> {
-    /// One run's record and the spec it measured (`None` for the
+    /// One run's record, and the spec it measured with that spec's
+    /// [`RunSpec::spec_hash`] as the plan computed it (`None` for the
     /// `<plan>` record of a scenario whose plan failed).
-    Run(RunRecord, Option<&'p RunSpec>),
+    Run(RunRecord, Option<(&'p RunSpec, u64)>),
     /// One scenario's analysed report, after all of its run records.
     Scenario(ScenarioReport),
 }
@@ -721,8 +734,8 @@ impl CampaignPlan<'_> {
     }
 
     /// Walks the plan in scenario order and hands `sink` every run record
-    /// (with its spec) and then every scenario report, returning the
-    /// number of failed runs.
+    /// (with its spec and spec hash, so a sink never hashes again) and
+    /// then every scenario report, returning the number of failed runs.
     ///
     /// `result` is asked for each planned run's unique index, in plan
     /// order (shared runs are asked for once per use). It may block until
@@ -761,7 +774,8 @@ impl CampaignPlan<'_> {
                         RunRecord::failed(&planned.name, &spec.label, e)
                     }
                 };
-                sink(PlanItem::Run(record, Some(spec)))?;
+                let hash = self.hashes.get(idx).copied().unwrap_or_else(|| spec.spec_hash());
+                sink(PlanItem::Run(record, Some((spec, hash))))?;
                 outcomes.push(RunOutcome { label: spec.label.clone(), result });
             }
             sink(PlanItem::Scenario(scenario.analyze(&outcomes)))?;
@@ -1213,7 +1227,7 @@ mod tests {
         assert!(record.error.as_deref().is_some_and(|e| e.contains("invalid scenario")));
         assert!(matches!(&items[1], PlanItem::Scenario(r) if r.scenario == "bad" && !r.is_ok()));
         for (item, spec) in items[2..6].iter().zip(&plan.unique_specs()[..4]) {
-            let PlanItem::Run(record, Some(walked)) = item else { panic!("{item:?}") };
+            let PlanItem::Run(record, Some((walked, _))) = item else { panic!("{item:?}") };
             assert_eq!(*walked, spec);
             assert_eq!(
                 record.error.as_deref(),
@@ -1232,6 +1246,40 @@ mod tests {
             },
         );
         assert_eq!((stopped, calls), (Err("client went away"), 1));
+    }
+
+    #[test]
+    fn walk_hands_each_run_the_hash_of_its_spec() {
+        let mut bad = toy();
+        bad.num_cores = 0;
+        // The two sweeps plan the same runs, so the second one's come
+        // from dedup hits; the `<plan>` record carries no spec or hash.
+        let campaign = Campaign::builder()
+            .scenario(SweepScenario::new(toy(), 2, 20).named("first"))
+            .scenario(SweepScenario::new(bad, 1, 20).named("bad"))
+            .scenario(SweepScenario::new(toy(), 2, 20).named("again"))
+            .build();
+        let plan = campaign.plan();
+        assert!(plan.unique_specs().len() < plan.planned_runs(), "the sweeps share runs");
+        let mut runs = Vec::new();
+        let walked = plan.walk(
+            |_| None,
+            |item| {
+                if let PlanItem::Run(record, spec) = item {
+                    runs.push((record.label, spec));
+                }
+                Ok::<(), ()>(())
+            },
+        );
+        assert_eq!(walked, Ok(plan.planned_runs() + 1));
+        assert_eq!(runs.len(), plan.planned_runs() + 1);
+        for (label, spec) in &runs {
+            match spec {
+                Some((spec, hash)) => assert_eq!(*hash, spec.spec_hash(), "{label}"),
+                None => assert_eq!(label, "<plan>"),
+            }
+        }
+        assert_eq!(runs.iter().filter(|(_, spec)| spec.is_none()).count(), 1);
     }
 
     #[test]

@@ -106,6 +106,7 @@ use crate::spec::Schema;
 use rrb_analysis::Histogram;
 use rrb_kernels::{rsk, rsk_nop, AccessKind};
 use rrb_sim::{BusOpKind, CoreId, Instr, Machine, MachineConfig, Program, TraceEvent};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -1133,13 +1134,37 @@ fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
 /// mapping), then every program as tagged instruction records. Injective
 /// by construction, so byte equality of two encodings is structural
 /// equality of the measurement-relevant spec.
+///
+/// Rendering the machine section costs most of an encoding, and a
+/// campaign's runs share a handful of machines, so each thread keeps the
+/// text of the last machine it encoded ([`put_machine`]). The bytes are
+/// the same with or without the memo.
 fn encode_spec(spec: &RunSpec, out: &mut Vec<u8>) {
-    put_bytes(out, spec.cfg.render().render_compact().as_bytes());
+    put_machine(&spec.cfg, out);
     encode_program(&spec.scua, out);
     put_varint(out, spec.contenders.len() as u64);
     for p in &spec.contenders {
         encode_program(p, out);
     }
+}
+
+thread_local! {
+    /// The last machine this thread encoded and its compact JSON text.
+    static MACHINE_TEXT: Cell<Option<(MachineConfig, String)>> = const { Cell::new(None) };
+}
+
+/// Appends the length-prefixed compact JSON text of `cfg`'s machine
+/// section, rendering it only when `cfg` differs (by `==` over every
+/// field) from the machine this thread encoded last.
+fn put_machine(cfg: &MachineConfig, out: &mut Vec<u8>) {
+    MACHINE_TEXT.with(|memo| {
+        let (memo_cfg, text) = match memo.take() {
+            Some(hit) if hit.0 == *cfg => hit,
+            _ => (cfg.clone(), cfg.render().render_compact()),
+        };
+        put_bytes(out, text.as_bytes());
+        memo.set(Some((memo_cfg, text)));
+    });
 }
 
 // Instruction record tags: the tag byte, then the operand as a varint
@@ -1499,6 +1524,54 @@ mod tests {
         assert!(e.contains("entry format 1 but this build writes 3"), "{e}");
         let e = decode_entry(b"{\"format\": 1}", 0xfeed, None, None).expect_err("v1 JSON");
         assert!(e.contains("magic"), "{e}");
+    }
+
+    /// `fnv1a_64` of the records `encode_entry(0xfeed, ..)` writes for
+    /// `toy_spec(3)` with `toy_measurement()` and for
+    /// `rich_spec_and_measurement()`, captured from the format-3 codec
+    /// that rendered the machine section afresh for every record.
+    const TOY_RECORD_FNV: u64 = 0x569c_1bdd_84c0_84f1;
+    const RICH_RECORD_FNV: u64 = 0x0a7c_5f42_eca5_ba07;
+
+    #[test]
+    fn entry_bytes_are_pinned_through_the_machine_memo() {
+        let toy = (toy_spec(3), toy_measurement());
+        let rich = rich_spec_and_measurement();
+        // Two rounds, so each record is also encoded right after the
+        // other machine was: the memo must never hand one machine's text
+        // to the other.
+        for _ in 0..2 {
+            for ((spec, m), pin) in [(&toy, TOY_RECORD_FNV), (&rich, RICH_RECORD_FNV)] {
+                let bytes = encode_entry(0xfeed, spec.spec_hash(), spec, m);
+                assert_eq!(fnv1a_64(&bytes), pin, "record of `{}`", spec.label);
+            }
+        }
+    }
+
+    #[test]
+    fn entry_confirmation_rejects_a_forged_machine_whatever_the_memo_holds() {
+        // Two specs that differ only in the machine: the stored machine
+        // text is all that tells them apart.
+        let a = toy_spec(1);
+        let mut b = a.clone();
+        b.cfg.max_cycles += 1;
+        let m = toy_measurement();
+        // Alternate the two configs on this thread. Each round encodes
+        // the query's config first, so the memo holds it when the forged
+        // record (the other machine, claiming the query's address) is
+        // built and when the query is confirmed against it.
+        for (stored, queried) in [(&a, &b), (&b, &a), (&a, &b), (&b, &a)] {
+            encode_spec(queried, &mut Vec::new());
+            let forged = encode_entry(0xfeed, queried.spec_hash(), stored, &m);
+            let e = decode_entry(&forged, 0xfeed, Some(queried.spec_hash()), Some(queried))
+                .expect_err("a forged machine must not confirm");
+            assert!(e.contains("collision"), "{e}");
+            for spec in [stored, queried] {
+                let genuine = encode_entry(0xfeed, spec.spec_hash(), spec, &m);
+                let back = decode_entry(&genuine, 0xfeed, Some(spec.spec_hash()), Some(spec));
+                assert_eq!(back.as_ref(), Ok(&m));
+            }
+        }
     }
 
     #[test]

@@ -204,37 +204,40 @@ pub fn respond_json(stream: &mut impl Write, status: u16, json: &str) -> std::io
     respond(stream, status, "application/json", json.as_bytes())
 }
 
+/// How many framed bytes [`ChunkedWriter`] gathers before it writes them
+/// out on its own.
+const WRITE_BATCH_BYTES: usize = 32 * 1024;
+
 /// A `Transfer-Encoding: chunked` response in progress. Every
 /// [`ChunkedWriter::chunk`] becomes exactly one HTTP chunk, so a
-/// line-per-chunk writer gives clients whole NDJSON lines as they land.
-/// Each chunk (size line, data, CRLF) goes out in one `write`.
+/// line-per-chunk writer gives clients whole NDJSON lines. The framed
+/// chunks (size line, data, CRLF) gather in a buffer, which goes out in
+/// one `write` once it holds 32 KiB, at [`ChunkedWriter::flush`] and at
+/// [`ChunkedWriter::finish`]: several chunks per write, the same bytes
+/// on the wire. A producer that is about to wait calls `flush` first,
+/// so no line sits in the buffer while it waits.
 pub struct ChunkedWriter<'a, W: Write> {
     stream: &'a mut W,
-    /// The chunk being framed, kept across chunks to reuse its capacity.
-    frame: Vec<u8>,
+    /// The response head and the framed chunks not yet written.
+    pending: Vec<u8>,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
-    /// Writes the response head and returns the chunk writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn begin(
-        stream: &'a mut W,
-        status: u16,
-        content_type: &str,
-    ) -> std::io::Result<ChunkedWriter<'a, W>> {
+    /// Starts the response: its head goes out with the first batch of
+    /// chunks.
+    pub fn begin(stream: &'a mut W, status: u16, content_type: &str) -> ChunkedWriter<'a, W> {
         let head = format!(
             "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: \
              chunked\r\n\r\n",
             reason(status),
         );
-        stream.write_all(head.as_bytes())?;
-        Ok(ChunkedWriter { stream, frame: Vec::new() })
+        let mut pending = Vec::with_capacity(WRITE_BATCH_BYTES + 4096);
+        pending.extend_from_slice(head.as_bytes());
+        ChunkedWriter { stream, pending }
     }
 
-    /// Writes one chunk and flushes it to the client.
+    /// Frames one chunk into the buffer, writing the buffer out once it
+    /// holds 32 KiB.
     ///
     /// # Errors
     ///
@@ -244,22 +247,36 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if data.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        self.frame.clear();
-        write!(self.frame, "{:x}\r\n", data.len())?;
-        self.frame.extend_from_slice(data);
-        self.frame.extend_from_slice(b"\r\n");
-        self.stream.write_all(&self.frame)?;
-        self.stream.flush()
+        write!(self.pending, "{:x}\r\n", data.len())?;
+        self.pending.extend_from_slice(data);
+        self.pending.extend_from_slice(b"\r\n");
+        if self.pending.len() >= WRITE_BATCH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
     }
 
-    /// Writes the terminating zero-length chunk.
+    /// Writes every buffered chunk to the client in one `write`.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        if !self.pending.is_empty() {
+            self.stream.write_all(&self.pending)?;
+            self.pending.clear();
+        }
         self.stream.flush()
+    }
+
+    /// Writes the buffered chunks and the terminating zero-length chunk.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket write errors.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.pending.extend_from_slice(b"0\r\n\r\n");
+        self.flush()
     }
 }
 
@@ -334,7 +351,7 @@ mod tests {
     #[test]
     fn chunked_writer_frames_each_chunk() {
         let mut out = Vec::new();
-        let mut w = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson").unwrap();
+        let mut w = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson");
         w.chunk(b"{\"a\":1}\n").unwrap();
         w.chunk(b"").unwrap(); // ignored, must not terminate the stream
         w.chunk(b"{\"b\":2}\n").unwrap();
@@ -366,17 +383,39 @@ mod tests {
     }
 
     #[test]
-    fn one_chunk_is_one_write() {
-        let mut out = CountingWriter::default();
-        let mut w = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson").unwrap();
-        let line = [b'x'; 340];
-        for _ in 0..3 {
-            w.chunk(&line).unwrap();
+    fn chunks_batch_into_fewer_writes_with_per_line_framing() {
+        const LINES: usize = 300;
+        let line = |i: usize| format!("{{\"line\":{i},\"pad\":\"{}\"}}\n", "x".repeat(i % 400));
+        // The bytes a writer that framed and wrote each line on its own
+        // puts on the wire.
+        let mut expected = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                             Transfer-Encoding: chunked\r\n\r\n"
+            .to_vec();
+        for i in 0..LINES {
+            let data = line(i);
+            expected.extend_from_slice(format!("{:x}\r\n{data}\r\n", data.len()).as_bytes());
         }
+        expected.extend_from_slice(b"0\r\n\r\n");
+
+        let mut out = CountingWriter::default();
+        let mut w = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson");
+        for i in 0..LINES {
+            w.chunk(line(i).as_bytes()).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(out.bytes, expected, "the same bytes as one write per line");
+        let batches = expected.len().div_ceil(WRITE_BATCH_BYTES);
+        assert!(out.writes <= batches + 1, "{} writes for {LINES} lines", out.writes);
+        assert!(out.writes > 1, "a full buffer goes out before `finish`");
+
+        // `flush` puts out what is buffered, so a line never waits there.
+        let mut out = CountingWriter::default();
+        let mut w = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson");
+        w.chunk(b"{}\n").unwrap();
+        w.flush().unwrap();
+        w.flush().unwrap(); // nothing buffered: no write
         drop(w);
-        let head = out.bytes.len() - 3 * (line.len() + 7);
-        assert_eq!(out.writes, 1 + 3, "the head, then one write per chunk");
-        assert_eq!(&out.bytes[head..head + 5], b"154\r\n");
-        assert_eq!(&out.bytes[head + 5 + 340..head + 347], b"\r\n");
+        assert_eq!(out.writes, 1, "the head and the first line in one write");
+        assert!(out.bytes.ends_with(b"3\r\n{}\n\r\n"));
     }
 }

@@ -3,7 +3,11 @@
 //! Connection model: one thread per connection, HTTP/1.1 keep-alive
 //! until the client closes, the read timeout fires, a request fails to
 //! parse, or the server starts draining. Campaign responses stream as
-//! `Transfer-Encoding: chunked` NDJSON — one whole line per chunk.
+//! `Transfer-Encoding: chunked` NDJSON — one whole line per chunk, and
+//! several chunks per socket write: the lines gather in the
+//! [`ChunkedWriter`], which the handler flushes after the header line
+//! and before every wait on the worker pool, so a line never waits
+//! behind a run still executing.
 //!
 //! This module is on the lint-enforced no-panic path (`lint_sources`):
 //! every request, however malformed, ends in a status code or a dropped
@@ -11,14 +15,16 @@
 
 use crate::http::{self, ChunkedWriter, HttpError, Request};
 use crate::ServerState;
-use rrb::campaign::{PlanItem, RunRecord, RunSpec, StoreUsage};
+use rrb::campaign::{PlanItem, RunRecord, StoreUsage};
 use rrb::executor::WorkerPool;
 use rrb::json::Json;
 use rrb::lint::{has_errors, lint_spec, LintFinding};
 use rrb::scenario::ScenarioReport;
 use rrb::spec::ExperimentSpec;
+use std::cell::Cell;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::TryRecvError;
 
 /// Serves one accepted connection to completion. Never panics; errors
 /// drop the connection.
@@ -166,8 +172,10 @@ fn parse_spec(body: &[u8]) -> Result<ExperimentSpec, (u16, String)> {
 ///
 /// Every deduplicated run is submitted to the pool; the handler then streams
 /// the plan through `CampaignPlan::walk` — the walk `Campaign::run`
-/// takes — writing each record and report as one HTTP chunk and waiting
-/// on the pool only when the next plan position is still in flight. A
+/// takes — framing each record and report as one HTTP chunk and waiting
+/// on the pool only when the next plan position is still in flight.
+/// The header line goes out at once, and before each wait the handler
+/// flushes the chunks buffered so far. A
 /// client that disconnects mid-stream aborts the walk, but
 /// already-queued runs still execute and land in the store.
 fn campaigns(
@@ -198,7 +206,7 @@ fn campaigns(
     let done = pool.submit(unique, Some(&state.store));
 
     // Stream: header, the plan-order walk, then the summary and stats.
-    let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
+    let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson");
     writer.chunk(&line(Json::obj(vec![
         ("type", Json::str("campaign")),
         ("name", Json::str(spec.name.clone())),
@@ -207,7 +215,14 @@ fn campaigns(
         ("planned_runs", Json::U64(plan.planned_runs() as u64)),
         ("unique_runs", Json::U64(unique.len() as u64)),
     ])))?;
+    // The header goes out at once, ahead of whatever runs have landed.
+    writer.flush()?;
 
+    // Both walk closures write: the sink its lines, the result closure a
+    // flush before it blocks. A failed flush parks its error in
+    // `flush_failed` for the next sink call, which ends the walk with it.
+    let writer = SharedWriter(Cell::new(Some(writer)));
+    let flush_failed = Cell::new(None);
     let mut results = vec![None; unique.len()];
     let mut usage = StoreUsage::default();
     let mut delivered = 0usize;
@@ -216,7 +231,19 @@ fn campaigns(
             // Block until run `idx` lands; a pool whose workers died
             // leaves it missing, and the walk records an error.
             while results.get(idx).is_some_and(Option::is_none) {
-                let Ok((index, outcome)) = done.recv() else { break };
+                let landed = match done.try_recv() {
+                    Ok(landed) => landed,
+                    Err(TryRecvError::Disconnected) => break,
+                    Err(TryRecvError::Empty) => {
+                        if let Err(e) = writer.with(ChunkedWriter::flush) {
+                            flush_failed.set(Some(e));
+                            break;
+                        }
+                        let Ok(landed) = done.recv() else { break };
+                        landed
+                    }
+                };
+                let (index, outcome) = landed;
                 if let Some(slot) = results.get_mut(index) {
                     delivered += 1;
                     *slot = Some(usage.tally(outcome));
@@ -224,15 +251,25 @@ fn campaigns(
             }
             results.get(idx).cloned().flatten()
         },
-        |item| match item {
-            PlanItem::Run(record, spec) => {
-                writer.chunk(&run_line(&record, spec.map(RunSpec::spec_hash)))?;
-                state.runs_streamed.fetch_add(1, Ordering::Relaxed);
-                Ok(())
+        |item| {
+            if let Some(e) = flush_failed.take() {
+                return Err(e);
             }
-            PlanItem::Scenario(report) => writer.chunk(&scenario_line(&report)),
+            match item {
+                PlanItem::Run(record, spec) => {
+                    let line = run_line(&record, spec.map(|(_, hash)| hash));
+                    writer.with(|w| w.chunk(&line))?;
+                    state.runs_streamed.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }
+                PlanItem::Scenario(report) => {
+                    let line = scenario_line(&report);
+                    writer.with(|w| w.chunk(&line))
+                }
+            }
         },
     )?;
+    let mut writer = writer.take()?;
 
     let executed = delivered.saturating_sub(usage.hits);
     writer.chunk(&line(Json::obj(vec![
@@ -252,6 +289,27 @@ fn campaigns(
     ])))?;
     state.runs_executed.fetch_add(executed as u64, Ordering::Relaxed);
     writer.finish()
+}
+
+/// A [`ChunkedWriter`] that both closures of a campaign walk use through
+/// a shared reference: each call moves the writer out of the cell and
+/// back, so no borrow outlives a call and nothing can panic.
+struct SharedWriter<'a>(Cell<Option<ChunkedWriter<'a, TcpStream>>>);
+
+impl<'a> SharedWriter<'a> {
+    fn with(
+        &self,
+        write: impl FnOnce(&mut ChunkedWriter<'a, TcpStream>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut writer = self.take()?;
+        let written = write(&mut writer);
+        self.0.set(Some(writer));
+        written
+    }
+
+    fn take(&self) -> std::io::Result<ChunkedWriter<'a, TcpStream>> {
+        self.0.take().ok_or_else(|| std::io::Error::other("the stream writer is gone"))
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ use rrb::executor::Executor;
 use rrb::json::Json;
 use rrb::spec::{ExperimentSpec, WorkloadCase};
 use rrb::store::ResultStore;
-use rrb_kernels::{rsk_nop, AccessKind, KernelSpec};
+use rrb_kernels::{rsk_nop, AccessKind, AutobenchKernel, KernelSpec};
 use rrb_serve::{client, ServeConfig, ServeStats, Server, ServerHandle};
 use rrb_sim::{ArbiterKind, CoreId, MachineConfig};
 use std::net::SocketAddr;
@@ -454,5 +454,134 @@ fn lint_rejection_body_is_pinned() {
         r#"matcher to lock on"}]}"#,
     );
     assert_eq!(resp.body, expected);
+    daemon.shutdown();
+}
+
+/// POSTs `body` to `/v1/campaigns` over a raw socket and returns the
+/// socket, ready to read the raw response.
+fn raw_campaign(addr: SocketAddr, body: &str) -> std::net::TcpStream {
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    let head = format!(
+        "POST /v1/campaigns HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: \
+         {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    stream
+}
+
+/// Splits a raw chunked response into its head and the data of each
+/// chunk, checking the framing (a size line, the data, CRLF, and a
+/// final zero-length chunk).
+fn chunks_of(raw: &[u8]) -> (String, Vec<Vec<u8>>) {
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("a response head") + 4;
+    let head = String::from_utf8(raw[..head_end].to_vec()).unwrap();
+    let (mut chunks, mut pos) = (Vec::new(), head_end);
+    loop {
+        let line_end =
+            pos + raw[pos..].windows(2).position(|w| w == b"\r\n").expect("a chunk size line");
+        let size = usize::from_str_radix(std::str::from_utf8(&raw[pos..line_end]).unwrap(), 16)
+            .expect("a hex chunk size");
+        let data = line_end + 2;
+        assert_eq!(&raw[data + size..data + size + 2], b"\r\n", "chunk data ends in CRLF");
+        if size == 0 {
+            assert_eq!(data + 2, raw.len(), "nothing follows the last chunk");
+            return (head, chunks);
+        }
+        chunks.push(raw[data..data + size].to_vec());
+        pos = data + size + 2;
+    }
+}
+
+#[test]
+fn every_http_chunk_holds_exactly_one_ndjson_line() {
+    use std::io::Read;
+    let daemon = Daemon::boot("framing", 2);
+    let spec = small_spec();
+    for pass in ["cold", "warm"] {
+        let mut raw = Vec::new();
+        raw_campaign(daemon.addr, &spec).read_to_end(&mut raw).unwrap();
+        let (head, chunks) = chunks_of(&raw);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{pass}: {head}");
+        assert!(head.contains("Transfer-Encoding: chunked"), "{pass}: {head}");
+        let body = client::post(daemon.addr, "/v1/campaigns", &spec).unwrap().body;
+        assert_eq!(chunks.len(), body.lines().count(), "{pass}: one chunk per line");
+        for chunk in &chunks {
+            let text = std::str::from_utf8(chunk).unwrap();
+            assert!(text.ends_with('\n'), "{pass}: a chunk ends its line: {text:?}");
+            assert_eq!(text.matches('\n').count(), 1, "{pass}: one line per chunk: {text:?}");
+            Json::parse(text.trim_end()).expect("each chunk is one JSON document");
+        }
+    }
+    daemon.shutdown();
+}
+
+/// A one-case workload spec: the scua alone (the case's isolated run,
+/// which period skip finishes in well under a millisecond), then the
+/// same seeded EEMBC-profile scua beside three endless EEMBC-profile
+/// contenders of other lengths, whose run simulates for a while.
+fn slow_workload_spec() -> String {
+    let eembc = |kernel, seed, iterations| KernelSpec::Eembc { kernel, seed, iterations };
+    let case = WorkloadCase {
+        name: String::from("slow"),
+        scua: eembc(AutobenchKernel::Canrdr, 1, Some(SLOW_ITERATIONS)),
+        contenders: vec![
+            eembc(AutobenchKernel::Matrix, 2, None),
+            eembc(AutobenchKernel::Pntrch, 3, None),
+            eembc(AutobenchKernel::Tblook, 4, None),
+        ],
+    };
+    let machine = MachineConfig::toy(4, 2);
+    ExperimentSpec { name: String::from("slow"), machine, grid: None, workloads: vec![case] }
+        .to_text()
+}
+
+/// Iterations of [`slow_workload_spec`]'s scua: enough that its
+/// contended run outlasts a line's trip to the client by a wide margin.
+const SLOW_ITERATIONS: u64 = if cfg!(debug_assertions) { 1_500 } else { 5_000 };
+
+/// Reads one chunk of a chunked response: its size line, then its data.
+fn read_chunk(reader: &mut impl std::io::BufRead) -> String {
+    let mut size = String::new();
+    reader.read_line(&mut size).unwrap();
+    let size = usize::from_str_radix(size.trim_end(), 16).unwrap();
+    let mut data = vec![0; size + 2];
+    reader.read_exact(&mut data).unwrap();
+    assert!(data.ends_with(b"\r\n"));
+    data.truncate(size);
+    String::from_utf8(data).unwrap()
+}
+
+#[test]
+fn a_cold_campaign_streams_each_line_before_the_next_run_finishes() {
+    use std::io::{BufRead, BufReader, Read};
+    let daemon = Daemon::boot("first-line", 1);
+    let mut reader = BufReader::new(raw_campaign(daemon.addr, &slow_workload_spec()));
+    let mut line = String::new();
+    while line != "\r\n" {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+    }
+    // A run lands in the store when it finishes. The header, and then the
+    // isolated run's line, reach the client while the contended run is
+    // still executing: the writer flushed before each wait on the pool.
+    let header = Json::parse(read_chunk(&mut reader).trim_end()).unwrap();
+    assert_eq!(header.get("type").and_then(Json::as_str), Some("campaign"));
+    assert_eq!(u64_field(&header, "unique_runs"), 2);
+    assert!(daemon.store.stats().entries < 2, "the header waited for the contended run");
+    let first = Json::parse(read_chunk(&mut reader).trim_end()).unwrap();
+    assert_eq!(first.get("type").and_then(Json::as_str), Some("run"));
+    let start = Instant::now();
+    assert_eq!(daemon.store.stats().entries, 1, "the first run line waited for the second run");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    let waited = start.elapsed();
+    assert_eq!(daemon.store.stats().entries, 2, "both runs finished and were stored");
+    let rest = String::from_utf8(rest).unwrap();
+    assert!(!rest.contains("\"error\":\""), "{rest}");
+    eprintln!("the rest of the stream followed the first run line after {waited:?}");
     daemon.shutdown();
 }
